@@ -171,6 +171,7 @@ class TableGroupoid:
         self.morphism_labels = dict(morphism_labels or {})
         self._hom = None
         self._components = None
+        self._rep_of = None
 
     # -- basic access ------------------------------------------------------
 
@@ -224,6 +225,9 @@ class TableGroupoid:
 
     def components(self):
         """Connected components, each sorted, ordered by minimal object id."""
+        return [list(c) for c in self._component_lists()]
+
+    def _component_lists(self):
         if self._components is None:
             parent = {o: o for o in self.objects}
 
@@ -243,10 +247,18 @@ class TableGroupoid:
             out = [sorted(c) for c in comps.values()]
             out.sort(key=lambda c: c[0])
             self._components = out
-        return [list(c) for c in self._components]
+        return self._components
 
     def component_reps(self):
-        return [c[0] for c in self.components()]
+        return [c[0] for c in self._component_lists()]
+
+    def component_rep(self, o):
+        """The canonical representative of o's component."""
+        if self._rep_of is None:
+            self._rep_of = {
+                x: c[0] for c in self._component_lists() for x in c
+            }
+        return self._rep_of[o]
 
     def aut_order(self, o):
         return self.hom_size(o, o)
@@ -463,9 +475,10 @@ class ActionGroupoid:
         return self.group.order == 1
 
     def morphism_sample(self):
-        """Generating family: one handle per carrier point per generator."""
+        """Generating family: one handle per carrier point per generator,
+        made lazily (a composed apex can have tens of thousands)."""
         gens = self.group.generators()
-        return [(x, g) for x in self.carrier for g in gens]
+        return ((x, g) for x in self.carrier for g in gens)
 
     def all_morphisms(self):
         return [(x, g) for x in self.carrier for g in self.group.elements()]
@@ -490,9 +503,14 @@ class ActionGroupoid:
                         for g in gens:
                             z = self.act(y, g)
                             if z not in orbit_of:
-                                assert z in self._index, (
-                                    "carrier is not closed under the action"
-                                )
+                                i = self._index.get(z)
+                                if i is None:
+                                    raise ValueError(
+                                        "carrier is not closed under the action"
+                                    )
+                                # keep the carrier's own point, not act's copy:
+                                # the index is cached for the groupoid's life
+                                z = self.carrier[i]
                                 orbit_of[z] = idx
                                 orbit.append(z)
                                 nxt.append(z)
@@ -509,7 +527,13 @@ class ActionGroupoid:
         return [sorted(orbit, key=key) for orbit in self._orbit_list]
 
     def component_reps(self):
-        return [c[0] for c in self.components()]
+        # the orbit search starts each orbit at its first carrier point
+        self._orbits_index()
+        return [orbit[0] for orbit in self._orbit_list]
+
+    def component_rep(self, x):
+        idx = self._orbits_index()[x]
+        return self._orbit_list[idx][0]
 
     def aut_order(self, x):
         idx = self._orbits_index()[x]
@@ -601,11 +625,11 @@ class DisjointUnion:
         return all(m.is_discrete for m in self.members)
 
     def morphism_sample(self):
-        return [
+        return (
             (i, m)
             for i, member in enumerate(self.members)
             for m in member.morphism_sample()
-        ]
+        )
 
     def all_morphisms(self):
         return [
@@ -621,7 +645,12 @@ class DisjointUnion:
         return out
 
     def component_reps(self):
-        return [c[0] for c in self.components()]
+        return [
+            (i, r) for i, m in enumerate(self.members) for r in m.component_reps()
+        ]
+
+    def component_rep(self, o):
+        return (o[0], self.members[o[0]].component_rep(o[1]))
 
     def aut_order(self, o):
         return self.members[o[0]].aut_order(o[1])

@@ -10,7 +10,19 @@ Its matrix has rows pi0(S) and columns pi0(T) in canonical component order,
 
     entry(c, d) = sum_g chi( (c\\M/d){label = g} ) * (1/|T(d,d)|) * g,
 
-where the label of a fibre object (s, a, t) is V(t) + eps(a) + H(s).  Span
+where the label of a fibre object (s, a, t) is V(t) + eps(a) + H(s).  That
+is the definition, and labeled_fibre builds it; the tests use it as the
+oracle.  span_matrix computes the same numbers without building a fibre.  A
+fibre object (s, a, t) has as many outgoing morphisms as a has in M, and
+naturality moves (s, a, t) along M without changing its label, so each
+component [a] of M contributes to exactly one entry, by groupoid cardinality:
+
+    entry(c, d) = sum over [a] in pi0(M) with [La] = c and [Ra] = d of
+                  1/(|Aut a| |Aut d|) * sum over s in S(c, La), t in T(Ra, d)
+                  of [V(t) + eps(a) + H(s)].
+
+This relies on the naturality square, which GSpan validates at construction;
+GSpan(..., check=False) is the caller's promise that it holds.  Span
 composition is the homotopy pullback with label eps2(a2) + V1(t) + eps1(a1),
 and matrix products use the order  (A B)(c1, c2) = sum_d B(d, c2) A(c1, d)
 (for abelian G this equals the usual product; a test asserts both agree).
@@ -96,15 +108,20 @@ class LabeledFibre:
 
     def chi_by_label(self, check_constancy=False):
         """chi of the full subgroupoid over each label level set.  Two-sided
-        fibre labels are constant on components (pass check_constancy=True to
-        assert it); one-sided fibre labels shift along morphisms, so level
-        sets are carved out before chi."""
+        fibre labels are constant on components (check_constancy=True checks
+        it and raises GSpanError otherwise); one-sided fibre labels shift
+        along morphisms, so level sets are carved out before chi."""
         if check_constancy:
             out = {}
             for comp in self.groupoid.components():
                 g = self.label(comp[0])
                 for o in comp[1:]:
-                    assert self.label(o) == g, "label not constant on a component"
+                    if self.label(o) != g:
+                        raise GSpanError(
+                            "label not constant on the component of %r: "
+                            "%r at %r, %r at %r"
+                            % (comp[0], g, comp[0], self.label(o), o)
+                        )
                 out[g] = out.get(g, Fraction(0)) + Fraction(
                     1, self.groupoid.aut_order(comp[0])
                 )
@@ -179,8 +196,17 @@ class SpanMatrix:
         self.row_index = list(row_index)
         self.col_index = list(col_index)
         self.entries = [list(row) for row in entries]
-        assert len(self.entries) == len(self.row_index)
-        assert all(len(r) == len(self.col_index) for r in self.entries)
+        if len(self.entries) != len(self.row_index):
+            raise ValueError(
+                "%d rows of entries for %d row indexes"
+                % (len(self.entries), len(self.row_index))
+            )
+        for i, row in enumerate(self.entries):
+            if len(row) != len(self.col_index):
+                raise ValueError(
+                    "row %d has %d entries for %d column indexes"
+                    % (i, len(row), len(self.col_index))
+                )
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -236,22 +262,63 @@ class SpanMatrix:
         )
 
 
+def _fibre_chi(sp, entry=None):
+    """{(c, d): {g: chi((c\\M/d){label = g})}} over the component
+    representatives c of S and d of T, by groupoid cardinality in one pass
+    over pi0(M) (see the module docstring).  entry=(c, d), any objects of S
+    and T, computes only the fibre c\\M/d, under the key (c, d)."""
+    S, T, M, G = sp.source, sp.target, sp.apex, sp.group
+    if entry is not None:
+        want = (S.component_rep(entry[0]), T.component_rep(entry[1]))
+    out = {}
+    for a in M.component_reps():
+        la, ra = sp.left.on_obj(a), sp.right.on_obj(a)
+        key = (S.component_rep(la), T.component_rep(ra))
+        if entry is not None:
+            if key != want:
+                continue
+            key = entry
+        c, d = key
+        e = sp.eps(a)
+        vs = [sp.v.value(t) for t in T.hom(ra, d)]
+        counts = {}
+        for s in S.hom(c, la):
+            x = G.add(e, sp.h.value(s))
+            for v in vs:
+                g = G.add(v, x)
+                counts[g] = counts.get(g, 0) + 1
+        n = M.aut_order(a)
+        chi = out.setdefault(key, {})
+        for g, k in counts.items():
+            chi[g] = chi.get(g, 0) + Fraction(k, n)
+    return out
+
+
 def span_matrix(sp):
     """[M, eps]: entry(c,d) = sum_g chi((c\\M/d){label=g}) (1/|T(d,d)|) g.
-    Coefficients are checked to be >= 0 (the semiring guarantee)."""
+
+    The fibres are the definition and the test oracle, not the computation:
+    one pass over pi0(M) (_fibre_chi) adds, for each component [a] with
+    [La] = c and [Ra] = d,
+
+        1/(|Aut a| |Aut d|) sum_{s in S(c,La), t in T(Ra,d)} [V(t)+eps(a)+H(s)]
+
+    to entry (c, d).  This relies on the naturality square that GSpan
+    validates at construction; GSpan(..., check=False) is the caller's
+    promise that it holds.  Coefficients are checked to be >= 0 (the
+    semiring guarantee)."""
     G = sp.group
     rows = sp.source.component_reps()
     cols = sp.target.component_reps()
+    chi = _fibre_chi(sp)
     entries = []
     for c in rows:
         row = []
         for d in cols:
             chi_td = Fraction(1, sp.target.aut_order(d))
-            by_label = labeled_fibre(sp, c, d, skeleton=True).chi_by_label(
-                check_constancy=True
-            )
-            terms = {g: chi * chi_td for g, chi in by_label.items()}
-            assert all(v >= 0 for v in terms.values())
+            terms = {g: x * chi_td for g, x in chi.get((c, d), {}).items()}
+            if any(v < 0 for v in terms.values()):
+                raise GSpanError("negative coefficient at entry (%r, %r)" % (c, d))
             row.append(GroupRingElement(G, terms))
         entries.append(row)
     return SpanMatrix(G, rows, cols, entries)
@@ -299,8 +366,12 @@ class CharacterMatrix:
         )
 
     def __mul__(self, other):
-        assert self.col_index == other.row_index
-        assert self.conductor == other.conductor
+        if self.conductor != other.conductor:
+            raise ValueError(
+                "conductors differ: %r vs %r" % (self.conductor, other.conductor)
+            )
+        if self.col_index != other.row_index:
+            raise ValueError("inner indexes do not match")
         from gspans.algebra import CyclotomicNumber
 
         zero = CyclotomicNumber.zero(self.conductor)
@@ -397,16 +468,6 @@ def check_main_theorem(sp1, sp2, guard=None):
     return lhs, rhs
 
 
-def labeled_chi_of(view, label):
-    """chi of the full subgroupoid over every label level set.  (Unlike on
-    two-sided fibres, a label need not be constant on components of the whole
-    pullback apex, so each level set is carved out first.)"""
-    levels = {}
-    for o in view.objects:
-        levels.setdefault(label(o), []).append(o)
-    return {g: view.full_subgroupoid(objs).chi() for g, objs in levels.items()}
-
-
 def labeled_pullback_identity(sp1, sp2, c1, c2, guard=None, composed=None):
     """Both sides of the per-label composition identity at entry (c1, c2):
 
@@ -417,11 +478,13 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, guard=None, composed=None):
     returned as maps g -> Fraction.  This is the per-label identity in the
     entrywise (two-sided fibre) form, where every level set is a union of
     components; on the raw pullback apex the labels are not component
-    constant and the naive reading fails."""
+    constant and the naive reading fails.
+
+    The left-hand side is read off pi0 of the composed apex, as in
+    span_matrix, restricted to the one entry; the right-hand side builds the
+    fibres of sp1 and sp2 over each d, which are what the identity is about."""
     composed = composed if composed is not None else compose_spans(sp1, sp2, guard)
-    lhs = labeled_fibre(composed, c1, c2, skeleton=True).chi_by_label(
-        check_constancy=True
-    )
+    lhs = _fibre_chi(composed, (c1, c2)).get((c1, c2), {})
     G, T = sp1.group, sp1.target
     rhs = {}
     for d in T.component_reps():
@@ -437,7 +500,6 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, guard=None, composed=None):
                 g = G.add(g2, g1)
                 rhs[g] = rhs.get(g, Fraction(0)) + x1 * chi_td * x2
     rhs = {g: v for g, v in rhs.items() if v != 0}
-    lhs = {g: v for g, v in lhs.items() if v != 0}
     return lhs, rhs
 
 
@@ -717,7 +779,8 @@ def cells_equal(u, w):
 
 def fibre_map_preserves_labels(cell, c, d):
     """The induced map of two-sided fibres
-    (s, x, t) -> (A(x) o s, Phi x, t o B(x)^-1) lands in the same label level."""
+    (s, x, t) -> (A(x) o s, Phi x, t o B(x)^-1) lands in the target fibre
+    and in the same label level; False if some image misses either."""
     sp1, sp2 = cell.src_span, cell.dst_span
     S, T, G = sp1.source, sp1.target, sp1.group
     fib1 = two_sided_fibre(sp1.left, sp1.right, c, d, skeleton=True)
@@ -727,12 +790,13 @@ def fibre_map_preserves_labels(cell, c, d):
         s, a, t = triple
         return G.add(sp.v.value(t), G.add(sp.eps(a), sp.h.value(s)))
 
-    ok = True
     for oid in fib1.objects:
         s, x, t = fib1.object_labels[oid]
         px = cell.phi.on_obj(x)
         s2 = S.compose_m(cell.a(x), s)
         t2 = T.compose_m(t, T.inverse_m(cell.b(x)))
-        assert (s2, px, t2) in fib2.object_of_label, "image misses the fibre"
-        ok = ok and (label(sp2, (s2, px, t2)) == label(sp1, (s, x, t)))
-    return ok
+        if (s2, px, t2) not in fib2.object_of_label:
+            return False  # the image misses the target fibre
+        if label(sp2, (s2, px, t2)) != label(sp1, (s, x, t)):
+            return False
+    return True

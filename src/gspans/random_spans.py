@@ -285,8 +285,10 @@ def random_span_with_structure(rng, max_group_order=6, max_objects=6,
 def random_two_cell_square(rng):
     """Four 2-cells forming an interchange square: on each leg the projection
     cell A_i => M_i (absorption) followed by the canonical cell M_i => U_i
-    into the universal span.  Sizes are kept tiny so every pullback stays a
-    table."""
+    into the universal span.  Sizes are kept tiny, but that bounds the
+    pullbacks only loosely: the nested pullbacks that interchange_check builds
+    can still exceed the 20 000-morphism size guard and be refused with
+    SizeGuardError."""
     from gspans.examples import universal_cell
     from gspans.gspan import identity_composite_cells
 

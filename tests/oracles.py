@@ -1,6 +1,11 @@
-"""Brute-force enumeration oracles, independent of the groupoid machinery."""
+"""Brute-force enumeration oracles, independent of the groupoid machinery,
+plus the per-entry fibre construction of span matrices (the definition that
+span_matrix evaluates by groupoid cardinality).  gspans is imported inside
+the functions: the benchmark imports this module before it times the import
+of gspans."""
 
 import itertools
+from fractions import Fraction
 
 
 def oracle_s1(n, k):
@@ -63,3 +68,38 @@ def abelian_group_order_lists(max_order):
 
     grow([], 2, 1)
     return out
+
+
+def fibre_chi_by_label(sp, c, d):
+    """g -> chi((c\\M/d){label = g}) from the built two-sided fibre, with the
+    label checked constant on its components; zero levels dropped."""
+    from gspans.gspan import labeled_fibre
+
+    by_label = labeled_fibre(sp, c, d, skeleton=True).chi_by_label(
+        check_constancy=True
+    )
+    return {g: x for g, x in by_label.items() if x != 0}
+
+
+def fibre_span_matrix(sp):
+    """The span matrix entry by entry: chi of each labelled two-sided fibre
+    c\\M/d, scaled by 1/|T(d,d)|."""
+    from gspans.algebra import GroupRingElement
+    from gspans.gspan import SpanMatrix
+
+    rows = sp.source.component_reps()
+    cols = sp.target.component_reps()
+    entries = [
+        [
+            GroupRingElement(
+                sp.group,
+                {
+                    g: x * Fraction(1, sp.target.aut_order(d))
+                    for g, x in fibre_chi_by_label(sp, c, d).items()
+                },
+            )
+            for d in cols
+        ]
+        for c in rows
+    ]
+    return SpanMatrix(sp.group, rows, cols, entries)

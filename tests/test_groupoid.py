@@ -179,6 +179,54 @@ def test_components_canonical_order():
     assert u.component_reps() == [c[0] for c in comps]
 
 
+def test_component_rep_is_first_object_of_its_component():
+    sym = SymmetricGroup(3)
+    # conjugation orbits, carrier in reverse so orbits start mid-list
+    conj = ActionGroupoid(
+        sym,
+        sym.elements()[::-1],
+        lambda x, g: sym.op(sym.op(sym.inv(g), x), g),
+    )
+    table = disjoint_union_tables([discrete_groupoid(2), delooping_bg(Z2)])
+    cosets = coset_groupoid(Z6, [(0,), (3,)])
+    for view in (table, conj, cosets, DisjointUnion([conj, conj])):
+        comps = view.components()
+        assert view.component_reps() == [c[0] for c in comps]
+        for c in comps:
+            assert all(view.component_rep(o) == c[0] for o in c)
+
+
+def test_component_rep_on_freshly_built_views():
+    # component_rep must compute the orbits itself when nothing has asked yet
+    sym = SymmetricGroup(3)
+
+    def views():
+        conj = ActionGroupoid(
+            sym,
+            sym.elements()[::-1],
+            lambda x, g: sym.op(sym.op(sym.inv(g), x), g),
+        )
+        return [
+            disjoint_union_tables([discrete_groupoid(2), delooping_bg(Z2)]),
+            conj,
+            coset_groupoid(Z6, [(0,), (3,)]),
+            DisjointUnion([coset_groupoid(Z6, [(0,), (2,), (4,)]), conj]),
+        ]
+
+    for fresh, seen in zip(views(), views()):
+        reps = {o: c[0] for c in seen.components() for o in c}
+        assert [fresh.component_rep(o) for o in seen.objects] == [
+            reps[o] for o in seen.objects
+        ]
+
+
+def test_action_on_an_unclosed_carrier_raises():
+    sym = SymmetricGroup(2)
+    ag = ActionGroupoid(sym, [0], lambda x, g: g[x])  # 0.(1 0) = 1 is missing
+    with pytest.raises(ValueError, match="not closed"):
+        ag.chi()
+
+
 def test_disjoint_union_view():
     sym = SymmetricGroup(2)
     ag = ActionGroupoid(
