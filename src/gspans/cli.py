@@ -32,7 +32,7 @@ from gspans.constructions import (
     right_fibre,
     two_sided_fibre,
 )
-from gspans.groupoid import TableGroupoid, disjoint_union_tables
+from gspans.groupoid import TableGroupoid, composable_pairs, disjoint_union_tables
 from gspans.gspan import (
     GSpan,
     GSpanError,
@@ -61,10 +61,27 @@ class DocumentError(Exception):
         self.reason = reason
 
 
-def _need(mapping, key, path):
+SECTIONS = (
+    "groups", "groupoids", "functors", "bg_functors", "characters", "spans",
+    "cells",
+)
+
+
+_JSON_TYPE = {dict: "object", list: "array"}
+
+
+def _need(mapping, key, path, kind=object):
+    """mapping[key], checked to exist and to be an instance of kind."""
+    if not isinstance(mapping, dict):
+        raise DocumentError(path, "must be a JSON object")
     if key not in mapping:
         raise DocumentError(path, "missing required field %r" % key)
-    return mapping[key]
+    value = mapping[key]
+    if not isinstance(value, kind):
+        raise DocumentError(
+            "%s.%s" % (path, key), "must be a JSON %s" % _JSON_TYPE[kind]
+        )
+    return value
 
 
 class Document:
@@ -84,6 +101,9 @@ class Document:
         self.spans = {}
         self.cells = {}
         self._resolving = set()
+        for section in SECTIONS:
+            if not isinstance(data.get(section, {}), dict):
+                raise DocumentError(section, "section must be a JSON object")
         for name in data.get("groups", {}):
             self._group(name)
         for name in data.get("groupoids", {}):
@@ -92,8 +112,8 @@ class Document:
             self._functor(name)
         for name in data.get("bg_functors", {}):
             self._bg_functor(name)
-        for name, spec in data.get("characters", {}).items():
-            path = "characters.%s" % name
+        for name in data.get("characters", {}):
+            spec, path = self._entry("characters", name)
             grp = self._group(_need(spec, "group", path))
             self.characters[name] = Character(grp, _need(spec, "exponents", path))
         for name in data.get("spans", {}):
@@ -103,39 +123,43 @@ class Document:
 
     # -- sections ----------------------------------------------------------
 
+    def _entry(self, section, name):
+        """(spec, path) of a named section entry, type-checked before it is
+        resolved: names are strings, entries other than groups are objects."""
+        path = "%s.%s" % (section, name)
+        specs = self.data.get(section, {})
+        if not isinstance(name, str) or name not in specs:
+            raise DocumentError(path, "unresolved name")
+        spec = specs[name]
+        if section != "groups" and not isinstance(spec, dict):
+            raise DocumentError(path, "entry must be a JSON object")
+        return spec, path
+
     def _group(self, name):
+        orders, path = self._entry("groups", name)
         if name in self.groups:
             return self.groups[name]
-        spec = self.data.get("groups", {})
-        if name not in spec:
-            raise DocumentError("groups.%s" % name, "unresolved name")
-        orders = spec[name]
         try:
             self.groups[name] = AbelianGroup(orders)
         except (TypeError, ValueError) as e:
-            raise DocumentError("groups.%s" % name, str(e))
+            raise DocumentError(path, str(e))
         return self.groups[name]
 
     def _groupoid(self, name):
+        spec, path = self._entry("groupoids", name)
         if name in self.groupoids:
             return self.groupoids[name]
-        path = "groupoids.%s" % name
-        specs = self.data.get("groupoids", {})
-        if name not in specs:
-            raise DocumentError(path, "unresolved name")
         if name in self._resolving:
             raise DocumentError(path, "reference cycle")
         self._resolving.add(name)
         try:
-            g = self._build_groupoid(name, specs[name], path)
+            g = self._build_groupoid(name, spec, path)
         finally:
             self._resolving.discard(name)
         self.groupoids[name] = g
         return g
 
     def _build_groupoid(self, name, spec, path):
-        if not isinstance(spec, dict):
-            raise DocumentError(path, "groupoid spec must be an object")
         kind = spec.get("type", "table" if "objects" in spec else None)
         if kind == "table" or ("objects" in spec and "morphisms" in spec):
             return self._literal_table(name, spec, path)
@@ -167,9 +191,13 @@ class Document:
         if kind == "action":
             grp = self._group(_need(spec, "group", path))
             points = [str(p) for p in _need(spec, "points", path)]
-            table = _need(spec, "action", path)
+            table = _need(spec, "action", path, dict)
             act_map = {}
             for p, moves in table.items():
+                if not isinstance(moves, dict):
+                    raise DocumentError(
+                        path + ".action.%s" % p, "must be a JSON object"
+                    )
                 for el, q in moves.items():
                     g = tuple(int(x) for x in str(el).split(",")) if el else ()
                     act_map[(str(p), grp.check(g))] = str(q)
@@ -241,8 +269,8 @@ class Document:
         raise DocumentError(path, "unknown object %r" % (objname,))
 
     def _literal_table(self, name, spec, path):
-        objs = _need(spec, "objects", path)
-        mors = _need(spec, "morphisms", path)
+        objs = _need(spec, "objects", path, list)
+        mors = _need(spec, "morphisms", path, list)
         onames = {}
         source, target, identity, compose, inverse = {}, {}, {}, {}, {}
         mnames = {}
@@ -251,6 +279,10 @@ class Document:
                 raise DocumentError(path, "duplicate object %r" % o)
             onames[str(o)] = i
         for j, m in enumerate(mors):
+            if not isinstance(m, dict):
+                raise DocumentError(
+                    path + ".morphisms[%d]" % j, "morphism must be a JSON object"
+                )
             mid = str(_need(m, "id", path))
             if mid in mnames:
                 raise DocumentError(path, "duplicate morphism %r" % mid)
@@ -262,19 +294,19 @@ class Document:
                     )
             source[j] = onames[str(m["src"])]
             target[j] = onames[str(m["tgt"])]
-        for o, m in _need(spec, "identity", path).items():
+        for o, m in _need(spec, "identity", path, dict).items():
             if str(o) not in onames or str(m) not in mnames:
                 raise DocumentError(path + ".identity", "unknown name %r" % o)
             identity[onames[str(o)]] = mnames[str(m)]
-        for triple in _need(spec, "compose", path):
-            if len(triple) != 3:
+        for triple in _need(spec, "compose", path, list):
+            if not isinstance(triple, list) or len(triple) != 3:
                 raise DocumentError(path + ".compose", "need [after, before, result]")
             m2, m1, m = (str(x) for x in triple)
             for x in (m2, m1, m):
                 if x not in mnames:
                     raise DocumentError(path + ".compose", "unknown morphism %r" % x)
             compose[(mnames[m2], mnames[m1])] = mnames[m]
-        for m, mi in _need(spec, "inverse", path).items():
+        for m, mi in _need(spec, "inverse", path, dict).items():
             if str(m) not in mnames or str(mi) not in mnames:
                 raise DocumentError(path + ".inverse", "unknown morphism %r" % m)
             inverse[mnames[str(m)]] = mnames[str(mi)]
@@ -296,13 +328,9 @@ class Document:
         return g
 
     def _functor(self, name):
+        spec, path = self._entry("functors", name)
         if name in self.functors:
             return self.functors[name]
-        path = "functors.%s" % name
-        specs = self.data.get("functors", {})
-        if name not in specs:
-            raise DocumentError(path, "unresolved name")
-        spec = specs[name]
         src_name = _need(spec, "source", path)
         tgt_name = _need(spec, "target", path)
         src = self._groupoid(src_name)
@@ -312,13 +340,13 @@ class Document:
         if so is None or to is None:
             raise DocumentError(path, "functor endpoints must be addressable")
         omap, mmap = {}, {}
-        for a, b in _need(spec, "objects", path).items():
+        for a, b in _need(spec, "objects", path, dict).items():
             if str(a) not in so:
                 raise DocumentError(path + ".objects", "unknown object %r" % a)
             if str(b) not in to:
                 raise DocumentError(path + ".objects", "unresolved name %r" % b)
             omap[so[str(a)]] = to[str(b)]
-        for f, u in _need(spec, "morphisms", path).items():
+        for f, u in _need(spec, "morphisms", path, dict).items():
             if str(f) not in sm:
                 raise DocumentError(path + ".morphisms", "unknown morphism %r" % f)
             if str(u) not in tm:
@@ -335,13 +363,9 @@ class Document:
         return fun
 
     def _bg_functor(self, name):
+        spec, path = self._entry("bg_functors", name)
         if name in self.bg_functors:
             return self.bg_functors[name]
-        path = "bg_functors.%s" % name
-        specs = self.data.get("bg_functors", {})
-        if name not in specs:
-            raise DocumentError(path, "unresolved name")
-        spec = specs[name]
         kind = spec.get("type", "table")
         src_name = _need(spec, "source", path)
         src = self._groupoid(src_name)
@@ -358,7 +382,7 @@ class Document:
                 if sm is None:
                     raise DocumentError(path, "source must be addressable")
                 values = {}
-                for f, g in _need(spec, "morphisms", path).items():
+                for f, g in _need(spec, "morphisms", path, dict).items():
                     if str(f) not in sm:
                         raise DocumentError(path, "unknown morphism %r" % f)
                     values[sm[str(f)]] = grp.check(tuple(g))
@@ -374,13 +398,9 @@ class Document:
         return fun
 
     def _span(self, name):
+        spec, path = self._entry("spans", name)
         if name in self.spans:
             return self.spans[name]
-        path = "spans.%s" % name
-        specs = self.data.get("spans", {})
-        if name not in specs:
-            raise DocumentError(path, "unresolved name")
-        spec = specs[name]
         kind = spec.get("type", "explicit")
         if kind == "identity":
             sp = identity_span(self._bg_functor(_need(spec, "h", path)))
@@ -399,7 +419,7 @@ class Document:
             onames = self.obj_names.get(apex_name)
             if onames is None:
                 raise DocumentError(path, "apex must be addressable")
-            eps_spec = _need(spec, "eps", path)
+            eps_spec = _need(spec, "eps", path, dict)
             eps = {}
             for o, g in eps_spec.items():
                 if str(o) not in onames:
@@ -417,10 +437,9 @@ class Document:
         return sp
 
     def _cell(self, name):
+        spec, path = self._entry("cells", name)
         if name in self.cells:
             return self.cells[name]
-        path = "cells.%s" % name
-        spec = self.data.get("cells", {})[name]
         src = self._span(_need(spec, "from", path))
         dst = self._span(_need(spec, "to", path))
         # phi is given over the apex names of both spans
@@ -432,13 +451,24 @@ class Document:
         tm = self.mor_names.get(apex_dst_name)
         if None in (so, sm, to, tm):
             raise DocumentError(path, "cells need explicit spans over tables")
-        phi_spec = _need(spec, "phi", path)
-        omap = {so[str(a)]: to[str(b)] for a, b in phi_spec["objects"].items()}
-        mmap = {sm[str(f)]: tm[str(u)] for f, u in phi_spec["morphisms"].items()}
         s_names = self.mor_names[self._name_of(src.source)]
         t_names = self.mor_names[self._name_of(src.target)]
-        a = {so[str(x)]: s_names[str(m)] for x, m in _need(spec, "a", path).items()}
-        b = {so[str(x)]: t_names[str(m)] for x, m in _need(spec, "b", path).items()}
+
+        def names_map(where, where_path, field, key_names, value_names):
+            out = {}
+            for x, y in _need(where, field, where_path, dict).items():
+                if str(x) not in key_names or str(y) not in value_names:
+                    raise DocumentError(
+                        "%s.%s" % (where_path, field), "unknown name %r" % ((x, y),)
+                    )
+                out[key_names[str(x)]] = value_names[str(y)]
+            return out
+
+        phi_spec = _need(spec, "phi", path, dict)
+        omap = names_map(phi_spec, path + ".phi", "objects", so, to)
+        mmap = names_map(phi_spec, path + ".phi", "morphisms", sm, tm)
+        a = names_map(spec, path, "a", so, s_names)
+        b = names_map(spec, path, "b", so, t_names)
         try:
             phi = GroupoidFunctor(src.apex, dst.apex, omap, mmap)
             cell = SpanMorphism(src, dst, phi, a, b)
@@ -483,10 +513,10 @@ def table_to_doc(g):
         ],
         "identity": {oname[o]: mname[g.identity[o]] for o in g.objects},
         "compose": [
-            [mname[m2], mname[m1], mname[m]]
-            for (m2, m1), m in g.compose.items()
+            [mname[m2], mname[m1], mname[g.compose_m(m2, m1)]]
+            for m2, m1 in composable_pairs(g)
         ],
-        "inverse": {mname[m]: mname[mi] for m, mi in g.inverse.items()},
+        "inverse": {mname[m]: mname[g.inverse_m(m)] for m in g.morphisms},
     }, oname, mname
 
 

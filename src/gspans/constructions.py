@@ -3,9 +3,12 @@ two-sided pullbacks, and Grothendieck constructions of set-valued functors.
 
 The homotopy pullback of M1 --R--> T <--L-- M2 has objects (a1, t, a2) with
 t in T(R a1, L a2); a morphism (m1, m2) : (a1,t,a2) -> (b1,u,b2) requires
-u o R(m1) = L(m2) o t in T.  Pullback outputs are explicit tables (guarded),
-except over a discrete T with action-groupoid legs, where the pullback is
-again a disjoint union of action groupoids and stays lazy.
+u o R(m1) = L(m2) o t in T.  Pullback outputs are tables (guarded by their
+morphism count) whose compose/inverse entries are filled on demand from the
+labels, (n1, u, n2) o (m1, t, m2) = (n1 o m1, t, n2 o m2); over a discrete T
+with action-groupoid legs the pullback is again a disjoint union of action
+groupoids and stays lazy.  Fibres, two-sided pullbacks and Grothendieck
+constructions are tables of the same kind.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,7 @@ from gspans.groupoid import (
     ProductGroup,
     SizeGuardError,
     TableBuilder,
+    composable_pairs,
     discrete_table,
     size_guard,
     weighting,
@@ -63,25 +67,25 @@ class GroupoidFunctor:
                 raise FunctorError("functor sends %r outside the target" % (o,))
             if self.on_mor(src.identity_at(o)) != tgt.identity_at(self.on_obj(o)):
                 raise FunctorError("functor breaks the identity at %r" % (o,))
-        by_src = {}
-        for m in mors:
-            by_src.setdefault(src.source_of(m), []).append(m)
         seen = 0
-        for m1 in mors:
-            for m2 in by_src.get(src.target_of(m1), []):
-                if self.on_mor(src.compose_m(m2, m1)) != tgt.compose_m(
-                    self.on_mor(m2), self.on_mor(m1)
-                ):
-                    raise FunctorError(
-                        "functor breaks composition on (%r, %r)" % (m2, m1)
-                    )
-                seen += 1
-                if seen >= pairs_budget:
-                    return
+        for m2, m1 in composable_pairs(src):
+            if self.on_mor(src.compose_m(m2, m1)) != tgt.compose_m(
+                self.on_mor(m2), self.on_mor(m1)
+            ):
+                raise FunctorError(
+                    "functor breaks composition on (%r, %r)" % (m2, m1)
+                )
+            seen += 1
+            if seen >= pairs_budget:
+                return
 
     def then(self, other):
         """other after self."""
-        assert self.target is other.source or self.target.objects == other.source.objects
+        if not (
+            self.target is other.source
+            or self.target.objects == other.source.objects
+        ):
+            raise ValueError("functors do not compose: target != source")
         return GroupoidFunctor(
             self.source,
             other.target,
@@ -113,23 +117,19 @@ class GroupValuedFunctor:
         for o in src.objects:
             if self.value(src.identity_at(o)) != G.identity:
                 raise FunctorError("BG-functor nonzero on identity at %r" % (o,))
-        mors = src.all_morphisms()
-        by_src = {}
-        for m in mors:
+        for m in src.all_morphisms():
             G.check(self.value(m))
-            by_src.setdefault(src.source_of(m), []).append(m)
         seen = 0
-        for m1 in mors:
-            for m2 in by_src.get(src.target_of(m1), []):
-                if self.value(src.compose_m(m2, m1)) != G.add(
-                    self.value(m2), self.value(m1)
-                ):
-                    raise FunctorError(
-                        "BG-functor breaks composition on (%r, %r)" % (m2, m1)
-                    )
-                seen += 1
-                if seen >= pairs_budget:
-                    return
+        for m2, m1 in composable_pairs(src):
+            if self.value(src.compose_m(m2, m1)) != G.add(
+                self.value(m2), self.value(m1)
+            ):
+                raise FunctorError(
+                    "BG-functor breaks composition on (%r, %r)" % (m2, m1)
+                )
+            seen += 1
+            if seen >= pairs_budget:
+                return
 
     @classmethod
     def trivial(cls, source, group):
@@ -153,15 +153,10 @@ class GroupValuedFunctor:
 def delooping_bg(group):
     """BG: one object, morphisms the elements of the group."""
     b = TableBuilder()
-    b.obj("*")
+    b.obj("*", group.identity)
     for g in group.elements():
         b.mor(g, "*", "*")
-    b.set_identity("*", group.identity)
-    for g1 in group.elements():
-        for g2 in group.elements():
-            b.set_compose(g2, g1, group.op(g2, g1))
-        b.set_inverse(g1, group.inv(g1))
-    t = b.build()
+    t = b.build(group.op, lambda g, _: group.inv(g))
     t.group = group
     return t
 
@@ -182,13 +177,7 @@ def discrete_groupoid(labels_or_n):
 
 def trivial_subgroupoid(view, d):
     """1{d}: the object d with its identity as only morphism."""
-    b = TableBuilder()
-    b.obj(d)
-    b.mor("id", d, d)
-    b.set_identity(d, "id")
-    b.set_compose("id", "id", "id")
-    b.set_inverse("id", "id")
-    return b.build()
+    return discrete_table([d])
 
 
 def point_inclusion(view, d):
@@ -277,7 +266,7 @@ def _table_pullback(r1, l2, guard=None):
         ra1 = r1.on_obj(a1)
         for a2 in M2.objects:
             for t in T.hom(ra1, l2.on_obj(a2)):
-                b.obj((a1, t, a2))
+                b.obj((a1, t, a2), (M1.identity_at(a1), t, M2.identity_at(a2)))
     mors1 = M1.all_morphisms()
     mors2 = M2.all_morphisms()
     count = 0
@@ -293,34 +282,15 @@ def _table_pullback(r1, l2, guard=None):
                 if count > bound:
                     raise SizeGuardError(count, bound)
                 b.mor(((m1, t, m2)), (s1, t, s2), (t1, u, t2))
-    for a1 in M1.objects:
-        for a2 in M2.objects:
-            for t in T.hom(r1.on_obj(a1), l2.on_obj(a2)):
-                b.set_identity(
-                    (a1, t, a2), (M1.identity_at(a1), t, M2.identity_at(a2))
-                )
-    # compose by chasing each morphism's target triple
-    g = b.build()
+    g = b.build(
+        lambda lab2, lab1: (
+            M1.compose_m(lab2[0], lab1[0]),
+            lab1[1],
+            M2.compose_m(lab2[2], lab1[2]),
+        ),
+        lambda lab, tgt: (M1.inverse_m(lab[0]), tgt[1], M2.inverse_m(lab[2])),
+    )
     lab = g.morphism_labels
-    by_src = {}
-    for mid in g.morphisms:
-        by_src.setdefault(g.source[mid], []).append(mid)
-    compose = {}
-    for mid1 in g.morphisms:
-        m1, t, m2 = lab[mid1]
-        for mid2 in by_src.get(g.target[mid1], []):
-            n1, u, n2 = lab[mid2]
-            comp = (M1.compose_m(n1, m1), t, M2.compose_m(n2, m2))
-            compose[(mid2, mid1)] = g.morphism_of_label[comp]
-    inverse = {}
-    for mid in g.morphisms:
-        m1, t, m2 = lab[mid]
-        tgt = g.object_labels[g.target[mid]]
-        inverse[mid] = g.morphism_of_label[
-            (M1.inverse_m(m1), tgt[1], M2.inverse_m(m2))
-        ]
-    g.compose.update(compose)
-    g.inverse.update(inverse)
     p1 = GroupoidFunctor(
         g, M1, lambda o: g.object_labels[o][0], lambda m: lab[m][0], check=False
     )
@@ -382,60 +352,45 @@ def _lazy_discrete_pullback(r1, l2):
 # homotopy fibres (built directly; spot-checked against the generic pullback)
 
 
-def left_fibre(l, c, skeleton=False):
+def left_fibre(l, c):
     """c\\M for l: M -> S: objects (s, a) with s in S(c, La); a morphism m of M
-    acts by (s, a1) -> (L(m) o s, a2).  skeleton=True skips the compose and
-    inverse tables (components, aut orders, and chi do not need them)."""
+    acts by (s, a1) -> (L(m) o s, a2)."""
     M, S = l.source, l.target
     b = TableBuilder()
     for a in M.objects:
         for s in S.hom(c, l.on_obj(a)):
-            b.obj((s, a))
+            b.obj((s, a), (M.identity_at(a), s))
     for m in M.all_morphisms():
         a1, a2 = M.source_of(m), M.target_of(m)
         lm = l.on_mor(m)
         for s in S.hom(c, l.on_obj(a1)):
             b.mor((m, s), (s, a1), (S.compose_m(lm, s), a2))
-    for a in M.objects:
-        for s in S.hom(c, l.on_obj(a)):
-            b.set_identity((s, a), (M.identity_at(a), s))
-    g = b.build()
-    if not skeleton:
-        _finish_fibre_table(
-            g,
-            compose=lambda lab2, lab1: (M.compose_m(lab2[0], lab1[0]), lab1[1]),
-            inverse=lambda lab, src_lab, tgt_lab: (M.inverse_m(lab[0]), tgt_lab[0]),
-        )
-    return g
+    return b.build(
+        lambda lab2, lab1: (M.compose_m(lab2[0], lab1[0]), lab1[1]),
+        lambda lab, tgt: (M.inverse_m(lab[0]), tgt[0]),
+    )
 
 
-def right_fibre(r, d, skeleton=False):
+def right_fibre(r, d):
     """M/d for r: M -> T: objects (a, t) with t in T(Ra, d); a morphism m of M
     acts by (a1, t) -> (a2, t o R(m)^-1)."""
     M, T = r.source, r.target
     b = TableBuilder()
     for a in M.objects:
         for t in T.hom(r.on_obj(a), d):
-            b.obj((a, t))
+            b.obj((a, t), (M.identity_at(a), t))
     for m in M.all_morphisms():
         a1, a2 = M.source_of(m), M.target_of(m)
         rm_inv = T.inverse_m(r.on_mor(m))
         for t in T.hom(r.on_obj(a1), d):
             b.mor((m, t), (a1, t), (a2, T.compose_m(t, rm_inv)))
-    for a in M.objects:
-        for t in T.hom(r.on_obj(a), d):
-            b.set_identity((a, t), (M.identity_at(a), t))
-    g = b.build()
-    if not skeleton:
-        _finish_fibre_table(
-            g,
-            compose=lambda lab2, lab1: (M.compose_m(lab2[0], lab1[0]), lab1[1]),
-            inverse=lambda lab, src_lab, tgt_lab: (M.inverse_m(lab[0]), tgt_lab[1]),
-        )
-    return g
+    return b.build(
+        lambda lab2, lab1: (M.compose_m(lab2[0], lab1[0]), lab1[1]),
+        lambda lab, tgt: (M.inverse_m(lab[0]), tgt[1]),
+    )
 
 
-def two_sided_fibre(l, r, c, d, skeleton=False):
+def two_sided_fibre(l, r, c, d):
     """c\\M/d: objects (s, a, t); a morphism m of M acts by
     (s, a1, t) -> (L(m) o s, a2, t o R(m)^-1)."""
     M, S, T = l.source, l.target, r.target
@@ -444,7 +399,7 @@ def two_sided_fibre(l, r, c, d, skeleton=False):
         la, ra = l.on_obj(a), r.on_obj(a)
         for s in S.hom(c, la):
             for t in T.hom(ra, d):
-                b.obj((s, a, t))
+                b.obj((s, a, t), (M.identity_at(a), s, t))
     for m in M.all_morphisms():
         a1, a2 = M.source_of(m), M.target_of(m)
         lm = l.on_mor(m)
@@ -453,42 +408,10 @@ def two_sided_fibre(l, r, c, d, skeleton=False):
             s2 = S.compose_m(lm, s)
             for t in T.hom(r.on_obj(a1), d):
                 b.mor((m, s, t), (s, a1, t), (s2, a2, T.compose_m(t, rm_inv)))
-    for a in M.objects:
-        for s in S.hom(c, l.on_obj(a)):
-            for t in T.hom(r.on_obj(a), d):
-                b.set_identity((s, a, t), (M.identity_at(a), s, t))
-    g = b.build()
-    if not skeleton:
-        _finish_fibre_table(
-            g,
-            compose=lambda lab2, lab1: (
-                M.compose_m(lab2[0], lab1[0]),
-                lab1[1],
-                lab1[2],
-            ),
-            inverse=lambda lab, src_lab, tgt_lab: (
-                M.inverse_m(lab[0]),
-                tgt_lab[0],
-                tgt_lab[2],
-            ),
-        )
-    return g
-
-
-def _finish_fibre_table(g, compose, inverse):
-    lab = g.morphism_labels
-    by_src = {}
-    for mid in g.morphisms:
-        by_src.setdefault(g.source[mid], []).append(mid)
-    for mid1 in g.morphisms:
-        for mid2 in by_src.get(g.target[mid1], []):
-            g.compose[(mid2, mid1)] = g.morphism_of_label[
-                compose(lab[mid2], lab[mid1])
-            ]
-    for mid in g.morphisms:
-        src_lab = g.object_labels[g.source[mid]]
-        tgt_lab = g.object_labels[g.target[mid]]
-        g.inverse[mid] = g.morphism_of_label[inverse(lab[mid], src_lab, tgt_lab)]
+    return b.build(
+        lambda lab2, lab1: (M.compose_m(lab2[0], lab1[0]), lab1[1], lab1[2]),
+        lambda lab, tgt: (M.inverse_m(lab[0]), tgt[0], tgt[2]),
+    )
 
 
 def two_sided_pullback(r1, l, r, l2):
@@ -502,7 +425,8 @@ def two_sided_pullback(r1, l, r, l2):
             for s in S.hom(r1.on_obj(x), l.on_obj(a)):
                 for y in Q.objects:
                     for t in T.hom(r.on_obj(a), l2.on_obj(y)):
-                        b.obj((x, s, a, t, y))
+                        ident = (P.identity_at(x), M.identity_at(a), Q.identity_at(y))
+                        b.obj((x, s, a, t, y), ident + (s, t))
     for u in P.all_morphisms():
         r1u_inv = S.inverse_m(r1.on_mor(u))
         for m in M.all_morphisms():
@@ -522,37 +446,22 @@ def two_sided_pullback(r1, l, r, l2):
                             (x1, s, a1, t, y1),
                             (x2, s2, a2, t2, y2),
                         )
-    for obj_label in list(b._obj):
-        x, s, a, t, y = obj_label
-        b.set_identity(
-            obj_label,
-            (P.identity_at(x), M.identity_at(a), Q.identity_at(y), s, t),
-        )
-    g = b.build()
-    lab = g.morphism_labels
-    by_src = {}
-    for mid in g.morphisms:
-        by_src.setdefault(g.source[mid], []).append(mid)
-    for mid1 in g.morphisms:
-        u1, m1, v1, s, t = lab[mid1]
-        for mid2 in by_src.get(g.target[mid1], []):
-            u2, m2, v2, _, _ = lab[mid2]
-            g.compose[(mid2, mid1)] = g.morphism_of_label[
-                (
-                    P.compose_m(u2, u1),
-                    M.compose_m(m2, m1),
-                    Q.compose_m(v2, v1),
-                    s,
-                    t,
-                )
-            ]
-    for mid in g.morphisms:
-        u, m, v, s, t = lab[mid]
-        tgt = g.object_labels[g.target[mid]]
-        g.inverse[mid] = g.morphism_of_label[
-            (P.inverse_m(u), M.inverse_m(m), Q.inverse_m(v), tgt[1], tgt[3])
-        ]
-    return g
+    return b.build(
+        lambda lab2, lab1: (
+            P.compose_m(lab2[0], lab1[0]),
+            M.compose_m(lab2[1], lab1[1]),
+            Q.compose_m(lab2[2], lab1[2]),
+            lab1[3],
+            lab1[4],
+        ),
+        lambda lab, tgt: (
+            P.inverse_m(lab[0]),
+            M.inverse_m(lab[1]),
+            Q.inverse_m(lab[2]),
+            tgt[1],
+            tgt[3],
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -581,27 +490,21 @@ class SetValuedFunctor:
             for x in self.value_sets(o):
                 if ident(x) != x:
                     raise FunctorError("transport of identity moves %r" % (x,))
-        mors = base.all_morphisms()
-        for m in mors:
+        for m in base.all_morphisms():
             f = self.transport(m)
             src_set = list(self.value_sets(base.source_of(m)))
             image = [f(x) for x in src_set]
             tgt_set = set(self.value_sets(base.target_of(m)))
             if len(set(image)) != len(image) or set(image) - tgt_set:
                 raise FunctorError("transport of %r is not a bijection" % (m,))
-        by_src = {}
-        for m in mors:
-            by_src.setdefault(base.source_of(m), []).append(m)
-        for m1 in mors:
-            f1 = self.transport(m1)
-            for m2 in by_src.get(base.target_of(m1), []):
-                f2 = self.transport(m2)
-                f21 = self.transport(base.compose_m(m2, m1))
-                for x in self.value_sets(base.source_of(m1)):
-                    if f21(x) != f2(f1(x)):
-                        raise FunctorError(
-                            "transport breaks composition on (%r, %r)" % (m2, m1)
-                        )
+        for m2, m1 in composable_pairs(base):
+            f1, f2 = self.transport(m1), self.transport(m2)
+            f21 = self.transport(base.compose_m(m2, m1))
+            for x in self.value_sets(base.source_of(m1)):
+                if f21(x) != f2(f1(x)):
+                    raise FunctorError(
+                        "transport breaks composition on (%r, %r)" % (m2, m1)
+                    )
 
 
 def grothendieck(sv):
@@ -611,32 +514,16 @@ def grothendieck(sv):
     b = TableBuilder()
     for a in base.objects:
         for x in sv.value_sets(a):
-            b.obj((a, x))
+            b.obj((a, x), (base.identity_at(a), x))
     for m in base.all_morphisms():
         a1, a2 = base.source_of(m), base.target_of(m)
         f = sv.transport(m)
         for x in sv.value_sets(a1):
             b.mor((m, x), (a1, x), (a2, f(x)))
-    for a in base.objects:
-        for x in sv.value_sets(a):
-            b.set_identity((a, x), (base.identity_at(a), x))
-    g = b.build()
-    lab = g.morphism_labels
-    by_src = {}
-    for mid in g.morphisms:
-        by_src.setdefault(g.source[mid], []).append(mid)
-    for mid1 in g.morphisms:
-        m1, x1 = lab[mid1]
-        for mid2 in by_src.get(g.target[mid1], []):
-            m2, _ = lab[mid2]
-            g.compose[(mid2, mid1)] = g.morphism_of_label[
-                (base.compose_m(m2, m1), x1)
-            ]
-    for mid in g.morphisms:
-        m, x = lab[mid]
-        tgt_lab = g.object_labels[g.target[mid]]
-        g.inverse[mid] = g.morphism_of_label[(base.inverse_m(m), tgt_lab[1])]
-    return g
+    return b.build(
+        lambda lab2, lab1: (base.compose_m(lab2[0], lab1[0]), lab1[1]),
+        lambda lab, tgt: (base.inverse_m(lab[0]), tgt[1]),
+    )
 
 
 def grothendieck_chi_by_weighting(sv):
@@ -659,8 +546,8 @@ def pullback_euler_check(r1, l2, guard=None):
     rhs = Fraction(0)
     for d in T.component_reps():
         rhs += (
-            right_fibre(r1, d, skeleton=True).chi()
+            right_fibre(r1, d).chi()
             * Fraction(1, T.aut_order(d))
-            * left_fibre(l2, d, skeleton=True).chi()
+            * left_fibre(l2, d).chi()
         )
     return lhs, rhs

@@ -238,7 +238,7 @@ def universal_span(h, v):
     for x in S.objects:
         for k in G.elements():
             for y in T.objects:
-                b.obj((x, k, y))
+                b.obj((x, k, y), (S.identity_at(x), k, T.identity_at(y)))
     for s in S.all_morphisms():
         hs = h.value(s)
         x1, x2 = S.source_of(s), S.target_of(s)
@@ -247,28 +247,15 @@ def universal_span(h, v):
             y1, y2 = T.source_of(t), T.target_of(t)
             for k1 in G.elements():
                 b.mor((s, k1, t), (x1, k1, y1), (x2, G.add(k_shift, k1), y2))
-    for x in S.objects:
-        for k in G.elements():
-            for y in T.objects:
-                b.set_identity((x, k, y), (S.identity_at(x), k, T.identity_at(y)))
-    apex = b.build()
+    apex = b.build(
+        lambda lab2, lab1: (
+            S.compose_m(lab2[0], lab1[0]),
+            lab1[1],
+            T.compose_m(lab2[2], lab1[2]),
+        ),
+        lambda lab, tgt: (S.inverse_m(lab[0]), tgt[1], T.inverse_m(lab[2])),
+    )
     lab = apex.morphism_labels
-    by_src = {}
-    for mid in apex.morphisms:
-        by_src.setdefault(apex.source[mid], []).append(mid)
-    for mid1 in apex.morphisms:
-        s1, k1, t1 = lab[mid1]
-        for mid2 in by_src.get(apex.target[mid1], []):
-            s2, _, t2 = lab[mid2]
-            apex.compose[(mid2, mid1)] = apex.morphism_of_label[
-                (S.compose_m(s2, s1), k1, T.compose_m(t2, t1))
-            ]
-    for mid in apex.morphisms:
-        s, k1, t = lab[mid]
-        k2 = apex.object_labels[apex.target[mid]][1]
-        apex.inverse[mid] = apex.morphism_of_label[
-            (S.inverse_m(s), k2, T.inverse_m(t))
-        ]
     left = GroupoidFunctor(
         apex, S, lambda o: apex.object_labels[o][0], lambda m: lab[m][0], check=False
     )

@@ -1,9 +1,12 @@
 """Finite groupoids in two interchangeable representations.
 
-TableGroupoid stores explicit composition tables; object and morphism ids are
-opaque non-negative integers, with optional decode labels so constructed
-objects (pullback triples, fibre pairs) stay inspectable.  ActionGroupoid is
-the lazy form X//G of a right group action: components are orbits and
+TableGroupoid is a groupoid over opaque non-negative integer ids, with decode
+labels so constructed objects (pullback triples, fibre pairs) stay
+inspectable.  Tables built from labels (TableBuilder) carry their composition
+law as two functions on labels, and fill their compose/inverse tables on
+demand from it: a pullback apex composes (n1, u, n2) after (m1, t, m2) as
+(n1 m1, t, n2 m2), so no table is filled that nobody reads.  ActionGroupoid
+is the lazy form X//G of a right group action: components are orbits and
 automorphism group orders come from orbit-stabilizer, so the large examples
 never materialize their hom-sets.
 
@@ -11,9 +14,10 @@ Composition convention: compose(m2, m1) means "m2 after m1".  In X//G the
 hom-set (x1 -> x2) is {g : x2.g = x1}, so the morphism handle (x1, g) has
 source x1 and target x1.g^-1, and (x1,g1) followed by (y1,g2) is (x1, g2*g1).
 
-Everything is immutable after construction and all analyses are pure; the
-hom index, component partition, and orbit partition are lazily cached, so
-prime them (call components() once) before sharing a groupoid across threads.
+Groupoids do not change after construction and all analyses are pure; the
+hom index, component partition, orbit partition and a table's compose/inverse
+entries are filled lazily, so prime them (call components(), or validate() on
+a table) before sharing a groupoid across threads.
 """
 
 import itertools
@@ -124,7 +128,8 @@ class Subgroup:
         self.ambient = ambient
         self._elements = els
         self.identity = ambient.identity
-        assert self.identity in els, "subgroup must contain the identity"
+        if self.identity not in els:
+            raise ValueError("subgroup must contain the identity")
         self.order = len(els)
 
     def op(self, a, b):
@@ -147,8 +152,27 @@ class Subgroup:
 # explicit tables
 
 
+def composable_pairs(view):
+    """Every composable pair (m2, m1), m2 after m1: m1 in all_morphisms()
+    order, then each m2 out of target(m1) in the same order."""
+    mors = view.all_morphisms()
+    by_src = {}
+    for m in mors:
+        by_src.setdefault(view.source_of(m), []).append(m)
+    for m1 in mors:
+        for m2 in by_src.get(view.target_of(m1), ()):
+            yield m2, m1
+
+
 class TableGroupoid:
-    """Finite groupoid as explicit tables over integer ids."""
+    """Finite groupoid as tables over integer ids.
+
+    compose and inverse map id pairs and ids to ids.  A table built from
+    labels (TableBuilder) also carries its composition law on labels,
+    compose_label(lab2, lab1) and inverse_label(lab, target object label);
+    compose_m and inverse_m fill the dicts from it on demand, so they hold
+    only the pairs that were used.  A table handed complete dicts and no law
+    takes its dicts, read through the labels, as the law."""
 
     def __init__(
         self,
@@ -160,6 +184,8 @@ class TableGroupoid:
         inverse,
         object_labels=None,
         morphism_labels=None,
+        compose_label=None,
+        inverse_label=None,
     ):
         self.objects = list(objects)
         self.source = dict(source)
@@ -169,6 +195,14 @@ class TableGroupoid:
         self.inverse = dict(inverse)
         self.object_labels = dict(object_labels or {})
         self.morphism_labels = dict(morphism_labels or {})
+        self.object_of_label = {lab: o for o, lab in self.object_labels.items()}
+        self.morphism_of_label = {
+            lab: m for m, lab in self.morphism_labels.items()
+        }
+        # full subgroupoids share the law, so a law read off the dicts
+        # keeps composing in them
+        self._compose_label = compose_label or self._compose_by_dict
+        self._inverse_label = inverse_label or self._inverse_by_dict
         self._hom = None
         self._components = None
         self._rep_of = None
@@ -189,10 +223,44 @@ class TableGroupoid:
         return self.target[m]
 
     def compose_m(self, m2, m1):
-        return self.compose[(m2, m1)]
+        try:
+            return self.compose[(m2, m1)]
+        except KeyError:
+            pass
+        if self.source[m2] != self.target[m1]:
+            raise ValueError("compose of non-composable pair %r" % ((m2, m1),))
+        labels = self.morphism_labels
+        m = self.morphism_of_label.get(
+            self._compose_label(labels.get(m2), labels.get(m1))
+        )
+        if m is None:
+            raise ValueError("compose undefined on composable pair %r" % ((m2, m1),))
+        self.compose[(m2, m1)] = m
+        return m
 
     def inverse_m(self, m):
-        return self.inverse[m]
+        try:
+            return self.inverse[m]
+        except KeyError:
+            pass
+        i = self.morphism_of_label.get(
+            self._inverse_label(
+                self.morphism_labels.get(m), self.object_labels.get(self.target[m])
+            )
+        )
+        if i is None:
+            raise ValueError("morphism %r lacks an inverse" % (m,))
+        self.inverse[m] = i
+        return i
+
+    def _compose_by_dict(self, lab2, lab1):
+        pair = (self.morphism_of_label.get(lab2), self.morphism_of_label.get(lab1))
+        return self.morphism_labels.get(self.compose.get(pair))
+
+    def _inverse_by_dict(self, lab, target_label):
+        return self.morphism_labels.get(
+            self.inverse.get(self.morphism_of_label.get(lab))
+        )
 
     def _hom_index(self):
         if self._hom is None:
@@ -272,31 +340,32 @@ class TableGroupoid:
     # -- construction --------------------------------------------------------
 
     def full_subgroupoid(self, objs):
-        objs = [o for o in self.objects if o in set(objs)]
+        """The full subgroupoid on objs; it keeps this table's ids, labels
+        and composition law."""
         keep = set(objs)
+        objs = [o for o in self.objects if o in keep]
         mids = [
             m
             for m, s in self.source.items()
             if s in keep and self.target[m] in keep
         ]
-        mset = set(mids)
         return TableGroupoid(
             objs,
             {m: self.source[m] for m in mids},
             {m: self.target[m] for m in mids},
             {o: self.identity[o] for o in objs},
-            {
-                pair: m
-                for pair, m in self.compose.items()
-                if pair[0] in mset and pair[1] in mset
-            },
-            {m: self.inverse[m] for m in mids},
+            {},
+            {},
             {o: self.object_labels[o] for o in objs if o in self.object_labels},
             {m: self.morphism_labels[m] for m in mids if m in self.morphism_labels},
+            self._compose_label,
+            self._inverse_label,
         )
 
     def validate(self):
-        """All groupoid axioms; returns a list of violations with witnesses."""
+        """All groupoid axioms; returns a list of violations with witnesses.
+        Every composable pair is reached through compose_m, so a table built
+        from labels has its whole law checked."""
         bad = []
         objs = set(self.objects)
         for m, s in self.source.items():
@@ -306,18 +375,11 @@ class TableGroupoid:
             i = self.identity.get(o)
             if i is None or self.source.get(i) != o or self.target.get(i) != o:
                 bad.append("object %r lacks a well-formed identity" % o)
-        mor = self.morphisms
-        by_tgt = {}
-        for m in mor:
-            by_tgt.setdefault(self.target[m], []).append(m)
-        composable = [
-            (m2, m1)
-            for m1 in mor
-            for m2 in self.source
-            if self.source[m2] == self.target[m1]
-        ]
-        for pair in composable:
-            if pair not in self.compose:
+        pairs = list(composable_pairs(self))
+        for pair in pairs:
+            try:
+                self.compose_m(*pair)
+            except ValueError:
                 bad.append("compose undefined on composable pair %r" % (pair,))
         for pair, m in self.compose.items():
             m2, m1 = pair
@@ -328,96 +390,98 @@ class TableGroupoid:
                 or self.target[m] != self.target[m2]
             ):
                 bad.append("compose endpoints wrong for %r" % (pair,))
-        if not bad:
-            for m in mor:
-                if self.compose[(m, self.identity[self.source[m]])] != m:
-                    bad.append("right identity law fails at %r" % m)
-                if self.compose[(self.identity[self.target[m]], m)] != m:
-                    bad.append("left identity law fails at %r" % m)
-            for m in mor:
-                i = self.inverse.get(m)
-                if i is None:
-                    bad.append("morphism %r lacks an inverse" % m)
-                elif (
-                    self.compose[(i, m)] != self.identity[self.source[m]]
-                    or self.compose[(m, i)] != self.identity[self.target[m]]
-                ):
-                    bad.append("inverse law fails at %r" % m)
-            for m1 in mor:
-                for m2 in by_tgt.get(self.source[m1], []):
-                    left = self.compose[(m1, m2)]
-                    for m3 in by_tgt.get(self.source[m2], []):
-                        if self.compose[(left, m3)] != self.compose[
-                            (m1, self.compose[(m2, m3)])
-                        ]:
-                            bad.append(
-                                "associativity fails on triple (%r, %r, %r)"
-                                % (m1, m2, m3)
-                            )
+        if bad:
+            return bad
+        compose = self.compose_m
+        mor = self.morphisms
+        for m in mor:
+            if compose(m, self.identity[self.source[m]]) != m:
+                bad.append("right identity law fails at %r" % m)
+            if compose(self.identity[self.target[m]], m) != m:
+                bad.append("left identity law fails at %r" % m)
+        for m in mor:
+            try:
+                i = self.inverse_m(m)
+            except ValueError:
+                bad.append("morphism %r lacks an inverse" % m)
+                continue
+            if (
+                self.source.get(i) != self.target[m]
+                or self.target.get(i) != self.source[m]
+                or compose(i, m) != self.identity[self.source[m]]
+                or compose(m, i) != self.identity[self.target[m]]
+            ):
+                bad.append("inverse law fails at %r" % m)
+        before = {}  # m -> the morphisms that compose before m, in id order
+        for m2, m1 in pairs:
+            before.setdefault(m2, []).append(m1)
+        for m1 in mor:
+            for m2 in before.get(m1, ()):
+                left = compose(m1, m2)
+                for m3 in before.get(m2, ()):
+                    if compose(left, m3) != compose(m1, compose(m2, m3)):
+                        bad.append(
+                            "associativity fails on triple (%r, %r, %r)"
+                            % (m1, m2, m3)
+                        )
         return bad
 
 
 class TableBuilder:
-    """Interning helper: build a TableGroupoid from labelled pieces."""
+    """Interning helper: build a TableGroupoid from labelled pieces.  Objects
+    come first, each with the label of its identity morphism."""
 
     def __init__(self):
         self._obj = {}
         self._mor = {}
-        self.objects = []
+        self._identity = {}  # object id -> label of its identity
         self.source = {}
         self.target = {}
-        self.identity = {}
-        self.compose = {}
-        self.inverse = {}
 
-    def obj(self, label):
+    def obj(self, label, identity):
         if label not in self._obj:
-            self._obj[label] = len(self._obj)
-            self.objects.append(self._obj[label])
+            oid = self._obj[label] = len(self._obj)
+            self._identity[oid] = identity
         return self._obj[label]
-
-    def obj_id(self, label):
-        return self._obj[label]
-
-    def has_mor(self, label):
-        return label in self._mor
 
     def mor(self, label, src_label, tgt_label):
         if label not in self._mor:
+            if src_label not in self._obj or tgt_label not in self._obj:
+                raise ValueError("morphism %r leaves the object set" % (label,))
             mid = len(self._mor)
             self._mor[label] = mid
-            self.source[mid] = self.obj(src_label)
-            self.target[mid] = self.obj(tgt_label)
+            self.source[mid] = self._obj[src_label]
+            self.target[mid] = self._obj[tgt_label]
         return self._mor[label]
 
-    def mor_id(self, label):
-        return self._mor[label]
-
-    def set_identity(self, obj_label, mor_label):
-        self.identity[self._obj[obj_label]] = self._mor[mor_label]
-
-    def set_compose(self, m2_label, m1_label, result_label):
-        self.compose[(self._mor[m2_label], self._mor[m1_label])] = self._mor[
-            result_label
-        ]
-
-    def set_inverse(self, mor_label, inv_label):
-        self.inverse[self._mor[mor_label]] = self._mor[inv_label]
-
-    def build(self):
-        g = TableGroupoid(
-            self.objects,
+    def build(self, compose, inverse):
+        """The table, with its composition law on labels: compose(lab2, lab1)
+        is the label of lab2 after lab1, inverse(lab, target object label)
+        the label of lab's inverse.  Both are evaluated on demand."""
+        return TableGroupoid(
+            list(self._identity),
             self.source,
             self.target,
-            self.identity,
-            self.compose,
-            self.inverse,
+            {o: self._mor[lab] for o, lab in self._identity.items()},
+            {},
+            {},
             object_labels={v: k for k, v in self._obj.items()},
             morphism_labels={v: k for k, v in self._mor.items()},
+            compose_label=compose,
+            inverse_label=inverse,
         )
-        g.object_of_label = dict(self._obj)
-        g.morphism_of_label = dict(self._mor)
-        return g
+
+
+def materialize(view):
+    """Explicit table of any groupoid view: its labels are the view's own
+    object and morphism handles, and its law is the view's compose_m and
+    inverse_m."""
+    b = TableBuilder()
+    for o in view.objects:
+        b.obj(o, view.identity_at(o))
+    for m in view.all_morphisms():
+        b.mor(m, view.source_of(m), view.target_of(m))
+    return b.build(view.compose_m, lambda lab, _: view.inverse_m(lab))
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +496,10 @@ class ActionGroupoid:
     def __init__(self, group, carrier, act):
         self.group = group
         self.carrier = list(carrier)
-        assert len(set(self.carrier)) == len(self.carrier), "carrier has duplicates"
         self.act = act
         self._index = {x: i for i, x in enumerate(self.carrier)}
+        if len(self._index) != len(self.carrier):
+            raise ValueError("carrier has duplicates")
         self._orbit_of = None
         self._orbit_list = None
 
@@ -454,7 +519,8 @@ class ActionGroupoid:
         return self.act(m[0], self.group.inv(m[1]))
 
     def compose_m(self, m2, m1):
-        assert self.target_of(m1) == m2[0]
+        if self.target_of(m1) != m2[0]:
+            raise ValueError("compose of non-composable pair %r" % ((m2, m1),))
         return (m1[0], self.group.op(m2[1], m1[1]))
 
     def inverse_m(self, m):
@@ -560,27 +626,7 @@ class ActionGroupoid:
         total = len(self.carrier) * self.group.order
         if total > bound:
             raise SizeGuardError(total, bound)
-        b = TableBuilder()
-        for x in self.carrier:
-            b.obj(x)
-        els = self.group.elements()
-        for x in self.carrier:
-            for g in els:
-                y = self.act(x, self.group.inv(g))
-                assert y in self._index, "carrier is not closed under the action"
-                b.mor((x, g), x, y)
-        for x in self.carrier:
-            b.set_identity(x, (x, self.group.identity))
-        for x in self.carrier:
-            for g1 in els:
-                y = self.act(x, self.group.inv(g1))
-                for g2 in els:
-                    b.set_compose((y, g2), (x, g1), (x, self.group.op(g2, g1)))
-        for x in self.carrier:
-            for g in els:
-                y = self.act(x, self.group.inv(g))
-                b.set_inverse((x, g), (y, self.group.inv(g)))
-        return b.build()
+        return materialize(self)
 
 
 class DisjointUnion:
@@ -606,7 +652,8 @@ class DisjointUnion:
         return (i, self.members[i].target_of(mm))
 
     def compose_m(self, m2, m1):
-        assert m2[0] == m1[0]
+        if m2[0] != m1[0]:
+            raise ValueError("compose of non-composable pair %r" % ((m2, m1),))
         return (m2[0], self.members[m2[0]].compose_m(m2[1], m1[1]))
 
     def inverse_m(self, m):
@@ -672,29 +719,15 @@ def discrete_table(labels):
     """Discrete groupoid: identities only."""
     b = TableBuilder()
     for x in labels:
-        b.obj(x)
+        b.obj(x, ("id", x))
         b.mor(("id", x), x, x)
-        b.set_identity(x, ("id", x))
-        b.set_compose(("id", x), ("id", x), ("id", x))
-        b.set_inverse(("id", x), ("id", x))
-    return b.build()
+    return b.build(lambda lab2, lab1: lab1, lambda lab, _: lab)
 
 
 def disjoint_union_tables(tables):
-    """Materialized disjoint union of TableGroupoids (re-interned)."""
-    b = TableBuilder()
-    for i, t in enumerate(tables):
-        for o in t.objects:
-            b.obj((i, o))
-        for m in t.morphisms:
-            b.mor((i, m), (i, t.source[m]), (i, t.target[m]))
-        for o in t.objects:
-            b.set_identity((i, o), (i, t.identity[o]))
-        for (m2, m1), m in t.compose.items():
-            b.set_compose((i, m2), (i, m1), (i, m))
-        for m, mi in t.inverse.items():
-            b.set_inverse((i, m), (i, mi))
-    return b.build()
+    """Materialized disjoint union of groupoid views: the i-th member's
+    object o and morphism m become (i, o) and (i, m)."""
+    return materialize(DisjointUnion(tables))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ all label formulas use those representatives consistently.
 
 from fractions import Fraction
 
-from gspans.algebra import GroupRingElement
+from gspans.algebra import CyclotomicNumber, GroupRingElement
 from gspans.constructions import (
     GroupoidFunctor,
     _as_fn,
@@ -135,11 +135,10 @@ class LabeledFibre:
         }
 
 
-def labeled_fibre(sp, c, d, skeleton=False):
+def labeled_fibre(sp, c, d):
     """The labeled two-sided fibre of a span over component representatives
     (c, d).  Over discrete feet the fibre is the full subgroupoid of the apex
-    on {L = c, R = d} (objects a stand for (id, a, id)).  skeleton=True skips
-    the fibre's compose/inverse tables (enough for chi and components)."""
+    on {L = c, R = d} (objects a stand for (id, a, id))."""
     if sp.source.is_discrete and sp.target.is_discrete:
         objs = [
             a
@@ -148,7 +147,7 @@ def labeled_fibre(sp, c, d, skeleton=False):
         ]
         view = sp.apex.full_subgroupoid(objs)
         return LabeledFibre(view, sp.eps, c, d)
-    fib = two_sided_fibre(sp.left, sp.right, c, d, skeleton=skeleton)
+    fib = two_sided_fibre(sp.left, sp.right, c, d)
     G = sp.group
 
     def label(oid):
@@ -324,14 +323,12 @@ def span_matrix(sp):
     return SpanMatrix(G, rows, cols, entries)
 
 
-def matrix_multiply(a, b):
-    """(A B)(c1, c2) = sum_d B(d, c2) A(c1, d) -- the order that stays correct
+def _product_entries(a, b, zero):
+    """Entries of A B over a ring with the given zero:
+    (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) -- the order that stays correct
     over non-commutative group rings; equals the usual product here."""
-    if a.group != b.group:
-        raise ValueError("matrices over different groups")
     if a.col_index != b.row_index:
         raise ValueError("inner indexes do not match")
-    zero = GroupRingElement.zero(a.group)
     entries = []
     for i in range(len(a.row_index)):
         row = []
@@ -341,6 +338,14 @@ def matrix_multiply(a, b):
                 acc = acc + b.entries[k][j] * a.entries[i][k]
             row.append(acc)
         entries.append(row)
+    return entries
+
+
+def matrix_multiply(a, b):
+    """The product A B of span matrices (see _product_entries)."""
+    if a.group != b.group:
+        raise ValueError("matrices over different groups")
+    entries = _product_entries(a, b, GroupRingElement.zero(a.group))
     return SpanMatrix(a.group, a.row_index, b.col_index, entries)
 
 
@@ -370,25 +375,12 @@ class CharacterMatrix:
             raise ValueError(
                 "conductors differ: %r vs %r" % (self.conductor, other.conductor)
             )
-        if self.col_index != other.row_index:
-            raise ValueError("inner indexes do not match")
-        from gspans.algebra import CyclotomicNumber
-
-        zero = CyclotomicNumber.zero(self.conductor)
-        entries = []
-        for i in range(len(self.row_index)):
-            row = []
-            for j in range(len(other.col_index)):
-                acc = zero
-                for k in range(len(self.col_index)):
-                    acc = acc + other.entries[k][j] * self.entries[i][k]
-                row.append(acc)
-            entries.append(row)
+        entries = _product_entries(
+            self, other, CyclotomicNumber.zero(self.conductor)
+        )
         return CharacterMatrix(self.row_index, other.col_index, entries, self.conductor)
 
     def is_identity(self):
-        from gspans.algebra import CyclotomicNumber
-
         one = CyclotomicNumber.one(self.conductor)
         if self.row_index != self.col_index and len(self.row_index) != len(
             self.col_index
@@ -489,12 +481,8 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, guard=None, composed=None):
     rhs = {}
     for d in T.component_reps():
         chi_td = Fraction(1, T.aut_order(d))
-        left_side = labeled_fibre(sp1, c1, d, skeleton=True).chi_by_label(
-            check_constancy=True
-        )
-        right_side = labeled_fibre(sp2, d, c2, skeleton=True).chi_by_label(
-            check_constancy=True
-        )
+        left_side = labeled_fibre(sp1, c1, d).chi_by_label(check_constancy=True)
+        right_side = labeled_fibre(sp2, d, c2).chi_by_label(check_constancy=True)
         for g1, x1 in left_side.items():
             for g2, x2 in right_side.items():
                 g = G.add(g2, g1)
@@ -783,8 +771,8 @@ def fibre_map_preserves_labels(cell, c, d):
     and in the same label level; False if some image misses either."""
     sp1, sp2 = cell.src_span, cell.dst_span
     S, T, G = sp1.source, sp1.target, sp1.group
-    fib1 = two_sided_fibre(sp1.left, sp1.right, c, d, skeleton=True)
-    fib2 = two_sided_fibre(sp2.left, sp2.right, c, d, skeleton=True)
+    fib1 = two_sided_fibre(sp1.left, sp1.right, c, d)
+    fib2 = two_sided_fibre(sp2.left, sp2.right, c, d)
 
     def label(sp, triple):
         s, a, t = triple

@@ -14,8 +14,9 @@ from gspans.algebra import AbelianGroup
 from gspans.constructions import (
     GroupoidFunctor,
     GroupValuedFunctor,
+    coset_groupoid,
 )
-from gspans.groupoid import TableBuilder
+from gspans.groupoid import disjoint_union_tables
 from gspans.gspan import GSpan
 from gspans.examples import universal_span
 
@@ -53,67 +54,44 @@ class GroupoidMeta:
 
 
 def random_groupoid(rng, max_objects=8, max_component_group=4):
-    """Disjoint union of coset groupoids A/B with A small abelian."""
-    b = TableBuilder()
+    """Disjoint union of coset groupoids A/B with A small abelian, as a table
+    labelled (i, coset) and (i, (coset, a)) for the i-th component drawn."""
+    members = []
     comps = []
     total = 0
     n_comps = rng.randint(1, 3)
     choices = [o for o in COMPONENT_GROUP_CHOICES if _prod(o) <= max_component_group]
     for i in range(n_comps):
         A = AbelianGroup(rng.choice(choices))
-        subgroups = A.all_subgroups()
-        B = rng.choice(subgroups)
-        cosets = sorted({min(A.add(h, x) for h in B) for x in A.elements()})
-        if total + len(cosets) > max_objects:
+        B = rng.choice(A.all_subgroups())
+        member = coset_groupoid(A, B)
+        if total + len(member.carrier) > max_objects:
+            # an empty member keeps the index i of the components after it
+            members.append(member.full_subgroupoid([]))
             continue
-        total += len(cosets)
-
-        def coset_of(x, A=A, B=B):
-            return min(A.add(h, x) for h in B)
-
-        for x in cosets:
-            b.obj((i, x))
-        for x in cosets:
-            for a in A.elements():
-                tgt = coset_of(A.sub(x, a))
-                b.mor((i, (x, a)), (i, x), (i, tgt))
-        for x in cosets:
-            b.set_identity((i, x), (i, (x, A.identity)))
-        for x in cosets:
-            for a1 in A.elements():
-                mid_tgt = coset_of(A.sub(x, a1))
-                for a2 in A.elements():
-                    b.set_compose(
-                        (i, (mid_tgt, a2)), (i, (x, a1)), (i, (x, A.add(a2, a1)))
-                    )
-        for x in cosets:
-            for a in A.elements():
-                b.set_inverse((i, (x, a)), (i, (coset_of(A.sub(x, a)), A.neg(a))))
+        total += len(member.carrier)
+        members.append(member)
         comps.append(
             {
                 "group": A,
                 "subgroup": frozenset(B),
-                "cosets": cosets,
+                "cosets": member.carrier,
                 "index": i,
             }
         )
     if not comps:
         # always produce at least one point
-        b.obj((0, ()))
-        b.mor((0, ((), ())), (0, ()), (0, ()))
-        b.set_identity((0, ()), (0, ((), ())))
-        b.set_compose((0, ((), ())), (0, ((), ())), (0, ((), ())))
-        b.set_inverse((0, ((), ())), (0, ((), ())))
+        trivial = AbelianGroup([])
+        members = [coset_groupoid(trivial, [trivial.identity])]
         comps.append(
             {
-                "group": AbelianGroup([]),
+                "group": trivial,
                 "subgroup": frozenset({()}),
                 "cosets": [()],
                 "index": 0,
             }
         )
-    table = b.build()
-    return GroupoidMeta(table, comps)
+    return GroupoidMeta(disjoint_union_tables(members), comps)
 
 
 def random_hom(rng, A, G):

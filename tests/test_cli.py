@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from gspans.cli import main, parse_document
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -198,3 +200,36 @@ def test_determinism(capsys):
     first = capsys.readouterr().out
     main(["matrix", doc_path("bz2_identity.json"), "--span", "ident"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"spans": {"s": 3}}, "spans.s"),
+        ({"cells": {"c": 3}}, "cells.c"),
+        ({"functors": {"f": 3}}, "functors.f"),
+        (
+            {
+                "groupoids": {
+                    "g": {
+                        "objects": ["a"],
+                        "morphisms": [3],
+                        "identity": {},
+                        "compose": [],
+                        "inverse": {},
+                    }
+                }
+            },
+            "groupoids.g.morphisms[0]",
+        ),
+        ({"spans": 3}, "spans"),
+        ({"spans": {"s": {"type": "identity", "h": [1]}}}, "bg_functors.[1]"),
+    ],
+)
+def test_malformed_documents_exit_2_with_their_path(tmp_path, capsys, doc, path):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % path)
+    assert "Traceback" not in err

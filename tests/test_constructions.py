@@ -1,11 +1,15 @@
 """Pullbacks, fibres, Grothendieck constructions, and the chi identities."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from gspans import random_spans as rnd
 from gspans.algebra import AbelianGroup
-from gspans.groupoid import SizeGuardError
+from gspans.examples import universal_span
+from gspans.groupoid import SizeGuardError, composable_pairs
+from gspans.gspan import compose_spans
 from gspans.constructions import (
     FunctorError,
     GroupoidFunctor,
@@ -20,6 +24,7 @@ from gspans.constructions import (
     left_fibre,
     point_inclusion,
     pullback_euler_check,
+    right_fibre,
     trivial_subgroupoid,
     two_sided_fibre,
     two_sided_pullback,
@@ -220,3 +225,55 @@ def test_trivial_subgroupoid_shape():
     assert one.validate() == []
     assert one.chi() == 1
     assert len(one.morphisms) == 1
+
+
+# ---------------------------------------------------------------------------
+# tables fill compose/inverse on demand from their labels
+
+
+def _assert_law_complete(table):
+    """validate() reaches every composable pair, so afterwards the dicts
+    hold every pair and every inverse."""
+    assert table.validate() == []
+    assert len(table.compose) == len(list(composable_pairs(table)))
+    assert len(table.inverse) == len(table.morphisms)
+
+
+def test_nested_pullback_table_is_valid():
+    # as interchange_check composes: the legs' sources are pullback apexes
+    u1, _, u2, _ = rnd.random_two_cell_square(random.Random(1))
+    assert u1.src_span.pullback is not None and u2.src_span.pullback is not None
+    top = compose_spans(u1.src_span, u2.src_span)
+    assert top.apex.compose == {} and top.apex.inverse == {}
+    _assert_law_complete(top.apex)
+
+
+def test_right_fibre_table_is_valid():
+    r1, _ = rnd.random_cospan(random.Random(1))
+    for d in r1.target.objects:
+        _assert_law_complete(right_fibre(r1, d))
+
+
+def _universal_apex(seed):
+    rng = random.Random(seed)
+    G = rnd.random_group(rng, 4)
+    h = rnd.random_bg_functor(rng, rnd.random_groupoid(rng, 3), G)
+    v = rnd.random_bg_functor(rng, rnd.random_groupoid(rng, 3), G)
+    return universal_span(h, v).apex
+
+
+def test_universal_span_apex_is_valid():
+    _assert_law_complete(_universal_apex(5))
+
+
+def test_full_subgroupoid_of_a_partly_filled_table():
+    apex = _universal_apex(5)
+    pairs = list(composable_pairs(apex))
+    for pair in pairs[::3]:
+        apex.compose_m(*pair)
+    apex.inverse_m(apex.morphisms[-1])
+    assert 0 < len(apex.compose) < len(pairs)
+    sub = apex.full_subgroupoid(apex.objects[::2])
+    _assert_law_complete(sub)
+    for (m2, m1), m in sub.compose.items():
+        assert apex.compose_m(m2, m1) == m

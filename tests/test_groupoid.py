@@ -16,6 +16,7 @@ from gspans.groupoid import (
     SizeGuardError,
     SymmetricGroup,
     check_weighting,
+    composable_pairs,
     disjoint_union_tables,
     weighting,
 )
@@ -36,23 +37,26 @@ def test_delooping_bz2_is_valid():
 
 def test_validation_reports_witnesses():
     bg = delooping_bg(Z4)
+    # the full dicts, filled from the labels
+    compose = {pair: bg.compose_m(*pair) for pair in composable_pairs(bg)}
+    inverse = {m: bg.inverse_m(m) for m in bg.morphisms}
     # break associativity indirectly: swap one compose result
-    broken = dict(bg.compose)
+    broken = dict(compose)
     (k, v), *_ = [(k, v) for k, v in broken.items() if k[0] != k[1]]
     other = next(m for m in bg.morphisms if m != v)
     broken[k] = other
     import gspans.groupoid as G
 
     bad = G.TableGroupoid(
-        bg.objects, bg.source, bg.target, bg.identity, broken, bg.inverse
+        bg.objects, bg.source, bg.target, bg.identity, broken, inverse
     ).validate()
     assert bad, "broken table must be reported"
     # drop an inverse
-    inv = dict(bg.inverse)
-    mid = next(m for m in bg.morphisms if bg.inverse[m] != m)
+    inv = dict(inverse)
+    mid = next(m for m in bg.morphisms if inverse[m] != m)
     inv[mid] = mid
     bad2 = G.TableGroupoid(
-        bg.objects, bg.source, bg.target, bg.identity, bg.compose, inv
+        bg.objects, bg.source, bg.target, bg.identity, compose, inv
     ).validate()
     assert any("inverse" in msg for msg in bad2)
 
@@ -225,6 +229,32 @@ def test_action_on_an_unclosed_carrier_raises():
     ag = ActionGroupoid(sym, [0], lambda x, g: g[x])  # 0.(1 0) = 1 is missing
     with pytest.raises(ValueError, match="not closed"):
         ag.chi()
+
+
+def test_invariants_raise_value_error():
+    """Each check is a typed exception, so it still fires under python -O."""
+    from gspans.constructions import identity_functor
+    from gspans.groupoid import Subgroup, materialize
+
+    with pytest.raises(ValueError, match="identity"):
+        Subgroup(Z4, [(1,)])
+    sym = SymmetricGroup(2)
+    with pytest.raises(ValueError, match="duplicates"):
+        ActionGroupoid(sym, [0, 0], lambda x, g: g[x])
+    swap = ActionGroupoid(sym, [0, 1], lambda x, g: g[x])
+    with pytest.raises(ValueError, match="non-composable"):
+        swap.compose_m((0, (0, 1)), (0, (1, 0)))  # (0, swap) ends at 1
+    with pytest.raises(ValueError, match="leaves the object set"):
+        materialize(ActionGroupoid(sym, [0], lambda x, g: g[x]))
+    d = discrete_groupoid(2)
+    u = DisjointUnion([swap, d])
+    with pytest.raises(ValueError, match="non-composable"):
+        u.compose_m((0, (0, (0, 1))), (1, d.identity_at(0)))
+    # a label chase alone would return id_0 here: both labels are identities
+    with pytest.raises(ValueError, match="non-composable"):
+        d.compose_m(d.identity_at(1), d.identity_at(0))
+    with pytest.raises(ValueError, match="do not compose"):
+        identity_functor(discrete_groupoid(3)).then(identity_functor(swap))
 
 
 def test_disjoint_union_view():

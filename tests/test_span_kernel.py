@@ -292,6 +292,7 @@ t.test_character_matrix_product_mismatches_raise_value_error()
 t.test_span_matrix_shape_mismatches_raise_value_error()
 import test_groupoid
 test_groupoid.test_action_on_an_unclosed_carrier_raises()
+test_groupoid.test_invariants_raise_value_error()
 print("checks fired")
 """
 
