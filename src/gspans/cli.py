@@ -84,6 +84,19 @@ def _need(mapping, key, path, kind=object):
     return value
 
 
+def _element(grp, value, path):
+    """A group element written as a JSON array of integers, checked to lie
+    in grp."""
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise DocumentError(path, "group element must be a JSON array of integers")
+    try:
+        return grp.check(value)
+    except ValueError as e:
+        raise DocumentError(path, str(e))
+
+
 class Document:
     """Parsed and fully resolved document."""
 
@@ -115,7 +128,11 @@ class Document:
         for name in data.get("characters", {}):
             spec, path = self._entry("characters", name)
             grp = self._group(_need(spec, "group", path))
-            self.characters[name] = Character(grp, _need(spec, "exponents", path))
+            # exponents live in the dual group, written like elements of grp
+            exponents = _element(
+                grp, _need(spec, "exponents", path), path + ".exponents"
+            )
+            self.characters[name] = Character(grp, exponents)
         for name in data.get("spans", {}):
             self._span(name)
         for name in data.get("cells", {}):
@@ -174,7 +191,16 @@ class Document:
             return g
         if kind == "discrete":
             objs = _need(spec, "objects", path)
-            labels = list(range(objs)) if isinstance(objs, int) else list(objs)
+            if isinstance(objs, int):
+                labels = list(range(objs))
+            elif isinstance(objs, list) and all(
+                isinstance(l, (int, str)) for l in objs
+            ):
+                labels = list(objs)
+            else:
+                raise DocumentError(
+                    path + ".objects", "must be a count or a JSON array of names"
+                )
             g = discrete_groupoid(labels)
             self.obj_names[name] = {str(l): g.object_of_label[l] for l in labels}
             self.mor_names[name] = {
@@ -183,14 +209,19 @@ class Document:
             return g
         if kind == "coset":
             grp = self._group(_need(spec, "group", path))
-            sub = [tuple(x) for x in _need(spec, "subgroup", path)]
+            sub = [
+                _element(grp, x, "%s.subgroup[%d]" % (path, k))
+                for k, x in enumerate(_need(spec, "subgroup", path, list))
+            ]
             try:
                 return coset_groupoid(grp, sub)
             except ValueError as e:
                 raise DocumentError(path, str(e))
         if kind == "action":
             grp = self._group(_need(spec, "group", path))
-            points = [str(p) for p in _need(spec, "points", path)]
+            points = [str(p) for p in _need(spec, "points", path, list)]
+            if len(set(points)) != len(points):
+                raise DocumentError(path + ".points", "duplicate point")
             table = _need(spec, "action", path, dict)
             act_map = {}
             for p, moves in table.items():
@@ -199,8 +230,14 @@ class Document:
                         path + ".action.%s" % p, "must be a JSON object"
                     )
                 for el, q in moves.items():
-                    g = tuple(int(x) for x in str(el).split(",")) if el else ()
-                    act_map[(str(p), grp.check(g))] = str(q)
+                    where = "%s.action.%s.%s" % (path, p, el)
+                    try:
+                        g = grp.check([int(x) for x in el.split(",")] if el else [])
+                    except ValueError as e:
+                        raise DocumentError(where, str(e))
+                    if str(q) not in points:
+                        raise DocumentError(where, "unknown point %r" % (q,))
+                    act_map[(str(p), g)] = str(q)
 
             def act(x, g):
                 if g == grp.identity:
@@ -221,7 +258,7 @@ class Document:
 
             return ActionGroupoid(grp, points, act)
         if kind == "disjoint":
-            parts = [self._groupoid(p) for p in _need(spec, "parts", path)]
+            parts = [self._groupoid(p) for p in _need(spec, "parts", path, list)]
             bad = [p for p in parts if not isinstance(p, TableGroupoid)]
             if bad:
                 raise DocumentError(path, "disjoint parts must be tables")
@@ -287,13 +324,15 @@ class Document:
             if mid in mnames:
                 raise DocumentError(path, "duplicate morphism %r" % mid)
             mnames[mid] = j
-            for side, key in ((m.get("src"), "src"), (m.get("tgt"), "tgt")):
+            ends = []
+            for key in ("src", "tgt"):
+                side = _need(m, key, path + ".morphisms[%d]" % j)
                 if str(side) not in onames:
                     raise DocumentError(
                         path + ".morphisms.%s" % mid, "unknown object %r" % side
                     )
-            source[j] = onames[str(m["src"])]
-            target[j] = onames[str(m["tgt"])]
+                ends.append(onames[str(side)])
+            source[j], target[j] = ends
         for o, m in _need(spec, "identity", path, dict).items():
             if str(o) not in onames or str(m) not in mnames:
                 raise DocumentError(path + ".identity", "unknown name %r" % o)
@@ -385,7 +424,9 @@ class Document:
                 for f, g in _need(spec, "morphisms", path, dict).items():
                     if str(f) not in sm:
                         raise DocumentError(path, "unknown morphism %r" % f)
-                    values[sm[str(f)]] = grp.check(tuple(g))
+                    values[sm[str(f)]] = _element(
+                        grp, g, "%s.morphisms.%s" % (path, f)
+                    )
                 if any(m not in values for m in src.morphisms):
                     raise DocumentError(path, "morphism map is not total")
                 try:
@@ -424,12 +465,14 @@ class Document:
             for o, g in eps_spec.items():
                 if str(o) not in onames:
                     raise DocumentError(path + ".eps", "unknown object %r" % o)
-                eps[onames[str(o)]] = h.group.check(tuple(g))
+                eps[onames[str(o)]] = _element(
+                    h.group, g, "%s.eps.%s" % (path, o)
+                )
             if any(o not in eps for o in apex.objects):
                 raise DocumentError(path + ".eps", "labeling is not total")
             try:
                 sp = GSpan(apex, left, right, h, v, eps)
-            except (GSpanError, AssertionError) as e:
+            except GSpanError as e:
                 raise DocumentError(path, str(e))
         else:
             raise DocumentError(path, "unknown span type %r" % kind)
@@ -469,6 +512,10 @@ class Document:
         mmap = names_map(phi_spec, path + ".phi", "morphisms", sm, tm)
         a = names_map(spec, path, "a", so, s_names)
         b = names_map(spec, path, "b", so, t_names)
+        if any(
+            o not in omap or o not in a or o not in b for o in src.apex.objects
+        ) or any(m not in mmap for m in src.apex.morphisms):
+            raise DocumentError(path, "cell maps are not total")
         try:
             phi = GroupoidFunctor(src.apex, dst.apex, omap, mmap)
             cell = SpanMorphism(src, dst, phi, a, b)

@@ -5,19 +5,23 @@ The homotopy pullback of M1 --R--> T <--L-- M2 has objects (a1, t, a2) with
 t in T(R a1, L a2); a morphism (m1, m2) : (a1,t,a2) -> (b1,u,b2) requires
 u o R(m1) = L(m2) o t in T.  Pullback outputs are tables (guarded by their
 morphism count) whose compose/inverse entries are filled on demand from the
-labels, (n1, u, n2) o (m1, t, m2) = (n1 o m1, t, n2 o m2); over a discrete T
-with action-groupoid legs the pullback is again a disjoint union of action
-groupoids and stays lazy.  Fibres, two-sided pullbacks and Grothendieck
-constructions are tables of the same kind.
+labels, (n1, u, n2) o (m1, t, m2) = (n1 o m1, t, n2 o m2).  Over a discrete
+T with legs from disjoint unions of action groupoids the pullback stays lazy:
+it is a disjoint union of factorized product strata X1 x X2 // (G1 x G2), one
+per member pair and object d of T (ProductActionGroupoid), whose components,
+|Aut| and chi come from the two factors' orbits.  Fibres, two-sided pullbacks
+and Grothendieck constructions are tables of the same kind as the table
+pullback.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from gspans.groupoid import (
+    ActionFactor,
     ActionGroupoid,
     DisjointUnion,
-    ProductGroup,
+    ProductActionGroupoid,
     SizeGuardError,
     TableBuilder,
     composable_pairs,
@@ -246,7 +250,8 @@ def homotopy_pullback(r1, l2, guard=None):
 
     Returns a PullbackResult whose groupoid has objects (a1, t, a2).  Uses an
     explicit table when the legs enumerate (guarded), and stays lazy (disjoint
-    union of product action groupoids) over a discrete T with action legs.
+    union of factorized product strata, objects (stratum, (a1, t, a2))) over a
+    discrete T with action legs.
     """
     T = r1.target
     if (
@@ -300,36 +305,44 @@ def _table_pullback(r1, l2, guard=None):
     return PullbackResult(g, p1, p2)
 
 
+def _level_factors(functor, members):
+    """Per member i of the source union, {d: ActionFactor of i's level set
+    over d}.  The leg is constant on orbits (T is discrete), so each level
+    set is action-closed; a member lying over one d is its own factor."""
+    out = []
+    for i, member in enumerate(members):
+        levels = {}
+        for x in member.carrier:
+            levels.setdefault(functor.on_obj((i, x)), []).append(x)
+        out.append({
+            d: ActionFactor(
+                i,
+                member if len(xs) == len(member.carrier)
+                else member.full_subgroupoid(xs),
+            )
+            for d, xs in levels.items()
+        })
+    return out
+
+
 def _lazy_discrete_pullback(r1, l2):
     """Pullback over a discrete T where both legs are unions of action
-    groupoids: stratum (i, j, d) is the product action groupoid on pairs."""
+    groupoids.  Stratum (i, j, d) is X1 x X2 // (G1 x G2) for the level sets
+    X1 of member i over d and X2 of member j over d, kept factorized as a
+    ProductActionGroupoid: its components, |Aut| and chi come from the factor
+    orbits, and no product carrier is built.  Each factor is made once per
+    (member, d) and shared by every stratum it belongs to."""
     M1, M2, T = r1.source, l2.source, r1.target
-    members1, members2 = M1.members, M2.members
+    factors1 = _level_factors(r1, M1.members)
+    factors2 = _level_factors(l2, M2.members)
     strata = []
-    for i, g1 in enumerate(members1):
-        for j, g2 in enumerate(members2):
-            group = ProductGroup(g1.group, g2.group)
+    for by_d1 in factors1:
+        for by_d2 in factors2:
             for d in T.objects:
-                t = T.identity_at(d)
-                left = [
-                    (i, x) for x in g1.carrier if r1.on_obj((i, x)) == d
-                ]
-                right = [
-                    (j, y) for y in g2.carrier if l2.on_obj((j, y)) == d
-                ]
-                if not left or not right:
-                    continue
-                carrier = [(x, t, y) for x in left for y in right]
-
-                def act(point, g, _i=i, _j=j, _g1=g1, _g2=g2):
-                    (ii, x), tt, (jj, y) = point
-                    return (
-                        (ii, _g1.act(x, g[0])),
-                        tt,
-                        (jj, _g2.act(y, g[1])),
+                if d in by_d1 and d in by_d2:
+                    strata.append(
+                        ProductActionGroupoid(by_d1[d], by_d2[d], T.identity_at(d))
                     )
-
-                strata.append(ActionGroupoid(group, carrier, act))
     union = DisjointUnion(strata)
     p1 = GroupoidFunctor(
         union,

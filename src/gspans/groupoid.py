@@ -8,16 +8,20 @@ demand from it: a pullback apex composes (n1, u, n2) after (m1, t, m2) as
 (n1 m1, t, n2 m2), so no table is filled that nobody reads.  ActionGroupoid
 is the lazy form X//G of a right group action: components are orbits and
 automorphism group orders come from orbit-stabilizer, so the large examples
-never materialize their hom-sets.
+never materialize their hom-sets.  ProductActionGroupoid is X1 x X2 //
+(G1 x G2) kept as its two factors (ActionFactor): its orbits are pairs of
+factor orbits, so components, |Aut| and chi multiply out of the factors and
+no product carrier is stored.
 
 Composition convention: compose(m2, m1) means "m2 after m1".  In X//G the
 hom-set (x1 -> x2) is {g : x2.g = x1}, so the morphism handle (x1, g) has
 source x1 and target x1.g^-1, and (x1,g1) followed by (y1,g2) is (x1, g2*g1).
 
 Groupoids do not change after construction and all analyses are pure; the
-hom index, component partition, orbit partition and a table's compose/inverse
-entries are filled lazily, so prime them (call components(), or validate() on
-a table) before sharing a groupoid across threads.
+hom index, component partition, orbit partition, a factor's memoized action
+and a table's compose/inverse entries are filled lazily, so prime them (call
+components(), or validate() on a table) before sharing a groupoid across
+threads.
 """
 
 import itertools
@@ -627,6 +631,162 @@ class ActionGroupoid:
         if total > bound:
             raise SizeGuardError(total, bound)
         return materialize(self)
+
+
+class ActionFactor:
+    """One factor of a ProductActionGroupoid: an action groupoid whose points
+    are read as (tag, x).  The tagged points are made once and shared by
+    every product the factor belongs to, and so is the action on them,
+    memoized per (point, element)."""
+
+    def __init__(self, tag, view):
+        self.tag = tag
+        self.view = view
+        self.points = [(tag, x) for x in view.carrier]
+        self._point = dict(zip(view.carrier, self.points))
+        self._moved = {}
+
+    def act(self, p, g):
+        key = (p[1], g)
+        try:
+            return self._moved[key]
+        except KeyError:
+            pass
+        q = self._point.get(self.view.act(p[1], g))
+        if q is None:
+            raise ValueError("carrier is not closed under the action")
+        self._moved[key] = q
+        return q
+
+    def components(self):
+        point = self._point
+        return [[point[x] for x in c] for c in self.view.components()]
+
+    def component_reps(self):
+        return [self._point[x] for x in self.view.component_reps()]
+
+    def component_rep(self, p):
+        return self._point[self.view.component_rep(p[1])]
+
+
+class ProductActionGroupoid:
+    """X1 x X2 // (G1 x G2), kept as its two factors X1//G1 and X2//G2.
+
+    Objects are triples (p1, t, p2) of a point of each factor and a fixed
+    middle tag t (the pullback's morphism of T), in lexicographic order of
+    (p1, p2); morphism handles are (object, (g1, g2)) as in ActionGroupoid.
+    G1 x G2 acts one factor at a time, so its orbits are pairs of factor
+    orbits and components, automorphism orders and chi are read off the
+    factors (chi and |Aut| multiply); no product carrier is stored."""
+
+    def __init__(self, left, right, t):
+        self.left = left
+        self.right = right
+        self.t = t
+        self.group = ProductGroup(left.view.group, right.view.group)
+        self._inverse = {}
+
+    def _points(self):
+        t = self.t
+        return ((p1, t, p2) for p1 in self.left.points for p2 in self.right.points)
+
+    @property
+    def objects(self):
+        return list(self._points())
+
+    def act(self, o, g):
+        p1, t, p2 = o
+        g1, g2 = g
+        e1, e2 = self.group.identity
+        if g1 != e1:
+            p1 = self.left.act(p1, g1)
+        if g2 != e2:
+            p2 = self.right.act(p2, g2)
+        return (p1, t, p2)
+
+    def _inv(self, g):
+        try:
+            return self._inverse[g]
+        except KeyError:
+            h = self._inverse[g] = self.group.inv(g)
+            return h
+
+    # -- morphism handles: (source object, (g1, g2)) -------------------------
+
+    def identity_at(self, o):
+        return (o, self.group.identity)
+
+    def source_of(self, m):
+        return m[0]
+
+    def target_of(self, m):
+        return self.act(m[0], self._inv(m[1]))
+
+    def compose_m(self, m2, m1):
+        if self.target_of(m1) != m2[0]:
+            raise ValueError("compose of non-composable pair %r" % ((m2, m1),))
+        return (m1[0], self.group.op(m2[1], m1[1]))
+
+    def inverse_m(self, m):
+        return (self.target_of(m), self._inv(m[1]))
+
+    def hom(self, a, b):
+        h1 = self.left.view.hom(a[0][1], b[0][1])
+        h2 = self.right.view.hom(a[2][1], b[2][1])
+        return [(a, (g1, g2)) for _, g1 in h1 for _, g2 in h2]
+
+    def hom_size(self, a, b):
+        return self.left.view.hom_size(a[0][1], b[0][1]) * self.right.view.hom_size(
+            a[2][1], b[2][1]
+        )
+
+    @property
+    def is_discrete(self):
+        return self.group.order == 1
+
+    def morphism_sample(self):
+        """Generating family, as ActionGroupoid's: one handle per object per
+        generator of G1 x G2, made lazily and grouped by source."""
+        gens = self.group.generators()
+        return ((o, g) for o in self._points() for g in gens)
+
+    def all_morphisms(self):
+        els = self.group.elements()
+        return [(o, g) for o in self._points() for g in els]
+
+    # -- orbits, from the factors ---------------------------------------------
+
+    def components(self):
+        t = self.t
+        return [
+            [(p1, t, p2) for p1 in c1 for p2 in c2]
+            for c1 in self.left.components()
+            for c2 in self.right.components()
+        ]
+
+    def component_reps(self):
+        t = self.t
+        return [
+            (r1, t, r2)
+            for r1 in self.left.component_reps()
+            for r2 in self.right.component_reps()
+        ]
+
+    def component_rep(self, o):
+        return (self.left.component_rep(o[0]), self.t, self.right.component_rep(o[2]))
+
+    def aut_order(self, o):
+        return self.left.view.aut_order(o[0][1]) * self.right.view.aut_order(o[2][1])
+
+    def chi(self):
+        return self.left.view.chi() * self.right.view.chi()
+
+    def full_subgroupoid(self, objs):
+        # valid only for action-closed subsets, as in ActionGroupoid
+        keep = set(objs)
+        return ActionGroupoid(
+            self.group, [o for o in self._points() if o in keep], self.act
+        )
 
 
 class DisjointUnion:

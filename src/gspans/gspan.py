@@ -57,8 +57,12 @@ class GSpan:
     """Validated G-span; immutable after construction."""
 
     def __init__(self, apex, left, right, h, v, eps, check=True):
-        assert left.source is apex and right.source is apex
-        assert h.group == v.group
+        if left.source is not apex or right.source is not apex:
+            raise GSpanError("both legs must start at the apex")
+        if h.group != v.group:
+            raise GSpanError(
+                "H and V map to different groups: %r vs %r" % (h.group, v.group)
+            )
         self.apex = apex
         self.left = left
         self.right = right
@@ -66,6 +70,7 @@ class GSpan:
         self.v = v
         self.group = h.group
         self._eps = _as_fn(eps)
+        self._fibre_chi_memo = {}  # (c, d) -> chi by label of c\M/d
         if check:
             self.validate()
 
@@ -83,17 +88,22 @@ class GSpan:
     def validate(self):
         """eps(a2) + HL(m) = VR(m) + eps(a1) on a generating set of morphisms
         (all morphisms for table apexes); composites follow since HL and VR
-        are functors."""
-        G = self.group
-        for m in self.apex.morphism_sample():
-            a1 = self.apex.source_of(m)
-            a2 = self.apex.target_of(m)
-            lhs = G.add(self.eps(a2), self.h.value(self.left.on_mor(m)))
-            rhs = G.add(self.v.value(self.right.on_mor(m)), self.eps(a1))
+        are functors.  Samples come grouped by source, so eps(a1) is read
+        once per run of handles with the same source."""
+        G, apex = self.group, self.apex
+        a1 = None
+        for m in apex.morphism_sample():
+            src = apex.source_of(m)
+            if a1 is None or src != a1:
+                a1 = src
+                e1 = self.eps(a1)
+            e2 = self.eps(apex.target_of(m))
+            lhs = G.add(e2, self.h.value(self.left.on_mor(m)))
+            rhs = G.add(self.v.value(self.right.on_mor(m)), e1)
             if lhs != rhs:
                 raise GSpanError(
                     "labeling is not natural at morphism %r: %r + HL != VR + %r"
-                    % (m, self.eps(a2), self.eps(a1))
+                    % (m, e2, e1)
                 )
 
 
@@ -460,6 +470,18 @@ def check_main_theorem(sp1, sp2, guard=None):
     return lhs, rhs
 
 
+def _fibre_chi_by_label(sp, c, d):
+    """labeled_fibre(sp, c, d).chi_by_label(check_constancy=True), memoized
+    on the span (spans do not change) per (c, d); only the chi map is kept,
+    not the fibre."""
+    try:
+        return sp._fibre_chi_memo[(c, d)]
+    except KeyError:
+        chi = labeled_fibre(sp, c, d).chi_by_label(check_constancy=True)
+        sp._fibre_chi_memo[(c, d)] = chi
+        return chi
+
+
 def labeled_pullback_identity(sp1, sp2, c1, c2, guard=None, composed=None):
     """Both sides of the per-label composition identity at entry (c1, c2):
 
@@ -474,15 +496,16 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, guard=None, composed=None):
 
     The left-hand side is read off pi0 of the composed apex, as in
     span_matrix, restricted to the one entry; the right-hand side builds the
-    fibres of sp1 and sp2 over each d, which are what the identity is about."""
+    fibres of sp1 and sp2 over each d, which are what the identity is about,
+    once per span and (c, d): looping over the entries reuses them."""
     composed = composed if composed is not None else compose_spans(sp1, sp2, guard)
     lhs = _fibre_chi(composed, (c1, c2)).get((c1, c2), {})
     G, T = sp1.group, sp1.target
     rhs = {}
     for d in T.component_reps():
         chi_td = Fraction(1, T.aut_order(d))
-        left_side = labeled_fibre(sp1, c1, d).chi_by_label(check_constancy=True)
-        right_side = labeled_fibre(sp2, d, c2).chi_by_label(check_constancy=True)
+        left_side = _fibre_chi_by_label(sp1, c1, d)
+        right_side = _fibre_chi_by_label(sp2, d, c2)
         for g1, x1 in left_side.items():
             for g2, x2 in right_side.items():
                 g = G.add(g2, g1)
@@ -638,7 +661,10 @@ def identity_cell(sp):
 
 def vertical_compose(c2, c1):
     """(A2 Phi1 o A1, Phi2 o Phi1, B2 Phi1 o B1) : M1 => M3."""
-    assert c1.dst_span is c2.src_span or c1.dst_span.apex is c2.src_span.apex
+    if not (c1.dst_span is c2.src_span or c1.dst_span.apex is c2.src_span.apex):
+        raise SpanMorphismError(
+            "cells do not compose vertically: the first ends at another span"
+        )
     sp1 = c1.src_span
     S, T = sp1.source, sp1.target
     phi = c1.phi.then(c2.phi)
@@ -660,9 +686,10 @@ def horizontal_compose(c1, c2, composed_src=None, composed_dst=None):
     dst = composed_dst if composed_dst is not None else compose_spans(
         c1.dst_span, c2.dst_span
     )
-    assert isinstance(src.apex, TableGroupoid) and isinstance(
-        dst.apex, TableGroupoid
-    ), "horizontal composition is supported on table pullbacks"
+    if not (
+        isinstance(src.apex, TableGroupoid) and isinstance(dst.apex, TableGroupoid)
+    ):
+        raise ValueError("horizontal composition is supported on table pullbacks")
     T = c1.src_span.target
     S = c1.src_span.source
     U = c2.src_span.target

@@ -202,6 +202,20 @@ def test_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
+def corpus_doc_with(name, keys, value):
+    """A corpus document with the value at keys replaced (None deletes)."""
+    with open(doc_path(name)) as f:
+        doc = json.load(f)
+    node = doc
+    for k in keys[:-1]:
+        node = node.setdefault(k, {}) if isinstance(node, dict) else node[k]
+    if value is None:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, path",
     [
@@ -224,6 +238,58 @@ def test_determinism(capsys):
         ),
         ({"spans": 3}, "spans"),
         ({"spans": {"s": {"type": "identity", "h": [1]}}}, "bg_functors.[1]"),
+        # group elements: a JSON array of ints inside the group
+        (
+            corpus_doc_with("point_span.json", ["characters", "rho", "exponents"], 5),
+            "characters.rho.exponents",
+        ),
+        (
+            corpus_doc_with("point_span.json", ["spans", "unit", "eps", "x"], [7]),
+            "spans.unit.eps.x",
+        ),
+        (
+            corpus_doc_with(
+                "point_span.json",
+                ["bg_functors", "tab"],
+                {"source": "pt", "group": "Z4", "morphisms": {"id": 5}},
+            ),
+            "bg_functors.tab.morphisms.id",
+        ),
+        (
+            corpus_doc_with(
+                "coset_z6.json", ["groupoids", "HG2", "subgroup"], [[0], 5]
+            ),
+            "groupoids.HG2.subgroup[1]",
+        ),
+        (
+            corpus_doc_with(
+                "coset_z6.json", ["groupoids", "swap", "action", "a"], {"x": "b"}
+            ),
+            "groupoids.swap.action.a.x",
+        ),
+        (
+            corpus_doc_with(
+                "coset_z6.json", ["groupoids", "swap", "action", "a"], {"1": "z"}
+            ),
+            "groupoids.swap.action.a.1",
+        ),
+        # shapes the fuzz test below found ending in a traceback
+        (
+            corpus_doc_with(
+                "coset_z6.json", ["groupoids", "two_points", "objects"], {"a": 1}
+            ),
+            "groupoids.two_points.objects",
+        ),
+        (
+            corpus_doc_with(
+                "point_span.json", ["groupoids", "ap", "morphisms", 0, "src"], None
+            ),
+            "groupoids.ap.morphisms[0]",
+        ),
+        (
+            corpus_doc_with("point_span.json", ["cells", "id_cell", "a"], {}),
+            "cells.id_cell",
+        ),
     ],
 )
 def test_malformed_documents_exit_2_with_their_path(tmp_path, capsys, doc, path):

@@ -326,3 +326,55 @@ def test_mor_mismatch_cell_rejected():
             lambda x: sigma,  # breaks the label condition
             lambda x: b2.identity_at(x),
         )
+
+
+def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
+    # looping the lemma over every entry (c1, c2) needs the fibres c1\M1/d
+    # and d\M2/c2 once each, not once per entry that uses them
+    import random
+
+    from gspans import gspan
+    from gspans import random_spans as rnd
+
+    rng = random.Random(20260810)
+    for _ in range(5):
+        sp1, sp2 = rnd.random_composable_pair(
+            rng, max_group_order=6, max_objects=8, max_apex_objects=8
+        )
+    S, T, U = sp1.source, sp1.target, sp2.target
+    assert not T.is_discrete
+    builds = []
+    build = gspan.labeled_fibre
+
+    def counting(sp, c, d):
+        builds.append((id(sp), c, d))
+        return build(sp, c, d)
+
+    monkeypatch.setattr(gspan, "labeled_fibre", counting)
+    composed = compose_spans(sp1, sp2)
+    for c1 in S.component_reps():
+        for c2 in U.component_reps():
+            lhs, rhs = labeled_pullback_identity(sp1, sp2, c1, c2, composed=composed)
+            assert lhs == rhs
+    n_s, n_t, n_u = (len(X.component_reps()) for X in (S, T, U))
+    assert (n_s, n_t, n_u) == (1, 3, 3)
+    assert len(builds) == len(set(builds)) == n_t * (n_s + n_u)
+
+
+def test_span_invariants_raise_typed_errors():
+    """Each check is a typed exception, so it still fires under python -O."""
+    from gspans.examples import stirling_pair
+    from gspans.gspan import SpanMorphismError, horizontal_compose
+
+    sp = point_span(Z2, (1,))
+    other = point_span(Z2, (0,))
+    with pytest.raises(GSpanError, match="start at the apex"):
+        GSpan(other.apex, sp.left, sp.right, sp.h, sp.v, sp.eps)
+    with pytest.raises(GSpanError, match="different groups"):
+        GSpan(sp.apex, sp.left, sp.right, sp.h,
+              GroupValuedFunctor.trivial(sp.target, Z4), sp.eps)
+    with pytest.raises(SpanMorphismError, match="do not compose"):
+        vertical_compose(identity_cell(other), identity_cell(sp))
+    first, second = stirling_pair(1)
+    with pytest.raises(ValueError, match="table pullbacks"):
+        horizontal_compose(identity_cell(first), identity_cell(second))

@@ -293,6 +293,8 @@ t.test_span_matrix_shape_mismatches_raise_value_error()
 import test_groupoid
 test_groupoid.test_action_on_an_unclosed_carrier_raises()
 test_groupoid.test_invariants_raise_value_error()
+import test_gspan
+test_gspan.test_span_invariants_raise_typed_errors()
 print("checks fired")
 """
 
