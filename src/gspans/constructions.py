@@ -14,7 +14,7 @@ and Grothendieck constructions are tables of the same kind as the table
 pullback.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from gspans.groupoid import (
@@ -228,11 +228,8 @@ def coset_groupoid(group, subgroup_elements):
 # homotopy pullbacks
 
 
-@dataclass
-class PullbackResult:
-    groupoid: object
-    p1: GroupoidFunctor
-    p2: GroupoidFunctor
+# the pullback groupoid and its projections to M1 and M2
+PullbackResult = namedtuple("PullbackResult", "groupoid p1 p2")
 
 
 def _action_members(view):

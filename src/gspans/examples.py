@@ -11,7 +11,7 @@ models compute without ever materializing hom-sets.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from gspans.algebra import AbelianGroup, GroupRingElement
@@ -127,21 +127,24 @@ def fin_rel_groupoid(k, m, guard=8):
 # Stirling spans over the truncated discrete base {0..N}
 
 
-@dataclass
-class StirlingSpanConfig:
-    kind: str  # "first" | "second"
-    truncation: int
-    guard: int = 5
+class StirlingSpanConfig(
+    namedtuple("StirlingSpanConfig", "kind truncation guard")
+):
+    """kind is "first" or "second"; the base is {0..truncation}, and
+    truncation may not exceed guard."""
 
-    def __post_init__(self):
-        if self.kind not in ("first", "second"):
+    __slots__ = ()
+
+    def __new__(cls, kind, truncation, guard=5):
+        if kind not in ("first", "second"):
             raise ValueError("kind must be 'first' or 'second'")
-        if self.truncation < 0:
+        if truncation < 0:
             raise ValueError("truncation must be >= 0")
-        if self.truncation > self.guard:
+        if truncation > guard:
             raise ValueError(
-                "truncation %d exceeds the guard %d" % (self.truncation, self.guard)
+                "truncation %d exceeds the guard %d" % (truncation, guard)
             )
+        return super().__new__(cls, kind, truncation, guard)
 
 
 SIGN_GROUP = AbelianGroup([2])
