@@ -694,6 +694,12 @@ class ProductActionGroupoid:
     def objects(self):
         return list(self._points())
 
+    @property
+    def carrier(self):
+        """The objects, under ActionGroupoid's name for them; built on each
+        call, for callers that size the generating family."""
+        return self.objects
+
     def act(self, o, g):
         p1, t, p2 = o
         g1, g2 = g
