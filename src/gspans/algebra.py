@@ -12,6 +12,7 @@ exponents (g1,...,gk).
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -60,14 +61,16 @@ class AbelianGroup:
             raise ValueError("%r is not an element of %r" % (g, self))
         return tuple(g)
 
+    # map over operator functions: no Python frame per coordinate; these
+    # run a few times per handle whenever a span is validated
     def add(self, a, b):
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
+        return tuple(map(operator.mod, map(operator.add, a, b), self.orders))
 
     def neg(self, a):
-        return tuple((-x) % n for x, n in zip(a, self.orders))
+        return tuple(map(operator.mod, map(operator.neg, a), self.orders))
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return tuple(map(operator.mod, map(operator.sub, a, b), self.orders))
 
     # aliases so an AbelianGroup can act as the group of an action groupoid
     def op(self, a, b):
@@ -316,11 +319,14 @@ def cyclotomic_polynomial(m):
     for d in divisors(m):
         if d < m:
             q, r = _poly_divmod(num, cyclotomic_polynomial(d))
-            assert r == (), "cyclotomic division must be exact"
+            if r != ():
+                raise ArithmeticError(
+                    "x^%d - 1 is not divisible by Phi_%d: remainder %r" % (m, d, r)
+                )
             num = q
-    out = tuple(int(c) for c in num)
-    assert all(Fraction(c).denominator == 1 for c in num)
-    return out
+    if any(Fraction(c).denominator != 1 for c in num):
+        raise ArithmeticError("Phi_%d has a non-integer coefficient: %r" % (m, num))
+    return tuple(int(c) for c in num)
 
 
 class CyclotomicNumber:

@@ -34,6 +34,7 @@ from gspans.constructions import (
 )
 from gspans.groupoid import TableGroupoid, composable_pairs, disjoint_union_tables
 from gspans.gspan import (
+    ComposabilityError,
     GSpan,
     GSpanError,
     SpanMorphism,
@@ -658,7 +659,8 @@ def cmd_euler(args):
 
 def _rational_entry(e):
     """Render a conductor-<=2 cyclotomic entry as a plain rational."""
-    assert all(c == 0 for c in e.coeffs[1:])
+    if any(c != 0 for c in e.coeffs[1:]):
+        raise ValueError("%r is not a rational entry" % (e,))
     return str(e.coeffs[0])
 
 
@@ -672,7 +674,13 @@ def cmd_matrix(args):
             raise DocumentError(
                 "characters.%s" % args.character, "unresolved name"
             )
-        cm = character_matrix(m, doc.characters[args.character])
+        rho = doc.characters[args.character]
+        if rho.group != m.group:
+            raise DocumentError(
+                "characters.%s" % args.character,
+                "character over %r, span %s over %r" % (rho.group, args.span, m.group),
+            )
+        cm = character_matrix(m, rho)
         if args.json:
             print(
                 json.dumps(
@@ -699,7 +707,10 @@ def cmd_compose(args):
     for name in (args.left, args.right):
         if name not in doc.spans:
             raise DocumentError("spans.%s" % name, "unresolved name")
-    composed = compose_spans(doc.spans[args.left], doc.spans[args.right])
+    try:
+        composed = compose_spans(doc.spans[args.left], doc.spans[args.right])
+    except ComposabilityError as e:
+        raise DocumentError("spans.%s" % args.right, str(e))
     out = args.out or "%s.%s" % (args.left, args.right)
     fragment = span_to_doc(composed, out)
     print(json.dumps(fragment, indent=2, sort_keys=True))

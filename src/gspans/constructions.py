@@ -39,12 +39,28 @@ def _as_fn(m):
     return m if callable(m) else m.__getitem__
 
 
+def _budgeted_pairs(functor, budget):
+    """The composable pairs of functor.source for a composition check, up to
+    budget of them (at least one).  Records on the functor how many pairs
+    passed the check (pairs_checked) and whether the budget left some pair
+    unchecked (truncated)."""
+    functor.pairs_checked, functor.truncated = 0, False
+    pairs = composable_pairs(functor.source)
+    for pair in pairs:
+        yield pair
+        functor.pairs_checked += 1
+        if functor.pairs_checked >= budget:
+            functor.truncated = next(pairs, None) is not None
+            return
+
+
 class GroupoidFunctor:
     """Functor between groupoid views; maps given as dicts or callables.
 
     Validation is eager by default: a functor failing a preservation check is
     rejected at construction (composition checks are capped by pairs_budget
-    on large sources, exhaustive otherwise).
+    on large sources, exhaustive otherwise; validate records pairs_checked
+    and truncated, None until it runs).
     """
 
     def __init__(self, source, target, obj_map, mor_map, check=True,
@@ -53,6 +69,7 @@ class GroupoidFunctor:
         self.target = target
         self.on_obj = _as_fn(obj_map)
         self.on_mor = _as_fn(mor_map)
+        self.pairs_checked = self.truncated = None
         if check:
             self.validate(pairs_budget)
 
@@ -71,17 +88,13 @@ class GroupoidFunctor:
                 raise FunctorError("functor sends %r outside the target" % (o,))
             if self.on_mor(src.identity_at(o)) != tgt.identity_at(self.on_obj(o)):
                 raise FunctorError("functor breaks the identity at %r" % (o,))
-        seen = 0
-        for m2, m1 in composable_pairs(src):
+        for m2, m1 in _budgeted_pairs(self, pairs_budget):
             if self.on_mor(src.compose_m(m2, m1)) != tgt.compose_m(
                 self.on_mor(m2), self.on_mor(m1)
             ):
                 raise FunctorError(
                     "functor breaks composition on (%r, %r)" % (m2, m1)
                 )
-            seen += 1
-            if seen >= pairs_budget:
-                return
 
     def then(self, other):
         """other after self."""
@@ -104,12 +117,14 @@ def identity_functor(view):
 
 
 class GroupValuedFunctor:
-    """Functor S -> BG packaged as a G-valued map on morphisms of S."""
+    """Functor S -> BG packaged as a G-valued map on morphisms of S; its
+    composition check is capped and recorded as GroupoidFunctor's."""
 
     def __init__(self, source, group, mor_map, check=True, pairs_budget=50000):
         self.source = source
         self.group = group
         self._mor_map = _as_fn(mor_map)
+        self.pairs_checked = self.truncated = None
         if check:
             self.validate(pairs_budget)
 
@@ -123,17 +138,13 @@ class GroupValuedFunctor:
                 raise FunctorError("BG-functor nonzero on identity at %r" % (o,))
         for m in src.all_morphisms():
             G.check(self.value(m))
-        seen = 0
-        for m2, m1 in composable_pairs(src):
+        for m2, m1 in _budgeted_pairs(self, pairs_budget):
             if self.value(src.compose_m(m2, m1)) != G.add(
                 self.value(m2), self.value(m1)
             ):
                 raise FunctorError(
                     "BG-functor breaks composition on (%r, %r)" % (m2, m1)
                 )
-            seen += 1
-            if seen >= pairs_budget:
-                return
 
     @classmethod
     def trivial(cls, source, group):

@@ -89,7 +89,9 @@ class GSpan:
         """eps(a2) + HL(m) = VR(m) + eps(a1) on a generating set of morphisms
         (all morphisms for table apexes); composites follow since HL and VR
         are functors.  Samples come grouped by source, so eps(a1) is read
-        once per run of handles with the same source."""
+        once per run of handles with the same source.  This pointwise walk
+        is the naturality oracle: compose_spans checks a lazy composite on
+        its factors instead and calls it only to name a failing handle."""
         G, apex = self.group, self.apex
         a1 = None
         for m in apex.morphism_sample():
@@ -432,9 +434,73 @@ def _triple_of(apex, obj):
     return obj[1]  # lazy union objects are tagged (stratum, triple)
 
 
+def _natural_on_factors(sp1, sp2, strata):
+    """Whether GSpan.validate passes on the lazy composite of sp1 and sp2,
+    decided on the factors (F1, F2) of its strata (F1, F2, t) instead of on
+    every generating handle.  G is abelian, so eps2(x2) + V1(t) cancels from
+    both sides of the square: a handle (g1, e) at (x1, t, x2) is natural iff
+
+        A(x1, g1) := eps1(x1.g1^-1) + H1 L1(g1 at x1) - eps1(x1)
+                  == V2 R2(id at x2) =: B(x2),
+
+    and a handle (e, g2) iff
+
+        C(x2, g2) := eps2(x2.g2^-1) - V2 R2(g2 at x2) - eps2(x2)
+                  == -H1 L1(id at x1) =: D(x1).
+
+    So a stratum is natural iff A(F1) is empty or A(F1) and B(F2) hold one
+    value between them, and likewise C(F2) and D(F1) (factors have points).
+    The value sets are made once per factor, since factors are shared by
+    strata: the cost is factor points x generators, not product points x
+    generators."""
+    G = sp1.group
+    memo = {}  # factor -> (moved, fixed)
+
+    def terms(f, sp, F):
+        # moved = {eps(x.g^-1) + F(g at x) - eps(x)} over the points x and
+        # generators g of f, fixed = {-F(id at x)}, with F read on the
+        # member's handles (tag, (y, g)) as the pullback's projections give
+        if f not in memo:
+            K = f.view.group
+            e = K.identity
+            gens = [(g, K.inv(g)) for g in K.generators()]
+            moved, fixed = set(), set()
+            for x in f.points:
+                tag, y = x
+                ex = sp.eps(x)
+                fixed.add(G.neg(F((tag, (y, e)))))
+                for g, h in gens:
+                    eq = sp.eps(x if h == e else f.act(x, h))
+                    moved.add(G.sub(G.add(eq, F((tag, (y, g)))), ex))
+            memo[f] = moved, fixed
+        return memo[f]
+
+    def one_value(xs, ys):
+        return not xs or len(xs | ys) == 1
+
+    def hl1(m):
+        return sp1.h.value(sp1.left.on_mor(m))
+
+    def minus_vr2(m):
+        return G.neg(sp2.v.value(sp2.right.on_mor(m)))
+
+    for p in strata:
+        a, d = terms(p.left, sp1, hl1)
+        c, b = terms(p.right, sp2, minus_vr2)
+        if not (one_value(a, b) and one_value(c, d)):
+            return False
+    return True
+
+
 def compose_spans(sp1, sp2, guard=None):
     """Homotopy-pullback composition; the composed label is
-    eps(a1, t, a2) = eps2(a2) + V1(t) + eps1(a1)."""
+    eps(a1, t, a2) = eps2(a2) + V1(t) + eps1(a1).
+
+    A table composite is validated pointwise, as any GSpan.  A lazy one (a
+    union of product strata) is checked on the factors of its strata
+    (_natural_on_factors), which decides the same thing in factor points x
+    generators; if that check fails, GSpan.validate runs and raises its
+    usual GSpanError naming the first failing handle."""
     if sp1.group != sp2.group:
         raise ComposabilityError("spans over different groups")
     if not sp1.v.extensionally_equals(sp2.h):
@@ -451,6 +517,7 @@ def compose_spans(sp1, sp2, guard=None):
         a1, t, a2 = _triple_of(apex, obj)
         return G.add(sp2.eps(a2), G.add(v1.value(t), sp1.eps(a1)))
 
+    lazy = not isinstance(apex, TableGroupoid)
     out = GSpan(
         apex,
         res.p1.then(sp1.left),
@@ -458,7 +525,10 @@ def compose_spans(sp1, sp2, guard=None):
         sp1.h,
         sp2.v,
         eps,
+        check=not lazy,
     )
+    if lazy and not _natural_on_factors(sp1, sp2, apex.members):
+        out.validate()  # raises, naming the first failing handle
     out.pullback = res
     return out
 

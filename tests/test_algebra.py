@@ -1,11 +1,13 @@
 """Group ring and cyclotomic arithmetic, all equalities exact."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gspans import algebra
 from gspans.algebra import (
     AbelianGroup,
     Character,
@@ -189,3 +191,35 @@ def test_idempotent_squares_for_all_subgroups():
         for sub in group.all_subgroups():
             u = average_idempotent(group, sub)
             assert u * u == u
+
+
+@pytest.mark.parametrize("orders", [[], [1], [2], [4], [2, 3], [2, 2, 3]])
+def test_group_arithmetic_is_coordinatewise_mod_n(orders):
+    G = AbelianGroup(orders)
+    for a, b in itertools.product(G.elements(), repeat=2):
+        want = tuple((x + y) % n for x, y, n in zip(a, b, orders))
+        assert G.add(a, b) == G.op(a, b) == want
+        assert G.sub(a, b) == G.add(a, G.neg(b))
+        assert G.neg(a) == G.inv(a) == tuple((-x) % n for x, n in zip(a, orders))
+
+
+def test_cyclotomic_invariants_raise_arithmetic_error():
+    # Phi_6 divides x^6 - 1 by Phi_1, Phi_2 and Phi_3 (cached first); a
+    # stand-in division that leaves a remainder or halves the quotient is
+    # caught, also under python -O
+    cyclotomic_polynomial(6)
+    uncached = cyclotomic_polynomial.__wrapped__
+    divmod_ = algebra._poly_divmod
+    try:
+        algebra._poly_divmod = lambda num, den: (divmod_(num, den)[0], (1,))
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            uncached(6)
+        algebra._poly_divmod = lambda num, den: (
+            tuple(Fraction(c, 2) for c in divmod_(num, den)[0]),
+            (),
+        )
+        with pytest.raises(ArithmeticError, match="non-integer"):
+            uncached(6)
+    finally:
+        algebra._poly_divmod = divmod_
+    assert uncached(6) == cyclotomic_polynomial(6) == (1, -1, 1)

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from gspans.cli import main, parse_document
+from gspans.algebra import CyclotomicNumber
+from gspans.cli import _rational_entry, main, parse_document
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -299,3 +300,34 @@ def test_malformed_documents_exit_2_with_their_path(tmp_path, capsys, doc, path)
     err = capsys.readouterr().err
     assert err.startswith("error: %s: " % path)
     assert "Traceback" not in err
+
+
+def two_group_point_span():
+    """point_span.json plus a Z2 character and a span u2 over Z2."""
+    doc = corpus_doc_with("point_span.json", ["groups", "Z2"], [2])
+    doc["characters"]["rho2"] = {"group": "Z2", "exponents": [1]}
+    doc["bg_functors"]["triv2"] = {"type": "trivial", "source": "pt", "group": "Z2"}
+    doc["spans"]["u2"] = dict(doc["spans"]["unit"], h="triv2", v="triv2")
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["matrix", "--span", "unit", "--character", "rho2"], "characters.rho2"),
+        (["compose", "--left", "unit", "--right", "u2"], "spans.u2"),
+    ],
+)
+def test_mismatched_groups_exit_2_with_their_path(tmp_path, capsys, argv, path):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(two_group_point_span()))
+    assert main([argv[0], str(f)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % path)
+    assert "Traceback" not in err
+
+
+def test_rational_entry_rejects_an_irrational_entry():
+    assert _rational_entry(CyclotomicNumber(2, (3,))) == "3"
+    with pytest.raises(ValueError, match="not a rational entry"):
+        _rational_entry(CyclotomicNumber(4, (0, 1)))

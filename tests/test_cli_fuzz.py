@@ -1,6 +1,6 @@
-"""Fuzz `gspans validate` with mutated corpus documents: whatever the edit,
-the command exits 0 (still valid) or 2 (input error, with a message) and never
-ends in a traceback."""
+"""Fuzz `gspans validate`, `matrix` and `compose` with mutated corpus
+documents: whatever the edit, each command exits 0 (still valid) or 2 (input
+error, with a message) and never ends in a traceback."""
 
 import contextlib
 import copy
@@ -83,16 +83,56 @@ def mutated_documents(draw):
     return doc
 
 
-@settings(max_examples=50, deadline=None)
-@given(mutated_documents())
-def test_validate_on_mutated_corpus_exits_0_or_2(doc):
+def run(doc, argv):
+    """main([command, <doc written to a file>, *options]); exit code, stderr."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "doc.json")
         with open(path, "w") as f:
             json.dump(doc, f)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["validate", path])
+            code = main([argv[0], path] + argv[1:])
+    return code, err.getvalue()
+
+
+def assert_exits_0_or_2(doc, argv):
+    code, err = run(doc, argv)
     assert code in (0, 2)
     if code == 2:
-        assert err.getvalue().startswith("error: ")
+        assert err.startswith("error: ")
+
+
+def section_names(doc, section):
+    """The entry names of a section of the document, else any name in it."""
+    entries = doc.get(section) if isinstance(doc, dict) else None
+    if isinstance(entries, dict) and entries:
+        return sorted(entries)
+    return names(doc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_documents())
+def test_validate_on_mutated_corpus_exits_0_or_2(doc):
+    assert_exits_0_or_2(doc, ["validate"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_documents(), st.data())
+def test_matrix_on_mutated_corpus_exits_0_or_2(doc, data):
+    argv = ["matrix", "--span", data.draw(st.sampled_from(section_names(doc, "spans")))]
+    if data.draw(st.booleans()):
+        argv += [
+            "--character",
+            data.draw(st.sampled_from(section_names(doc, "characters"))),
+        ]
+    if data.draw(st.booleans()):
+        argv.append("--json")
+    assert_exits_0_or_2(doc, argv)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_documents(), st.data())
+def test_compose_on_mutated_corpus_exits_0_or_2(doc, data):
+    spans = st.sampled_from(section_names(doc, "spans"))
+    argv = ["compose", "--left", data.draw(spans), "--right", data.draw(spans)]
+    assert_exits_0_or_2(doc, argv)

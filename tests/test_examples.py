@@ -158,6 +158,35 @@ def test_stirling_product_identity_n3():
     assert cm.is_identity()
 
 
+def stirling_by_recurrence(n_max):
+    """Unsigned S1 and S2 for n, k <= n_max by their recurrences."""
+    size = n_max + 1
+    s1 = [[0] * size for _ in range(size)]
+    s2 = [[0] * size for _ in range(size)]
+    s1[0][0] = s2[0][0] = 1
+    for n in range(1, size):
+        for k in range(1, n + 1):
+            s1[n][k] = s1[n - 1][k - 1] + (n - 1) * s1[n - 1][k]
+            s2[n][k] = s2[n - 1][k - 1] + k * s2[n - 1][k]
+    return s1, s2
+
+
+def test_stirling_composite_n5():
+    # the composite's naturality is checked on the factors of its strata, so
+    # N = 5 (a 1.35 M-object apex) composes in about a second
+    first, second = stirling_pair(5)
+    composed = span_matrix(compose_spans(first, second))
+    assert composed == span_matrix(first) * span_matrix(second)
+    s1, s2 = stirling_by_recurrence(5)
+    for n in range(6):
+        for m in range(6):
+            terms = {}
+            for k in range(6):
+                g = ((n - k) % 2,)
+                terms[g] = terms.get(g, 0) + s1[n][k] * s2[k][m]
+            assert composed.entries[n][m] == GroupRingElement(Z2, terms)
+
+
 def test_stirling_composite_alternative_stratification():
     # chi of the composed fibre over (n, m), per label, equals the sum over k
     # of products of the stratum chis

@@ -295,6 +295,10 @@ test_groupoid.test_action_on_an_unclosed_carrier_raises()
 test_groupoid.test_invariants_raise_value_error()
 import test_gspan
 test_gspan.test_span_invariants_raise_typed_errors()
+import test_algebra
+test_algebra.test_cyclotomic_invariants_raise_arithmetic_error()
+import test_cli
+test_cli.test_rational_entry_rejects_an_irrational_entry()
 print("checks fired")
 """
 
