@@ -8,8 +8,10 @@ caller-chosen object/morphism names; builder groupoids ("BG", "discrete",
 resolved object passes its module's validation; errors carry the JSON path.
 
 Commands: validate, euler, matrix, compose, check, example.  Exit codes:
-0 = pass, 1 = check failure, 2 = input error.  The environment variable
-GSPANS_SIZE_GUARD overrides the materialization guard.
+0 = pass, 1 = check failure, 2 = input error or a construction refused by the
+size guard (for check, the message names the check, trial and seed to
+replay).  The environment variable GSPANS_SIZE_GUARD overrides the
+materialization guard.
 """
 
 import argparse
@@ -32,7 +34,12 @@ from gspans.constructions import (
     right_fibre,
     two_sided_fibre,
 )
-from gspans.groupoid import TableGroupoid, composable_pairs, disjoint_union_tables
+from gspans.groupoid import (
+    SizeGuardError,
+    TableGroupoid,
+    composable_pairs,
+    disjoint_union_tables,
+)
 from gspans.gspan import (
     ComposabilityError,
     GSpan,
@@ -718,7 +725,7 @@ def cmd_compose(args):
 
 
 def _check_main(rng, trials, report):
-    for i in range(trials):
+    for i in trials:
         sp1, sp2 = rnd.random_composable_pair(rng)
         lhs, rhs = check_main_theorem(sp1, sp2)
         if lhs != rhs:
@@ -730,7 +737,7 @@ def _check_main(rng, trials, report):
 
 def _check_restrict(rng, trials, report, doc):
     spans = list(doc.spans.values()) if doc else []
-    for i in range(trials):
+    for i in trials:
         sp = spans[i] if i < len(spans) else rnd.random_span_with_structure(rng)
         m = span_matrix(sp)
         li = span_matrix(identity_span(sp.h))
@@ -742,7 +749,7 @@ def _check_restrict(rng, trials, report, doc):
 
 
 def _check_phistar(rng, trials, report):
-    for i in range(trials):
+    for i in trials:
         phi, h, v, eps = rnd.random_pushforward_data(rng)
         if span_matrix(pushforward_span(phi, h, v, eps)) != (
             pushforward_matrix_closed_form(phi, h, v, eps, forward=True)
@@ -758,7 +765,7 @@ def _check_phistar(rng, trials, report):
 
 
 def _check_interchange(rng, trials, report):
-    for i in range(trials):
+    for i in trials:
         u1, w1, u2, w2 = rnd.random_two_cell_square(rng)
         if not interchange_check(u1, w1, u2, w2):
             report("interchange", i, "interchange law fails")
@@ -767,7 +774,7 @@ def _check_interchange(rng, trials, report):
 
 
 def _check_lemma_chi(rng, trials, report):
-    for i in range(trials):
+    for i in trials:
         sp1, sp2 = rnd.random_composable_pair(
             rng, max_objects=5, max_apex_objects=5
         )
@@ -807,9 +814,15 @@ def cmd_check(args):
         failures.append((check, trial, message))
         print("FAIL %s (trial %d, seed %d): %s" % (check, trial, args.seed, message))
 
+    def trials(check):
+        # main() names the running trial if a construction is refused
+        for i in range(args.trials):
+            args.running = (check, i, args.seed)
+            yield i
+
     for w in which:
         rng = random.Random(args.seed)
-        if CHECKS[w](rng, args.trials, report, doc):
+        if CHECKS[w](rng, trials(w), report, doc):
             print("pass %s (%d trials, seed %d)" % (w, args.trials, args.seed))
     return 1 if failures else 0
 
@@ -927,6 +940,11 @@ def main(argv=None):
         return args.fn(args)
     except DocumentError as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except SizeGuardError as e:
+        running = getattr(args, "running", None)
+        where = "check %s (trial %d, seed %d): " % running if running else ""
+        print("error: %s%s" % (where, e), file=sys.stderr)
         return 2
 
 

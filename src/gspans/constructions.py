@@ -151,7 +151,10 @@ class GroupValuedFunctor:
         return cls(source, group, lambda m: group.identity, check=False)
 
     def extensionally_equals(self, other):
-        """Same source objects and equal values on a generating family."""
+        """Same source objects and equal values on the source's generating
+        family morphism_sample() (a table's component stars): two functors
+        that agree there agree on every morphism.  Both must be functors;
+        one that is not can differ off the family unseen."""
         if self.group != other.group:
             return False
         if list(self.source.objects) != list(other.source.objects):

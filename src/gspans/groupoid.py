@@ -17,11 +17,17 @@ Composition convention: compose(m2, m1) means "m2 after m1".  In X//G the
 hom-set (x1 -> x2) is {g : x2.g = x1}, so the morphism handle (x1, g) has
 source x1 and target x1.g^-1, and (x1,g1) followed by (y1,g2) is (x1, g2*g1).
 
+Every view has a generating family, morphism_sample(): an action groupoid's
+points x generators, a table's component stars (at each representative r,
+all of Aut(r) and one morphism r -> x per object x).  A natural square, or
+an equality of functors, that holds on the family holds on every morphism,
+so the validators walk the family, not the morphisms.
+
 Groupoids do not change after construction and all analyses are pure; the
-hom index, component partition, orbit partition, a factor's memoized action
-and a table's compose/inverse entries are filled lazily, so prime them (call
-components(), or validate() on a table) before sharing a groupoid across
-threads.
+hom index, component partition, star family, orbit partition, a factor's
+memoized action and a table's compose/inverse entries are filled lazily, so
+prime them (call components(), or validate() on a table) before sharing a
+groupoid across threads.
 """
 
 import itertools
@@ -210,6 +216,7 @@ class TableGroupoid:
         self._hom = None
         self._components = None
         self._rep_of = None
+        self._star = None
 
     # -- basic access ------------------------------------------------------
 
@@ -287,8 +294,27 @@ class TableGroupoid:
         return len(self.source) == len(self.objects)
 
     def morphism_sample(self):
-        """A generating family of morphisms (here: all of them)."""
-        return self.morphisms
+        """A generating family of morphisms, the star of each component: at
+        its representative r, all of Aut(r) and the first morphism r -> x to
+        every other object x.  Any x -> y is star(y) a star(x)^-1 with a in
+        Aut(r), so a natural square or an equality of functors that holds on
+        the family holds everywhere.  Every handle leaves its representative,
+        in component order.  Read off the hom index once and cached; nothing
+        is composed."""
+        if self._star is None:
+            hom = self._hom_index()
+            star = []
+            for comp in self._component_lists():
+                r = comp[0]
+                for x in comp:
+                    ms = hom.get((r, x))
+                    if not ms:
+                        raise ValueError(
+                            "no morphism %r -> %r in a component" % (r, x)
+                        )
+                    star.extend(ms if x == r else ms[:1])
+            self._star = tuple(star)
+        return self._star
 
     def all_morphisms(self):
         return self.morphisms

@@ -86,12 +86,13 @@ class GSpan:
         return self._eps(a)
 
     def validate(self):
-        """eps(a2) + HL(m) = VR(m) + eps(a1) on a generating set of morphisms
-        (all morphisms for table apexes); composites follow since HL and VR
+        """eps(a2) + HL(m) = VR(m) + eps(a1) on the apex's generating family
+        morphism_sample() (a table's component stars, an action groupoid's
+        points x generators); composites and inverses follow since HL and VR
         are functors.  Samples come grouped by source, so eps(a1) is read
-        once per run of handles with the same source.  This pointwise walk
-        is the naturality oracle: compose_spans checks a lazy composite on
-        its factors instead and calls it only to name a failing handle."""
+        once per run of handles with the same source (once per component on
+        a table).  compose_spans checks a lazy composite on its factors
+        instead and calls this walk only to name a failing handle."""
         G, apex = self.group, self.apex
         a1 = None
         for m in apex.morphism_sample():
@@ -684,12 +685,22 @@ class SpanMorphism:
             self.validate()
 
     def validate(self):
+        """The laws of a 2-cell: at every object x of M1, A(x) and B(x) have
+        the right endpoints and V(Bx) + eps1(x) = eps2(Phi x) + H(Ax); and A
+        and B are natural on M1.morphism_sample(), a generating family (the
+        component stars of a table).  Naturality on generators implies it on
+        composites and inverses only because L1, L2, R1, R2 and Phi are
+        functors, which this does not check: vertical_compose,
+        horizontal_compose and identity_composite_cells build Phi as a
+        functor, and the CLI checks a document's legs and Phi with
+        GroupoidFunctor(check=True)."""
         sp1, sp2 = self.src_span, self.dst_span
         S, T, G = sp1.source, sp1.target, sp1.group
         M1 = sp1.apex
+        comps = {}  # x -> (A(x), B(x))
         for x in M1.objects:
             px = self.phi.on_obj(x)
-            ax, bx = self.a(x), self.b(x)
+            ax, bx = comps[x] = self.a(x), self.b(x)
             if S.source_of(ax) != sp1.left.on_obj(x) or S.target_of(
                 ax
             ) != sp2.left.on_obj(px):
@@ -704,15 +715,16 @@ class SpanMorphism:
                 raise SpanMorphismError(
                     "label compatibility fails at object %r" % (x,)
                 )
-        for m in M1.all_morphisms():
-            x, y = M1.source_of(m), M1.target_of(m)
+        for m in M1.morphism_sample():
+            ax, bx = comps[M1.source_of(m)]
+            ay, by = comps[M1.target_of(m)]
             pm = self.phi.on_mor(m)
-            if S.compose_m(self.a(y), sp1.left.on_mor(m)) != S.compose_m(
-                sp2.left.on_mor(pm), self.a(x)
+            if S.compose_m(ay, sp1.left.on_mor(m)) != S.compose_m(
+                sp2.left.on_mor(pm), ax
             ):
                 raise SpanMorphismError("A is not natural at %r" % (m,))
-            if T.compose_m(self.b(y), sp1.right.on_mor(m)) != T.compose_m(
-                sp2.right.on_mor(pm), self.b(x)
+            if T.compose_m(by, sp1.right.on_mor(m)) != T.compose_m(
+                sp2.right.on_mor(pm), bx
             ):
                 raise SpanMorphismError("B is not natural at %r" % (m,))
 

@@ -1,8 +1,9 @@
 """Brute-force enumeration oracles, independent of the groupoid machinery,
 plus the per-entry fibre construction of span matrices (the definition that
-span_matrix evaluates by groupoid cardinality).  gspans is imported inside
-the functions: the benchmark imports this module before it times the import
-of gspans."""
+span_matrix evaluates by groupoid cardinality) and the naturality checks of
+spans and 2-cells at every morphism (the validators walk a generating
+family).  gspans is imported inside the functions: the benchmark imports
+this module before it times the import of gspans."""
 
 import itertools
 from fractions import Fraction
@@ -101,3 +102,58 @@ def fibre_span_matrix(sp):
         for c in rows
     ]
     return SpanMatrix(sp.group, rows, cols, entries)
+
+
+def all_morphism_span_naturality(sp):
+    """GSpan.validate's square eps(a2) + HL(m) = VR(m) + eps(a1) at every
+    morphism m: a1 -> a2 of the apex; raises GSpanError at the first
+    failure."""
+    from gspans.gspan import GSpanError
+
+    G, apex = sp.group, sp.apex
+    for m in apex.all_morphisms():
+        e1, e2 = sp.eps(apex.source_of(m)), sp.eps(apex.target_of(m))
+        lhs = G.add(e2, sp.h.value(sp.left.on_mor(m)))
+        rhs = G.add(sp.v.value(sp.right.on_mor(m)), e1)
+        if lhs != rhs:
+            raise GSpanError(
+                "labeling is not natural at morphism %r: %r + HL != VR + %r"
+                % (m, e2, e1)
+            )
+
+
+def all_morphism_cell_naturality(cell):
+    """SpanMorphism.validate with A and B checked natural at every morphism
+    of the source apex: the object laws, then the naturality squares;
+    raises SpanMorphismError at the first failure."""
+    from gspans.gspan import SpanMorphismError
+
+    sp1, sp2 = cell.src_span, cell.dst_span
+    S, T, G = sp1.source, sp1.target, sp1.group
+    M1 = sp1.apex
+    for x in M1.objects:
+        px = cell.phi.on_obj(x)
+        ax, bx = cell.a(x), cell.b(x)
+        if S.source_of(ax) != sp1.left.on_obj(x) or S.target_of(
+            ax
+        ) != sp2.left.on_obj(px):
+            raise SpanMorphismError("A component has wrong endpoints at %r" % (x,))
+        if T.source_of(bx) != sp1.right.on_obj(x) or T.target_of(
+            bx
+        ) != sp2.right.on_obj(px):
+            raise SpanMorphismError("B component has wrong endpoints at %r" % (x,))
+        if G.add(sp1.v.value(bx), sp1.eps(x)) != G.add(
+            sp2.eps(px), sp1.h.value(ax)
+        ):
+            raise SpanMorphismError("label compatibility fails at object %r" % (x,))
+    for m in M1.all_morphisms():
+        x, y = M1.source_of(m), M1.target_of(m)
+        pm = cell.phi.on_mor(m)
+        if S.compose_m(cell.a(y), sp1.left.on_mor(m)) != S.compose_m(
+            sp2.left.on_mor(pm), cell.a(x)
+        ):
+            raise SpanMorphismError("A is not natural at %r" % (m,))
+        if T.compose_m(cell.b(y), sp1.right.on_mor(m)) != T.compose_m(
+            sp2.right.on_mor(pm), cell.b(x)
+        ):
+            raise SpanMorphismError("B is not natural at %r" % (m,))

@@ -331,3 +331,30 @@ def test_rational_entry_rejects_an_irrational_entry():
     assert _rational_entry(CyclotomicNumber(2, (3,))) == "3"
     with pytest.raises(ValueError, match="not a rational entry"):
         _rational_entry(CyclotomicNumber(4, (0, 1)))
+
+
+def test_compose_refused_by_the_size_guard_exits_2(monkeypatch, capsys):
+    # the pullback of ident with itself has 4 morphisms
+    monkeypatch.setenv("GSPANS_SIZE_GUARD", "3")
+    argv = ["compose", doc_path("bz2_identity.json"), "--left", "ident",
+            "--right", "ident"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: materialization of 4 morphisms exceeds the size guard 3 "
+        "(set GSPANS_SIZE_GUARD to raise it)\n"
+    )
+
+
+def test_check_refused_by_the_size_guard_names_the_trial(monkeypatch, capsys):
+    # trial 2 of seed 2 nests a pullback of 20 001 morphisms
+    monkeypatch.delenv("GSPANS_SIZE_GUARD", raising=False)
+    assert main(["check", "--which", "interchange", "--seed", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: check interchange (trial 2, seed 2): materialization of 20001 "
+        "morphisms exceeds the size guard 20000 (set GSPANS_SIZE_GUARD to "
+        "raise it)\n"
+    )
