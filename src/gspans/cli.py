@@ -827,10 +827,18 @@ def cmd_check(args):
     return 1 if failures else 0
 
 
+# N=6 builds in seconds; N=7's first-kind apex alone has 5 040 * 7! points
+STIRLING_MAX_N = 6
+
+
 def cmd_example(args):
     if args.kind != "stirling":
         raise DocumentError("$", "unknown example %r" % args.kind)
     n = args.n
+    if not 0 <= n <= STIRLING_MAX_N:
+        raise DocumentError(
+            "--n", "N must be in 0..%d, got %d" % (STIRLING_MAX_N, n)
+        )
     first, second = stirling_pair(n, guard=max(5, n))
     a, b = span_matrix(first), span_matrix(second)
     prod = matrix_multiply(a, b)

@@ -29,7 +29,6 @@ from gspans.groupoid import (
     Subgroup,
     SymmetricGroup,
     TableBuilder,
-    pcompose,
     pinverse,
 )
 from gspans.gspan import GSpan, SpanMatrix, SpanMorphism
@@ -95,7 +94,8 @@ def _canonical_rgs(labels):
 
 def conjugate_perm(sigma, g):
     """Right action sigma . g = g^-1 sigma g."""
-    return pcompose(pinverse(g), pcompose(sigma, g))
+    ginv = pinverse(g)
+    return tuple(ginv[sigma[i]] for i in g)
 
 
 def relabel_partition(rgs, g):
@@ -218,14 +218,11 @@ def stirling_span(cfg, base=None):
 
 
 def stirling_pair(N, guard=5):
-    """Composable (first kind, second kind) spans over one shared base."""
+    """Composable (first kind, second kind) spans over one shared base; the
+    middle legs (first's V, second's H) are both trivial, so equal."""
     base = discrete_groupoid(N + 1)
     first = stirling_span(StirlingSpanConfig("first", N, guard), base)
     second = stirling_span(StirlingSpanConfig("second", N, guard), base)
-    # one middle functor: reuse first's V as second's H
-    second = GSpan(
-        second.apex, second.left, second.right, first.v, second.v, second.eps
-    )
     return first, second
 
 

@@ -8,10 +8,13 @@ demand from it: a pullback apex composes (n1, u, n2) after (m1, t, m2) as
 (n1 m1, t, n2 m2), so no table is filled that nobody reads.  ActionGroupoid
 is the lazy form X//G of a right group action: components are orbits and
 automorphism group orders come from orbit-stabilizer, so the large examples
-never materialize their hom-sets.  ProductActionGroupoid is X1 x X2 //
+never materialize their hom-sets.  It evaluates the action on generators
+once, into one integer table per generator, and everything that moves a
+point by a generator reads that table.  ProductActionGroupoid is X1 x X2 //
 (G1 x G2) kept as its two factors (ActionFactor): its orbits are pairs of
-factor orbits, so components, |Aut| and chi multiply out of the factors and
-no product carrier is stored.
+factor orbits, so components, |Aut| and chi multiply out of the factors, a
+handle's target is read off the factors' tables, and no product carrier is
+stored.
 
 Composition convention: compose(m2, m1) means "m2 after m1".  In X//G the
 hom-set (x1 -> x2) is {g : x2.g = x1}, so the morphism handle (x1, g) has
@@ -24,10 +27,10 @@ an equality of functors, that holds on the family holds on every morphism,
 so the validators walk the family, not the morphisms.
 
 Groupoids do not change after construction and all analyses are pure; the
-hom index, component partition, star family, orbit partition, a factor's
-memoized action and a table's compose/inverse entries are filled lazily, so
-prime them (call components(), or validate() on a table) before sharing a
-groupoid across threads.
+hom index, component partition, star family, orbit partition, an action
+groupoid's generator tables and a table's compose/inverse entries are filled
+lazily, so prime them (call components(), or validate() on a table) before
+sharing a groupoid across threads.
 """
 
 import itertools
@@ -518,35 +521,20 @@ def materialize(view):
 # action groupoids
 
 
-class ActionGroupoid:
-    """X//G for a right action: objects are carrier points, hom(x1,x2) =
-    {g : x2.g = x1}.  Components and automorphism orders are computed from
-    orbits without enumerating morphisms."""
-
-    def __init__(self, group, carrier, act):
-        self.group = group
-        self.carrier = list(carrier)
-        self.act = act
-        self._index = {x: i for i, x in enumerate(self.carrier)}
-        if len(self._index) != len(self.carrier):
-            raise ValueError("carrier has duplicates")
-        self._orbit_of = None
-        self._orbit_list = None
+class _ActionHandles:
+    """The morphism handles of an action groupoid, shared by ActionGroupoid
+    and ProductActionGroupoid: (source object, group element), where the
+    subclass gives group, _points() (the objects, in order) and target_of."""
 
     @property
     def objects(self):
-        return list(self.carrier)
-
-    # -- morphism handles: (source point, group element) --------------------
+        return list(self._points())
 
     def identity_at(self, x):
         return (x, self.group.identity)
 
     def source_of(self, m):
         return m[0]
-
-    def target_of(self, m):
-        return self.act(m[0], self.group.inv(m[1]))
 
     def compose_m(self, m2, m1):
         if self.target_of(m1) != m2[0]:
@@ -556,133 +544,161 @@ class ActionGroupoid:
     def inverse_m(self, m):
         return (self.target_of(m), self.group.inv(m[1]))
 
+    @property
+    def is_discrete(self):
+        return self.group.order == 1
+
+    def morphism_sample(self):
+        """Generating family: one handle per object per generator, made
+        lazily and grouped by source (a composed apex can have tens of
+        thousands)."""
+        gens = self.group.generators()
+        return ((x, g) for x in self._points() for g in gens)
+
+    def all_morphisms(self):
+        els = self.group.elements()
+        return [(x, g) for x in self._points() for g in els]
+
+    def materialize(self, guard=None):
+        """Explicit table; morphisms are (source object, group element) pairs."""
+        bound = guard if guard is not None else size_guard()
+        total = len(self.objects) * self.group.order
+        if total > bound:
+            raise SizeGuardError(total, bound)
+        return materialize(self)
+
+
+class ActionGroupoid(_ActionHandles):
+    """X//G for a right action: objects are carrier points, hom(x1,x2) =
+    {g : x2.g = x1}.  Components and automorphism orders are computed from
+    orbits without enumerating morphisms.
+
+    The action on generators is evaluated once, into one table per generator
+    g (carrier position -> position of x.g^-1), built on first use; orbits,
+    target_of on generator handles and the factors of product strata read
+    it.  Other handles act through act(x, g^-1)."""
+
+    def __init__(self, group, carrier, act):
+        self.group = group
+        self.carrier = list(carrier)
+        self.act = act
+        self._index = {x: i for i, x in enumerate(self.carrier)}
+        if len(self._index) != len(self.carrier):
+            raise ValueError("carrier has duplicates")
+        self._moves = None
+        self._orbit_of = None
+        self._orbit_list = None
+
+    def _points(self):
+        return self.carrier
+
+    def _generator_tables(self):
+        """{g: [position of x.g^-1 for x in the carrier]} per generator g."""
+        if self._moves is None:
+            index, act, inv = self._index, self.act, self.group.inv
+            moves = {}
+            for g in self.group.generators():
+                h = inv(g)
+                row = moves[g] = [index.get(act(x, h)) for x in self.carrier]
+                if None in row:
+                    raise ValueError("carrier is not closed under the action")
+            self._moves = moves
+        return self._moves
+
+    def target_of(self, m):
+        x, g = m
+        row = self._generator_tables().get(g)
+        if row is None:
+            return self.act(x, self.group.inv(g))
+        return self.carrier[row[self._index[x]]]
+
     def hom(self, a, b):
         return [
             (a, g) for g in self.group.elements() if self.act(b, g) == a
         ]
 
     def hom_size(self, a, b):
-        if self._orbits_index()[a] != self._orbits_index()[b]:
-            return 0
-        return self.group.order // len(self._orbit_list[self._orbits_index()[a]])
-
-    @property
-    def is_discrete(self):
-        return self.group.order == 1
-
-    def morphism_sample(self):
-        """Generating family: one handle per carrier point per generator,
-        made lazily (a composed apex can have tens of thousands)."""
-        gens = self.group.generators()
-        return ((x, g) for x in self.carrier for g in gens)
-
-    def all_morphisms(self):
-        return [(x, g) for x in self.carrier for g in self.group.elements()]
+        orbit = self._orbit(a)
+        return self.group.order // len(orbit) if self._orbit(b) is orbit else 0
 
     # -- orbits --------------------------------------------------------------
 
-    def _orbits_index(self):
+    def _orbits(self):
+        """The orbit number of each carrier position, and the orbits as
+        position lists in first-point order, each starting at its first
+        point: a search over the generator tables (orbits under the g^-1
+        are the orbits under the g)."""
         if self._orbit_of is None:
-            gens = self.group.generators()
-            orbit_of = {}
+            rows = list(self._generator_tables().values())
+            orbit_of = [None] * len(self.carrier)
             orbits = []
-            for x in self.carrier:
-                if x in orbit_of:
+            for i in range(len(self.carrier)):
+                if orbit_of[i] is not None:
                     continue
-                idx = len(orbits)
-                orbit = [x]
-                orbit_of[x] = idx
-                frontier = [x]
-                while frontier:
-                    nxt = []
-                    for y in frontier:
-                        for g in gens:
-                            z = self.act(y, g)
-                            if z not in orbit_of:
-                                i = self._index.get(z)
-                                if i is None:
-                                    raise ValueError(
-                                        "carrier is not closed under the action"
-                                    )
-                                # keep the carrier's own point, not act's copy:
-                                # the index is cached for the groupoid's life
-                                z = self.carrier[i]
-                                orbit_of[z] = idx
-                                orbit.append(z)
-                                nxt.append(z)
-                    frontier = nxt
+                k = len(orbits)
+                orbit_of[i] = k
+                orbit = [i]
+                for j in orbit:  # grows as the search reaches new points
+                    for row in rows:
+                        n = row[j]
+                        if orbit_of[n] is None:
+                            orbit_of[n] = k
+                            orbit.append(n)
                 orbits.append(orbit)
             self._orbit_of = orbit_of
             self._orbit_list = orbits
-        return self._orbit_of
+        return self._orbit_of, self._orbit_list
+
+    def _orbit(self, x):
+        orbit_of, orbits = self._orbits()
+        return orbits[orbit_of[self._index[x]]]
 
     def components(self):
         """Orbits, each ordered by carrier position, in first-point order."""
-        self._orbits_index()
-        key = self._index.__getitem__
-        return [sorted(orbit, key=key) for orbit in self._orbit_list]
+        carrier = self.carrier
+        return [[carrier[i] for i in sorted(o)] for o in self._orbits()[1]]
 
     def component_reps(self):
-        # the orbit search starts each orbit at its first carrier point
-        self._orbits_index()
-        return [orbit[0] for orbit in self._orbit_list]
+        carrier = self.carrier
+        return [carrier[o[0]] for o in self._orbits()[1]]
 
     def component_rep(self, x):
-        idx = self._orbits_index()[x]
-        return self._orbit_list[idx][0]
+        return self.carrier[self._orbit(x)[0]]
 
     def aut_order(self, x):
-        idx = self._orbits_index()[x]
-        return self.group.order // len(self._orbit_list[idx])
+        return self.group.order // len(self._orbit(x))
 
     def chi(self):
-        self._orbits_index()
         return sum(
-            (Fraction(len(orbit), self.group.order) for orbit in self._orbit_list),
+            (Fraction(len(o), self.group.order) for o in self._orbits()[1]),
             Fraction(0),
         )
 
     def full_subgroupoid(self, objs):
-        # valid only for action-closed subsets (orbit BFS asserts closure);
-        # all internal uses restrict to level sets of orbit-constant maps
+        # valid only for action-closed subsets (the generator tables refuse
+        # an unclosed carrier); all internal uses restrict to level sets of
+        # orbit-constant maps
         keep = set(objs)
         return ActionGroupoid(
             self.group, [x for x in self.carrier if x in keep], self.act
         )
 
-    def materialize(self, guard=None):
-        """Explicit table; morphisms are (source point, group element) pairs."""
-        bound = guard if guard is not None else size_guard()
-        total = len(self.carrier) * self.group.order
-        if total > bound:
-            raise SizeGuardError(total, bound)
-        return materialize(self)
-
 
 class ActionFactor:
     """One factor of a ProductActionGroupoid: an action groupoid whose points
     are read as (tag, x).  The tagged points are made once and shared by
-    every product the factor belongs to, and so is the action on them,
-    memoized per (point, element)."""
+    every product the factor belongs to; the action on them is the view's,
+    read off its generator tables for generators."""
 
     def __init__(self, tag, view):
         self.tag = tag
         self.view = view
         self.points = [(tag, x) for x in view.carrier]
         self._point = dict(zip(view.carrier, self.points))
-        self._moved = {}
 
-    def act(self, p, g):
-        key = (p[1], g)
-        try:
-            return self._moved[key]
-        except KeyError:
-            pass
-        q = self._point.get(self.view.act(p[1], g))
-        if q is None:
-            raise ValueError("carrier is not closed under the action")
-        self._moved[key] = q
-        return q
+    def target(self, p, g):
+        """The target p.g^-1 of the handle (p, g)."""
+        return self._point[self.view.target_of((p[1], g))]
 
     def components(self):
         point = self._point
@@ -695,30 +711,26 @@ class ActionFactor:
         return self._point[self.view.component_rep(p[1])]
 
 
-class ProductActionGroupoid:
+class ProductActionGroupoid(_ActionHandles):
     """X1 x X2 // (G1 x G2), kept as its two factors X1//G1 and X2//G2.
 
     Objects are triples (p1, t, p2) of a point of each factor and a fixed
     middle tag t (the pullback's morphism of T), in lexicographic order of
-    (p1, p2); morphism handles are (object, (g1, g2)) as in ActionGroupoid.
-    G1 x G2 acts one factor at a time, so its orbits are pairs of factor
-    orbits and components, automorphism orders and chi are read off the
-    factors (chi and |Aut| multiply); no product carrier is stored."""
+    (p1, p2); morphism handles are (object, (g1, g2)) as in ActionGroupoid,
+    and a handle's target is each factor's target of its component.  G1 x G2
+    acts one factor at a time, so its orbits are pairs of factor orbits and
+    components, automorphism orders and chi are read off the factors (chi
+    and |Aut| multiply); no product carrier is stored."""
 
     def __init__(self, left, right, t):
         self.left = left
         self.right = right
         self.t = t
         self.group = ProductGroup(left.view.group, right.view.group)
-        self._inverse = {}
 
     def _points(self):
         t = self.t
         return ((p1, t, p2) for p1 in self.left.points for p2 in self.right.points)
-
-    @property
-    def objects(self):
-        return list(self._points())
 
     @property
     def carrier(self):
@@ -726,41 +738,14 @@ class ProductActionGroupoid:
         call, for callers that size the generating family."""
         return self.objects
 
-    def act(self, o, g):
-        p1, t, p2 = o
-        g1, g2 = g
+    def target_of(self, m):
+        (p1, t, p2), (g1, g2) = m
         e1, e2 = self.group.identity
         if g1 != e1:
-            p1 = self.left.act(p1, g1)
+            p1 = self.left.target(p1, g1)
         if g2 != e2:
-            p2 = self.right.act(p2, g2)
+            p2 = self.right.target(p2, g2)
         return (p1, t, p2)
-
-    def _inv(self, g):
-        try:
-            return self._inverse[g]
-        except KeyError:
-            h = self._inverse[g] = self.group.inv(g)
-            return h
-
-    # -- morphism handles: (source object, (g1, g2)) -------------------------
-
-    def identity_at(self, o):
-        return (o, self.group.identity)
-
-    def source_of(self, m):
-        return m[0]
-
-    def target_of(self, m):
-        return self.act(m[0], self._inv(m[1]))
-
-    def compose_m(self, m2, m1):
-        if self.target_of(m1) != m2[0]:
-            raise ValueError("compose of non-composable pair %r" % ((m2, m1),))
-        return (m1[0], self.group.op(m2[1], m1[1]))
-
-    def inverse_m(self, m):
-        return (self.target_of(m), self._inv(m[1]))
 
     def hom(self, a, b):
         h1 = self.left.view.hom(a[0][1], b[0][1])
@@ -771,20 +756,6 @@ class ProductActionGroupoid:
         return self.left.view.hom_size(a[0][1], b[0][1]) * self.right.view.hom_size(
             a[2][1], b[2][1]
         )
-
-    @property
-    def is_discrete(self):
-        return self.group.order == 1
-
-    def morphism_sample(self):
-        """Generating family, as ActionGroupoid's: one handle per object per
-        generator of G1 x G2, made lazily and grouped by source."""
-        gens = self.group.generators()
-        return ((o, g) for o in self._points() for g in gens)
-
-    def all_morphisms(self):
-        els = self.group.elements()
-        return [(o, g) for o in self._points() for g in els]
 
     # -- orbits, from the factors ---------------------------------------------
 
@@ -814,10 +785,13 @@ class ProductActionGroupoid:
         return self.left.view.chi() * self.right.view.chi()
 
     def full_subgroupoid(self, objs):
-        # valid only for action-closed subsets, as in ActionGroupoid
+        # valid only for action-closed subsets, as in ActionGroupoid; o.g is
+        # the target of (o, g^-1)
         keep = set(objs)
         return ActionGroupoid(
-            self.group, [o for o in self._points() if o in keep], self.act
+            self.group,
+            [o for o in self._points() if o in keep],
+            lambda o, g: self.target_of((o, self.group.inv(g))),
         )
 
 

@@ -452,8 +452,8 @@ def _natural_on_factors(sp1, sp2, strata):
     So a stratum is natural iff A(F1) is empty or A(F1) and B(F2) hold one
     value between them, and likewise C(F2) and D(F1) (factors have points).
     The value sets are made once per factor, since factors are shared by
-    strata: the cost is factor points x generators, not product points x
-    generators."""
+    strata, and x.g^-1 is read off the factor view's generator table: the
+    cost is factor points x generators, not product points x generators."""
     G = sp1.group
     memo = {}  # factor -> (moved, fixed)
 
@@ -464,14 +464,14 @@ def _natural_on_factors(sp1, sp2, strata):
         if f not in memo:
             K = f.view.group
             e = K.identity
-            gens = [(g, K.inv(g)) for g in K.generators()]
+            gens = K.generators()
             moved, fixed = set(), set()
             for x in f.points:
                 tag, y = x
                 ex = sp.eps(x)
                 fixed.add(G.neg(F((tag, (y, e)))))
-                for g, h in gens:
-                    eq = sp.eps(x if h == e else f.act(x, h))
+                for g in gens:
+                    eq = sp.eps(f.target(x, g))
                     moved.add(G.sub(G.add(eq, F((tag, (y, g)))), ex))
             memo[f] = moved, fixed
         return memo[f]

@@ -1,8 +1,9 @@
 """Brute-force enumeration oracles, independent of the groupoid machinery,
 plus the per-entry fibre construction of span matrices (the definition that
-span_matrix evaluates by groupoid cardinality) and the naturality checks of
+span_matrix evaluates by groupoid cardinality), the naturality checks of
 spans and 2-cells at every morphism (the validators walk a generating
-family).  gspans is imported inside the functions: the benchmark imports
+family) and the orbits of an action groupoid read off its act alone (the
+groupoid reads them off its generator tables).  gspans is imported inside the functions: the benchmark imports
 this module before it times the import of gspans."""
 
 import itertools
@@ -157,3 +158,23 @@ def all_morphism_cell_naturality(cell):
             sp2.right.on_mor(pm), cell.b(x)
         ):
             raise SpanMorphismError("B is not natural at %r" % (m,))
+
+
+def action_orbits(view):
+    """The orbits {x.g : g in G} of an action groupoid X//G, each ordered by
+    carrier position, in first-point order, computed with view.act over every
+    element of G."""
+    pos = {x: i for i, x in enumerate(view.carrier)}
+    els = view.group.elements()
+    seen, out = set(), []
+    for x in view.carrier:
+        if x not in seen:
+            orbit = {view.act(x, g) for g in els}
+            seen |= orbit
+            out.append(sorted(orbit, key=pos.__getitem__))
+    return out
+
+
+def action_aut_order(view, x):
+    """|Aut(x)| in X//G as the stabilizer {g : x.g = x}, counted with act."""
+    return sum(1 for g in view.group.elements() if view.act(x, g) == x)

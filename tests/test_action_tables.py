@@ -1,0 +1,158 @@
+"""ActionGroupoid reads the action on generators off one table per generator.
+Differential tests against act itself: target_of on every handle, and
+orbits, representatives and |Aut| against an orbit oracle that calls act
+only.  A counting test pins that each member of the Stirling pipeline acts
+once per point and generator."""
+
+import os
+import random
+
+import pytest
+
+from gspans import groupoid
+from gspans import random_spans as rnd
+from gspans.algebra import AbelianGroup
+from gspans.cli import parse_document
+from gspans.examples import stirling_pair, subset_span
+from gspans.gspan import compose_spans, span_matrix
+from oracles import abelian_group_order_lists, action_aut_order, action_orbits
+from test_product_strata import plain_stratum, split_pair, twisted_pair
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+
+def corpus_coset_members(pairs=50, seed=20260810):
+    """The coset groupoids drawn for the seeded acceptance corpus."""
+    members = []
+    draw = rnd.coset_groupoid
+
+    def recording(group, subgroup):
+        members.append(draw(group, subgroup))
+        return members[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rnd, "coset_groupoid", recording)
+        rng = random.Random(seed)
+        for _ in range(pairs):
+            rnd.random_composable_pair(
+                rng, max_group_order=6, max_objects=8, max_apex_objects=8
+            )
+    return members
+
+
+def stirling_members(max_n=4):
+    out = []
+    for n in range(max_n + 1):
+        first, second = stirling_pair(n)
+        out += first.apex.members + second.apex.members
+    return out
+
+
+def subset_apexes(max_order=6):
+    """Apexes of subset spans over ProductGroup(Subgroup, Subgroup): all of
+    G, acted on by every pair of subgroups."""
+    out = []
+    for orders in abelian_group_order_lists(max_order):
+        G = AbelianGroup(orders)
+        subs = G.all_subgroups()
+        for s_els in subs:
+            for t_els in subs:
+                out.append(subset_span(G, G.elements(), s_els, t_els).apex)
+    return out
+
+
+def split_and_twisted_composites():
+    sp1, sp2, _ = split_pair()
+    return [compose_spans(sp1, sp2), compose_spans(*twisted_pair())]
+
+
+def factor_views():
+    """The factor views of the split and twisted unions' strata, split
+    level sets included."""
+    views = {}
+    for composed in split_and_twisted_composites():
+        for p in composed.apex.members:
+            views[id(p.left.view)] = p.left.view
+            views[id(p.right.view)] = p.right.view
+    return list(views.values())
+
+
+def document_actions():
+    with open(os.path.join(CORPUS, "coset_z6.json")) as f:
+        doc = parse_document(f.read())
+    return [
+        g for g in doc.groupoids.values() if isinstance(g, groupoid.ActionGroupoid)
+    ]
+
+
+INPUTS = {
+    "corpus cosets": corpus_coset_members,
+    "stirling members": stirling_members,
+    "subset apexes": subset_apexes,
+    "split and twisted factors": factor_views,
+    "document actions": document_actions,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_tables_agree_with_act(name):
+    views = INPUTS[name]()
+    assert views
+    for view in views:
+        inv = view.group.inv
+        for m in view.all_morphisms():
+            assert view.target_of(m) == view.act(m[0], inv(m[1]))
+        orbits = action_orbits(view)
+        assert view.components() == orbits
+        assert view.component_reps() == [o[0] for o in orbits]
+        for orbit in orbits:
+            for x in orbit:
+                assert view.component_rep(x) == orbit[0]
+                assert view.aut_order(x) == action_aut_order(view, x)
+
+
+def test_product_targets_agree_with_the_factor_actions():
+    composites = split_and_twisted_composites()
+    composites += [compose_spans(*stirling_pair(n)) for n in (2, 3)]
+    for composed in composites:
+        for p in composed.apex.members:
+            plain = plain_stratum(p)
+            inv = p.group.inv
+            for m in p.all_morphisms():
+                assert p.target_of(m) == plain.act(m[0], inv(m[1]))
+            assert p.full_subgroupoid(p.objects).components() == p.components()
+
+
+def test_unclosed_carrier_is_refused_by_the_table_build():
+    swap = groupoid.ActionGroupoid(
+        groupoid.SymmetricGroup(2), [0], lambda x, g: g[x]
+    )
+    for read in (swap.components, lambda: swap.target_of((0, (1, 0)))):
+        with pytest.raises(ValueError, match="not closed"):
+            read()
+
+
+def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
+    calls = []  # (view, [count]) per action groupoid made
+    init = groupoid.ActionGroupoid.__init__
+
+    def counting_init(self, group, carrier, act):
+        count = [0]
+
+        def counted(x, g):
+            count[0] += 1
+            return act(x, g)
+
+        calls.append((self, count))
+        init(self, group, carrier, counted)
+
+    monkeypatch.setattr(groupoid.ActionGroupoid, "__init__", counting_init)
+    first, second = stirling_pair(4)
+    composed = compose_spans(first, second)
+    for sp in (first, second, composed):
+        span_matrix(sp)
+    members = first.apex.members + second.apex.members
+    assert [view for view, _ in calls] == members
+    for view, count in calls:
+        assert count[0] == len(view.carrier) * len(view.group.generators())
+    assert sum(count[0] for _, count in calls) == 2012

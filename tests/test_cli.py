@@ -190,6 +190,14 @@ def test_example_stirling_groupring(capsys):
         assert out == f.read()
 
 
+@pytest.mark.parametrize("n", ["-1", "7"])
+def test_example_stirling_out_of_range_exits_2(capsys, n):
+    assert main(["example", "stirling", "--n", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --n: N must be in 0..6, got %s\n" % n
+
+
 def test_cell_parses():
     with open(doc_path("point_span.json")) as f:
         doc = parse_document(f.read())

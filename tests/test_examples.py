@@ -7,7 +7,7 @@ import pytest
 
 from gspans.algebra import AbelianGroup, Character, GroupRingElement, average_idempotent
 from gspans.constructions import bg_self_functor, delooping_bg
-from gspans.groupoid import SymmetricGroup
+from gspans.groupoid import SymmetricGroup, pcompose, pinverse
 from gspans.gspan import (
     character_matrix,
     check_main_theorem,
@@ -19,6 +19,7 @@ from gspans.examples import (
     StirlingSpanConfig,
     coset_span,
     coset_span_closed_form,
+    conjugate_perm,
     fin_perm_groupoid,
     fin_rel_groupoid,
     group_square_closed_form,
@@ -205,6 +206,15 @@ def test_stirling_composite_alternative_stratification():
                 if term:
                     expect[g] = expect.get(g, Fraction(0)) + term
             assert by_label == expect
+
+
+def test_conjugate_perm_is_conjugation_on_all_of_s4():
+    sym = SymmetricGroup(4)
+    for sigma in sym.elements():
+        for g in sym.elements():
+            assert conjugate_perm(sigma, g) == pcompose(
+                pinverse(g), pcompose(sigma, g)
+            )
 
 
 def test_stirling_guard():

@@ -234,7 +234,7 @@ def test_action_on_an_unclosed_carrier_raises():
 def test_invariants_raise_value_error():
     """Each check is a typed exception, so it still fires under python -O."""
     from gspans.constructions import identity_functor
-    from gspans.groupoid import Subgroup, materialize
+    from gspans.groupoid import Subgroup, TableBuilder, materialize
 
     with pytest.raises(ValueError, match="identity"):
         Subgroup(Z4, [(1,)])
@@ -244,8 +244,12 @@ def test_invariants_raise_value_error():
     swap = ActionGroupoid(sym, [0, 1], lambda x, g: g[x])
     with pytest.raises(ValueError, match="non-composable"):
         swap.compose_m((0, (0, 1)), (0, (1, 0)))  # (0, swap) ends at 1
-    with pytest.raises(ValueError, match="leaves the object set"):
+    with pytest.raises(ValueError, match="not closed"):
         materialize(ActionGroupoid(sym, [0], lambda x, g: g[x]))
+    b = TableBuilder()
+    b.obj("a", "id_a")
+    with pytest.raises(ValueError, match="leaves the object set"):
+        b.mor("m", "a", "b")
     d = discrete_groupoid(2)
     u = DisjointUnion([swap, d])
     with pytest.raises(ValueError, match="non-composable"):
