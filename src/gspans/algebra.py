@@ -89,14 +89,6 @@ class AbelianGroup:
                 gens.append(tuple(1 if j == i else 0 for j in range(len(self.orders))))
         return gens
 
-    def element_order(self, g):
-        k = 1
-        x = g
-        while x != self.identity:
-            x = self.add(x, g)
-            k += 1
-        return k
-
     def is_subgroup(self, subset):
         subset = set(subset)
         if self.identity not in subset:

@@ -580,61 +580,35 @@ def span_to_doc(sp, out_name):
     if not isinstance(sp.apex, TableGroupoid):
         raise DocumentError("$", "can only serialize table-apex spans")
     apex_doc, ao, am = table_to_doc(sp.apex)
-    s_doc, so, smn = table_to_doc(sp.source)
-    t_doc, to, tmn = table_to_doc(sp.target)
-    G = sp.group
-    doc = {
-        "groups": {"G": list(G.orders)},
-        "groupoids": {
-            out_name + ".apex": apex_doc,
-            out_name + ".source": s_doc,
-            out_name + ".target": t_doc,
-        },
-        "functors": {
-            out_name + ".left": {
-                "source": out_name + ".apex",
-                "target": out_name + ".source",
-                "objects": {ao[o]: so[sp.left.on_obj(o)] for o in sp.apex.objects},
-                "morphisms": {
-                    am[m]: smn[sp.left.on_mor(m)] for m in sp.apex.morphisms
-                },
-            },
-            out_name + ".right": {
-                "source": out_name + ".apex",
-                "target": out_name + ".target",
-                "objects": {ao[o]: to[sp.right.on_obj(o)] for o in sp.apex.objects},
-                "morphisms": {
-                    am[m]: tmn[sp.right.on_mor(m)] for m in sp.apex.morphisms
-                },
-            },
-        },
-        "bg_functors": {
-            out_name + ".h": {
-                "source": out_name + ".source",
-                "group": "G",
-                "morphisms": {
-                    smn[m]: list(sp.h.value(m)) for m in sp.source.morphisms
-                },
-            },
-            out_name + ".v": {
-                "source": out_name + ".target",
-                "group": "G",
-                "morphisms": {
-                    tmn[m]: list(sp.v.value(m)) for m in sp.target.morphisms
-                },
-            },
-        },
-        "spans": {
-            out_name: {
-                "apex": out_name + ".apex",
-                "left": out_name + ".left",
-                "right": out_name + ".right",
-                "h": out_name + ".h",
-                "v": out_name + ".v",
-                "eps": {ao[o]: list(sp.eps(o)) for o in sp.apex.objects},
-            }
-        },
+    apex = out_name + ".apex"
+    span = {
+        "apex": apex,
+        "eps": {ao[o]: list(sp.eps(o)) for o in sp.apex.objects},
     }
+    doc = {
+        "groups": {"G": list(sp.group.orders)},
+        "groupoids": {apex: apex_doc},
+        "functors": {},
+        "bg_functors": {},
+        "spans": {out_name: span},
+    }
+    for side, foot, bg in (("left", "source", "h"), ("right", "target", "v")):
+        leg, value = getattr(sp, side), getattr(sp, bg).value
+        names = {k: "%s.%s" % (out_name, k) for k in (side, foot, bg)}
+        foot_doc, fo, fm = table_to_doc(leg.target)
+        doc["groupoids"][names[foot]] = foot_doc
+        doc["functors"][names[side]] = {
+            "source": apex,
+            "target": names[foot],
+            "objects": {ao[o]: fo[leg.on_obj(o)] for o in sp.apex.objects},
+            "morphisms": {am[m]: fm[leg.on_mor(m)] for m in sp.apex.morphisms},
+        }
+        doc["bg_functors"][names[bg]] = {
+            "source": names[foot],
+            "group": "G",
+            "morphisms": {fm[m]: list(value(m)) for m in leg.target.morphisms},
+        }
+        span[side], span[bg] = names[side], names[bg]
     return doc
 
 

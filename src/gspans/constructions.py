@@ -4,14 +4,17 @@ two-sided pullbacks, and Grothendieck constructions of set-valued functors.
 The homotopy pullback of M1 --R--> T <--L-- M2 has objects (a1, t, a2) with
 t in T(R a1, L a2); a morphism (m1, m2) : (a1,t,a2) -> (b1,u,b2) requires
 u o R(m1) = L(m2) o t in T.  Pullback outputs are tables (guarded by their
-morphism count) whose compose/inverse entries are filled on demand from the
-labels, (n1, u, n2) o (m1, t, m2) = (n1 o m1, t, n2 o m2).  Over a discrete
+morphism count) labelled by slot tuples, objects (a1, t, a2) and morphisms
+(m1, t, m2).  Their compose/inverse entries are filled on demand by the one
+slot law, slotwise: (n1, u, n2) o (m1, t, m2) = (n1 o m1, t, n2 o m2), and
+the projections p1, p2 read slots 0 and 2 (slot_projection).  Over a discrete
 T with legs from disjoint unions of action groupoids the pullback stays lazy:
 it is a disjoint union of factorized product strata X1 x X2 // (G1 x G2), one
 per member pair and object d of T (ProductActionGroupoid), whose components,
 |Aut| and chi come from the two factors' orbits.  Fibres, two-sided pullbacks
 and Grothendieck constructions are tables of the same kind as the table
-pullback.
+pullback: an object label has its morphism labels' slot layout, with each
+view slot holding an object where a morphism label holds a morphism.
 """
 
 from collections import namedtuple
@@ -27,6 +30,7 @@ from gspans.groupoid import (
     composable_pairs,
     discrete_table,
     size_guard,
+    slotwise,
     weighting,
 )
 
@@ -246,6 +250,14 @@ def coset_groupoid(group, subgroup_elements):
 PullbackResult = namedtuple("PullbackResult", "groupoid p1 p2")
 
 
+def slot_projection(table, view, i):
+    """The functor table -> view reading slot i of the slot tuple labels."""
+    obj, mor = table.object_labels, table.morphism_labels
+    return GroupoidFunctor(
+        table, view, lambda o: obj[o][i], lambda m: mor[m][i], check=False
+    )
+
+
 def _action_members(view):
     if isinstance(view, ActionGroupoid):
         return None  # bare action legs are wrapped by callers that want lazy
@@ -256,13 +268,13 @@ def _action_members(view):
     return None
 
 
-def homotopy_pullback(r1, l2, guard=None):
+def homotopy_pullback(r1, l2):
     """Homotopy pullback of the cospan r1: M1 -> T <- M2 : l2.
 
     Returns a PullbackResult whose groupoid has objects (a1, t, a2).  Uses an
-    explicit table when the legs enumerate (guarded), and stays lazy (disjoint
-    union of factorized product strata, objects (stratum, (a1, t, a2))) over a
-    discrete T with action legs.
+    explicit table when the legs enumerate (refused past size_guard()
+    morphisms), and stays lazy (disjoint union of factorized product strata,
+    objects (stratum, (a1, t, a2))) over a discrete T with action legs.
     """
     T = r1.target
     if (
@@ -271,11 +283,11 @@ def homotopy_pullback(r1, l2, guard=None):
         and _action_members(l2.source) is not None
     ):
         return _lazy_discrete_pullback(r1, l2)
-    return _table_pullback(r1, l2, guard)
+    return _table_pullback(r1, l2)
 
 
-def _table_pullback(r1, l2, guard=None):
-    bound = guard if guard is not None else size_guard()
+def _table_pullback(r1, l2):
+    bound = size_guard()
     M1, M2, T = r1.source, l2.source, r1.target
     b = TableBuilder()
     for a1 in M1.objects:
@@ -298,22 +310,8 @@ def _table_pullback(r1, l2, guard=None):
                 if count > bound:
                     raise SizeGuardError(count, bound)
                 b.mor(((m1, t, m2)), (s1, t, s2), (t1, u, t2))
-    g = b.build(
-        lambda lab2, lab1: (
-            M1.compose_m(lab2[0], lab1[0]),
-            lab1[1],
-            M2.compose_m(lab2[2], lab1[2]),
-        ),
-        lambda lab, tgt: (M1.inverse_m(lab[0]), tgt[1], M2.inverse_m(lab[2])),
-    )
-    lab = g.morphism_labels
-    p1 = GroupoidFunctor(
-        g, M1, lambda o: g.object_labels[o][0], lambda m: lab[m][0], check=False
-    )
-    p2 = GroupoidFunctor(
-        g, M2, lambda o: g.object_labels[o][2], lambda m: lab[m][2], check=False
-    )
-    return PullbackResult(g, p1, p2)
+    g = b.build(*slotwise((M1, None, M2)))
+    return PullbackResult(g, slot_projection(g, M1, 0), slot_projection(g, M2, 2))
 
 
 def _level_factors(functor, members):
@@ -377,27 +375,24 @@ def _lazy_discrete_pullback(r1, l2):
 
 
 def left_fibre(l, c):
-    """c\\M for l: M -> S: objects (s, a) with s in S(c, La); a morphism m of M
-    acts by (s, a1) -> (L(m) o s, a2)."""
+    """c\\M for l: M -> S: objects (a, s) with s in S(c, La); a morphism
+    (m, s) acts by (a1, s) -> (a2, L(m) o s)."""
     M, S = l.source, l.target
     b = TableBuilder()
     for a in M.objects:
         for s in S.hom(c, l.on_obj(a)):
-            b.obj((s, a), (M.identity_at(a), s))
+            b.obj((a, s), (M.identity_at(a), s))
     for m in M.all_morphisms():
         a1, a2 = M.source_of(m), M.target_of(m)
         lm = l.on_mor(m)
         for s in S.hom(c, l.on_obj(a1)):
-            b.mor((m, s), (s, a1), (S.compose_m(lm, s), a2))
-    return b.build(
-        lambda lab2, lab1: (M.compose_m(lab2[0], lab1[0]), lab1[1]),
-        lambda lab, tgt: (M.inverse_m(lab[0]), tgt[0]),
-    )
+            b.mor((m, s), (a1, s), (a2, S.compose_m(lm, s)))
+    return b.build(*slotwise((M, None)))
 
 
 def right_fibre(r, d):
-    """M/d for r: M -> T: objects (a, t) with t in T(Ra, d); a morphism m of M
-    acts by (a1, t) -> (a2, t o R(m)^-1)."""
+    """M/d for r: M -> T: objects (a, t) with t in T(Ra, d); a morphism
+    (m, t) acts by (a1, t) -> (a2, t o R(m)^-1)."""
     M, T = r.source, r.target
     b = TableBuilder()
     for a in M.objects:
@@ -408,22 +403,19 @@ def right_fibre(r, d):
         rm_inv = T.inverse_m(r.on_mor(m))
         for t in T.hom(r.on_obj(a1), d):
             b.mor((m, t), (a1, t), (a2, T.compose_m(t, rm_inv)))
-    return b.build(
-        lambda lab2, lab1: (M.compose_m(lab2[0], lab1[0]), lab1[1]),
-        lambda lab, tgt: (M.inverse_m(lab[0]), tgt[1]),
-    )
+    return b.build(*slotwise((M, None)))
 
 
 def two_sided_fibre(l, r, c, d):
-    """c\\M/d: objects (s, a, t); a morphism m of M acts by
-    (s, a1, t) -> (L(m) o s, a2, t o R(m)^-1)."""
+    """c\\M/d: objects (a, s, t); a morphism (m, s, t) acts by
+    (a1, s, t) -> (a2, L(m) o s, t o R(m)^-1)."""
     M, S, T = l.source, l.target, r.target
     b = TableBuilder()
     for a in M.objects:
         la, ra = l.on_obj(a), r.on_obj(a)
         for s in S.hom(c, la):
             for t in T.hom(ra, d):
-                b.obj((s, a, t), (M.identity_at(a), s, t))
+                b.obj((a, s, t), (M.identity_at(a), s, t))
     for m in M.all_morphisms():
         a1, a2 = M.source_of(m), M.target_of(m)
         lm = l.on_mor(m)
@@ -431,17 +423,15 @@ def two_sided_fibre(l, r, c, d):
         for s in S.hom(c, l.on_obj(a1)):
             s2 = S.compose_m(lm, s)
             for t in T.hom(r.on_obj(a1), d):
-                b.mor((m, s, t), (s, a1, t), (s2, a2, T.compose_m(t, rm_inv)))
-    return b.build(
-        lambda lab2, lab1: (M.compose_m(lab2[0], lab1[0]), lab1[1], lab1[2]),
-        lambda lab, tgt: (M.inverse_m(lab[0]), tgt[0], tgt[2]),
-    )
+                b.mor((m, s, t), (a1, s, t), (a2, s2, T.compose_m(t, rm_inv)))
+    return b.build(*slotwise((M, None, None)))
 
 
 def two_sided_pullback(r1, l, r, l2):
     """P x_S M x_T Q for P -R1-> S <-L- M -R-> T <-L2- Q: objects
-    (x, s, a, t, y); morphisms are triples (u, m, v) with the evident squares
-    commuting in S and T."""
+    (x, a, y, s, t); a morphism (u, m, v, s, t) is a triple (u, m, v) of
+    morphisms at the source (x1, a1, y1, s, t), whose target's s and t make
+    the evident squares commute in S and T."""
     P, S, M, T, Q = r1.source, r1.target, l.source, r.target, l2.source
     b = TableBuilder()
     for x in P.objects:
@@ -450,7 +440,7 @@ def two_sided_pullback(r1, l, r, l2):
                 for y in Q.objects:
                     for t in T.hom(r.on_obj(a), l2.on_obj(y)):
                         ident = (P.identity_at(x), M.identity_at(a), Q.identity_at(y))
-                        b.obj((x, s, a, t, y), ident + (s, t))
+                        b.obj((x, a, y, s, t), ident + (s, t))
     for u in P.all_morphisms():
         r1u_inv = S.inverse_m(r1.on_mor(u))
         for m in M.all_morphisms():
@@ -467,25 +457,10 @@ def two_sided_pullback(r1, l, r, l2):
                         t2 = T.compose_m(T.compose_m(l2v, t), rm_inv)
                         b.mor(
                             (u, m, v, s, t),
-                            (x1, s, a1, t, y1),
-                            (x2, s2, a2, t2, y2),
+                            (x1, a1, y1, s, t),
+                            (x2, a2, y2, s2, t2),
                         )
-    return b.build(
-        lambda lab2, lab1: (
-            P.compose_m(lab2[0], lab1[0]),
-            M.compose_m(lab2[1], lab1[1]),
-            Q.compose_m(lab2[2], lab1[2]),
-            lab1[3],
-            lab1[4],
-        ),
-        lambda lab, tgt: (
-            P.inverse_m(lab[0]),
-            M.inverse_m(lab[1]),
-            Q.inverse_m(lab[2]),
-            tgt[1],
-            tgt[3],
-        ),
-    )
+    return b.build(*slotwise((P, M, Q, None, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +519,7 @@ def grothendieck(sv):
         f = sv.transport(m)
         for x in sv.value_sets(a1):
             b.mor((m, x), (a1, x), (a2, f(x)))
-    return b.build(
-        lambda lab2, lab1: (base.compose_m(lab2[0], lab1[0]), lab1[1]),
-        lambda lab, tgt: (base.inverse_m(lab[0]), tgt[1]),
-    )
+    return b.build(*slotwise((base, None)))
 
 
 def grothendieck_chi_by_weighting(sv):
@@ -563,10 +535,10 @@ def grothendieck_chi_by_weighting(sv):
 # the pullback Euler-characteristic identity
 
 
-def pullback_euler_check(r1, l2, guard=None):
+def pullback_euler_check(r1, l2):
     """Both sides of chi(M1 x_T M2) = sum_d chi(M1/d) chi(T{d}) chi(d\\M2)."""
     T = r1.target
-    lhs = homotopy_pullback(r1, l2, guard).groupoid.chi()
+    lhs = homotopy_pullback(r1, l2).groupoid.chi()
     rhs = Fraction(0)
     for d in T.component_reps():
         rhs += (

@@ -21,6 +21,7 @@ from gspans.constructions import (
     coset_groupoid,
     delooping_bg,
     discrete_groupoid,
+    slot_projection,
 )
 from gspans.groupoid import (
     ActionGroupoid,
@@ -30,6 +31,7 @@ from gspans.groupoid import (
     SymmetricGroup,
     TableBuilder,
     pinverse,
+    slotwise,
 )
 from gspans.gspan import GSpan, SpanMatrix, SpanMorphism
 
@@ -247,21 +249,8 @@ def universal_span(h, v):
             y1, y2 = T.source_of(t), T.target_of(t)
             for k1 in G.elements():
                 b.mor((s, k1, t), (x1, k1, y1), (x2, G.add(k_shift, k1), y2))
-    apex = b.build(
-        lambda lab2, lab1: (
-            S.compose_m(lab2[0], lab1[0]),
-            lab1[1],
-            T.compose_m(lab2[2], lab1[2]),
-        ),
-        lambda lab, tgt: (S.inverse_m(lab[0]), tgt[1], T.inverse_m(lab[2])),
-    )
-    lab = apex.morphism_labels
-    left = GroupoidFunctor(
-        apex, S, lambda o: apex.object_labels[o][0], lambda m: lab[m][0], check=False
-    )
-    right = GroupoidFunctor(
-        apex, T, lambda o: apex.object_labels[o][2], lambda m: lab[m][2], check=False
-    )
+    apex = b.build(*slotwise((S, None, T)))
+    left, right = slot_projection(apex, S, 0), slot_projection(apex, T, 2)
     return GSpan(apex, left, right, h, v, lambda o: apex.object_labels[o][1])
 
 

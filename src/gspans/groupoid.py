@@ -4,8 +4,10 @@ TableGroupoid is a groupoid over opaque non-negative integer ids, with decode
 labels so constructed objects (pullback triples, fibre pairs) stay
 inspectable.  Tables built from labels (TableBuilder) carry their composition
 law as two functions on labels, and fill their compose/inverse tables on
-demand from it: a pullback apex composes (n1, u, n2) after (m1, t, m2) as
-(n1 m1, t, n2 m2), so no table is filled that nobody reads.  ActionGroupoid
+demand from it, so no table is filled that nobody reads.  Every constructed
+table is a category of elements whose labels are slot tuples, and slotwise
+gives its law: a pullback apex composes (n1, u, n2) after (m1, t, m2) as
+(n1 m1, t, n2 m2).  ActionGroupoid
 is the lazy form X//G of a right group action: components are orbits and
 automorphism group orders come from orbit-stabilizer, so the large examples
 never materialize their hom-sets.  It evaluates the action on generators
@@ -490,7 +492,8 @@ class TableBuilder:
     def build(self, compose, inverse):
         """The table, with its composition law on labels: compose(lab2, lab1)
         is the label of lab2 after lab1, inverse(lab, target object label)
-        the label of lab's inverse.  Both are evaluated on demand."""
+        the label of lab's inverse.  Both are evaluated on demand.  Slot
+        tuple labels take their law from slotwise."""
         return TableGroupoid(
             list(self._identity),
             self.source,
@@ -503,6 +506,29 @@ class TableBuilder:
             compose_label=compose,
             inverse_label=inverse,
         )
+
+
+def slotwise(views):
+    """The composition law, as (compose, inverse) for TableBuilder.build, of
+    labels that are tuples with one slot per entry of views.  A view's slot
+    holds one of its morphisms (one of its objects, in an object label) and
+    is composed and inverted in that view.  A None slot carries an element:
+    a composite keeps the first factor's (lab1's), and an inverse reads it
+    off the target object label."""
+
+    def compose(lab2, lab1):
+        return tuple(
+            x1 if v is None else v.compose_m(x2, x1)
+            for v, x2, x1 in zip(views, lab2, lab1)
+        )
+
+    def inverse(lab, tgt):
+        return tuple(
+            y if v is None else v.inverse_m(x)
+            for v, x, y in zip(views, lab, tgt)
+        )
+
+    return compose, inverse
 
 
 def materialize(view):
@@ -559,9 +585,9 @@ class _ActionHandles:
         els = self.group.elements()
         return [(x, g) for x in self._points() for g in els]
 
-    def materialize(self, guard=None):
+    def materialize(self):
         """Explicit table; morphisms are (source object, group element) pairs."""
-        bound = guard if guard is not None else size_guard()
+        bound = size_guard()
         total = len(self.objects) * self.group.order
         if total > bound:
             raise SizeGuardError(total, bound)

@@ -10,11 +10,11 @@ Its matrix has rows pi0(S) and columns pi0(T) in canonical component order,
 
     entry(c, d) = sum_g chi( (c\\M/d){label = g} ) * (1/|T(d,d)|) * g,
 
-where the label of a fibre object (s, a, t) is V(t) + eps(a) + H(s).  That
+where the label of a fibre object (a, s, t) is V(t) + eps(a) + H(s).  That
 is the definition, and labeled_fibre builds it; the tests use it as the
 oracle.  span_matrix computes the same numbers without building a fibre.  A
-fibre object (s, a, t) has as many outgoing morphisms as a has in M, and
-naturality moves (s, a, t) along M without changing its label, so each
+fibre object (a, s, t) has as many outgoing morphisms as a has in M, and
+naturality moves (a, s, t) along M without changing its label, so each
 component [a] of M contributes to exactly one entry, by groupoid cardinality:
 
     entry(c, d) = sum over [a] in pi0(M) with [La] = c and [Ra] = d of
@@ -38,8 +38,6 @@ from gspans.constructions import (
     _as_fn,
     homotopy_pullback,
     identity_functor,
-    left_fibre,
-    right_fibre,
     two_sided_fibre,
 )
 from gspans.groupoid import TableGroupoid
@@ -111,7 +109,8 @@ class GSpan:
 
 
 class LabeledFibre:
-    """Two-sided homotopy fibre c\\M/d together with its G-valued label."""
+    """Two-sided homotopy fibre c\\M/d together with its G-valued label,
+    which naturality makes constant on each component."""
 
     def __init__(self, groupoid, label, c, d):
         self.groupoid = groupoid
@@ -119,39 +118,32 @@ class LabeledFibre:
         self.c = c
         self.d = d
 
-    def chi_by_label(self, check_constancy=False):
-        """chi of the full subgroupoid over each label level set.  Two-sided
-        fibre labels are constant on components (check_constancy=True checks
-        it and raises GSpanError otherwise); one-sided fibre labels shift
-        along morphisms, so level sets are carved out before chi."""
-        if check_constancy:
-            out = {}
-            for comp in self.groupoid.components():
-                g = self.label(comp[0])
-                for o in comp[1:]:
-                    if self.label(o) != g:
-                        raise GSpanError(
-                            "label not constant on the component of %r: "
-                            "%r at %r, %r at %r"
-                            % (comp[0], g, comp[0], self.label(o), o)
-                        )
-                out[g] = out.get(g, Fraction(0)) + Fraction(
-                    1, self.groupoid.aut_order(comp[0])
-                )
-            return out
-        levels = {}
-        for o in self.groupoid.objects:
-            levels.setdefault(self.label(o), []).append(o)
-        return {
-            g: self.groupoid.full_subgroupoid(objs).chi()
-            for g, objs in levels.items()
-        }
+    def chi_by_label(self):
+        """chi of each label level set, a union of components: g -> sum of
+        1/|Aut| over the components labelled g.  Raises GSpanError, naming
+        two objects, if the label varies on a component."""
+        out = {}
+        for comp in self.groupoid.components():
+            g = self.label(comp[0])
+            for o in comp[1:]:
+                if self.label(o) != g:
+                    raise GSpanError(
+                        "label not constant on the component of %r: "
+                        "%r at %r, %r at %r"
+                        % (comp[0], g, comp[0], self.label(o), o)
+                    )
+            out[g] = out.get(g, Fraction(0)) + Fraction(
+                1, self.groupoid.aut_order(comp[0])
+            )
+        return out
 
 
 def labeled_fibre(sp, c, d):
     """The labeled two-sided fibre of a span over component representatives
-    (c, d).  Over discrete feet the fibre is the full subgroupoid of the apex
-    on {L = c, R = d} (objects a stand for (id, a, id))."""
+    (c, d): two_sided_fibre, whose object (a, s, t) is labelled
+    V(t) + eps(a) + H(s).  Over discrete feet the fibre is the full
+    subgroupoid of the apex on {L = c, R = d} (objects a stand for
+    (a, id, id)), labelled by eps."""
     if sp.source.is_discrete and sp.target.is_discrete:
         objs = [
             a
@@ -164,36 +156,12 @@ def labeled_fibre(sp, c, d):
     G = sp.group
 
     def label(oid):
-        s, a, t = fib.object_labels[oid]
+        a, s, t = fib.object_labels[oid]
         return G.add(
             sp.v.value(t), G.add(sp.eps(a), sp.h.value(s))
         )
 
     return LabeledFibre(fib, label, c, d)
-
-
-def left_labeled_fibre(sp, c):
-    """c\\M with label (s, a) -> eps(a) + H(s)."""
-    fib = left_fibre(sp.left, c)
-    G = sp.group
-
-    def label(oid):
-        s, a = fib.object_labels[oid]
-        return G.add(sp.eps(a), sp.h.value(s))
-
-    return LabeledFibre(fib, label, c, None)
-
-
-def right_labeled_fibre(sp, d):
-    """M/d with label (a, t) -> V(t) + eps(a)."""
-    fib = right_fibre(sp.right, d)
-    G = sp.group
-
-    def label(oid):
-        a, t = fib.object_labels[oid]
-        return G.add(sp.v.value(t), sp.eps(a))
-
-    return LabeledFibre(fib, label, None, d)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +461,7 @@ def _natural_on_factors(sp1, sp2, strata):
     return True
 
 
-def compose_spans(sp1, sp2, guard=None):
+def compose_spans(sp1, sp2):
     """Homotopy-pullback composition; the composed label is
     eps(a1, t, a2) = eps2(a2) + V1(t) + eps1(a1).
 
@@ -509,7 +477,7 @@ def compose_spans(sp1, sp2, guard=None):
             "middle legs differ: V1 and H2 must be the same functor to BG "
             "(extensional equality on objects and morphisms)"
         )
-    res = homotopy_pullback(sp1.right, sp2.left, guard)
+    res = homotopy_pullback(sp1.right, sp2.left)
     apex = res.groupoid
     G = sp1.group
     v1 = sp1.v
@@ -534,26 +502,26 @@ def compose_spans(sp1, sp2, guard=None):
     return out
 
 
-def check_main_theorem(sp1, sp2, guard=None):
+def check_main_theorem(sp1, sp2):
     """Both sides of [M1 x_T M2, eps1 x_T eps2] = [M1,eps1][M2,eps2]."""
-    lhs = span_matrix(compose_spans(sp1, sp2, guard))
+    lhs = span_matrix(compose_spans(sp1, sp2))
     rhs = matrix_multiply(span_matrix(sp1), span_matrix(sp2))
     return lhs, rhs
 
 
 def _fibre_chi_by_label(sp, c, d):
-    """labeled_fibre(sp, c, d).chi_by_label(check_constancy=True), memoized
+    """labeled_fibre(sp, c, d).chi_by_label(), memoized
     on the span (spans do not change) per (c, d); only the chi map is kept,
     not the fibre."""
     try:
         return sp._fibre_chi_memo[(c, d)]
     except KeyError:
-        chi = labeled_fibre(sp, c, d).chi_by_label(check_constancy=True)
+        chi = labeled_fibre(sp, c, d).chi_by_label()
         sp._fibre_chi_memo[(c, d)] = chi
         return chi
 
 
-def labeled_pullback_identity(sp1, sp2, c1, c2, guard=None, composed=None):
+def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     """Both sides of the per-label composition identity at entry (c1, c2):
 
     chi((c1\\(M1 x_T M2)/c2){label = g}) =
@@ -569,7 +537,7 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, guard=None, composed=None):
     span_matrix, restricted to the one entry; the right-hand side builds the
     fibres of sp1 and sp2 over each d, which are what the identity is about,
     once per span and (c, d): looping over the entries reuses them."""
-    composed = composed if composed is not None else compose_spans(sp1, sp2, guard)
+    composed = composed if composed is not None else compose_spans(sp1, sp2)
     lhs = _fibre_chi(composed, (c1, c2)).get((c1, c2), {})
     G, T = sp1.group, sp1.target
     rhs = {}
@@ -831,13 +799,7 @@ def identity_composite_cells(sp):
     p2 = SpanMorphism(
         spm,
         sp,
-        GroupoidFunctor(
-            spm.apex,
-            M,
-            lambda o: spm.apex.object_labels[o][2],
-            lambda m: spm.apex.morphism_labels[m][2],
-            check=False,
-        ),
+        spm.pullback.p2,
         lambda o: spm.apex.object_labels[o][1],
         lambda o: T.identity_at(sp.right.on_obj(spm.apex.object_labels[o][2])),
     )
@@ -876,7 +838,7 @@ def cells_equal(u, w):
 
 def fibre_map_preserves_labels(cell, c, d):
     """The induced map of two-sided fibres
-    (s, x, t) -> (A(x) o s, Phi x, t o B(x)^-1) lands in the target fibre
+    (x, s, t) -> (Phi x, A(x) o s, t o B(x)^-1) lands in the target fibre
     and in the same label level; False if some image misses either."""
     sp1, sp2 = cell.src_span, cell.dst_span
     S, T, G = sp1.source, sp1.target, sp1.group
@@ -884,16 +846,16 @@ def fibre_map_preserves_labels(cell, c, d):
     fib2 = two_sided_fibre(sp2.left, sp2.right, c, d)
 
     def label(sp, triple):
-        s, a, t = triple
+        a, s, t = triple
         return G.add(sp.v.value(t), G.add(sp.eps(a), sp.h.value(s)))
 
     for oid in fib1.objects:
-        s, x, t = fib1.object_labels[oid]
+        x, s, t = fib1.object_labels[oid]
         px = cell.phi.on_obj(x)
         s2 = S.compose_m(cell.a(x), s)
         t2 = T.compose_m(t, T.inverse_m(cell.b(x)))
-        if (s2, px, t2) not in fib2.object_of_label:
+        if (px, s2, t2) not in fib2.object_of_label:
             return False  # the image misses the target fibre
-        if label(sp2, (s2, px, t2)) != label(sp1, (s, x, t)):
+        if label(sp2, (px, s2, t2)) != label(sp1, (x, s, t)):
             return False
     return True

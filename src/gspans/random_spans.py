@@ -49,9 +49,6 @@ class GroupoidMeta:
         #   rep -> table object id), comp_index
         self.components = components
 
-    def component_index_of(self, o):
-        return self.table.object_labels[o][0]
-
 
 def random_groupoid(rng, max_objects=8, max_component_group=4):
     """Disjoint union of coset groupoids A/B with A small abelian, as a table

@@ -77,7 +77,7 @@ def fibre_chi_by_label(sp, c, d):
     label checked constant on its components; zero levels dropped."""
     from gspans.gspan import labeled_fibre
 
-    by_label = labeled_fibre(sp, c, d).chi_by_label(check_constancy=True)
+    by_label = labeled_fibre(sp, c, d).chi_by_label()
     return {g: x for g, x in by_label.items() if x != 0}
 
 

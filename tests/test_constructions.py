@@ -206,10 +206,11 @@ def test_pullback_euler_lemma_identity_cospan():
     assert lhs == rhs == Fraction(1, 2)
 
 
-def test_table_pullback_guard():
+def test_table_pullback_guard(monkeypatch):
     b4 = bz(Z4)
+    monkeypatch.setenv("GSPANS_SIZE_GUARD", "3")
     with pytest.raises(SizeGuardError):
-        homotopy_pullback(identity_functor(b4), identity_functor(b4), guard=3)
+        homotopy_pullback(identity_functor(b4), identity_functor(b4))
 
 
 def test_size_guard_env_override(monkeypatch):

@@ -107,13 +107,14 @@ def test_action_groupoid_chi_is_x_over_g():
     assert sorted(len(c) for c in ag.components()) == [1, 2, 3]  # conjugacy classes
 
 
-def test_materialize_guard():
+def test_materialize_guard(monkeypatch):
     sym = SymmetricGroup(4)
     ag = ActionGroupoid(
         sym, sym.elements(), lambda x, g: sym.op(sym.op(sym.inv(g), x), g)
     )
+    monkeypatch.setenv("GSPANS_SIZE_GUARD", "10")
     with pytest.raises(SizeGuardError):
-        ag.materialize(guard=10)
+        ag.materialize()
 
 
 def test_full_subgroupoid():

@@ -206,21 +206,6 @@ def test_labeled_fibre_constancy_and_matrix():
     assert by == {(0,): Fraction(1), (1,): Fraction(1)}
 
 
-def test_one_sided_labeled_fibres():
-    from gspans.gspan import left_labeled_fibre, right_labeled_fibre
-
-    b2 = delooping_bg(Z2)
-    h = bg_self_functor(b2)
-    sp = identity_span(h)
-    c = b2.objects[0]
-    # M/d for the identity span: objects (a, t) with label V(t); each level
-    # set is a single object with trivial automorphisms
-    right = right_labeled_fibre(sp, c).chi_by_label()
-    assert right == {(0,): Fraction(1), (1,): Fraction(1)}
-    left = left_labeled_fibre(sp, c).chi_by_label()
-    assert left == {(0,): Fraction(1), (1,): Fraction(1)}
-
-
 def test_empty_feet_and_apex():
     empty = discrete_groupoid(0)
     triv = GroupValuedFunctor.trivial(empty, Z2)

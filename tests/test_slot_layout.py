@@ -1,0 +1,222 @@
+"""Every slot-labelled table (pullback apexes, the three fibres, two-sided
+pullbacks, Grothendieck constructions and universal apexes) against its
+documented slot layout: labels have one slot per view, a morphism's view
+slots run between the slots of its endpoints' labels and its element slots
+are its source's, the objects come in the documented enumeration order
+(which pins the ids), and slotwise's law passes validate().
+
+validate() walks every composable triple for associativity, so it runs on
+the tables with at most TRIPLES of them: 1 278 of the 1 334 built here.
+The other 56 (pullbacks, two-sided pullbacks and universal apexes of up to
+3.3 * 10^8 triples) would take minutes; their layout is still checked."""
+
+import glob
+import os
+import random
+from collections import Counter
+
+import pytest
+
+from gspans import random_spans as rnd
+from gspans.cli import DocumentError, parse_document
+from gspans.constructions import (
+    SetValuedFunctor,
+    grothendieck,
+    homotopy_pullback,
+    identity_functor,
+    left_fibre,
+    point_inclusion,
+    right_fibre,
+    two_sided_fibre,
+    two_sided_pullback,
+)
+from gspans.examples import universal_span
+from gspans.gspan import compose_spans
+
+SEED = 20260810  # the acceptance corpus of criteria 3, 4, 6 and 8
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+TRIPLES = 10**5
+
+
+def composable_triples(table):
+    """The triples validate() checks for associativity: a groupoid has the
+    same out-degree at every object of a component."""
+    out = Counter(table.source.values())
+    return sum(out[table.target[m]] ** 2 for m in table.source)
+
+
+def pullback_case(r1, l2, table):
+    M1, M2, T = r1.source, l2.source, r1.target
+    objs = [
+        (a1, t, a2)
+        for a1 in M1.objects
+        for a2 in M2.objects
+        for t in T.hom(r1.on_obj(a1), l2.on_obj(a2))
+    ]
+    return "pullback", table, (M1, None, M2), objs
+
+
+def left_fibre_case(l, c):
+    M, S = l.source, l.target
+    objs = [(a, s) for a in M.objects for s in S.hom(c, l.on_obj(a))]
+    return "left_fibre", left_fibre(l, c), (M, None), objs
+
+
+def right_fibre_case(r, d):
+    M, T = r.source, r.target
+    objs = [(a, t) for a in M.objects for t in T.hom(r.on_obj(a), d)]
+    return "right_fibre", right_fibre(r, d), (M, None), objs
+
+
+def two_sided_fibre_case(l, r, c, d):
+    M, S, T = l.source, l.target, r.target
+    objs = [
+        (a, s, t)
+        for a in M.objects
+        for s in S.hom(c, l.on_obj(a))
+        for t in T.hom(r.on_obj(a), d)
+    ]
+    return "two_sided_fibre", two_sided_fibre(l, r, c, d), (M, None, None), objs
+
+
+def two_sided_pullback_case(r1, l, r, l2):
+    P, S, M, T, Q = r1.source, r1.target, l.source, r.target, l2.source
+    objs = [
+        (x, a, y, s, t)
+        for x in P.objects
+        for a in M.objects
+        for s in S.hom(r1.on_obj(x), l.on_obj(a))
+        for y in Q.objects
+        for t in T.hom(r.on_obj(a), l2.on_obj(y))
+    ]
+    table = two_sided_pullback(r1, l, r, l2)
+    return "two_sided_pullback", table, (P, M, Q, None, None), objs
+
+
+def grothendieck_case(base, c):
+    """The category of elements of the representable base(c, -), whose
+    transport is post-composition."""
+    sv = SetValuedFunctor(
+        base,
+        lambda a: base.hom(c, a),
+        lambda m: lambda s: base.compose_m(m, s),
+    )
+    objs = [(a, x) for a in base.objects for x in sv.value_sets(a)]
+    return "grothendieck", grothendieck(sv), (base, None), objs
+
+
+def universal_case(h, v):
+    S, T, G = h.source, v.source, h.group
+    objs = [(x, k, y) for x in S.objects for k in G.elements() for y in T.objects]
+    return "universal_span", universal_span(h, v).apex, (S, None, T), objs
+
+
+def fibre_cases(l, r):
+    """The three fibres of a roof S <-l- M -r-> T at component reps."""
+    S, T = l.target, r.target
+    out = [left_fibre_case(l, c) for c in S.component_reps()]
+    out += [right_fibre_case(r, d) for d in T.component_reps()]
+    out += [
+        two_sided_fibre_case(l, r, c, d)
+        for c in S.component_reps()
+        for d in T.component_reps()
+    ]
+    return out
+
+
+def groupoid_cases(g):
+    """Every construction on one groupoid and its identity functor; the
+    two-sided pullback's outer legs are point inclusions at reps."""
+    ident = identity_functor(g)
+    res = homotopy_pullback(ident, ident)
+    out = [pullback_case(ident, ident, res.groupoid)]
+    out += fibre_cases(ident, ident)
+    for c in g.component_reps():
+        out.append(grothendieck_case(g, c))
+        for d in g.component_reps():
+            out.append(two_sided_pullback_case(
+                point_inclusion(g, c)[1], ident, ident, point_inclusion(g, d)[1]
+            ))
+    return out
+
+
+def acceptance_cases():
+    rng = random.Random(SEED)
+    out = []
+    for _ in range(50):
+        sp1, sp2 = rnd.random_composable_pair(
+            rng, max_group_order=6, max_objects=8, max_apex_objects=8
+        )
+        composed = compose_spans(sp1, sp2)
+        out.append(pullback_case(sp1.right, sp2.left, composed.apex))
+        for sp in (sp1, sp2):
+            out += fibre_cases(sp.left, sp.right)
+            out.append(universal_case(sp.h, sp.v))
+            out += [grothendieck_case(sp.source, c) for c in sp.source.component_reps()]
+        out += [
+            two_sided_pullback_case(
+                sp1.right, sp2.left, sp2.right, point_inclusion(sp2.target, d)[1]
+            )
+            for d in sp2.target.component_reps()
+        ]
+    return out
+
+
+def document_cases():
+    out = []
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.json"))):
+        with open(path) as f:
+            try:
+                doc = parse_document(f.read(), path)
+            except DocumentError:
+                continue  # the bad_* documents are refused on purpose
+        for g in doc.groupoids.values():
+            out += groupoid_cases(g)
+        for f in doc.functors.values():
+            out += fibre_cases(f, f)
+        for sp in doc.spans.values():
+            out += fibre_cases(sp.left, sp.right)
+            out.append(universal_case(sp.h, sp.v))
+            for sp2 in doc.spans.values():
+                if sp.target is sp2.source:
+                    res = homotopy_pullback(sp.right, sp2.left)
+                    out.append(pullback_case(sp.right, sp2.left, res.groupoid))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return acceptance_cases() + document_cases()
+
+
+KINDS = [
+    "pullback",
+    "left_fibre",
+    "right_fibre",
+    "two_sided_fibre",
+    "two_sided_pullback",
+    "grothendieck",
+    "universal_span",
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_slot_layout(cases, kind):
+    mine = [c for c in cases if c[0] == kind]
+    assert mine, "the corpus builds no %s" % kind
+    for _, table, views, objs in mine:
+        olab, mlab = table.object_labels, table.morphism_labels
+        assert [olab[o] for o in table.objects] == objs
+        assert all(len(lab) == len(views) for lab in olab.values())
+        for m, lab in mlab.items():
+            assert len(lab) == len(views)
+            src, tgt = olab[table.source[m]], olab[table.target[m]]
+            for v, x, x1, x2 in zip(views, lab, src, tgt):
+                if v is None:
+                    assert x == x1, (kind, lab, src)
+                else:
+                    assert (v.source_of(x), v.target_of(x)) == (x1, x2), (
+                        kind, lab, src, tgt,
+                    )
+        if composable_triples(table) <= TRIPLES:
+            assert table.validate() == []

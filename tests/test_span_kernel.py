@@ -256,7 +256,7 @@ def test_fibre_map_missing_the_fibre_is_not_label_preserving():
 def test_chi_by_label_rejects_a_label_that_varies_on_a_component():
     fib = LabeledFibre(swap_groupoid(), lambda o: (o,), None, None)
     with pytest.raises(GSpanError, match="component of 0"):
-        fib.chi_by_label(check_constancy=True)
+        fib.chi_by_label()
 
 
 def test_character_matrix_product_mismatches_raise_value_error():
