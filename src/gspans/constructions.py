@@ -289,27 +289,31 @@ def homotopy_pullback(r1, l2):
 def _table_pullback(r1, l2):
     bound = size_guard()
     M1, M2, T = r1.source, l2.source, r1.target
+    l2_objs = [(a2, l2.on_obj(a2)) for a2 in M2.objects]
+    homs = {}  # a1 -> {a2: T(R1 a1, L2 a2)}, each looked up once
     b = TableBuilder()
     for a1 in M1.objects:
         ra1 = r1.on_obj(a1)
-        for a2 in M2.objects:
-            for t in T.hom(ra1, l2.on_obj(a2)):
+        row = homs[a1] = {a2: T.hom(ra1, la2) for a2, la2 in l2_objs}
+        for a2, ts in row.items():
+            for t in ts:
                 b.obj((a1, t, a2), (M1.identity_at(a1), t, M2.identity_at(a2)))
-    mors1 = M1.all_morphisms()
-    mors2 = M2.all_morphisms()
+    legs2 = [
+        (m2, l2.on_mor(m2), M2.source_of(m2), M2.target_of(m2))
+        for m2 in M2.all_morphisms()
+    ]
     count = 0
-    for m1 in mors1:
+    for m1 in M1.all_morphisms():
         rm1_inv = T.inverse_m(r1.on_mor(m1))
         s1, t1 = M1.source_of(m1), M1.target_of(m1)
-        for m2 in mors2:
-            lm2 = l2.on_mor(m2)
-            s2, t2 = M2.source_of(m2), M2.target_of(m2)
-            for t in T.hom(r1.on_obj(s1), l2.on_obj(s2)):
+        row = homs[s1]
+        for m2, lm2, s2, t2 in legs2:
+            for t in row[s2]:
                 u = T.compose_m(T.compose_m(lm2, t), rm1_inv)
                 count += 1
                 if count > bound:
                     raise SizeGuardError(count, bound)
-                b.mor(((m1, t, m2)), (s1, t, s2), (t1, u, t2))
+                b.mor((m1, t, m2), (s1, t, s2), (t1, u, t2))
     g = b.build(*slotwise((M1, None, M2)))
     return PullbackResult(g, slot_projection(g, M1, 0), slot_projection(g, M2, 2))
 

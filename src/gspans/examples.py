@@ -30,7 +30,6 @@ from gspans.groupoid import (
     Subgroup,
     SymmetricGroup,
     TableBuilder,
-    pinverse,
     slotwise,
 )
 from gspans.gspan import GSpan, SpanMatrix, SpanMorphism
@@ -94,12 +93,6 @@ def _canonical_rgs(labels):
     return tuple(out)
 
 
-def conjugate_perm(sigma, g):
-    """Right action sigma . g = g^-1 sigma g."""
-    ginv = pinverse(g)
-    return tuple(ginv[sigma[i]] for i in g)
-
-
 def relabel_partition(rgs, g):
     """Right action: i ~ j in rgs.g  iff  g(i) ~ g(j) in rgs."""
     return _canonical_rgs([rgs[g[i]] for i in range(len(g))])
@@ -112,7 +105,7 @@ def fin_perm_groupoid(n, k, guard=8):
     if n > guard:
         raise ValueError("n=%d exceeds the guard %d" % (n, guard))
     sym = SymmetricGroup(n)
-    return ActionGroupoid(sym, perms_with_cycles(n, k), conjugate_perm)
+    return ActionGroupoid(sym, perms_with_cycles(n, k), sym.conjugate)
 
 
 def fin_rel_groupoid(k, m, guard=8):
@@ -162,7 +155,7 @@ def _pair_stratum(base_points, act_point, group):
     ]
 
     def act(pair, g):
-        return (act_point(pair[0], g), conjugate_perm(pair[1], g))
+        return (act_point(pair[0], g), group.conjugate(pair[1], g))
 
     return ActionGroupoid(group, carrier, act)
 
@@ -184,7 +177,7 @@ def stirling_span(cfg, base=None):
         for k in range(0 if n == 0 else 1, n + 1):
             if cfg.kind == "first":
                 points = perms_with_cycles(n, k)
-                stratum = _pair_stratum(points, conjugate_perm, sym)
+                stratum = _pair_stratum(points, sym.conjugate, sym)
                 label = ((n - k) % 2,)
             else:
                 points = partitions_with_blocks(n, k)

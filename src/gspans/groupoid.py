@@ -83,12 +83,21 @@ class SymmetricGroup:
         self.n = n
         self.identity = tuple(range(n))
         self.order = math.factorial(n)
+        self._inverses = {}
 
     def op(self, a, b):
         return pcompose(a, b)
 
     def inv(self, a):
-        return pinverse(a)
+        i = self._inverses.get(a)
+        if i is None:
+            i = self._inverses[a] = pinverse(a)
+        return i
+
+    def conjugate(self, sigma, g):
+        """The right conjugation action sigma . g = g^-1 sigma g."""
+        ginv = self.inv(g)
+        return tuple(ginv[sigma[i]] for i in g)
 
     def elements(self):
         return [tuple(p) for p in itertools.permutations(range(self.n))]

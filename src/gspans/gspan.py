@@ -656,12 +656,13 @@ class SpanMorphism:
         """The laws of a 2-cell: at every object x of M1, A(x) and B(x) have
         the right endpoints and V(Bx) + eps1(x) = eps2(Phi x) + H(Ax); and A
         and B are natural on M1.morphism_sample(), a generating family (the
-        component stars of a table).  Naturality on generators implies it on
-        composites and inverses only because L1, L2, R1, R2 and Phi are
-        functors, which this does not check: vertical_compose,
+        component stars of a table: any f: x -> y is star(y) a star(x)^-1
+        with a in Aut(r) at the representative r).  Naturality on generators
+        implies it on composites and inverses only because L1, L2, R1, R2
+        and Phi are functors, which this does not check: vertical_compose,
         horizontal_compose and identity_composite_cells build Phi as a
-        functor, and the CLI checks a document's legs and Phi with
-        GroupoidFunctor(check=True)."""
+        functor (see cells_equal), and the CLI checks a document's legs and
+        Phi with GroupoidFunctor(check=True)."""
         sp1, sp2 = self.src_span, self.dst_span
         S, T, G = sp1.source, sp1.target, sp1.group
         M1 = sp1.apex
@@ -808,7 +809,8 @@ def identity_composite_cells(sp):
 
 def interchange_check(u1, w1, u2, w2):
     """(w1 * u1) x_T (w2 * u2) == (w1 x_T w2) * (u1 x_T u2), componentwise.
-    u1: A1 => M1, w1: M1 => U1 on the first leg; u2, w2 likewise."""
+    u1: A1 => M1, w1: M1 => U1 on the first leg; u2, w2 likewise.  Both
+    Phis are functors, so cells_equal compares them on generators only."""
     top = compose_spans(u1.src_span, u2.src_span)
     mid = compose_spans(u1.dst_span, u2.dst_span)
     bot = compose_spans(w1.dst_span, w2.dst_span)
@@ -822,7 +824,16 @@ def interchange_check(u1, w1, u2, w2):
 
 
 def cells_equal(u, w):
-    """Componentwise equality of parallel 2-cells."""
+    """Componentwise equality of parallel 2-cells on one source apex M: Phi,
+    A and B at every object, and Phi on M.morphism_sample().  That family
+    suffices for functors: any f: x -> y of a table is star(y) a star(x)^-1
+    with a in Aut(r) at its component's representative r (an action
+    groupoid's family generates it).  interchange_check's two Phis are
+    functors by construction: vertical_compose's is `then` of two functors,
+    and horizontal_compose's, (m1, t, m2) -> (Phi1 m1, A2(x2) t B1(x1)^-1,
+    Phi2 m2) for m1 from x1 and m2 from x2, is one whenever Phi1 and Phi2
+    are functors and A and B are natural, because slotwise takes a
+    composite's element slot from its source factor."""
     M = u.src_span.apex
     if w.src_span.apex is not M:
         return False
@@ -833,7 +844,7 @@ def cells_equal(u, w):
             or u.b(x) != w.b(x)
         ):
             return False
-    return all(u.phi.on_mor(m) == w.phi.on_mor(m) for m in M.all_morphisms())
+    return all(u.phi.on_mor(m) == w.phi.on_mor(m) for m in M.morphism_sample())
 
 
 def fibre_map_preserves_labels(cell, c, d):

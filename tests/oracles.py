@@ -2,9 +2,12 @@
 plus the per-entry fibre construction of span matrices (the definition that
 span_matrix evaluates by groupoid cardinality), the naturality checks of
 spans and 2-cells at every morphism (the validators walk a generating
-family) and the orbits of an action groupoid read off its act alone (the
-groupoid reads them off its generator tables).  gspans is imported inside the functions: the benchmark imports
-this module before it times the import of gspans."""
+family), the equality of 2-cells on every morphism (cells_equal compares on
+a generating family), the table pullback as a loop that looks up every leg
+value and hom-set per morphism pair (the builder looks each up once) and
+the orbits of an action groupoid read off its act alone (the groupoid reads
+them off its generator tables).  gspans is imported inside the functions:
+the benchmark imports this module before it times the import of gspans."""
 
 import itertools
 from fractions import Fraction
@@ -158,6 +161,52 @@ def all_morphism_cell_naturality(cell):
             sp2.right.on_mor(pm), cell.b(x)
         ):
             raise SpanMorphismError("B is not natural at %r" % (m,))
+
+
+def all_morphism_cells_equal(u, w):
+    """Componentwise equality of parallel 2-cells with Phi compared on every
+    morphism of the source apex."""
+    M = u.src_span.apex
+    if w.src_span.apex is not M:
+        return False
+    for x in M.objects:
+        if (
+            u.phi.on_obj(x) != w.phi.on_obj(x)
+            or u.a(x) != w.a(x)
+            or u.b(x) != w.b(x)
+        ):
+            return False
+    return all(u.phi.on_mor(m) == w.phi.on_mor(m) for m in M.all_morphisms())
+
+
+def triple_loop_table_pullback(r1, l2):
+    """The table pullback of r1: M1 -> T <- M2 : l2 built by the m1 x m2 x t
+    loop that evaluates the legs and T.hom for every pair (m1, m2), with the
+    same enumeration order and size guard as the builder."""
+    from gspans.groupoid import SizeGuardError, TableBuilder, size_guard, slotwise
+
+    bound = size_guard()
+    M1, M2, T = r1.source, l2.source, r1.target
+    b = TableBuilder()
+    for a1 in M1.objects:
+        ra1 = r1.on_obj(a1)
+        for a2 in M2.objects:
+            for t in T.hom(ra1, l2.on_obj(a2)):
+                b.obj((a1, t, a2), (M1.identity_at(a1), t, M2.identity_at(a2)))
+    count = 0
+    for m1 in M1.all_morphisms():
+        rm1_inv = T.inverse_m(r1.on_mor(m1))
+        s1, t1 = M1.source_of(m1), M1.target_of(m1)
+        for m2 in M2.all_morphisms():
+            lm2 = l2.on_mor(m2)
+            s2, t2 = M2.source_of(m2), M2.target_of(m2)
+            for t in T.hom(r1.on_obj(s1), l2.on_obj(s2)):
+                u = T.compose_m(T.compose_m(lm2, t), rm1_inv)
+                count += 1
+                if count > bound:
+                    raise SizeGuardError(count, bound)
+                b.mor((m1, t, m2), (s1, t, s2), (t1, u, t2))
+    return b.build(*slotwise((M1, None, M2)))
 
 
 def action_orbits(view):

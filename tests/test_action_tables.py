@@ -156,3 +156,20 @@ def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
     for view, count in calls:
         assert count[0] == len(view.carrier) * len(view.group.generators())
     assert sum(count[0] for _, count in calls) == 2012
+
+
+def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
+    calls = []  # the elements inverted
+    pinverse = groupoid.pinverse
+
+    def counting(a):
+        calls.append(a)
+        return pinverse(a)
+
+    monkeypatch.setattr(groupoid, "pinverse", counting)
+    stirling_pair(4)
+    # per kind, once each: the generators of S2, S3 and S4 (a swap, then a
+    # swap and a cycle) for the generator tables, and the cycles' inverses,
+    # which the conjugation action inverts back
+    assert len(calls) == 2 * (1 + 3 + 3)
+    assert calls[:7] == calls[7:] and len(set(calls)) == 7

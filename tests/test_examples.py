@@ -19,7 +19,6 @@ from gspans.examples import (
     StirlingSpanConfig,
     coset_span,
     coset_span_closed_form,
-    conjugate_perm,
     fin_perm_groupoid,
     fin_rel_groupoid,
     group_square_closed_form,
@@ -210,7 +209,7 @@ def test_conjugate_perm_is_conjugation_on_all_of_s4():
     sym = SymmetricGroup(4)
     for sigma in sym.elements():
         for g in sym.elements():
-            assert conjugate_perm(sigma, g) == pcompose(
+            assert sym.conjugate(sigma, g) == pcompose(
                 pinverse(g), pcompose(sigma, g)
             )
 

@@ -1,27 +1,39 @@
 """A table's generating family (the star of each component) against every
-morphism: its structure, and the validators that walk it against the
-all-morphism oracles on the acceptance corpus, the cells workload's squares
-and seeded one-point mutations."""
+morphism: its structure, the validators and cells_equal that walk it against
+the all-morphism oracles on the acceptance corpus, the cells workload's
+squares, drawn squares and seeded one-point mutations, and the functoriality
+of the Phis cells_equal compares, which the family argument needs.  The
+table pullback, which looks up each leg value once, against the loop that
+looks them up per morphism pair."""
 
 import glob
 import os
 import random
+from collections import Counter, namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gspans import gspan
 from gspans import random_spans as rnd
 from gspans.cli import DocumentError, parse_document
-from gspans.constructions import GroupValuedFunctor
+from gspans.constructions import GroupoidFunctor, GroupValuedFunctor
 from gspans.groupoid import SizeGuardError, TableGroupoid
 from gspans.gspan import (
     ComposabilityError,
     GSpan,
     SpanMorphism,
+    cells_equal,
     compose_spans,
     interchange_check,
 )
-from oracles import all_morphism_cell_naturality, all_morphism_span_naturality
+from oracles import (
+    all_morphism_cell_naturality,
+    all_morphism_cells_equal,
+    all_morphism_span_naturality,
+    triple_loop_table_pullback,
+)
 
 SEED = 20260810  # the acceptance corpus of criteria 3, 4, 6 and 8
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -52,12 +64,40 @@ def corpus():
     return [(sp1, sp2, compose_spans(sp1, sp2)) for sp1, sp2 in pairs]
 
 
+# what interchange_check compared (lhs, rhs) and the horizontal composites
+# it built on the way
+Interchange = namedtuple("Interchange", "holds lhs rhs horizontals")
+
+# the spans and cells that drawing a square and checking it built
+Built = namedtuple("Built", "spans cells interchange")
+
+
+def run_interchange(square):
+    """interchange_check(*square), recording what it builds and compares."""
+    horizontals, compared = [], []
+    compose, equal = gspan.horizontal_compose, gspan.cells_equal
+
+    def recording_compose(*args):
+        horizontals.append(compose(*args))
+        return horizontals[-1]
+
+    def recording_equal(u, w):
+        compared.append((u, w))
+        return equal(u, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gspan, "horizontal_compose", recording_compose)
+        mp.setattr(gspan, "cells_equal", recording_equal)
+        holds = interchange_check(*square)
+    [(lhs, rhs)] = compared
+    return Interchange(holds, lhs, rhs, horizontals)
+
+
 @pytest.fixture(scope="module")
 def squares():
     """The cells workload's fixed list: square i is drawn from the i-th
-    64-bit draw of random.Random(0).  Returns each square's cells and the
-    spans and cells that drawing it and interchange_check built, or
-    SizeGuardError if interchange_check was refused."""
+    64-bit draw of random.Random(0).  Returns each square's cells with its
+    Built, or the SizeGuardError that refused interchange_check."""
     spans, cells = [], []
     span_validate = GSpan.validate
     cell_validate = SpanMorphism.validate
@@ -80,12 +120,18 @@ def squares():
             del spans[:], cells[:]
             square = rnd.random_two_cell_square(random.Random(sub))
             try:
-                assert interchange_check(*square)
-                built = list(spans), list(cells)
-            except SizeGuardError:
-                built = SizeGuardError
-            out.append((square, built))
+                run = run_interchange(square)
+            except SizeGuardError as err:
+                out.append((square, err))
+                continue
+            assert run.holds
+            out.append((square, Built(list(spans), list(cells), run)))
     return out
+
+
+def built_of(squares):
+    """The Built of every square that interchange_check did not refuse."""
+    return [b for _, b in squares if not isinstance(b, SizeGuardError)]
 
 
 def tables_of(views):
@@ -162,9 +208,9 @@ def test_star_family_of_corpus_tables(corpus):
 
 
 def test_star_family_of_cell_square_tables(squares):
-    built = [b for _, b in squares if b is not SizeGuardError]
     tables = tables_of(
-        v for spans, cells in built for sp in spans + [c.dst_span for c in cells]
+        v for spans, cells, _ in built_of(squares)
+        for sp in spans + [c.dst_span for c in cells]
         for v in span_views(sp)
     )
     assert len(tables) > 500
@@ -214,12 +260,11 @@ def test_span_validate_matches_the_oracle_on_the_corpus(corpus):
 
 def test_span_validate_matches_the_oracle_on_cell_squares(squares):
     rng = random.Random(SEED + 2)
-    refused = [i for i, (_, b) in enumerate(squares) if b is SizeGuardError]
+    refused = [
+        i for i, (_, b) in enumerate(squares) if isinstance(b, SizeGuardError)
+    ]
     assert refused == [24]
-    for _, built in squares:
-        if built is SizeGuardError:
-            continue
-        spans, _ = built
+    for spans, _, _ in built_of(squares):
         assert len(spans) >= 3
         for sp in spans:
             assert_spans_agree(sp, rng, mutations=1)
@@ -250,10 +295,7 @@ def mutated_cell(cell, which, x, rng):
 
 def test_cell_validate_matches_the_oracle_on_cell_squares(squares):
     checked = 0
-    for _, built in squares:
-        if built is SizeGuardError:
-            continue
-        _, cells = built
+    for _, cells, _ in built_of(squares):
         assert len(cells) >= 8
         for cell in cells:
             assert outcome(SpanMorphism.validate, cell) is None
@@ -281,6 +323,148 @@ def test_one_point_mutations_of_a_and_b_are_rejected_by_both(squares):
                     by_walk += "not natural" in str(err.value)
     # the object laws pass for some mutations: only the walk rejects those
     assert rejected > 150 and by_walk > 80
+
+
+# ---------------------------------------------------------------------------
+# 2-cell equality: the family against every morphism
+
+
+def test_cells_equal_matches_the_oracle_on_cell_squares(squares):
+    runs = [b.interchange for b in built_of(squares)]
+    assert len(runs) == 39
+    for run in runs:
+        assert cells_equal(run.lhs, run.rhs)
+        assert all_morphism_cells_equal(run.lhs, run.rhs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_cells_equal_matches_the_oracle_on_drawn_squares(seed):
+    rng = random.Random(seed)
+    try:
+        run = run_interchange(rnd.random_two_cell_square(rng))
+    except SizeGuardError:
+        return
+    assert run.holds and all_morphism_cells_equal(run.lhs, run.rhs)
+    objects = run.lhs.src_span.apex.objects
+    for which in ("a", "b") if objects else ():
+        bad = mutated_cell(run.rhs, which, rng.choice(objects), rng)
+        if bad is not None:
+            assert cells_equal(run.lhs, bad) == all_morphism_cells_equal(
+                run.lhs, bad
+            )
+
+
+def phi_changed_on_an_automorphism(cell):
+    """cell with Phi sent elsewhere at one non-identity automorphism of a
+    component representative of its source apex, or None if it has none."""
+    M, N = cell.src_span.apex, cell.dst_span.apex
+    autos = [
+        m for r in M.component_reps() for m in M.hom(r, r) if m != M.identity_at(r)
+    ]
+    if not autos:
+        return None
+    m0 = autos[0]
+    new = next(n for n in N.morphisms if n != cell.phi.on_mor(m0))
+    phi = GroupoidFunctor(
+        M,
+        N,
+        cell.phi.on_obj,
+        lambda m: new if m == m0 else cell.phi.on_mor(m),
+        check=False,
+    )
+    return SpanMorphism(cell.src_span, cell.dst_span, phi, cell.a, cell.b,
+                        check=False)
+
+
+def on_a_copy_of_the_apex(cell):
+    """cell with its source span moved onto a copy of its apex: same ids,
+    legs and labels, another object."""
+    sp = cell.src_span
+    copy = sp.apex.full_subgroupoid(sp.apex.objects)
+
+    def moved_leg(leg):
+        return GroupoidFunctor(copy, leg.target, leg.on_obj, leg.on_mor,
+                               check=False)
+
+    moved = GSpan(copy, moved_leg(sp.left), moved_leg(sp.right), sp.h, sp.v,
+                  sp.eps, check=False)
+    return SpanMorphism(moved, cell.dst_span, cell.phi, cell.a, cell.b,
+                        check=False)
+
+
+def test_cells_equal_rejects_cells_that_differ_at_one_place(squares):
+    rng = random.Random(SEED + 5)
+    kinds = Counter()
+    for built in built_of(squares):
+        lhs, rhs = built.interchange.lhs, built.interchange.rhs
+        objects = lhs.src_span.apex.objects
+        bad = {
+            "phi": phi_changed_on_an_automorphism(rhs),
+            "copy": on_a_copy_of_the_apex(rhs),
+        }
+        if objects:
+            bad["a"] = mutated_cell(rhs, "a", rng.choice(objects), rng)
+            bad["b"] = mutated_cell(rhs, "b", rng.choice(objects), rng)
+        for kind, cell in bad.items():
+            if cell is None:
+                continue
+            assert not cells_equal(lhs, cell)
+            assert not all_morphism_cells_equal(lhs, cell)
+            kinds[kind] += 1
+    assert kinds["copy"] == 39
+    assert min(kinds.values()) > 20
+
+
+def composable_pairs_count(table):
+    out = Counter(table.source.values())
+    return sum(out[table.target[m]] for m in table.source)
+
+
+def test_compared_phis_are_functors(squares):
+    """cells_equal's family argument needs both Phis to be functors; here
+    that is checked exhaustively for the squares whose top composite has at
+    most MORPHISMS morphisms (the check is quadratic in a component's
+    size)."""
+    MORPHISMS = 200
+    checked = 0
+    for built in built_of(squares):
+        run = built.interchange
+        if len(run.lhs.src_span.apex.morphisms) > MORPHISMS:
+            continue
+        for cell in [run.rhs] + run.horizontals:
+            src, dst = cell.src_span.apex, cell.dst_span.apex
+            pairs = composable_pairs_count(src)
+            phi = GroupoidFunctor(src, dst, cell.phi.on_obj, cell.phi.on_mor,
+                                  check=True, pairs_budget=max(pairs, 1))
+            assert phi.truncated is False
+            assert phi.pairs_checked == pairs
+            checked += 1
+    assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# the table pullback against the per-pair loop
+
+
+def test_table_pullback_matches_the_per_pair_loop_on_the_corpus(corpus):
+    tables = 0
+    for sp1, sp2, composed in corpus:
+        apex = composed.pullback.groupoid
+        if not isinstance(apex, TableGroupoid):
+            continue
+        want = triple_loop_table_pullback(sp1.right, sp2.left)
+        assert apex.object_labels == want.object_labels
+        assert apex.morphism_labels == want.morphism_labels
+        assert apex.source == want.source and apex.target == want.target
+        tables += 1
+    assert tables == 50
+
+
+def test_square_24_is_refused_at_the_default_guard(squares):
+    err = squares[24][1]
+    assert isinstance(err, SizeGuardError)
+    assert (err.requested, err.bound) == (20001, 20000)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,10 @@ from gspans.constructions import (
     SetValuedFunctor,
     grothendieck,
 )
-from gspans.groupoid import disjoint_union_tables
+from gspans.groupoid import SymmetricGroup, disjoint_union_tables
 from gspans.gspan import GSpan, compose_spans, span_matrix
 from gspans.examples import (
     StirlingSpanConfig,
-    conjugate_perm,
     fin_perm_groupoid,
     stirling_pair,
     stirling_span,
@@ -80,13 +79,12 @@ def test_pair_stratum_is_the_grothendieck_construction():
     )
     # a morphism handle (x, g) runs against the action direction, so its
     # covariant transport conjugates by g^-1
-    from gspans.groupoid import pinverse
-
+    sym = SymmetricGroup(3)
     sv = SetValuedFunctor(
         base,
         lambda o: taus,
         lambda m: (
-            lambda x, g=base.morphism_labels[m][1]: conjugate_perm(x, pinverse(g))
+            lambda x, g=base.morphism_labels[m][1]: sym.conjugate(x, sym.inv(g))
         ),
     )
     g = grothendieck(sv)
