@@ -15,6 +15,9 @@ per member pair and object d of T (ProductActionGroupoid), whose components,
 and Grothendieck constructions are tables of the same kind as the table
 pullback: an object label has its morphism labels' slot layout, with each
 view slot holding an object where a morphism label holds a morphism.
+
+The functors check their composition law on groupoid.generating_pairs of
+the source, which is complete, and every other law on every morphism.
 """
 
 from collections import namedtuple
@@ -27,8 +30,8 @@ from gspans.groupoid import (
     ProductActionGroupoid,
     SizeGuardError,
     TableBuilder,
-    composable_pairs,
     discrete_table,
+    generating_pairs,
     size_guard,
     slotwise,
     weighting,
@@ -43,46 +46,27 @@ def _as_fn(m):
     return m if callable(m) else m.__getitem__
 
 
-def _budgeted_pairs(functor, budget):
-    """The composable pairs of functor.source for a composition check, up to
-    budget of them (at least one).  Records on the functor how many pairs
-    passed the check (pairs_checked) and whether the budget left some pair
-    unchecked (truncated)."""
-    functor.pairs_checked, functor.truncated = 0, False
-    pairs = composable_pairs(functor.source)
-    for pair in pairs:
-        yield pair
-        functor.pairs_checked += 1
-        if functor.pairs_checked >= budget:
-            functor.truncated = next(pairs, None) is not None
-            return
-
-
 class GroupoidFunctor:
     """Functor between groupoid views; maps given as dicts or callables.
 
     Validation is eager by default: a functor failing a preservation check is
-    rejected at construction (composition checks are capped by pairs_budget
-    on large sources, exhaustive otherwise; validate records pairs_checked
-    and truncated, None until it runs).
+    rejected at construction.  Composition is checked on generating_pairs of
+    the source (complete, see there), the other laws everywhere.
     """
 
-    def __init__(self, source, target, obj_map, mor_map, check=True,
-                 pairs_budget=50000):
+    def __init__(self, source, target, obj_map, mor_map, check=True):
         self.source = source
         self.target = target
         self.on_obj = _as_fn(obj_map)
         self.on_mor = _as_fn(mor_map)
-        self.pairs_checked = self.truncated = None
         if check:
-            self.validate(pairs_budget)
+            self.validate()
 
-    def validate(self, pairs_budget=50000):
+    def validate(self):
         src, tgt = self.source, self.target
         tgt_objects = set(tgt.objects)
-        mors = src.all_morphisms()
-        for m in mors:
-            fm = self.on_mor(m)
+        image = {m: self.on_mor(m) for m in src.all_morphisms()}
+        for m, fm in image.items():
             if self.on_obj(src.source_of(m)) != tgt.source_of(fm) or self.on_obj(
                 src.target_of(m)
             ) != tgt.target_of(fm):
@@ -90,15 +74,11 @@ class GroupoidFunctor:
         for o in src.objects:
             if self.on_obj(o) not in tgt_objects:
                 raise FunctorError("functor sends %r outside the target" % (o,))
-            if self.on_mor(src.identity_at(o)) != tgt.identity_at(self.on_obj(o)):
+            if image[src.identity_at(o)] != tgt.identity_at(self.on_obj(o)):
                 raise FunctorError("functor breaks the identity at %r" % (o,))
-        for m2, m1 in _budgeted_pairs(self, pairs_budget):
-            if self.on_mor(src.compose_m(m2, m1)) != tgt.compose_m(
-                self.on_mor(m2), self.on_mor(m1)
-            ):
-                raise FunctorError(
-                    "functor breaks composition on (%r, %r)" % (m2, m1)
-                )
+        for m2, m1 in generating_pairs(src):
+            if image[src.compose_m(m2, m1)] != tgt.compose_m(image[m2], image[m1]):
+                raise FunctorError("functor breaks composition on %r" % ((m2, m1),))
 
     def then(self, other):
         """other after self."""
@@ -122,33 +102,29 @@ def identity_functor(view):
 
 class GroupValuedFunctor:
     """Functor S -> BG packaged as a G-valued map on morphisms of S; its
-    composition check is capped and recorded as GroupoidFunctor's."""
+    composition law is checked on generating_pairs, as GroupoidFunctor's."""
 
-    def __init__(self, source, group, mor_map, check=True, pairs_budget=50000):
+    def __init__(self, source, group, mor_map, check=True):
         self.source = source
         self.group = group
         self._mor_map = _as_fn(mor_map)
-        self.pairs_checked = self.truncated = None
         if check:
-            self.validate(pairs_budget)
+            self.validate()
 
     def value(self, m):
         return self._mor_map(m)
 
-    def validate(self, pairs_budget=50000):
+    def validate(self):
         src, G = self.source, self.group
         for o in src.objects:
             if self.value(src.identity_at(o)) != G.identity:
                 raise FunctorError("BG-functor nonzero on identity at %r" % (o,))
         for m in src.all_morphisms():
             G.check(self.value(m))
-        for m2, m1 in _budgeted_pairs(self, pairs_budget):
-            if self.value(src.compose_m(m2, m1)) != G.add(
-                self.value(m2), self.value(m1)
-            ):
-                raise FunctorError(
-                    "BG-functor breaks composition on (%r, %r)" % (m2, m1)
-                )
+        value = self.value
+        for m2, m1 in generating_pairs(src):
+            if value(src.compose_m(m2, m1)) != G.add(value(m2), value(m1)):
+                raise FunctorError("BG-functor breaks composition on %r" % ((m2, m1),))
 
     @classmethod
     def trivial(cls, source, group):
@@ -473,7 +449,7 @@ def two_sided_pullback(r1, l, r, l2):
 
 class SetValuedFunctor:
     """Set-valued functor on a groupoid view: a finite set per object and a
-    bijective transport per morphism (validated)."""
+    bijective transport per morphism (validated as GroupoidFunctor is)."""
 
     def __init__(self, base, value_sets, transport, check=True):
         self.base = base
@@ -495,19 +471,15 @@ class SetValuedFunctor:
                     raise FunctorError("transport of identity moves %r" % (x,))
         for m in base.all_morphisms():
             f = self.transport(m)
-            src_set = list(self.value_sets(base.source_of(m)))
-            image = [f(x) for x in src_set]
+            image = [f(x) for x in self.value_sets(base.source_of(m))]
             tgt_set = set(self.value_sets(base.target_of(m)))
             if len(set(image)) != len(image) or set(image) - tgt_set:
                 raise FunctorError("transport of %r is not a bijection" % (m,))
-        for m2, m1 in composable_pairs(base):
+        for m2, m1 in generating_pairs(base):
             f1, f2 = self.transport(m1), self.transport(m2)
             f21 = self.transport(base.compose_m(m2, m1))
-            for x in self.value_sets(base.source_of(m1)):
-                if f21(x) != f2(f1(x)):
-                    raise FunctorError(
-                        "transport breaks composition on (%r, %r)" % (m2, m1)
-                    )
+            if any(f21(x) != f2(f1(x)) for x in self.value_sets(base.source_of(m1))):
+                raise FunctorError("transport breaks composition on %r" % ((m2, m1),))
 
 
 def grothendieck(sv):

@@ -1,5 +1,5 @@
 """Executable catalog of concrete spans: subset spans, universal spans, spans
-of groups, coset spans, and the Stirling spans over the truncated base 0..N.
+of groups, coset spans, and the Stirling spans over the finite base 0..N.
 
 The permutation-with-k-cycles and partition-with-m-blocks groupoids are the
 skeletal action-groupoid models (conjugation of Sigma(n) on S1(X,k), resp. on
@@ -119,7 +119,7 @@ def fin_rel_groupoid(k, m, guard=8):
 
 
 # ---------------------------------------------------------------------------
-# Stirling spans over the truncated discrete base {0..N}
+# Stirling spans over the finite discrete base {0..N}
 
 
 class StirlingSpanConfig(
@@ -163,7 +163,7 @@ def _pair_stratum(base_points, act_point, group):
 def stirling_span(cfg, base=None):
     """The sign-group span whose matrix has entries (n, k) -> S1(n,k) with
     sign label (first kind) or (k, m) -> S2(k,m) (second kind).  Both feet are
-    the truncated discrete base {0..N} (pass a shared one to make two spans
+    the finite discrete base {0..N} (pass a shared one to make two spans
     strictly composable)."""
     if isinstance(cfg, str):
         raise TypeError("pass a StirlingSpanConfig")

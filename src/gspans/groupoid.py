@@ -26,7 +26,8 @@ Every view has a generating family, morphism_sample(): an action groupoid's
 points x generators, a table's component stars (at each representative r,
 all of Aut(r) and one morphism r -> x per object x).  A natural square, or
 an equality of functors, that holds on the family holds on every morphism,
-so the validators walk the family, not the morphisms.
+so the validators walk the family, not the morphisms; a functor's
+composition law and a table's associativity are checked on generating_pairs.
 
 Groupoids do not change after construction and all analyses are pure; the
 hom index, component partition, star family, orbit partition, an action
@@ -186,6 +187,33 @@ def composable_pairs(view):
     for m1 in mors:
         for m2 in by_src.get(view.target_of(m1), ()):
             yield m2, m1
+
+
+def generating_pairs(view):
+    """The pairs (s, f), s after f, that the law checks walk: s in S' and f
+    any morphism into source(s), where S' is morphism_sample() followed by
+    the inverse_m of its members, each once.  On a BG that is every pair.
+
+    They suffice for a functor F that preserves identities, into an
+    associative target: the h with F(h f) = F(h) F(f) for all f are closed
+    under composition, F(h2 h1 f) = F(h2) F(h1) F(f) = F(h2 h1) F(f), and
+    every x -> y is a product star(y) a star(x)^-1 of members of S', with a
+    in Aut(r) (a word in the generators, on an action groupoid).
+
+    As middle factors, (h s) f = h (s f), they suffice for associativity
+    (Light's test): if a and b are middle-associative, so is a b, since
+    (h (a b)) f = ((h a) b) f = (h a) (b f) = h (a (b f)) = h ((a b) f).
+    Once every composite is defined with the right endpoints and the
+    identity and inverse laws hold, each f : x -> y is star(y) (a star(x)^-1)
+    with a = star(y)^-1 (f star(x)), each regrouping a middle-in-S' step."""
+    sample = list(view.morphism_sample())
+    family = dict.fromkeys(sample + [view.inverse_m(s) for s in sample])
+    into = {}
+    for m in view.all_morphisms():
+        into.setdefault(view.target_of(m), []).append(m)
+    for s in family:
+        for f in into.get(view.source_of(s), ()):
+            yield s, f
 
 
 class TableGroupoid:
@@ -409,7 +437,8 @@ class TableGroupoid:
     def validate(self):
         """All groupoid axioms; returns a list of violations with witnesses.
         Every composable pair is reached through compose_m, so a table built
-        from labels has its whole law checked."""
+        from labels has its whole law defined; associativity is checked on
+        generating_pairs as middle factors, once every other law holds."""
         bad = []
         objs = set(self.objects)
         for m, s in self.source.items():
@@ -419,8 +448,7 @@ class TableGroupoid:
             i = self.identity.get(o)
             if i is None or self.source.get(i) != o or self.target.get(i) != o:
                 bad.append("object %r lacks a well-formed identity" % o)
-        pairs = list(composable_pairs(self))
-        for pair in pairs:
+        for pair in composable_pairs(self):
             try:
                 self.compose_m(*pair)
             except ValueError:
@@ -456,18 +484,17 @@ class TableGroupoid:
                 or compose(m, i) != self.identity[self.target[m]]
             ):
                 bad.append("inverse law fails at %r" % m)
-        before = {}  # m -> the morphisms that compose before m, in id order
-        for m2, m1 in pairs:
-            before.setdefault(m2, []).append(m1)
-        for m1 in mor:
-            for m2 in before.get(m1, ()):
-                left = compose(m1, m2)
-                for m3 in before.get(m2, ()):
-                    if compose(left, m3) != compose(m1, compose(m2, m3)):
-                        bad.append(
-                            "associativity fails on triple (%r, %r, %r)"
-                            % (m1, m2, m3)
-                        )
+        if bad:
+            return bad
+        out_of = {}
+        for m in mor:
+            out_of.setdefault(self.source[m], []).append(m)
+        c = self.compose  # holds every composable pair by now
+        for s, f in generating_pairs(self):
+            sf = c[s, f]
+            for h in out_of[self.target[s]]:
+                if c[c[h, s], f] != c[h, sf]:
+                    bad.append("associativity fails on triple %r" % ((h, s, f),))
         return bad
 
 

@@ -6,7 +6,9 @@ family), the equality of 2-cells on every morphism (cells_equal compares on
 a generating family), the table pullback as a loop that looks up every leg
 value and hom-set per morphism pair (the builder looks each up once) and
 the orbits of an action groupoid read off its act alone (the groupoid reads
-them off its generator tables).  gspans is imported inside the functions:
+them off its generator tables), and the functor validators and associativity
+on every composable pair and triple (the validators walk generating_pairs).
+gspans is imported inside the functions:
 the benchmark imports this module before it times the import of gspans."""
 
 import itertools
@@ -227,3 +229,88 @@ def action_orbits(view):
 def action_aut_order(view, x):
     """|Aut(x)| in X//G as the stabilizer {g : x.g = x}, counted with act."""
     return sum(1 for g in view.group.elements() if view.act(x, g) == x)
+
+
+def all_pairs_functor_check(functor):
+    """GroupoidFunctor.validate with composition checked on every composable
+    pair of the source; raises FunctorError at the first failure."""
+    from gspans.constructions import FunctorError
+    from gspans.groupoid import composable_pairs
+
+    src, tgt, F = functor.source, functor.target, functor.on_obj
+    Fm = functor.on_mor
+    for m in src.all_morphisms():
+        if (F(src.source_of(m)), F(src.target_of(m))) != (
+            tgt.source_of(Fm(m)),
+            tgt.target_of(Fm(m)),
+        ):
+            raise FunctorError("functor breaks source/target at %r" % (m,))
+    tgt_objects = set(tgt.objects)
+    for o in src.objects:
+        if F(o) not in tgt_objects or Fm(src.identity_at(o)) != tgt.identity_at(
+            F(o)
+        ):
+            raise FunctorError("functor breaks the identity at %r" % (o,))
+    for m2, m1 in composable_pairs(src):
+        if Fm(src.compose_m(m2, m1)) != tgt.compose_m(Fm(m2), Fm(m1)):
+            raise FunctorError("functor breaks composition on (%r, %r)" % (m2, m1))
+
+
+def all_pairs_group_valued_check(functor):
+    """GroupValuedFunctor.validate with composition checked on every
+    composable pair of the source; raises at the first failure."""
+    from gspans.constructions import FunctorError
+    from gspans.groupoid import composable_pairs
+
+    src, G, value = functor.source, functor.group, functor.value
+    for o in src.objects:
+        if value(src.identity_at(o)) != G.identity:
+            raise FunctorError("BG-functor nonzero on identity at %r" % (o,))
+    for m in src.all_morphisms():
+        G.check(value(m))
+    for m2, m1 in composable_pairs(src):
+        if value(src.compose_m(m2, m1)) != G.add(value(m2), value(m1)):
+            raise FunctorError("BG-functor breaks composition on (%r, %r)" % (m2, m1))
+
+
+def all_pairs_set_valued_check(sv):
+    """SetValuedFunctor.validate with composition checked on every
+    composable pair of the base; raises FunctorError at the first failure."""
+    from gspans.constructions import FunctorError
+    from gspans.groupoid import composable_pairs
+
+    base = sv.base
+    for o in base.objects:
+        ident = sv.transport(base.identity_at(o))
+        if any(ident(x) != x for x in sv.value_sets(o)):
+            raise FunctorError("transport of identity moves a point at %r" % (o,))
+    for m in base.all_morphisms():
+        f = sv.transport(m)
+        image = [f(x) for x in sv.value_sets(base.source_of(m))]
+        if len(set(image)) != len(image) or set(image) - set(
+            sv.value_sets(base.target_of(m))
+        ):
+            raise FunctorError("transport of %r is not a bijection" % (m,))
+    for m2, m1 in composable_pairs(base):
+        f1, f2 = sv.transport(m1), sv.transport(m2)
+        f21 = sv.transport(base.compose_m(m2, m1))
+        if any(f21(x) != f2(f1(x)) for x in sv.value_sets(base.source_of(m1))):
+            raise FunctorError("transport breaks composition on (%r, %r)" % (m2, m1))
+
+
+def all_triples_associativity(table):
+    """The composable triples (m1, m2, m3) of a table, m1 after m2 after m3,
+    on which its compose_m is not associative."""
+    from gspans.groupoid import composable_pairs
+
+    before = {}  # m -> the morphisms that compose before m
+    for m2, m1 in composable_pairs(table):
+        before.setdefault(m2, []).append(m1)
+    compose = table.compose_m
+    return [
+        (m1, m2, m3)
+        for m1 in table.morphisms
+        for m2 in before.get(m1, ())
+        for m3 in before.get(m2, ())
+        if compose(compose(m1, m2), m3) != compose(m1, compose(m2, m3))
+    ]

@@ -366,3 +366,73 @@ def test_check_refused_by_the_size_guard_names_the_trial(monkeypatch, capsys):
         "morphisms exceeds the size guard 20000 (set GSPANS_SIZE_GUARD to "
         "raise it)\n"
     )
+
+
+def literal_groupoid(objects, arrows, compose):
+    """A literal groupoid document entry; arrows maps a name to (src, tgt)
+    and compose maps (after, before) to the composite, names throughout."""
+    ids = {o: next(m for m, e in arrows.items() if e == (o, o)) for o in objects}
+    inverse = {
+        m: next(i for i in arrows if compose.get((i, m)) == ids[arrows[m][0]])
+        for m in arrows
+    }
+    return {
+        "objects": list(objects),
+        "morphisms": [{"id": m, "src": s, "tgt": t} for m, (s, t) in arrows.items()],
+        "identity": ids,
+        "compose": [[m2, m1, m] for (m2, m1), m in compose.items()],
+        "inverse": inverse,
+    }
+
+
+def codiscrete_xyz():
+    """The groupoid with one morphism ij: i -> j for all i, j in x, y, z."""
+    objs = "xyz"
+    arrows = {i + j: (i, j) for i in objs for j in objs}
+    compose = {(j + k, i + j): i + k for i in objs for j in objs for k in objs}
+    return literal_groupoid(objs, arrows, compose)
+
+
+def test_a_functor_broken_off_the_star_family_exits_2(tmp_path, capsys):
+    # xyz's star family at x is xx, xy, xz and with inverses yx, zx; the
+    # functor to BZ2 sends every morphism to e except yz, which is outside
+    z2 = {"e": ("*", "*"), "t": ("*", "*")}
+    add = {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"}
+    images = {m: "t" if m == "yz" else "e" for m in codiscrete_xyz()["inverse"]}
+    doc = {
+        "groupoids": {"xyz": codiscrete_xyz(), "b2": literal_groupoid("*", z2, add)},
+        "functors": {
+            "F": {
+                "source": "xyz",
+                "target": "b2",
+                "objects": {o: "*" for o in "xyz"},
+                "morphisms": images,
+            }
+        },
+    }
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: functors.F: functor breaks composition on ")
+    assert "Traceback" not in err
+    images["yz"] = "e"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 0
+
+
+def test_a_table_that_is_not_associative_exits_2(tmp_path, capsys):
+    # e, a, b with a a = b b = e and a b = b a = a: identities and inverses
+    # hold, but (a a) b = b while a (a b) = e
+    arrows = {m: ("*", "*") for m in "eab"}
+    compose = {("e", m): m for m in "eab"}
+    compose.update({(m, "e"): m for m in "ab"})
+    compose.update({("a", "a"): "e", ("b", "b"): "e", ("a", "b"): "a", ("b", "a"): "a"})
+    doc = {"groupoids": {"loop": literal_groupoid("*", arrows, compose)}}
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: groupoids.loop: associativity fails on triple ")
+    assert "identity" not in err and "inverse" not in err
+    assert "Traceback" not in err

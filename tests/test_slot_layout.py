@@ -5,10 +5,12 @@ slots run between the slots of its endpoints' labels and its element slots
 are its source's, the objects come in the documented enumeration order
 (which pins the ids), and slotwise's law passes validate().
 
-validate() walks every composable triple for associativity, so it runs on
-the tables with at most TRIPLES of them: 1 278 of the 1 334 built here.
-The other 56 (pullbacks, two-sided pullbacks and universal apexes of up to
-3.3 * 10^8 triples) would take minutes; their layout is still checked."""
+validate() checks associativity on the triples whose middle factor is a
+generating_pairs left factor, so it runs on the tables with at most
+TRIPLES of those: 1 327 of the 1 334 built here.  The other 7 (the largest
+pullbacks, two-sided pullbacks and universal apexes, up to 5.6 * 10^6 such
+triples) are left out to keep the module fast; their layout is still
+checked."""
 
 import glob
 import os
@@ -31,6 +33,7 @@ from gspans.constructions import (
     two_sided_pullback,
 )
 from gspans.examples import universal_span
+from gspans.groupoid import generating_pairs
 from gspans.gspan import compose_spans
 
 SEED = 20260810  # the acceptance corpus of criteria 3, 4, 6 and 8
@@ -38,11 +41,11 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 TRIPLES = 10**5
 
 
-def composable_triples(table):
-    """The triples validate() checks for associativity: a groupoid has the
-    same out-degree at every object of a component."""
+def generating_triples(table):
+    """The triples (h, s, f) validate() checks for associativity: h out of
+    target(s) for each generating pair (s, f)."""
     out = Counter(table.source.values())
-    return sum(out[table.target[m]] ** 2 for m in table.source)
+    return sum(out[table.target[s]] for s, _ in generating_pairs(table))
 
 
 def pullback_case(r1, l2, table):
@@ -218,5 +221,5 @@ def test_slot_layout(cases, kind):
                     assert (v.source_of(x), v.target_of(x)) == (x1, x2), (
                         kind, lab, src, tgt,
                     )
-        if composable_triples(table) <= TRIPLES:
+        if generating_triples(table) <= TRIPLES:
             assert table.validate() == []

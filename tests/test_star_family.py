@@ -416,31 +416,18 @@ def test_cells_equal_rejects_cells_that_differ_at_one_place(squares):
     assert min(kinds.values()) > 20
 
 
-def composable_pairs_count(table):
-    out = Counter(table.source.values())
-    return sum(out[table.target[m]] for m in table.source)
-
-
 def test_compared_phis_are_functors(squares):
     """cells_equal's family argument needs both Phis to be functors; here
-    that is checked exhaustively for the squares whose top composite has at
-    most MORPHISMS morphisms (the check is quadratic in a component's
-    size)."""
-    MORPHISMS = 200
-    checked = 0
-    for built in built_of(squares):
-        run = built.interchange
-        if len(run.lhs.src_span.apex.morphisms) > MORPHISMS:
-            continue
+    that is checked for every square interchange_check did not refuse
+    (GroupoidFunctor checks composition on generating pairs, which
+    test_generating_pairs holds against every pair)."""
+    built = built_of(squares)
+    assert len(built) == 39
+    for b in built:
+        run = b.interchange
         for cell in [run.rhs] + run.horizontals:
-            src, dst = cell.src_span.apex, cell.dst_span.apex
-            pairs = composable_pairs_count(src)
-            phi = GroupoidFunctor(src, dst, cell.phi.on_obj, cell.phi.on_mor,
-                                  check=True, pairs_budget=max(pairs, 1))
-            assert phi.truncated is False
-            assert phi.pairs_checked == pairs
-            checked += 1
-    assert checked > 100
+            GroupoidFunctor(cell.src_span.apex, cell.dst_span.apex,
+                            cell.phi.on_obj, cell.phi.on_mor)
 
 
 # ---------------------------------------------------------------------------
