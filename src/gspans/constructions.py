@@ -3,18 +3,17 @@ two-sided pullbacks, and Grothendieck constructions of set-valued functors.
 
 The homotopy pullback of M1 --R--> T <--L-- M2 has objects (a1, t, a2) with
 t in T(R a1, L a2); a morphism (m1, m2) : (a1,t,a2) -> (b1,u,b2) requires
-u o R(m1) = L(m2) o t in T.  Pullback outputs are tables (guarded by their
-morphism count) labelled by slot tuples, objects (a1, t, a2) and morphisms
-(m1, t, m2).  Their compose/inverse entries are filled on demand by the one
-slot law, slotwise: (n1, u, n2) o (m1, t, m2) = (n1 o m1, t, n2 o m2), and
-the projections p1, p2 read slots 0 and 2 (slot_projection).  Over a discrete
-T with legs from disjoint unions of action groupoids the pullback stays lazy:
-it is a disjoint union of factorized product strata X1 x X2 // (G1 x G2), one
-per member pair and object d of T (ProductActionGroupoid), whose components,
-|Aut| and chi come from the two factors' orbits.  Fibres, two-sided pullbacks
-and Grothendieck constructions are tables of the same kind as the table
-pullback: an object label has its morphism labels' slot layout, with each
-view slot holding an object where a morphism label holds a morphism.
+u o R(m1) = L(m2) o t in T.  homotopy_pullback returns it for every cospan
+as one lazy PullbackView whose objects are those triples and whose morphism
+handles are the triples (m1, t, m2), composed slotwise; the projections p1,
+p2 read slots 0 and 2.  Its components, |Aut| and chi multiply out of the
+legs' level sets over a discrete T, and come from a search over its moves
+otherwise; materialize(view) is the explicit table, guarded by its morphism
+count.  Fibres, two-sided pullbacks and Grothendieck constructions are
+tables labelled by slot tuples, with compose/inverse entries filled on
+demand by the one slot law, slotwise: an object label has its morphism
+labels' slot layout, with each view slot holding an object where a morphism
+label holds a morphism.
 
 The functors check their composition law on groupoid.generating_pairs of
 the source, which is complete, and every other law on every morphism.
@@ -22,18 +21,15 @@ the source, which is complete, and every other law on every morphism.
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 
 from gspans.groupoid import (
-    ActionFactor,
     ActionGroupoid,
-    DisjointUnion,
-    ProductActionGroupoid,
-    SizeGuardError,
     TableBuilder,
     discrete_table,
     generating_pairs,
-    size_guard,
     slotwise,
+    symmetric_family,
     weighting,
 )
 
@@ -234,120 +230,244 @@ def slot_projection(table, view, i):
     )
 
 
-def _action_members(view):
-    if isinstance(view, ActionGroupoid):
-        return None  # bare action legs are wrapped by callers that want lazy
-    if isinstance(view, DisjointUnion) and all(
-        isinstance(m, ActionGroupoid) for m in view.members
-    ):
-        return view.members
-    return None
+class PullbackView:
+    """The homotopy pullback of the cospan r1: M1 -> T <- M2 : l2, kept lazy.
+
+    Objects are the triples (a1, t, a2) with t in T(R1 a1, L2 a2), and a
+    morphism handle (m1, t, m2) sits at the source (a1, t, a2) of m1 and m2;
+    its target is (b1, L2(m2) t R1(m1)^-1, b2).  Objects are enumerated
+    a1, a2, t and handles m1, m2, t, so materialize(view) is the table
+    pullback with its ids.  Composition is slotwise, keeping the first
+    factor's t: (n1, u, n2) o (m1, t, m2) = (n1 o m1, t, n2 o m2).
+
+    The analyses pick their algorithm from T.  Over a discrete T the
+    pullback is the union over objects d of M1_d x M2_d, the level sets of
+    the legs, so its components, representatives and |Aut| multiply out of
+    M1's and M2's own components, grouped by level.  Otherwise a search over
+    the moves (s, t, id) and (id, t, s), for s in M1's and M2's generating
+    families and their inverses, finds the components, each represented by
+    its first object, and |Aut| filters Aut(a1) x Aut(a2).  The generating
+    family is the component stars of that search for either T: all of
+    Aut(r) and one search-tree morphism r -> x for every other object x.
+    """
+
+    def __init__(self, r1, l2):
+        self.r1, self.l2 = r1, l2
+        self.M1, self.M2, self.T = r1.source, l2.source, r1.target
+        self._objects = None
+        self._reps = None
+        self._search = None
+        self._star = None
+
+    # -- handles -------------------------------------------------------------
+
+    def _object_list(self):
+        if self._objects is None:
+            M2, T, l2 = self.M2, self.T, self.l2
+            legs2 = [(a2, l2.on_obj(a2)) for a2 in M2.objects]
+            self._objects = [
+                (a1, t, a2)
+                for a1 in self.M1.objects
+                for ra1 in (self.r1.on_obj(a1),)
+                for a2, la2 in legs2
+                for t in T.hom(ra1, la2)
+            ]
+        return self._objects
+
+    @property
+    def objects(self):
+        return list(self._object_list())
+
+    def identity_at(self, o):
+        a1, t, a2 = o
+        return (self.M1.identity_at(a1), t, self.M2.identity_at(a2))
+
+    def source_of(self, m):
+        m1, t, m2 = m
+        return (self.M1.source_of(m1), t, self.M2.source_of(m2))
+
+    def _target_t(self, m):
+        """The t slot L2(m2) t R1(m1)^-1 of the target of m = (m1, t, m2)."""
+        m1, t, m2 = m
+        T = self.T
+        return T.compose_m(
+            T.compose_m(self.l2.on_mor(m2), t), T.inverse_m(self.r1.on_mor(m1))
+        )
+
+    def target_of(self, m):
+        return (self.M1.target_of(m[0]), self._target_t(m), self.M2.target_of(m[2]))
+
+    def compose_m(self, m2, m1):
+        """m2 after m1, slotwise: M1 and M2 refuse slots that do not compose,
+        and the t of m2 must be the target t of m1."""
+        if m2[1] != self._target_t(m1):
+            raise ValueError("compose of non-composable pair %r" % ((m2, m1),))
+        return (
+            self.M1.compose_m(m2[0], m1[0]), m1[1], self.M2.compose_m(m2[2], m1[2])
+        )
+
+    def inverse_m(self, m):
+        return (self.M1.inverse_m(m[0]), self._target_t(m), self.M2.inverse_m(m[2]))
+
+    def hom(self, a, b):
+        """The (m1, t, m2) with m1 in M1(a1, b1), m2 in M2(a2, b2) and
+        L2(m2) t = u R1(m1), for a = (a1, t, a2) and b = (b1, u, b2)."""
+        (a1, t, a2), (b1, u, b2) = a, b
+        T = self.T
+        legs2 = [
+            (m2, T.compose_m(self.l2.on_mor(m2), t)) for m2 in self.M2.hom(a2, b2)
+        ]
+        out = []
+        for m1 in self.M1.hom(a1, b1):
+            v = T.compose_m(u, self.r1.on_mor(m1))
+            out.extend((m1, t, m2) for m2, w in legs2 if w == v)
+        return out
+
+    def hom_size(self, a, b):
+        return len(self.hom(a, b))
+
+    def all_morphisms(self):
+        """Every handle, enumerated lazily in the order m1, m2, t."""
+        M1, M2, T = self.M1, self.M2, self.T
+        legs2 = [(m2, self.l2.on_obj(M2.source_of(m2))) for m2 in M2.all_morphisms()]
+        for m1 in M1.all_morphisms():
+            ra1 = self.r1.on_obj(M1.source_of(m1))
+            for m2, la2 in legs2:
+                for t in T.hom(ra1, la2):
+                    yield (m1, t, m2)
+
+    # -- invariants ----------------------------------------------------------
+
+    def _over_levels(self, parts1, parts2, first):
+        """(p1, id_d, p2) for the parts (components or representatives) of
+        M1 and of M2 over one object d of a discrete T, in M1's order, then
+        M2's."""
+        over = {}
+        for p2 in parts2:
+            over.setdefault(self.l2.on_obj(first(p2)), []).append(p2)
+        for p1 in parts1:
+            d = self.r1.on_obj(first(p1))
+            t = self.T.identity_at(d)
+            for p2 in over.get(d, ()):
+                yield p1, t, p2
+
+    def _searched(self):
+        """Components as sorted position lists, ordered by first position,
+        each object's component number, and a path r -> x from its
+        component's representative r to every object x: a search along the
+        moves (s, t, id) and (id, t, s) with s in the symmetric family of M1
+        and of M2, which generate the pullback and reach every object of a
+        component from any of its objects."""
+        if self._search is None:
+            M1, M2, T = self.M1, self.M2, self.T
+            out1, out2 = {}, {}
+            for s in symmetric_family(M1):
+                out1.setdefault(M1.source_of(s), []).append(
+                    (s, M1.target_of(s), T.inverse_m(self.r1.on_mor(s)))
+                )
+            for s in symmetric_family(M2):
+                out2.setdefault(M2.source_of(s), []).append(
+                    (s, M2.target_of(s), self.l2.on_mor(s))
+                )
+            objs = self._object_list()
+            index = {o: i for i, o in enumerate(objs)}
+            comp_of = [None] * len(objs)
+            path = [None] * len(objs)
+            comps = []
+            for i, o in enumerate(objs):
+                if comp_of[i] is not None:
+                    continue
+                k = comp_of[i] = len(comps)
+                path[i] = self.identity_at(o)
+                comp = [i]
+                for j in comp:  # grows as the search reaches new objects
+                    a1, t, a2 = objs[j]
+                    steps = [
+                        ((s, t, M2.identity_at(a2)), (y1, T.compose_m(t, rinv), a2))
+                        for s, y1, rinv in out1.get(a1, ())
+                    ] + [
+                        ((M1.identity_at(a1), t, s), (a1, T.compose_m(ls, t), y2))
+                        for s, y2, ls in out2.get(a2, ())
+                    ]
+                    for move, y in steps:
+                        n = index[y]
+                        if comp_of[n] is None:
+                            comp_of[n] = k
+                            path[n] = self.compose_m(move, path[j])
+                            comp.append(n)
+                comps.append(sorted(comp))
+            self._search = comps, comp_of, path, index
+        return self._search
+
+    def components(self):
+        """Components, each in enumeration order, ordered by their first
+        object, the representative."""
+        if self.T.is_discrete:
+            return [
+                [(x1, t, x2) for x1 in c1 for x2 in c2]
+                for c1, t, c2 in self._over_levels(
+                    self.M1.components(), self.M2.components(), itemgetter(0)
+                )
+            ]
+        objs = self._object_list()
+        return [[objs[i] for i in c] for c in self._searched()[0]]
+
+    def component_reps(self):
+        if self._reps is None:
+            if self.T.is_discrete:
+                self._reps = list(self._over_levels(
+                    self.M1.component_reps(), self.M2.component_reps(),
+                    lambda r: r,
+                ))
+            else:
+                self._reps = [c[0] for c in self.components()]
+        return list(self._reps)
+
+    def component_rep(self, o):
+        a1, t, a2 = o
+        if self.T.is_discrete:
+            return (self.M1.component_rep(a1), t, self.M2.component_rep(a2))
+        comps, comp_of, _, index = self._searched()
+        return self._object_list()[comps[comp_of[index[o]]][0]]
+
+    def aut_order(self, o):
+        if self.T.is_discrete:
+            return self.M1.aut_order(o[0]) * self.M2.aut_order(o[2])
+        return self.hom_size(o, o)
+
+    def chi(self):
+        return sum(
+            (Fraction(1, self.aut_order(r)) for r in self.component_reps()),
+            Fraction(0),
+        )
+
+    def morphism_sample(self):
+        """The component stars: at each representative r, all of Aut(r),
+        then the search-tree morphism r -> x for every other object x of its
+        component in enumeration order.  Any x -> y is star(y) a star(x)^-1
+        with a in Aut(r), so the stars generate."""
+        if self._star is None:
+            comps, _, path, _ = self._searched()
+            objs = self._object_list()
+            star = []
+            for comp in comps:
+                r = objs[comp[0]]
+                star.extend(self.hom(r, r))
+                star.extend(path[i] for i in comp[1:])
+            self._star = tuple(star)
+        return self._star
 
 
 def homotopy_pullback(r1, l2):
-    """Homotopy pullback of the cospan r1: M1 -> T <- M2 : l2.
-
-    Returns a PullbackResult whose groupoid has objects (a1, t, a2).  Uses an
-    explicit table when the legs enumerate (refused past size_guard()
-    morphisms), and stays lazy (disjoint union of factorized product strata,
-    objects (stratum, (a1, t, a2))) over a discrete T with action legs.
-    """
-    T = r1.target
-    if (
-        T.is_discrete
-        and _action_members(r1.source) is not None
-        and _action_members(l2.source) is not None
-    ):
-        return _lazy_discrete_pullback(r1, l2)
-    return _table_pullback(r1, l2)
-
-
-def _table_pullback(r1, l2):
-    bound = size_guard()
-    M1, M2, T = r1.source, l2.source, r1.target
-    l2_objs = [(a2, l2.on_obj(a2)) for a2 in M2.objects]
-    homs = {}  # a1 -> {a2: T(R1 a1, L2 a2)}, each looked up once
-    b = TableBuilder()
-    for a1 in M1.objects:
-        ra1 = r1.on_obj(a1)
-        row = homs[a1] = {a2: T.hom(ra1, la2) for a2, la2 in l2_objs}
-        for a2, ts in row.items():
-            for t in ts:
-                b.obj((a1, t, a2), (M1.identity_at(a1), t, M2.identity_at(a2)))
-    legs2 = [
-        (m2, l2.on_mor(m2), M2.source_of(m2), M2.target_of(m2))
-        for m2 in M2.all_morphisms()
-    ]
-    count = 0
-    for m1 in M1.all_morphisms():
-        rm1_inv = T.inverse_m(r1.on_mor(m1))
-        s1, t1 = M1.source_of(m1), M1.target_of(m1)
-        row = homs[s1]
-        for m2, lm2, s2, t2 in legs2:
-            for t in row[s2]:
-                u = T.compose_m(T.compose_m(lm2, t), rm1_inv)
-                count += 1
-                if count > bound:
-                    raise SizeGuardError(count, bound)
-                b.mor((m1, t, m2), (s1, t, s2), (t1, u, t2))
-    g = b.build(*slotwise((M1, None, M2)))
-    return PullbackResult(g, slot_projection(g, M1, 0), slot_projection(g, M2, 2))
-
-
-def _level_factors(functor, members):
-    """Per member i of the source union, {d: ActionFactor of i's level set
-    over d}.  The leg is constant on orbits (T is discrete), so each level
-    set is action-closed; a member lying over one d is its own factor."""
-    out = []
-    for i, member in enumerate(members):
-        levels = {}
-        for x in member.carrier:
-            levels.setdefault(functor.on_obj((i, x)), []).append(x)
-        out.append({
-            d: ActionFactor(
-                i,
-                member if len(xs) == len(member.carrier)
-                else member.full_subgroupoid(xs),
-            )
-            for d, xs in levels.items()
-        })
-    return out
-
-
-def _lazy_discrete_pullback(r1, l2):
-    """Pullback over a discrete T where both legs are unions of action
-    groupoids.  Stratum (i, j, d) is X1 x X2 // (G1 x G2) for the level sets
-    X1 of member i over d and X2 of member j over d, kept factorized as a
-    ProductActionGroupoid: its components, |Aut| and chi come from the factor
-    orbits, and no product carrier is built.  Each factor is made once per
-    (member, d) and shared by every stratum it belongs to."""
-    M1, M2, T = r1.source, l2.source, r1.target
-    factors1 = _level_factors(r1, M1.members)
-    factors2 = _level_factors(l2, M2.members)
-    strata = []
-    for by_d1 in factors1:
-        for by_d2 in factors2:
-            for d in T.objects:
-                if d in by_d1 and d in by_d2:
-                    strata.append(
-                        ProductActionGroupoid(by_d1[d], by_d2[d], T.identity_at(d))
-                    )
-    union = DisjointUnion(strata)
-    p1 = GroupoidFunctor(
-        union,
-        M1,
-        lambda o: o[1][0],
-        lambda m: (m[1][0][0][0], (m[1][0][0][1], m[1][1][0])),
-        check=False,
+    """Homotopy pullback of the cospan r1: M1 -> T <- M2 : l2, as a
+    PullbackView with its projections to M1 and M2 (slots 0 and 2)."""
+    view = PullbackView(r1, l2)
+    first, last = itemgetter(0), itemgetter(2)
+    return PullbackResult(
+        view,
+        GroupoidFunctor(view, r1.source, first, first, check=False),
+        GroupoidFunctor(view, l2.source, last, last, check=False),
     )
-    p2 = GroupoidFunctor(
-        union,
-        M2,
-        lambda o: o[1][2],
-        lambda m: (m[1][0][2][0], (m[1][0][2][1], m[1][1][1])),
-        check=False,
-    )
-    return PullbackResult(union, p1, p2)
 
 
 # ---------------------------------------------------------------------------

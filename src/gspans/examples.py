@@ -98,22 +98,18 @@ def relabel_partition(rgs, g):
     return _canonical_rgs([rgs[g[i]] for i in range(len(g))])
 
 
-def fin_perm_groupoid(n, k, guard=8):
+def fin_perm_groupoid(n, k):
     """Skeletal model of the groupoid of n-sets with a k-cycle permutation."""
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
-    if n > guard:
-        raise ValueError("n=%d exceeds the guard %d" % (n, guard))
     sym = SymmetricGroup(n)
     return ActionGroupoid(sym, perms_with_cycles(n, k), sym.conjugate)
 
 
-def fin_rel_groupoid(k, m, guard=8):
+def fin_rel_groupoid(k, m):
     """Skeletal model of the groupoid of k-sets with an m-block partition."""
     if not (0 <= m <= k):
         raise ValueError("need 0 <= m <= k")
-    if k > guard:
-        raise ValueError("k=%d exceeds the guard %d" % (k, guard))
     sym = SymmetricGroup(k)
     return ActionGroupoid(sym, partitions_with_blocks(k, m), relabel_partition)
 
@@ -122,24 +118,17 @@ def fin_rel_groupoid(k, m, guard=8):
 # Stirling spans over the finite discrete base {0..N}
 
 
-class StirlingSpanConfig(
-    namedtuple("StirlingSpanConfig", "kind truncation guard")
-):
-    """kind is "first" or "second"; the base is {0..truncation}, and
-    truncation may not exceed guard."""
+class StirlingSpanConfig(namedtuple("StirlingSpanConfig", "kind truncation")):
+    """kind is "first" or "second"; the base is {0..truncation}."""
 
     __slots__ = ()
 
-    def __new__(cls, kind, truncation, guard=5):
+    def __new__(cls, kind, truncation):
         if kind not in ("first", "second"):
             raise ValueError("kind must be 'first' or 'second'")
         if truncation < 0:
             raise ValueError("truncation must be >= 0")
-        if truncation > guard:
-            raise ValueError(
-                "truncation %d exceeds the guard %d" % (truncation, guard)
-            )
-        return super().__new__(cls, kind, truncation, guard)
+        return super().__new__(cls, kind, truncation)
 
 
 SIGN_GROUP = AbelianGroup([2])
@@ -212,12 +201,12 @@ def stirling_span(cfg, base=None):
     return sp
 
 
-def stirling_pair(N, guard=5):
+def stirling_pair(N):
     """Composable (first kind, second kind) spans over one shared base; the
     middle legs (first's V, second's H) are both trivial, so equal."""
     base = discrete_groupoid(N + 1)
-    first = stirling_span(StirlingSpanConfig("first", N, guard), base)
-    second = stirling_span(StirlingSpanConfig("second", N, guard), base)
+    first = stirling_span(StirlingSpanConfig("first", N), base)
+    second = stirling_span(StirlingSpanConfig("second", N), base)
     return first, second
 
 

@@ -1,22 +1,19 @@
 """Finite groupoids in two interchangeable representations.
 
 TableGroupoid is a groupoid over opaque non-negative integer ids, with decode
-labels so constructed objects (pullback triples, fibre pairs) stay
+labels so constructed objects (fibre pairs, Grothendieck elements) stay
 inspectable.  Tables built from labels (TableBuilder) carry their composition
 law as two functions on labels, and fill their compose/inverse tables on
 demand from it, so no table is filled that nobody reads.  Every constructed
 table is a category of elements whose labels are slot tuples, and slotwise
-gives its law: a pullback apex composes (n1, u, n2) after (m1, t, m2) as
-(n1 m1, t, n2 m2).  ActionGroupoid
-is the lazy form X//G of a right group action: components are orbits and
-automorphism group orders come from orbit-stabilizer, so the large examples
-never materialize their hom-sets.  It evaluates the action on generators
-once, into one integer table per generator, and everything that moves a
-point by a generator reads that table.  ProductActionGroupoid is X1 x X2 //
-(G1 x G2) kept as its two factors (ActionFactor): its orbits are pairs of
-factor orbits, so components, |Aut| and chi multiply out of the factors, a
-handle's target is read off the factors' tables, and no product carrier is
-stored.
+gives its law: (n1, u, n2) after (m1, t, m2) is (n1 m1, t, n2 m2).
+materialize turns any view into a table labelled by its own handles,
+guarded by size_guard().
+ActionGroupoid is the lazy form X//G of a right group action: components are
+orbits and automorphism group orders come from orbit-stabilizer, so the large
+examples never materialize their hom-sets.  It evaluates the action on
+generators once, into one integer table per generator, and everything that
+moves a point by a generator reads that table.
 
 Composition convention: compose(m2, m1) means "m2 after m1".  In X//G the
 hom-set (x1 -> x2) is {g : x2.g = x1}, so the morphism handle (x1, g) has
@@ -180,13 +177,21 @@ class Subgroup:
 def composable_pairs(view):
     """Every composable pair (m2, m1), m2 after m1: m1 in all_morphisms()
     order, then each m2 out of target(m1) in the same order."""
-    mors = view.all_morphisms()
+    mors = list(view.all_morphisms())
     by_src = {}
     for m in mors:
         by_src.setdefault(view.source_of(m), []).append(m)
     for m1 in mors:
         for m2 in by_src.get(view.target_of(m1), ()):
             yield m2, m1
+
+
+def symmetric_family(view):
+    """morphism_sample() followed by the inverse_m of its members, each
+    once: a family closed under inverses that generates the view, so a
+    search along it reaches a whole component from any of its objects."""
+    sample = list(view.morphism_sample())
+    return list(dict.fromkeys(sample + [view.inverse_m(s) for s in sample]))
 
 
 def generating_pairs(view):
@@ -206,8 +211,7 @@ def generating_pairs(view):
     Once every composite is defined with the right endpoints and the
     identity and inverse laws hold, each f : x -> y is star(y) (a star(x)^-1)
     with a = star(y)^-1 (f star(x)), each regrouping a middle-in-S' step."""
-    sample = list(view.morphism_sample())
-    family = dict.fromkeys(sample + [view.inverse_m(s) for s in sample])
+    family = symmetric_family(view)
     into = {}
     for m in view.all_morphisms():
         into.setdefault(view.target_of(m), []).append(m)
@@ -570,11 +574,18 @@ def slotwise(views):
 def materialize(view):
     """Explicit table of any groupoid view: its labels are the view's own
     object and morphism handles, and its law is the view's compose_m and
-    inverse_m."""
+    inverse_m.  Refused at the first morphism past size_guard(), so a
+    refusal costs at most that many morphisms of a lazy enumeration."""
+    return _table_of(view, size_guard())
+
+
+def _table_of(view, bound):
     b = TableBuilder()
     for o in view.objects:
         b.obj(o, view.identity_at(o))
-    for m in view.all_morphisms():
+    for count, m in enumerate(view.all_morphisms(), 1):
+        if count > bound:
+            raise SizeGuardError(count, bound)
         b.mor(m, view.source_of(m), view.target_of(m))
     return b.build(view.compose_m, lambda lab, _: view.inverse_m(lab))
 
@@ -583,14 +594,31 @@ def materialize(view):
 # action groupoids
 
 
-class _ActionHandles:
-    """The morphism handles of an action groupoid, shared by ActionGroupoid
-    and ProductActionGroupoid: (source object, group element), where the
-    subclass gives group, _points() (the objects, in order) and target_of."""
+class ActionGroupoid:
+    """X//G for a right action: objects are carrier points, hom(x1,x2) =
+    {g : x2.g = x1}, and a morphism handle is (source point, g).  Components
+    and automorphism orders are computed from orbits without enumerating
+    morphisms.
+
+    The action on generators is evaluated once, into one table per generator
+    g (carrier position -> position of x.g^-1), built on first use; orbits
+    and target_of on generator handles read it.  Other handles act through
+    act(x, g^-1)."""
+
+    def __init__(self, group, carrier, act):
+        self.group = group
+        self.carrier = list(carrier)
+        self.act = act
+        self._index = {x: i for i, x in enumerate(self.carrier)}
+        if len(self._index) != len(self.carrier):
+            raise ValueError("carrier has duplicates")
+        self._moves = None
+        self._orbit_of = None
+        self._orbit_list = None
 
     @property
     def objects(self):
-        return list(self._points())
+        return list(self.carrier)
 
     def identity_at(self, x):
         return (x, self.group.identity)
@@ -612,47 +640,13 @@ class _ActionHandles:
 
     def morphism_sample(self):
         """Generating family: one handle per object per generator, made
-        lazily and grouped by source (a composed apex can have tens of
-        thousands)."""
+        lazily and grouped by source."""
         gens = self.group.generators()
-        return ((x, g) for x in self._points() for g in gens)
+        return ((x, g) for x in self.carrier for g in gens)
 
     def all_morphisms(self):
         els = self.group.elements()
-        return [(x, g) for x in self._points() for g in els]
-
-    def materialize(self):
-        """Explicit table; morphisms are (source object, group element) pairs."""
-        bound = size_guard()
-        total = len(self.objects) * self.group.order
-        if total > bound:
-            raise SizeGuardError(total, bound)
-        return materialize(self)
-
-
-class ActionGroupoid(_ActionHandles):
-    """X//G for a right action: objects are carrier points, hom(x1,x2) =
-    {g : x2.g = x1}.  Components and automorphism orders are computed from
-    orbits without enumerating morphisms.
-
-    The action on generators is evaluated once, into one table per generator
-    g (carrier position -> position of x.g^-1), built on first use; orbits,
-    target_of on generator handles and the factors of product strata read
-    it.  Other handles act through act(x, g^-1)."""
-
-    def __init__(self, group, carrier, act):
-        self.group = group
-        self.carrier = list(carrier)
-        self.act = act
-        self._index = {x: i for i, x in enumerate(self.carrier)}
-        if len(self._index) != len(self.carrier):
-            raise ValueError("carrier has duplicates")
-        self._moves = None
-        self._orbit_of = None
-        self._orbit_list = None
-
-    def _points(self):
-        return self.carrier
+        return [(x, g) for x in self.carrier for g in els]
 
     def _generator_tables(self):
         """{g: [position of x.g^-1 for x in the carrier]} per generator g."""
@@ -736,126 +730,6 @@ class ActionGroupoid(_ActionHandles):
             Fraction(0),
         )
 
-    def full_subgroupoid(self, objs):
-        # valid only for action-closed subsets (the generator tables refuse
-        # an unclosed carrier); all internal uses restrict to level sets of
-        # orbit-constant maps
-        keep = set(objs)
-        return ActionGroupoid(
-            self.group, [x for x in self.carrier if x in keep], self.act
-        )
-
-
-class ActionFactor:
-    """One factor of a ProductActionGroupoid: an action groupoid whose points
-    are read as (tag, x).  The tagged points are made once and shared by
-    every product the factor belongs to; the action on them is the view's,
-    read off its generator tables for generators."""
-
-    def __init__(self, tag, view):
-        self.tag = tag
-        self.view = view
-        self.points = [(tag, x) for x in view.carrier]
-        self._point = dict(zip(view.carrier, self.points))
-
-    def target(self, p, g):
-        """The target p.g^-1 of the handle (p, g)."""
-        return self._point[self.view.target_of((p[1], g))]
-
-    def components(self):
-        point = self._point
-        return [[point[x] for x in c] for c in self.view.components()]
-
-    def component_reps(self):
-        return [self._point[x] for x in self.view.component_reps()]
-
-    def component_rep(self, p):
-        return self._point[self.view.component_rep(p[1])]
-
-
-class ProductActionGroupoid(_ActionHandles):
-    """X1 x X2 // (G1 x G2), kept as its two factors X1//G1 and X2//G2.
-
-    Objects are triples (p1, t, p2) of a point of each factor and a fixed
-    middle tag t (the pullback's morphism of T), in lexicographic order of
-    (p1, p2); morphism handles are (object, (g1, g2)) as in ActionGroupoid,
-    and a handle's target is each factor's target of its component.  G1 x G2
-    acts one factor at a time, so its orbits are pairs of factor orbits and
-    components, automorphism orders and chi are read off the factors (chi
-    and |Aut| multiply); no product carrier is stored."""
-
-    def __init__(self, left, right, t):
-        self.left = left
-        self.right = right
-        self.t = t
-        self.group = ProductGroup(left.view.group, right.view.group)
-
-    def _points(self):
-        t = self.t
-        return ((p1, t, p2) for p1 in self.left.points for p2 in self.right.points)
-
-    @property
-    def carrier(self):
-        """The objects, under ActionGroupoid's name for them; built on each
-        call, for callers that size the generating family."""
-        return self.objects
-
-    def target_of(self, m):
-        (p1, t, p2), (g1, g2) = m
-        e1, e2 = self.group.identity
-        if g1 != e1:
-            p1 = self.left.target(p1, g1)
-        if g2 != e2:
-            p2 = self.right.target(p2, g2)
-        return (p1, t, p2)
-
-    def hom(self, a, b):
-        h1 = self.left.view.hom(a[0][1], b[0][1])
-        h2 = self.right.view.hom(a[2][1], b[2][1])
-        return [(a, (g1, g2)) for _, g1 in h1 for _, g2 in h2]
-
-    def hom_size(self, a, b):
-        return self.left.view.hom_size(a[0][1], b[0][1]) * self.right.view.hom_size(
-            a[2][1], b[2][1]
-        )
-
-    # -- orbits, from the factors ---------------------------------------------
-
-    def components(self):
-        t = self.t
-        return [
-            [(p1, t, p2) for p1 in c1 for p2 in c2]
-            for c1 in self.left.components()
-            for c2 in self.right.components()
-        ]
-
-    def component_reps(self):
-        t = self.t
-        return [
-            (r1, t, r2)
-            for r1 in self.left.component_reps()
-            for r2 in self.right.component_reps()
-        ]
-
-    def component_rep(self, o):
-        return (self.left.component_rep(o[0]), self.t, self.right.component_rep(o[2]))
-
-    def aut_order(self, o):
-        return self.left.view.aut_order(o[0][1]) * self.right.view.aut_order(o[2][1])
-
-    def chi(self):
-        return self.left.view.chi() * self.right.view.chi()
-
-    def full_subgroupoid(self, objs):
-        # valid only for action-closed subsets, as in ActionGroupoid; o.g is
-        # the target of (o, g^-1)
-        keep = set(objs)
-        return ActionGroupoid(
-            self.group,
-            [o for o in self._points() if o in keep],
-            lambda o, g: self.target_of((o, self.group.inv(g))),
-        )
-
 
 class DisjointUnion:
     """Disjoint union of groupoid views; objects and morphisms are tagged."""
@@ -933,15 +807,6 @@ class DisjointUnion:
     def chi(self):
         return sum((m.chi() for m in self.members), Fraction(0))
 
-    def full_subgroupoid(self, objs):
-        # keep every member (possibly emptied) so object tags stay stable
-        per = [[] for _ in self.members]
-        for i, x in objs:
-            per[i].append(x)
-        return DisjointUnion(
-            [m.full_subgroupoid(p) for m, p in zip(self.members, per)]
-        )
-
 
 def discrete_table(labels):
     """Discrete groupoid: identities only."""
@@ -954,8 +819,9 @@ def discrete_table(labels):
 
 def disjoint_union_tables(tables):
     """Materialized disjoint union of groupoid views: the i-th member's
-    object o and morphism m become (i, o) and (i, m)."""
-    return materialize(DisjointUnion(tables))
+    object o and morphism m become (i, o) and (i, m).  Not guarded: the
+    random corpus and documents join small explicit members."""
+    return _table_of(DisjointUnion(tables), math.inf)
 
 
 # ---------------------------------------------------------------------------

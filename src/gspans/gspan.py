@@ -23,11 +23,14 @@ component [a] of M contributes to exactly one entry, by groupoid cardinality:
 
 This relies on the naturality square, which GSpan validates at construction;
 GSpan(..., check=False) is the caller's promise that it holds.  Span
-composition is the homotopy pullback with label eps2(a2) + V1(t) + eps1(a1),
-and matrix products use the order  (A B)(c1, c2) = sum_d B(d, c2) A(c1, d)
-(for abelian G this equals the usual product; a test asserts both agree).
-Component representatives are fixed once per groupoid (minimal object), and
-all label formulas use those representatives consistently.
+composition is the homotopy pullback, a lazy PullbackView whose objects are
+the triples (a1, t, a2), with label eps2(a2) + V1(t) + eps1(a1); a composite
+is a span like any other and can be composed again.  2-cells between
+composites map those triples directly.  Matrix products use the order
+(A B)(c1, c2) = sum_d B(d, c2) A(c1, d) (for abelian G this equals the
+usual product; a test asserts both agree).  Component representatives are
+fixed once per groupoid (its first object), and all label formulas use
+those representatives consistently.
 """
 
 from fractions import Fraction
@@ -40,7 +43,6 @@ from gspans.constructions import (
     identity_functor,
     two_sided_fibre,
 )
-from gspans.groupoid import TableGroupoid
 
 
 class GSpanError(ValueError):
@@ -85,35 +87,45 @@ class GSpan:
 
     def validate(self):
         """eps(a2) + HL(m) = VR(m) + eps(a1) on the apex's generating family
-        morphism_sample() (a table's component stars, an action groupoid's
-        points x generators); composites and inverses follow since HL and VR
-        are functors.  Samples come grouped by source, so eps(a1) is read
-        once per run of handles with the same source (once per component on
-        a table).  compose_spans checks a lazy composite on its factors
-        instead and calls this walk only to name a failing handle."""
-        G, apex = self.group, self.apex
-        a1 = None
-        for m in apex.morphism_sample():
-            src = apex.source_of(m)
-            if a1 is None or src != a1:
-                a1 = src
-                e1 = self.eps(a1)
-            e2 = self.eps(apex.target_of(m))
-            lhs = G.add(e2, self.h.value(self.left.on_mor(m)))
-            rhs = G.add(self.v.value(self.right.on_mor(m)), e1)
-            if lhs != rhs:
-                raise GSpanError(
-                    "labeling is not natural at morphism %r: %r + HL != VR + %r"
-                    % (m, e2, e1)
-                )
+        morphism_sample() (the component stars of a table or a pullback
+        view, an action groupoid's points x generators); composites and
+        inverses follow since HL and VR are functors.  compose_spans checks
+        its composite with the same walk, or on the levels of a discrete
+        middle foot, without calling this."""
+        failure = _naturality_failure(self)
+        if failure is not None:
+            raise GSpanError(failure)
+
+
+def _naturality_failure(sp):
+    """The GSpanError message for the first handle of the apex's generating
+    family at which the naturality square fails, or None.  Samples come
+    grouped by source, so eps(a1) is read once per run of handles with the
+    same source (once per component on a star family)."""
+    G, apex = sp.group, sp.apex
+    a1 = None
+    for m in apex.morphism_sample():
+        src = apex.source_of(m)
+        if a1 is None or src != a1:
+            a1 = src
+            e1 = sp.eps(a1)
+        e2 = sp.eps(apex.target_of(m))
+        lhs = G.add(e2, sp.h.value(sp.left.on_mor(m)))
+        rhs = G.add(sp.v.value(sp.right.on_mor(m)), e1)
+        if lhs != rhs:
+            return "labeling is not natural at morphism %r: %r + HL != VR + %r" % (
+                m, e2, e1
+            )
+    return None
 
 
 class LabeledFibre:
-    """Two-sided homotopy fibre c\\M/d together with its G-valued label,
-    which naturality makes constant on each component."""
+    """Two-sided homotopy fibre c\\M/d, given as its components, each with
+    its |Aut|, together with its G-valued label, which naturality makes
+    constant on each component."""
 
-    def __init__(self, groupoid, label, c, d):
-        self.groupoid = groupoid
+    def __init__(self, components, label, c, d):
+        self.components = components  # [(component, |Aut|)]
         self.label = label
         self.c = c
         self.d = d
@@ -123,7 +135,7 @@ class LabeledFibre:
         1/|Aut| over the components labelled g.  Raises GSpanError, naming
         two objects, if the label varies on a component."""
         out = {}
-        for comp in self.groupoid.components():
+        for comp, aut in self.components:
             g = self.label(comp[0])
             for o in comp[1:]:
                 if self.label(o) != g:
@@ -132,26 +144,24 @@ class LabeledFibre:
                         "%r at %r, %r at %r"
                         % (comp[0], g, comp[0], self.label(o), o)
                     )
-            out[g] = out.get(g, Fraction(0)) + Fraction(
-                1, self.groupoid.aut_order(comp[0])
-            )
+            out[g] = out.get(g, Fraction(0)) + Fraction(1, aut)
         return out
 
 
 def labeled_fibre(sp, c, d):
     """The labeled two-sided fibre of a span over component representatives
     (c, d): two_sided_fibre, whose object (a, s, t) is labelled
-    V(t) + eps(a) + H(s).  Over discrete feet the fibre is the full
-    subgroupoid of the apex on {L = c, R = d} (objects a stand for
-    (a, id, id)), labelled by eps."""
+    V(t) + eps(a) + H(s).  Over discrete feet L and R are constant on the
+    components of the apex, and the fibre is the union of those over (c, d)
+    (objects a stand for (a, id, id)), labelled by eps."""
+    M = sp.apex
     if sp.source.is_discrete and sp.target.is_discrete:
-        objs = [
-            a
-            for a in sp.apex.objects
-            if sp.left.on_obj(a) == c and sp.right.on_obj(a) == d
+        comps = [
+            (comp, M.aut_order(comp[0]))
+            for comp in M.components()
+            if sp.left.on_obj(comp[0]) == c and sp.right.on_obj(comp[0]) == d
         ]
-        view = sp.apex.full_subgroupoid(objs)
-        return LabeledFibre(view, sp.eps, c, d)
+        return LabeledFibre(comps, sp.eps, c, d)
     fib = two_sided_fibre(sp.left, sp.right, c, d)
     G = sp.group
 
@@ -161,7 +171,8 @@ def labeled_fibre(sp, c, d):
             sp.v.value(t), G.add(sp.eps(a), sp.h.value(s))
         )
 
-    return LabeledFibre(fib, label, c, d)
+    comps = [(comp, fib.aut_order(comp[0])) for comp in fib.components()]
+    return LabeledFibre(comps, label, c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -396,53 +407,48 @@ def character_matrix(matrix, rho):
 # span composition and the main theorem
 
 
-def _triple_of(apex, obj):
-    """Decode a pullback apex object to its (a1, t, a2) triple."""
-    if isinstance(apex, TableGroupoid):
-        return apex.object_labels[obj]
-    return obj[1]  # lazy union objects are tagged (stratum, triple)
+def _natural_on_factors(sp1, sp2):
+    """Whether the composite of sp1 and sp2 over a discrete middle foot T
+    is natural, decided per object d of T on its factors, the level sets
+    M1_d and M2_d, instead of on its generating handles.  The composite over
+    d is M1_d x M2_d, generated by the handles (s, id_d, id) and
+    (id, id_d, s) for s in the factors' generating families.  G is abelian,
+    so eps2(x2) + V1(id_d) cancels from both sides of the square: a handle
+    (s, id_d, id) at (x1, id_d, x2), s: x1 -> y1, is natural iff
 
+        A(s) := eps1(y1) + H1 L1(s) - eps1(x1) == V2 R2(id at x2) =: B(x2),
 
-def _natural_on_factors(sp1, sp2, strata):
-    """Whether GSpan.validate passes on the lazy composite of sp1 and sp2,
-    decided on the factors (F1, F2) of its strata (F1, F2, t) instead of on
-    every generating handle.  G is abelian, so eps2(x2) + V1(t) cancels from
-    both sides of the square: a handle (g1, e) at (x1, t, x2) is natural iff
+    and a handle (id, id_d, s), s: x2 -> y2, iff
 
-        A(x1, g1) := eps1(x1.g1^-1) + H1 L1(g1 at x1) - eps1(x1)
-                  == V2 R2(id at x2) =: B(x2),
+        C(s) := eps2(y2) - V2 R2(s) - eps2(x2) == -H1 L1(id at x1) =: D(x1).
 
-    and a handle (e, g2) iff
-
-        C(x2, g2) := eps2(x2.g2^-1) - V2 R2(g2 at x2) - eps2(x2)
-                  == -H1 L1(id at x1) =: D(x1).
-
-    So a stratum is natural iff A(F1) is empty or A(F1) and B(F2) hold one
-    value between them, and likewise C(F2) and D(F1) (factors have points).
-    The value sets are made once per factor, since factors are shared by
-    strata, and x.g^-1 is read off the factor view's generator table: the
-    cost is factor points x generators, not product points x generators."""
+    So level d is natural iff A(M1_d) is empty or A(M1_d) and B(M2_d) hold
+    one value between them, and likewise C(M2_d) and D(M1_d).  The identity
+    handles, natural iff -D(x1) == B(x2), are checked too: they hold when H1
+    and V2 are functors, and the component stars that GSpan.validate walks
+    hold the identities of the representatives.  The value sets are made in
+    one pass over each apex's objects and generating family: the cost is
+    factor points x generators, not product points."""
     G = sp1.group
-    memo = {}  # factor -> (moved, fixed)
 
-    def terms(f, sp, F):
-        # moved = {eps(x.g^-1) + F(g at x) - eps(x)} over the points x and
-        # generators g of f, fixed = {-F(id at x)}, with F read on the
-        # member's handles (tag, (y, g)) as the pullback's projections give
-        if f not in memo:
-            K = f.view.group
-            e = K.identity
-            gens = K.generators()
-            moved, fixed = set(), set()
-            for x in f.points:
-                tag, y = x
+    def levels(sp, leg, F):
+        # {d: (moved, fixed)}: moved = {eps(y) + F(s) - eps(x)} over the
+        # family's handles s: x -> y over d, fixed = {-F(id at x)} over the
+        # objects x over d; the family comes grouped by source
+        M = sp.apex
+        out = {}
+        for x in M.objects:
+            fixed = out.setdefault(leg.on_obj(x), (set(), set()))[1]
+            fixed.add(G.neg(F(M.identity_at(x))))
+        x = None
+        for s in M.morphism_sample():
+            src = M.source_of(s)
+            if src != x:
+                x = src
                 ex = sp.eps(x)
-                fixed.add(G.neg(F((tag, (y, e)))))
-                for g in gens:
-                    eq = sp.eps(f.target(x, g))
-                    moved.add(G.sub(G.add(eq, F((tag, (y, g)))), ex))
-            memo[f] = moved, fixed
-        return memo[f]
+                moved = out[leg.on_obj(x)][0]
+            moved.add(G.sub(G.add(sp.eps(M.target_of(s)), F(s)), ex))
+        return out
 
     def one_value(xs, ys):
         return not xs or len(xs | ys) == 1
@@ -453,23 +459,26 @@ def _natural_on_factors(sp1, sp2, strata):
     def minus_vr2(m):
         return G.neg(sp2.v.value(sp2.right.on_mor(m)))
 
-    for p in strata:
-        a, d = terms(p.left, sp1, hl1)
-        c, b = terms(p.right, sp2, minus_vr2)
-        if not (one_value(a, b) and one_value(c, d)):
-            return False
+    levels2 = levels(sp2, sp2.left, minus_vr2)
+    for d, (a, dd) in levels(sp1, sp1.right, hl1).items():
+        if d in levels2:
+            c, b = levels2[d]
+            ids = {G.neg(x) for x in dd}
+            if not (one_value(a, b) and one_value(c, dd) and one_value(ids, b)):
+                return False
     return True
 
 
 def compose_spans(sp1, sp2):
-    """Homotopy-pullback composition; the composed label is
+    """Homotopy-pullback composition; the apex is the PullbackView of the
+    middle legs and the composed label is
     eps(a1, t, a2) = eps2(a2) + V1(t) + eps1(a1).
 
-    A table composite is validated pointwise, as any GSpan.  A lazy one (a
-    union of product strata) is checked on the factors of its strata
-    (_natural_on_factors), which decides the same thing in factor points x
-    generators; if that check fails, GSpan.validate runs and raises its
-    usual GSpanError naming the first failing handle."""
+    Naturality is decided without GSpan.validate: over a discrete middle
+    foot on the factors of each level (_natural_on_factors), in factor
+    points x generators, and otherwise by the same walk of the view's
+    component stars.  A failure raises GSpanError naming the first failing
+    handle of the stars, as GSpan.validate would."""
     if sp1.group != sp2.group:
         raise ComposabilityError("spans over different groups")
     if not sp1.v.extensionally_equals(sp2.h):
@@ -478,26 +487,26 @@ def compose_spans(sp1, sp2):
             "(extensional equality on objects and morphisms)"
         )
     res = homotopy_pullback(sp1.right, sp2.left)
-    apex = res.groupoid
     G = sp1.group
     v1 = sp1.v
 
     def eps(obj):
-        a1, t, a2 = _triple_of(apex, obj)
+        a1, t, a2 = obj
         return G.add(sp2.eps(a2), G.add(v1.value(t), sp1.eps(a1)))
 
-    lazy = not isinstance(apex, TableGroupoid)
     out = GSpan(
-        apex,
+        res.groupoid,
         res.p1.then(sp1.left),
         res.p2.then(sp2.right),
         sp1.h,
         sp2.v,
         eps,
-        check=not lazy,
+        check=False,
     )
-    if lazy and not _natural_on_factors(sp1, sp2, apex.members):
-        out.validate()  # raises, naming the first failing handle
+    if not (sp1.target.is_discrete and _natural_on_factors(sp1, sp2)):
+        failure = _naturality_failure(out)
+        if failure is not None:
+            raise GSpanError(failure)
     out.pullback = res
     return out
 
@@ -656,13 +665,14 @@ class SpanMorphism:
         """The laws of a 2-cell: at every object x of M1, A(x) and B(x) have
         the right endpoints and V(Bx) + eps1(x) = eps2(Phi x) + H(Ax); and A
         and B are natural on M1.morphism_sample(), a generating family (the
-        component stars of a table: any f: x -> y is star(y) a star(x)^-1
-        with a in Aut(r) at the representative r).  Naturality on generators
-        implies it on composites and inverses only because L1, L2, R1, R2
-        and Phi are functors, which this does not check: vertical_compose,
-        horizontal_compose and identity_composite_cells build Phi as a
-        functor (see cells_equal), and the CLI checks a document's legs and
-        Phi with GroupoidFunctor(check=True)."""
+        component stars of a table or a pullback view: any f: x -> y is
+        star(y) a star(x)^-1 with a in Aut(r) at the representative r).
+        Naturality on generators implies it on composites and inverses only
+        because L1, L2, R1, R2 and Phi are functors, which this does not
+        check: vertical_compose, horizontal_compose and
+        identity_composite_cells build Phi as a functor (see cells_equal),
+        and the CLI checks a document's legs and Phi with
+        GroupoidFunctor(check=True)."""
         sp1, sp2 = self.src_span, self.dst_span
         S, T, G = sp1.source, sp1.target, sp1.group
         M1 = sp1.apex
@@ -730,48 +740,32 @@ def vertical_compose(c2, c1):
 
 def horizontal_compose(c1, c2, composed_src=None, composed_dst=None):
     """(A1 p1, Phi1 x_T Phi2, B2 p2): on objects
-    (x1, t, x2) -> (Phi1 x1, A2 x2 o t o (B1 x1)^-1, Phi2 x2)."""
+    (x1, t, x2) -> (Phi1 x1, A2 x2 o t o (B1 x1)^-1, Phi2 x2), and on
+    handles (m1, t, m2) -> (Phi1 m1, A2 x2 o t o (B1 x1)^-1, Phi2 m2) for
+    m1 from x1 and m2 from x2."""
     src = composed_src if composed_src is not None else compose_spans(
         c1.src_span, c2.src_span
     )
     dst = composed_dst if composed_dst is not None else compose_spans(
         c1.dst_span, c2.dst_span
     )
-    if not (
-        isinstance(src.apex, TableGroupoid) and isinstance(dst.apex, TableGroupoid)
-    ):
-        raise ValueError("horizontal composition is supported on table pullbacks")
     T = c1.src_span.target
-    S = c1.src_span.source
-    U = c2.src_span.target
+
+    def u_at(x1, t, x2):
+        return T.compose_m(c2.a(x2), T.compose_m(t, T.inverse_m(c1.b(x1))))
 
     def obj_map(o):
-        x1, t, x2 = src.apex.object_labels[o]
-        u = T.compose_m(c2.a(x2), T.compose_m(t, T.inverse_m(c1.b(x1))))
-        return dst.apex.object_of_label[
-            (c1.phi.on_obj(x1), u, c2.phi.on_obj(x2))
-        ]
+        x1, t, x2 = o
+        return (c1.phi.on_obj(x1), u_at(x1, t, x2), c2.phi.on_obj(x2))
 
     def mor_map(m):
-        m1, t, m2 = src.apex.morphism_labels[m]
+        m1, t, m2 = m
         x1 = c1.src_span.apex.source_of(m1)
         x2 = c2.src_span.apex.source_of(m2)
-        u = T.compose_m(c2.a(x2), T.compose_m(t, T.inverse_m(c1.b(x1))))
-        return dst.apex.morphism_of_label[
-            (c1.phi.on_mor(m1), u, c2.phi.on_mor(m2))
-        ]
+        return (c1.phi.on_mor(m1), u_at(x1, t, x2), c2.phi.on_mor(m2))
 
     phi = GroupoidFunctor(src.apex, dst.apex, obj_map, mor_map, check=False)
-
-    def a_comp(o):
-        x1, _, _ = src.apex.object_labels[o]
-        return c1.a(x1)
-
-    def b_comp(o):
-        _, _, x2 = src.apex.object_labels[o]
-        return c2.b(x2)
-
-    return SpanMorphism(src, dst, phi, a_comp, b_comp)
+    return SpanMorphism(src, dst, phi, lambda o: c1.a(o[0]), lambda o: c2.b(o[2]))
 
 
 def identity_composite_cells(sp):
@@ -783,11 +777,11 @@ def identity_composite_cells(sp):
 
     def q_obj(x):
         lx = sp.left.on_obj(x)
-        return spm.apex.object_of_label[(lx, S.identity_at(lx), x)]
+        return (lx, S.identity_at(lx), x)
 
     def q_mor(m):
         lx = sp.left.on_obj(M.source_of(m))
-        return spm.apex.morphism_of_label[(sp.left.on_mor(m), S.identity_at(lx), m)]
+        return (sp.left.on_mor(m), S.identity_at(lx), m)
 
     q = SpanMorphism(
         sp,
@@ -801,8 +795,8 @@ def identity_composite_cells(sp):
         spm,
         sp,
         spm.pullback.p2,
-        lambda o: spm.apex.object_labels[o][1],
-        lambda o: T.identity_at(sp.right.on_obj(spm.apex.object_labels[o][2])),
+        lambda o: o[1],
+        lambda o: T.identity_at(sp.right.on_obj(o[2])),
     )
     return q, p2, spm
 
@@ -826,9 +820,9 @@ def interchange_check(u1, w1, u2, w2):
 def cells_equal(u, w):
     """Componentwise equality of parallel 2-cells on one source apex M: Phi,
     A and B at every object, and Phi on M.morphism_sample().  That family
-    suffices for functors: any f: x -> y of a table is star(y) a star(x)^-1
-    with a in Aut(r) at its component's representative r (an action
-    groupoid's family generates it).  interchange_check's two Phis are
+    suffices for functors: any f: x -> y of a table or a pullback view is
+    star(y) a star(x)^-1 with a in Aut(r) at its component's representative
+    r (an action groupoid's family generates it).  interchange_check's two Phis are
     functors by construction: vertical_compose's is `then` of two functors,
     and horizontal_compose's, (m1, t, m2) -> (Phi1 m1, A2(x2) t B1(x1)^-1,
     Phi2 m2) for m1 from x1 and m2 from x2, is one whenever Phi1 and Phi2

@@ -16,7 +16,7 @@ from gspans.cli import parse_document
 from gspans.examples import stirling_pair, subset_span
 from gspans.gspan import compose_spans, span_matrix
 from oracles import abelian_group_order_lists, action_aut_order, action_orbits
-from test_product_strata import plain_stratum, split_pair, twisted_pair
+from test_product_strata import plain_handle, plain_strata, split_pair, twisted_pair
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -67,13 +67,13 @@ def split_and_twisted_composites():
 
 
 def factor_views():
-    """The factor views of the split and twisted unions' strata, split
-    level sets included."""
+    """The members of the split and twisted unions, whose level sets are the
+    factors of their composites."""
+    sp1, sp2, _ = split_pair()
     views = {}
-    for composed in split_and_twisted_composites():
-        for p in composed.apex.members:
-            views[id(p.left.view)] = p.left.view
-            views[id(p.right.view)] = p.right.view
+    for sp in (sp1, sp2) + twisted_pair():
+        for member in sp.apex.members:
+            views[id(member)] = member
     return list(views.values())
 
 
@@ -115,12 +115,12 @@ def test_product_targets_agree_with_the_factor_actions():
     composites = split_and_twisted_composites()
     composites += [compose_spans(*stirling_pair(n)) for n in (2, 3)]
     for composed in composites:
-        for p in composed.apex.members:
-            plain = plain_stratum(p)
-            inv = p.group.inv
-            for m in p.all_morphisms():
-                assert p.target_of(m) == plain.act(m[0], inv(m[1]))
-            assert p.full_subgroupoid(p.objects).components() == p.components()
+        view = composed.apex
+        plain_of = plain_strata(view)
+        for m in view.all_morphisms():
+            o, g = plain_handle(m)
+            plain = plain_of[o]
+            assert view.target_of(m) == plain.act(o, plain.group.inv(g))
 
 
 def test_unclosed_carrier_is_refused_by_the_table_build():

@@ -35,11 +35,24 @@ def test_tracer_target_resolves(mod, path):
         assert callable(getattr(module, path))
 
 
-def test_tracer_sizes_the_generating_family_of_a_composed_apex():
+def test_compose_spans_hands_no_view_to_the_tracer_validate_hook():
     # the validate hook sizes apex.morphism_sample() from the views' public
-    # attributes; a lazy composite's strata must still answer them
-    from gspans.examples import stirling_pair
-    from gspans.gspan import compose_spans
+    # attributes (members, carrier, source), which a PullbackView does not
+    # have; compose_spans decides naturality without GSpan.validate, so the
+    # hook only sees apexes it can size
+    import random
 
-    apex = compose_spans(*stirling_pair(2)).apex
-    assert _tracer()._sample_size(apex) == sum(1 for _ in apex.morphism_sample())
+    from gspans import random_spans as rnd
+    from gspans.examples import stirling_pair
+    from gspans.gspan import GSpan, compose_spans
+
+    pairs = [stirling_pair(2), rnd.random_composable_pair(random.Random(0))]
+    for sp in pairs[0]:
+        want = sum(1 for _ in sp.apex.morphism_sample())
+        assert _tracer()._sample_size(sp.apex) == want
+    hooked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GSpan, "validate", lambda sp: hooked.append(sp))
+        for sp1, sp2 in pairs:
+            compose_spans(sp1, sp2)
+    assert hooked == []

@@ -342,7 +342,8 @@ def test_rational_entry_rejects_an_irrational_entry():
 
 
 def test_compose_refused_by_the_size_guard_exits_2(monkeypatch, capsys):
-    # the pullback of ident with itself has 4 morphisms
+    # the pullback of ident with itself has 8 morphisms; materializing it
+    # for the output document stops at the 4th
     monkeypatch.setenv("GSPANS_SIZE_GUARD", "3")
     argv = ["compose", doc_path("bz2_identity.json"), "--left", "ident",
             "--right", "ident"]
@@ -355,17 +356,43 @@ def test_compose_refused_by_the_size_guard_exits_2(monkeypatch, capsys):
     )
 
 
-def test_check_refused_by_the_size_guard_names_the_trial(monkeypatch, capsys):
-    # trial 2 of seed 2 nests a pullback of 20 001 morphisms
+def test_check_interchange_seed_2_passes_on_lazy_pullbacks(monkeypatch, capsys):
+    # trial 2 of seed 2 nests a pullback of more than 20 000 morphisms, which
+    # the size guard refused while pullbacks were tables; the lazy pullback
+    # enumerates only objects and component stars, and is not guarded
     monkeypatch.delenv("GSPANS_SIZE_GUARD", raising=False)
-    assert main(["check", "--which", "interchange", "--seed", "2"]) == 2
+    assert main(["check", "--which", "interchange", "--seed", "2"]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (
-        "error: check interchange (trial 2, seed 2): materialization of 20001 "
-        "morphisms exceeds the size guard 20000 (set GSPANS_SIZE_GUARD to "
-        "raise it)\n"
-    )
+    assert out == "pass interchange (20 trials, seed 2)\n"
+    assert err == ""
+
+
+def test_check_materializes_nothing(monkeypatch, capsys):
+    # pullbacks are lazy and fibres are not guarded, so no trial of any
+    # check meets the size guard, even at a guard of one morphism
+    monkeypatch.setenv("GSPANS_SIZE_GUARD", "1")
+    assert main(["check", "--seed", "5", "--trials", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "action, reason",
+    [
+        # Z2 cycling three points: the law fails at (a, 1, 1)
+        ({"a": {"1": "b"}, "b": {"1": "c"}, "c": {"1": "a"}}, "not a right action"),
+        ({"a": {"1": "b"}, "b": {"1": "a"}}, "action undefined"),
+    ],
+    ids=["cycle", "undefined"],
+)
+def test_an_action_that_is_not_a_right_action_exits_2(tmp_path, capsys, action,
+                                                      reason):
+    doc = corpus_doc_with("coset_z6.json", ["groupoids", "swap", "action"], action)
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: groupoids.swap: %s at " % reason)
+    assert "Traceback" not in err
 
 
 def literal_groupoid(objects, arrows, compose):

@@ -8,7 +8,7 @@ import pytest
 from gspans import random_spans as rnd
 from gspans.algebra import AbelianGroup
 from gspans.examples import universal_span
-from gspans.groupoid import SizeGuardError, composable_pairs
+from gspans.groupoid import SizeGuardError, composable_pairs, materialize
 from gspans.gspan import compose_spans
 from gspans.constructions import (
     FunctorError,
@@ -60,15 +60,15 @@ def test_pullback_identity_cospan_bz2():
     b2 = bz(Z2)
     res = homotopy_pullback(identity_functor(b2), identity_functor(b2))
     # equivalent to Z2//(Z2 x Z2): chi = 1/2
-    assert res.groupoid.validate() == []
+    assert materialize(res.groupoid).validate() == []
     assert res.groupoid.chi() == Fraction(1, 2)
     res.p1.validate()
     res.p2.validate()
     # defining commutation u o R(m1) = L(m2) o t, morphism by morphism
     g = res.groupoid
-    for mid in g.morphisms:
-        m1, t, m2 = g.morphism_labels[mid]
-        u = g.object_labels[g.target[mid]][1]
+    for m in g.all_morphisms():
+        m1, t, m2 = m
+        u = g.target_of(m)[1]
         assert b2.compose_m(u, m1) == b2.compose_m(m2, t)
 
 
@@ -104,7 +104,7 @@ def test_left_fibre_of_identity_is_a_point():
 
 def test_fibre_chi_vs_full_inverse_image():
     # chi(c\M) = |S(c,c)| chi(L^-1(c))
-    hg = coset_groupoid(Z4, [(0,), (2,)]).materialize()
+    hg = materialize(coset_groupoid(Z4, [(0,), (2,)]))
     b4 = bz(Z4)
     # functor hg -> BZ4 sending (x, g) to g
     l = GroupoidFunctor(
@@ -122,7 +122,7 @@ def test_fibre_chi_vs_full_inverse_image():
 
 def test_two_sided_fibre_matches_generic_pullback():
     b2 = bz(Z2)
-    hg = coset_groupoid(Z4, [(0,), (2,)]).materialize()
+    hg = materialize(coset_groupoid(Z4, [(0,), (2,)]))
     l = GroupoidFunctor(
         hg, hg, lambda o: o, lambda m: m
     )
@@ -152,7 +152,7 @@ def test_two_sided_pullback_vs_iterated():
 
 def test_trivial_subgroupoid_fibres():
     # P = 1{c}, Q = 1{d} turns the two-sided pullback into the two-sided fibre
-    hg = coset_groupoid(Z4, [(0,), (2,)]).materialize()
+    hg = materialize(coset_groupoid(Z4, [(0,), (2,)]))
     c, d = hg.objects[0], hg.objects[1]
     one_c, inc_c = point_inclusion(hg, c)
     one_d, inc_d = point_inclusion(hg, d)
@@ -163,7 +163,7 @@ def test_trivial_subgroupoid_fibres():
 
 
 def test_grothendieck_constant_singleton():
-    base = coset_groupoid(Z4, [(0,), (2,)]).materialize()
+    base = materialize(coset_groupoid(Z4, [(0,), (2,)]))
     sv = SetValuedFunctor(base, lambda o: [0], lambda m: (lambda x: x))
     g = grothendieck(sv)
     assert g.validate() == []
@@ -207,10 +207,14 @@ def test_pullback_euler_lemma_identity_cospan():
 
 
 def test_table_pullback_guard(monkeypatch):
+    # the pullback stays lazy; only its materialization is guarded
     b4 = bz(Z4)
     monkeypatch.setenv("GSPANS_SIZE_GUARD", "3")
-    with pytest.raises(SizeGuardError):
-        homotopy_pullback(identity_functor(b4), identity_functor(b4))
+    view = homotopy_pullback(identity_functor(b4), identity_functor(b4)).groupoid
+    assert view.chi() == Fraction(1, 4)
+    with pytest.raises(SizeGuardError) as err:
+        materialize(view)
+    assert (err.value.requested, err.value.bound) == (4, 3)
 
 
 def test_size_guard_env_override(monkeypatch):
@@ -247,8 +251,9 @@ def test_nested_pullback_table_is_valid():
     u1, _, u2, _ = rnd.random_two_cell_square(random.Random(1))
     assert u1.src_span.pullback is not None and u2.src_span.pullback is not None
     top = compose_spans(u1.src_span, u2.src_span)
-    assert top.apex.compose == {} and top.apex.inverse == {}
-    _assert_law_complete(top.apex)
+    table = materialize(top.apex)
+    assert table.compose == {} and table.inverse == {}
+    _assert_law_complete(table)
 
 
 def test_right_fibre_table_is_valid():

@@ -215,10 +215,12 @@ def test_conjugate_perm_is_conjugation_on_all_of_s4():
 
 
 def test_stirling_guard():
-    with pytest.raises(ValueError):
-        StirlingSpanConfig("first", 6)
+    # the CLI's STIRLING_MAX_N is the one bound on N (test_cli pins its exit
+    # 2); the config only checks what a span needs
     with pytest.raises(ValueError):
         StirlingSpanConfig("third", 2)
+    with pytest.raises(ValueError):
+        StirlingSpanConfig("first", -1)
 
 
 def test_disjoint_delooping_span_entry():

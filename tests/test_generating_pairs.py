@@ -29,6 +29,7 @@ from gspans.groupoid import (
     TableGroupoid,
     composable_pairs,
     generating_pairs,
+    materialize,
 )
 from gspans.gspan import compose_spans
 from oracles import (
@@ -59,9 +60,10 @@ def off_the_family(view):
     return [m for m in view.all_morphisms() if m not in fam and m not in ids]
 
 
-def composable_pairs_count(table):
-    out = Counter(table.source.values())
-    return sum(out[table.target[m]] for m in table.source)
+def composable_pairs_count(view):
+    mors = list(view.all_morphisms())
+    out = Counter(view.source_of(m) for m in mors)
+    return sum(out[view.target_of(m)] for m in mors)
 
 
 def composable_triples_count(table):
@@ -77,7 +79,11 @@ def views():
     out += [coset_groupoid(Z4, [(0,)]), coset_groupoid(AbelianGroup([6]), [(0,), (3,)])]
     out.append(DisjointUnion([out[0], out[-1]]))
     first, second = stirling_pair(2)
-    out.append(compose_spans(first, second).apex)  # product strata
+    out.append(compose_spans(first, second).apex)  # a view over a discrete T
+    pair = rnd.random_composable_pair(
+        rng, max_group_order=4, max_objects=4, max_apex_objects=4
+    )
+    out.append(compose_spans(*pair).apex)  # a view over a general T
     return out
 
 
@@ -274,7 +280,7 @@ def test_associativity_matches_the_all_triples_oracle_on_swapped_tables():
         sp1, sp2 = rnd.random_composable_pair(
             rng, max_group_order=4, max_objects=4, max_apex_objects=4
         )
-        tables.append(compose_spans(sp1, sp2).apex)
+        tables.append(materialize(compose_spans(sp1, sp2).apex))
     swaps = 0
     for table in tables:
         if composable_triples_count(table) > TRIPLES:

@@ -1,5 +1,8 @@
-"""Factorized product strata of the lazy pullback against the plain action
-groupoid on their enumerated product carrier, with exact equality."""
+"""The composite over a discrete middle foot, the union over d of the
+products M1_d x M2_d of its legs' level sets, against the plain action
+groupoid on each enumerated product carrier, with exact equality; and the
+level-set naturality check of compose_spans against pointwise validate on
+the composite's component stars, with split, twisted and composite feet."""
 
 import random
 
@@ -9,6 +12,7 @@ from gspans.algebra import AbelianGroup
 from gspans.constructions import (
     GroupoidFunctor,
     GroupValuedFunctor,
+    PullbackView,
     coset_groupoid,
     discrete_groupoid,
 )
@@ -16,7 +20,7 @@ from gspans.examples import stirling_pair
 from gspans.groupoid import (
     ActionGroupoid,
     DisjointUnion,
-    ProductActionGroupoid,
+    ProductGroup,
     SymmetricGroup,
 )
 from gspans import gspan
@@ -26,51 +30,68 @@ from oracles import fibre_span_matrix
 Z2 = AbelianGroup([2])
 
 
-def plain_stratum(p):
-    """The product action groupoid as one ActionGroupoid on the enumerated
-    carrier, acting through the factor views' own act: the stratum the lazy
-    pullback built before it kept its factors."""
-    v1, v2 = p.left.view, p.right.view
+def plain_strata(view):
+    """The composite view of two unions of action groupoids over a discrete
+    T as plain action groupoids, one per member pair (i, j) and object d on
+    its enumerated product carrier, acting through the members' own act:
+    the strata the pullback was built from before it kept its factors."""
+    members1, members2 = view.M1.members, view.M2.members
+    carriers = {}
+    for o in view.objects:
+        (i, _), t, (j, _) = o
+        carriers.setdefault((i, t, j), []).append(o)
+    out = {}
+    for (i, t, j), carrier in carriers.items():
+        v1, v2 = members1[i], members2[j]
 
-    def act(o, g):
-        (i, x), t, (j, y) = o
-        return ((i, v1.act(x, g[0])), t, (j, v2.act(y, g[1])))
+        def act(o, g, v1=v1, v2=v2):
+            (i, x), t, (j, y) = o
+            return ((i, v1.act(x, g[0])), t, (j, v2.act(y, g[1])))
 
-    return ActionGroupoid(p.group, p.objects, act)
+        plain = ActionGroupoid(ProductGroup(v1.group, v2.group), carrier, act)
+        for o in carrier:
+            out[o] = plain
+    return out
 
 
-def assert_same_stratum(p, rng, pairs=200):
-    q = plain_stratum(p)
-    assert p.objects == q.carrier
-    assert p.components() == q.components()
-    assert p.component_reps() == q.component_reps()
-    assert p.chi() == q.chi()
-    objs = q.carrier
+def plain_handle(m):
+    """The plain stratum's handle (source, (g1, g2)) of a view handle."""
+    ((i, (x, g1)), t, (j, (y, g2))) = m
+    return ((i, x), t, (j, y)), (g1, g2)
+
+
+def assert_same_strata(view, rng, pairs=200):
+    plain_of = plain_strata(view)
+    objs = view.objects
+    assert len(objs) == len(plain_of) and set(objs) == set(plain_of)
+    plains = list({id(p): p for p in plain_of.values()}.values())
+    position = {o: k for k, o in enumerate(objs)}
+    want = sorted(
+        (c for p in plains for c in p.components()),
+        key=lambda c: position[c[0]],
+    )
+    assert view.components() == want
+    assert view.component_reps() == [c[0] for c in want]
+    assert view.chi() == sum(p.chi() for p in plains)
     for o in objs:
-        assert p.component_rep(o) == q.component_rep(o)
-        assert p.aut_order(o) == q.aut_order(o)
-    comps = q.components()
+        assert view.component_rep(o) == plain_of[o].component_rep(o)
+        assert view.aut_order(o) == plain_of[o].aut_order(o)
     for _ in range(pairs):
-        comp = rng.choice(comps)
+        comp = rng.choice(want)
         a = rng.choice(comp)
         b = rng.choice(comp) if rng.random() < 0.5 else rng.choice(objs)
-        assert p.hom_size(a, b) == q.hom_size(a, b)
-    a = comps[-1][0]
-    for b in (comps[-1][-1], comps[0][-1]):
-        assert p.hom(a, b) == q.hom(a, b)
-        for m in p.hom(a, b):
-            assert p.target_of(m) == b
-            assert p.compose_m(p.inverse_m(m), m) == p.identity_at(a)
-
-
-def assert_same_union(apex, rng):
-    plain = DisjointUnion([plain_stratum(p) for p in apex.members])
-    assert apex.components() == plain.components()
-    assert apex.component_reps() == plain.component_reps()
-    assert apex.chi() == plain.chi()
-    for p in apex.members:
-        assert isinstance(p, ProductActionGroupoid)
-        assert_same_stratum(p, rng)
+        plain = plain_of[a]
+        same = plain_of[b] is plain
+        assert view.hom_size(a, b) == (plain.hom_size(a, b) if same else 0)
+    a = want[-1][0]
+    for b in (want[-1][-1], want[0][-1]):
+        homs = view.hom(a, b)
+        plain = plain_of[a]
+        want_hom = plain.hom(a, b) if plain_of[b] is plain else []
+        assert [plain_handle(m) for m in homs] == want_hom
+        for m in homs:
+            assert view.target_of(m) == b
+            assert view.compose_m(view.inverse_m(m), m) == view.identity_at(a)
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +106,9 @@ def stirling_composites():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stirling_strata_match_the_plain_product(stirling_composites, n):
     first, second, composed = stirling_composites[n]
-    assert_same_union(composed.apex, random.Random(n))
-    # every member of a Stirling apex lies over one d: factors are members
-    members = first.apex.members + second.apex.members
-    for p in composed.apex.members:
-        assert any(p.left.view is m for m in members)
-        assert any(p.right.view is m for m in members)
+    assert isinstance(composed.apex, PullbackView)
+    assert composed.apex.M1 is first.apex and composed.apex.M2 is second.apex
+    assert_same_strata(composed.apex, random.Random(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -104,16 +122,12 @@ def test_stirling_composed_matrix_is_the_product_and_the_fibres(
 
 
 def test_validate_visits_every_generating_handle(stirling_composites):
-    # the composite's naturality is checked pointwise on carrier x generators
-    # of G1 x G2, the same family as the product carrier's; 56 274 at N = 4
+    # pointwise validate walks the composite's component stars: all of
+    # Aut(r) and one search-tree morphism r -> x per other object x
     composed = stirling_composites[4][2]
     apex = composed.apex
-    want = [
-        (k, (o, g))
-        for k, p in enumerate(apex.members)
-        for o in plain_stratum(p).carrier
-        for g in p.group.generators()
-    ]
+    comps = apex.components()
+    want = list(apex.morphism_sample())
     seen = []
     sample = apex.morphism_sample
 
@@ -127,8 +141,18 @@ def test_validate_visits_every_generating_handle(stirling_composites):
         composed.validate()
     finally:
         del apex.morphism_sample
-    assert len(seen) == 56274
     assert seen == want
+    assert len(seen) == sum(apex.aut_order(c[0]) + len(c) - 1 for c in comps)
+    assert len(seen) == 22389  # 56 274 points x generators handles before
+    stars = {}
+    for m in seen:
+        stars.setdefault(apex.source_of(m), []).append(m)
+    assert list(stars) == [c[0] for c in comps]
+    for comp in comps:
+        r = comp[0]
+        star = stars[r]
+        assert star[: apex.aut_order(r)] == apex.hom(r, r)
+        assert [apex.target_of(m) for m in star[apex.aut_order(r):]] == comp[1:]
 
 
 def test_a_label_broken_at_one_point_of_a_composite_is_caught(stirling_composites):
@@ -206,25 +230,29 @@ def split_pair():
 
 
 def test_split_members_become_full_subgroupoid_factors():
+    # the factors over d are the full subgroupoids of the level sets: member
+    # a splits into {0, 1} over d = 0 and {2} over d = 1, and c likewise
     sp1, sp2, (a, b, c) = split_pair()
     composed = compose_spans(sp1, sp2)
-    strata = composed.apex.members
-    assert [(p.left.tag, p.right.tag) for p in strata] == [(0, 0), (0, 0), (1, 0)]
-    left_views = [p.left.view for p in strata]
-    assert left_views[0] is not a and left_views[0].carrier == [0, 1]
-    assert left_views[1] is not a and left_views[1].carrier == [2]
-    assert left_views[2] is b
-    assert [p.right.view.carrier for p in strata] == [[0, 1], [2, 3], [2, 3]]
-    assert strata[1].right is strata[2].right  # one factor per (member, d)
-    assert_same_union(composed.apex, random.Random(0))
+    view = composed.apex
+    plain_of = plain_strata(view)
+    carriers = {}
+    for o, plain in plain_of.items():
+        carriers.setdefault(id(plain), (o[0][0], o[2][0], plain.carrier))
+    left = [(i, sorted({o[0][1] for o in cs})) for i, _, cs in carriers.values()]
+    right = [sorted({o[2][1] for o in cs}) for _, _, cs in carriers.values()]
+    assert left == [(0, [0, 1]), (0, [2]), (1, [(0,), (1,)])]
+    assert right == [[0, 1], [2, 3], [2, 3]]
+    assert_same_strata(view, random.Random(0))
     m = span_matrix(composed)
     assert m == span_matrix(sp1) * span_matrix(sp2)
     assert m == fibre_span_matrix(composed)
 
 
 # ---------------------------------------------------------------------------
-# compose_spans checks a lazy composite's naturality on the factors of its
-# strata; pointwise GSpan.validate is the oracle it must agree with
+# compose_spans checks the naturality of a composite over a discrete T on
+# the factors of each level; pointwise GSpan.validate on the composite's
+# component stars is the oracle it must agree with
 
 
 def unchecked_composite(sp1, sp2, monkeypatch):
@@ -232,7 +260,7 @@ def unchecked_composite(sp1, sp2, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(gspan, "_natural_on_factors", lambda *args: True)
         composed = compose_spans(sp1, sp2)
-    assert isinstance(composed.apex, DisjointUnion)
+    assert isinstance(composed.apex, PullbackView)
     return composed
 
 
@@ -241,7 +269,7 @@ def assert_factor_check_agrees(sp1, sp2, monkeypatch):
     and compose_spans rejects with pointwise validate's message.  Returns
     whether the composite is natural."""
     composed = unchecked_composite(sp1, sp2, monkeypatch)
-    by_factors = gspan._natural_on_factors(sp1, sp2, composed.apex.members)
+    by_factors = gspan._natural_on_factors(sp1, sp2)
     try:
         composed.validate()
     except GSpanError as err:
@@ -348,7 +376,7 @@ def test_the_twisted_pair_is_lazy_and_natural(monkeypatch):
     sp1, sp2 = twisted_pair()
     assert assert_factor_check_agrees(sp1, sp2, monkeypatch)
     composed = compose_spans(sp1, sp2)
-    assert len(composed.apex.members) == 2
+    assert len(set(map(id, plain_strata(composed.apex).values()))) == 2
     assert span_matrix(composed) == span_matrix(sp1) * span_matrix(sp2)
 
 
@@ -379,7 +407,9 @@ def one_point_label_mutations(sp1, sp2, rng, count):
     return out
 
 
-@pytest.mark.parametrize("pair", ["stirling", "split", "twisted"])
+@pytest.mark.parametrize(
+    "pair", ["stirling", "split", "twisted", "composite left", "composite right"]
+)
 def test_factor_check_agrees_under_one_point_label_mutations(
     stirling_composites, pair, monkeypatch
 ):
@@ -387,12 +417,22 @@ def test_factor_check_agrees_under_one_point_label_mutations(
         sp1, sp2, _ = stirling_composites[3]
     elif pair == "split":
         sp1, sp2, _ = split_pair()
-    else:
+    elif pair == "twisted":
         sp1, sp2 = twisted_pair()
+    else:
+        # a composite as a foot: (first o second) o first, first o (second o
+        # first), with a composite's view as one apex
+        first, second, composed = stirling_composites[3]
+        if pair == "composite left":
+            sp1, sp2 = composed, first
+        else:
+            sp1, sp2 = first, compose_spans(second, first)
     rng = random.Random(pair)
     verdicts = [
         assert_factor_check_agrees(a, b, monkeypatch)
-        for a, b in one_point_label_mutations(sp1, sp2, rng, 24)
+        for a, b in one_point_label_mutations(
+            sp1, sp2, rng, 8 if pair.startswith("composite") else 24
+        )
     ]
     assert False in verdicts
     if pair == "stirling":
@@ -434,6 +474,7 @@ def test_factor_check_agrees_with_a_nonzero_identity_on_stirling_feet(
             assert_factor_check_agrees(with_changes(first, h=h), second, monkeypatch),
             assert_factor_check_agrees(first, with_changes(second, v=v), monkeypatch),
         ))
-    # H1 at n is read by strata of S_n, which have generators for n >= 2;
-    # V2 at m by strata of S_k with k >= m, so by S_2 once m >= 1
-    assert verdicts == [(True, True), (True, False), (False, False), (False, False)]
+    # the composite has objects over every n of S and every m of U, and its
+    # identity handles read H1 at n and V2 at m (generator handles alone
+    # missed n, m = 0 and n = 1, where the strata have no generators)
+    assert verdicts == [(False, False)] * len(base.objects)

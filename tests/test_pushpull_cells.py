@@ -22,11 +22,11 @@ def cell_identity_to_roundtrip(phi, h, v, eps):
     S, T = ident.source, fwd.target
 
     def obj_map(x):
-        return comp.apex.object_of_label[(x, T.identity_at(phi.on_obj(x)), x)]
+        return (x, T.identity_at(phi.on_obj(x)), x)
 
     def mor_map(m):
         x = S.source_of(m)
-        return comp.apex.morphism_of_label[(m, T.identity_at(phi.on_obj(x)), m)]
+        return (m, T.identity_at(phi.on_obj(x)), m)
 
     cell = SpanMorphism(
         ident,
@@ -47,22 +47,22 @@ def cell_roundtrip_to_identity(phi, h, v, eps):
     S, T = phi.source, phi.target
 
     def obj_map(o):
-        x1, s, x2 = comp.apex.object_labels[o]
+        x1, s, x2 = o
         return phi.on_obj(x1)
 
     def mor_map(m):
-        m1, s, m2 = comp.apex.morphism_labels[m]
+        m1, s, m2 = m
         return phi.on_mor(m1)
 
     def b_comp(o):
-        x1, s, x2 = comp.apex.object_labels[o]
+        x1, s, x2 = o
         return T.inverse_m(phi.on_mor(s))
 
     cell = SpanMorphism(
         comp,
         ident,
         GroupoidFunctor(comp.apex, ident.apex, obj_map, mor_map, check=False),
-        lambda o: T.identity_at(phi.on_obj(comp.apex.object_labels[o][0])),
+        lambda o: T.identity_at(phi.on_obj(o[0])),
         b_comp,
     )
     return cell

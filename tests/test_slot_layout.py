@@ -1,4 +1,4 @@
-"""Every slot-labelled table (pullback apexes, the three fibres, two-sided
+"""Every slot-labelled table (materialized pullback apexes, the three fibres, two-sided
 pullbacks, Grothendieck constructions and universal apexes) against its
 documented slot layout: labels have one slot per view, a morphism's view
 slots run between the slots of its endpoints' labels and its element slots
@@ -33,7 +33,7 @@ from gspans.constructions import (
     two_sided_pullback,
 )
 from gspans.examples import universal_span
-from gspans.groupoid import generating_pairs
+from gspans.groupoid import generating_pairs, materialize
 from gspans.gspan import compose_spans
 
 SEED = 20260810  # the acceptance corpus of criteria 3, 4, 6 and 8
@@ -48,7 +48,7 @@ def generating_triples(table):
     return sum(out[table.target[s]] for s, _ in generating_pairs(table))
 
 
-def pullback_case(r1, l2, table):
+def pullback_case(r1, l2, view):
     M1, M2, T = r1.source, l2.source, r1.target
     objs = [
         (a1, t, a2)
@@ -56,7 +56,7 @@ def pullback_case(r1, l2, table):
         for a2 in M2.objects
         for t in T.hom(r1.on_obj(a1), l2.on_obj(a2))
     ]
-    return "pullback", table, (M1, None, M2), objs
+    return "pullback", materialize(view), (M1, None, M2), objs
 
 
 def left_fibre_case(l, c):

@@ -254,7 +254,9 @@ def test_fibre_map_missing_the_fibre_is_not_label_preserving():
 
 
 def test_chi_by_label_rejects_a_label_that_varies_on_a_component():
-    fib = LabeledFibre(swap_groupoid(), lambda o: (o,), None, None)
+    swap = swap_groupoid()
+    comps = [(c, swap.aut_order(c[0])) for c in swap.components()]
+    fib = LabeledFibre(comps, lambda o: (o,), None, None)
     with pytest.raises(GSpanError, match="component of 0"):
         fib.chi_by_label()
 

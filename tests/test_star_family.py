@@ -3,8 +3,8 @@ morphism: its structure, the validators and cells_equal that walk it against
 the all-morphism oracles on the acceptance corpus, the cells workload's
 squares, drawn squares and seeded one-point mutations, and the functoriality
 of the Phis cells_equal compares, which the family argument needs.  The
-table pullback, which looks up each leg value once, against the loop that
-looks them up per morphism pair."""
+materialized pullback view against the loop that looks up its leg values
+per morphism pair."""
 
 import glob
 import os
@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from gspans import gspan
 from gspans import random_spans as rnd
 from gspans.cli import DocumentError, parse_document
-from gspans.constructions import GroupoidFunctor, GroupValuedFunctor
-from gspans.groupoid import SizeGuardError, TableGroupoid
+from gspans.constructions import GroupoidFunctor, GroupValuedFunctor, PullbackView
+from gspans.groupoid import SizeGuardError, TableGroupoid, materialize
 from gspans.gspan import (
     ComposabilityError,
     GSpan,
@@ -97,14 +97,19 @@ def run_interchange(square):
 def squares():
     """The cells workload's fixed list: square i is drawn from the i-th
     64-bit draw of random.Random(0).  Returns each square's cells with its
-    Built, or the SizeGuardError that refused interchange_check."""
+    Built: the spans validated or composed and the cells validated."""
     spans, cells = [], []
     span_validate = GSpan.validate
     cell_validate = SpanMorphism.validate
+    compose = gspan.compose_spans
 
     def record_span(sp):
         spans.append(sp)
         span_validate(sp)
+
+    def record_composite(sp1, sp2):
+        spans.append(compose(sp1, sp2))
+        return spans[-1]
 
     def record_cell(cell):
         cells.append(cell)
@@ -116,22 +121,19 @@ def squares():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GSpan, "validate", record_span)
         mp.setattr(SpanMorphism, "validate", record_cell)
+        mp.setattr(gspan, "compose_spans", record_composite)
         for sub in subs:
             del spans[:], cells[:]
             square = rnd.random_two_cell_square(random.Random(sub))
-            try:
-                run = run_interchange(square)
-            except SizeGuardError as err:
-                out.append((square, err))
-                continue
+            run = run_interchange(square)
             assert run.holds
             out.append((square, Built(list(spans), list(cells), run)))
     return out
 
 
 def built_of(squares):
-    """The Built of every square that interchange_check did not refuse."""
-    return [b for _, b in squares if not isinstance(b, SizeGuardError)]
+    """The Built of every square."""
+    return [b for _, b in squares]
 
 
 def tables_of(views):
@@ -202,7 +204,7 @@ def test_star_family_of_corpus_tables(corpus):
     tables = tables_of(
         v for sp1, sp2, c in corpus for sp in (sp1, sp2, c) for v in span_views(sp)
     )
-    assert len(tables) == 300  # six per pair
+    assert len(tables) == 250  # five per pair: the composite is a view
     for t in tables:
         assert_star_family(t)
 
@@ -213,7 +215,7 @@ def test_star_family_of_cell_square_tables(squares):
         for sp in spans + [c.dst_span for c in cells]
         for v in span_views(sp)
     )
-    assert len(tables) > 500
+    assert len(tables) == 360  # the composites' apexes are views
     for t in tables:
         assert_star_family(t)
 
@@ -260,12 +262,8 @@ def test_span_validate_matches_the_oracle_on_the_corpus(corpus):
 
 def test_span_validate_matches_the_oracle_on_cell_squares(squares):
     rng = random.Random(SEED + 2)
-    refused = [
-        i for i, (_, b) in enumerate(squares) if isinstance(b, SizeGuardError)
-    ]
-    assert refused == [24]
     for spans, _, _ in built_of(squares):
-        assert len(spans) >= 3
+        assert sum(isinstance(sp.apex, PullbackView) for sp in spans) == 5
         for sp in spans:
             assert_spans_agree(sp, rng, mutations=1)
 
@@ -331,7 +329,7 @@ def test_one_point_mutations_of_a_and_b_are_rejected_by_both(squares):
 
 def test_cells_equal_matches_the_oracle_on_cell_squares(squares):
     runs = [b.interchange for b in built_of(squares)]
-    assert len(runs) == 39
+    assert len(runs) == 40
     for run in runs:
         assert cells_equal(run.lhs, run.rhs)
         assert all_morphism_cells_equal(run.lhs, run.rhs)
@@ -365,7 +363,7 @@ def phi_changed_on_an_automorphism(cell):
     if not autos:
         return None
     m0 = autos[0]
-    new = next(n for n in N.morphisms if n != cell.phi.on_mor(m0))
+    new = next(n for n in N.all_morphisms() if n != cell.phi.on_mor(m0))
     phi = GroupoidFunctor(
         M,
         N,
@@ -378,10 +376,10 @@ def phi_changed_on_an_automorphism(cell):
 
 
 def on_a_copy_of_the_apex(cell):
-    """cell with its source span moved onto a copy of its apex: same ids,
-    legs and labels, another object."""
+    """cell with its source span moved onto a copy of its apex, a composite's
+    view: same objects, legs and labels, another view object."""
     sp = cell.src_span
-    copy = sp.apex.full_subgroupoid(sp.apex.objects)
+    copy = PullbackView(sp.apex.r1, sp.apex.l2)
 
     def moved_leg(leg):
         return GroupoidFunctor(copy, leg.target, leg.on_obj, leg.on_mor,
@@ -412,17 +410,17 @@ def test_cells_equal_rejects_cells_that_differ_at_one_place(squares):
             assert not cells_equal(lhs, cell)
             assert not all_morphism_cells_equal(lhs, cell)
             kinds[kind] += 1
-    assert kinds["copy"] == 39
+    assert kinds["copy"] == 40
     assert min(kinds.values()) > 20
 
 
 def test_compared_phis_are_functors(squares):
     """cells_equal's family argument needs both Phis to be functors; here
-    that is checked for every square interchange_check did not refuse
-    (GroupoidFunctor checks composition on generating pairs, which
-    test_generating_pairs holds against every pair)."""
+    that is checked for every square (GroupoidFunctor checks composition on
+    generating pairs, which test_generating_pairs holds against every
+    pair)."""
     built = built_of(squares)
-    assert len(built) == 39
+    assert len(built) == 40
     for b in built:
         run = b.interchange
         for cell in [run.rhs] + run.horizontals:
@@ -431,15 +429,13 @@ def test_compared_phis_are_functors(squares):
 
 
 # ---------------------------------------------------------------------------
-# the table pullback against the per-pair loop
+# the materialized pullback view against the per-pair loop
 
 
 def test_table_pullback_matches_the_per_pair_loop_on_the_corpus(corpus):
     tables = 0
     for sp1, sp2, composed in corpus:
-        apex = composed.pullback.groupoid
-        if not isinstance(apex, TableGroupoid):
-            continue
+        apex = materialize(composed.pullback.groupoid)
         want = triple_loop_table_pullback(sp1.right, sp2.left)
         assert apex.object_labels == want.object_labels
         assert apex.morphism_labels == want.morphism_labels
@@ -448,10 +444,19 @@ def test_table_pullback_matches_the_per_pair_loop_on_the_corpus(corpus):
     assert tables == 50
 
 
-def test_square_24_is_refused_at_the_default_guard(squares):
-    err = squares[24][1]
-    assert isinstance(err, SizeGuardError)
-    assert (err.requested, err.bound) == (20001, 20000)
+def test_square_24_passes_interchange_at_the_default_guard(squares, monkeypatch):
+    # square 24's top composite has 54 objects and 26 244 morphisms: the
+    # table pullback was refused by the guard, the view enumerates only its
+    # objects and its 88 star handles, and only materializing it is guarded
+    monkeypatch.delenv("GSPANS_SIZE_GUARD", raising=False)
+    square, built = squares[24]
+    assert interchange_check(*square)
+    top = built.interchange.lhs.src_span.apex
+    assert isinstance(top, PullbackView)
+    assert (len(top.objects), len(top.morphism_sample())) == (54, 88)
+    with pytest.raises(SizeGuardError) as err:
+        materialize(top)
+    assert (err.value.requested, err.value.bound) == (20001, 20000)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The lazy composed-span path against the fully materialized table path."""
+"""The composite of the lazy Stirling spans against the composite of their
+fully materialized tables."""
 
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from gspans.constructions import (
     SetValuedFunctor,
     grothendieck,
 )
-from gspans.groupoid import SymmetricGroup, disjoint_union_tables
+from gspans.groupoid import SymmetricGroup, disjoint_union_tables, materialize
 from gspans.gspan import GSpan, compose_spans, span_matrix
 from gspans.examples import (
     StirlingSpanConfig,
@@ -21,7 +22,7 @@ def materialized_span(sp):
     """Rebuild a span whose apex is a union of action groupoids as one big
     table, reusing the original functors through the decode labels."""
     union = sp.apex
-    tables = [m.materialize() for m in union.members]
+    tables = [materialize(m) for m in union.members]
     big = disjoint_union_tables(tables)
 
     def to_lazy_obj(oid):
@@ -73,7 +74,7 @@ def test_pair_stratum_is_the_grothendieck_construction():
     # the (n, k) stratum of the first-kind apex is the category of elements
     # of the conjugation-transported Fin(X,X) over the skeletal model
     sp = stirling_span(StirlingSpanConfig("first", 3))
-    base = fin_perm_groupoid(3, 2).materialize()
+    base = materialize(fin_perm_groupoid(3, 2))
     taus = sorted(
         __import__("itertools").permutations(range(3))
     )
