@@ -786,6 +786,10 @@ CHECKS = {
 
 
 def cmd_check(args):
+    if args.trials < 0:
+        raise DocumentError(
+            "--trials", "the trial count must be >= 0, got %d" % args.trials
+        )
     doc = _load(args.file) if args.file else None
     which = list(CHECKS) if args.which == "all" else [args.which]
     failures = []

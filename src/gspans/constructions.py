@@ -98,12 +98,15 @@ def identity_functor(view):
 
 class GroupValuedFunctor:
     """Functor S -> BG packaged as a G-valued map on morphisms of S; its
-    composition law is checked on generating_pairs, as GroupoidFunctor's."""
+    composition law is checked on generating_pairs, as GroupoidFunctor's.
+    validate() marks it checked, so a check made where it is built (or by
+    compose_spans, once) is not repeated."""
 
     def __init__(self, source, group, mor_map, check=True):
         self.source = source
         self.group = group
         self._mor_map = _as_fn(mor_map)
+        self.checked = False
         if check:
             self.validate()
 
@@ -121,6 +124,7 @@ class GroupValuedFunctor:
         for m2, m1 in generating_pairs(src):
             if value(src.compose_m(m2, m1)) != G.add(value(m2), value(m1)):
                 raise FunctorError("BG-functor breaks composition on %r" % ((m2, m1),))
+        self.checked = True
 
     @classmethod
     def trivial(cls, source, group):

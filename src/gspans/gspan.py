@@ -21,22 +21,27 @@ component [a] of M contributes to exactly one entry, by groupoid cardinality:
                   1/(|Aut a| |Aut d|) * sum over s in S(c, La), t in T(Ra, d)
                   of [V(t) + eps(a) + H(s)].
 
-This relies on the naturality square, which GSpan validates at construction;
-GSpan(..., check=False) is the caller's promise that it holds.  Span
-composition is the homotopy pullback, a lazy PullbackView whose objects are
-the triples (a1, t, a2), with label eps2(a2) + V1(t) + eps1(a1); a composite
-is a span like any other and can be composed again.  2-cells between
-composites map those triples directly.  Matrix products use the order
-(A B)(c1, c2) = sum_d B(d, c2) A(c1, d) (for abelian G this equals the
-usual product; a test asserts both agree).  Component representatives are
-fixed once per groupoid (its first object), and all label formulas use
-those representatives consistently.
+This relies on the naturality square, which is checked once per span,
+where the span is made: GSpan validates it at construction, and
+GSpan(..., check=False) is the caller's promise that it holds, which
+span_matrix takes and compose_spans does not (it walks such an input once).
+Span composition is the homotopy pullback, a lazy PullbackView whose objects
+are the triples (a1, t, a2), with label eps2(a2) + V1(t) + eps1(a1); the
+composition lemma makes the composite natural, so compose_spans checks only
+its factors (their legs over BG on the feet, an unchecked factor's square)
+and never walks the composite.  A composite is a span like any other and can
+be composed again.  2-cells between composites map those triples directly.
+Matrix products use the order (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) (for
+abelian G this equals the usual product; a test asserts both agree).
+Component representatives are fixed once per groupoid (its first object),
+and all label formulas use those representatives consistently.
 """
 
 from fractions import Fraction
 
 from gspans.algebra import CyclotomicNumber, GroupRingElement
 from gspans.constructions import (
+    FunctorError,
     GroupoidFunctor,
     _as_fn,
     homotopy_pullback,
@@ -71,6 +76,8 @@ class GSpan:
         self.group = h.group
         self._eps = _as_fn(eps)
         self._fibre_chi_memo = {}  # (c, d) -> chi by label of c\M/d
+        self._chi = None  # _fibre_chi(self)
+        self.checked = False  # set by validate, or by compose_spans
         if check:
             self.validate()
 
@@ -89,34 +96,28 @@ class GSpan:
         """eps(a2) + HL(m) = VR(m) + eps(a1) on the apex's generating family
         morphism_sample() (the component stars of a table or a pullback
         view, an action groupoid's points x generators); composites and
-        inverses follow since HL and VR are functors.  compose_spans checks
-        its composite with the same walk, or on the levels of a discrete
-        middle foot, without calling this."""
-        failure = _naturality_failure(self)
-        if failure is not None:
-            raise GSpanError(failure)
-
-
-def _naturality_failure(sp):
-    """The GSpanError message for the first handle of the apex's generating
-    family at which the naturality square fails, or None.  Samples come
-    grouped by source, so eps(a1) is read once per run of handles with the
-    same source (once per component on a star family)."""
-    G, apex = sp.group, sp.apex
-    a1 = None
-    for m in apex.morphism_sample():
-        src = apex.source_of(m)
-        if a1 is None or src != a1:
-            a1 = src
-            e1 = sp.eps(a1)
-        e2 = sp.eps(apex.target_of(m))
-        lhs = G.add(e2, sp.h.value(sp.left.on_mor(m)))
-        rhs = G.add(sp.v.value(sp.right.on_mor(m)), e1)
-        if lhs != rhs:
-            return "labeling is not natural at morphism %r: %r + HL != VR + %r" % (
-                m, e2, e1
-            )
-    return None
+        inverses follow since HL and VR are functors.  Samples come grouped
+        by source, so eps(a1) is read once per run of handles with the same
+        source (once per component on a star family).  Raises GSpanError at
+        the first failing handle, or marks the span checked.  This is the
+        one naturality walk: compose_spans marks its composite checked by
+        the composition lemma, without a walk."""
+        G, apex = self.group, self.apex
+        a1 = None
+        for m in apex.morphism_sample():
+            src = apex.source_of(m)
+            if a1 is None or src != a1:
+                a1 = src
+                e1 = self.eps(a1)
+            e2 = self.eps(apex.target_of(m))
+            lhs = G.add(e2, self.h.value(self.left.on_mor(m)))
+            rhs = G.add(self.v.value(self.right.on_mor(m)), e1)
+            if lhs != rhs:
+                raise GSpanError(
+                    "labeling is not natural at morphism %r: %r + HL != VR + %r"
+                    % (m, e2, e1)
+                )
+        self.checked = True
 
 
 class LabeledFibre:
@@ -253,23 +254,18 @@ class SpanMatrix:
         )
 
 
-def _fibre_chi(sp, entry=None):
+def _fibre_chi(sp):
     """{(c, d): {g: chi((c\\M/d){label = g})}} over the component
     representatives c of S and d of T, by groupoid cardinality in one pass
-    over pi0(M) (see the module docstring).  entry=(c, d), any objects of S
-    and T, computes only the fibre c\\M/d, under the key (c, d)."""
+    over pi0(M) (see the module docstring), made once per span: span_matrix
+    and labeled_pullback_identity read the same map."""
+    if sp._chi is not None:
+        return sp._chi
     S, T, M, G = sp.source, sp.target, sp.apex, sp.group
-    if entry is not None:
-        want = (S.component_rep(entry[0]), T.component_rep(entry[1]))
     out = {}
     for a in M.component_reps():
         la, ra = sp.left.on_obj(a), sp.right.on_obj(a)
-        key = (S.component_rep(la), T.component_rep(ra))
-        if entry is not None:
-            if key != want:
-                continue
-            key = entry
-        c, d = key
+        c, d = S.component_rep(la), T.component_rep(ra)
         e = sp.eps(a)
         vs = [sp.v.value(t) for t in T.hom(ra, d)]
         counts = {}
@@ -279,9 +275,10 @@ def _fibre_chi(sp, entry=None):
                 g = G.add(v, x)
                 counts[g] = counts.get(g, 0) + 1
         n = M.aut_order(a)
-        chi = out.setdefault(key, {})
+        chi = out.setdefault((c, d), {})
         for g, k in counts.items():
             chi[g] = chi.get(g, 0) + Fraction(k, n)
+    sp._chi = out
     return out
 
 
@@ -407,78 +404,29 @@ def character_matrix(matrix, rho):
 # span composition and the main theorem
 
 
-def _natural_on_factors(sp1, sp2):
-    """Whether the composite of sp1 and sp2 over a discrete middle foot T
-    is natural, decided per object d of T on its factors, the level sets
-    M1_d and M2_d, instead of on its generating handles.  The composite over
-    d is M1_d x M2_d, generated by the handles (s, id_d, id) and
-    (id, id_d, s) for s in the factors' generating families.  G is abelian,
-    so eps2(x2) + V1(id_d) cancels from both sides of the square: a handle
-    (s, id_d, id) at (x1, id_d, x2), s: x1 -> y1, is natural iff
-
-        A(s) := eps1(y1) + H1 L1(s) - eps1(x1) == V2 R2(id at x2) =: B(x2),
-
-    and a handle (id, id_d, s), s: x2 -> y2, iff
-
-        C(s) := eps2(y2) - V2 R2(s) - eps2(x2) == -H1 L1(id at x1) =: D(x1).
-
-    So level d is natural iff A(M1_d) is empty or A(M1_d) and B(M2_d) hold
-    one value between them, and likewise C(M2_d) and D(M1_d).  The identity
-    handles, natural iff -D(x1) == B(x2), are checked too: they hold when H1
-    and V2 are functors, and the component stars that GSpan.validate walks
-    hold the identities of the representatives.  The value sets are made in
-    one pass over each apex's objects and generating family: the cost is
-    factor points x generators, not product points."""
-    G = sp1.group
-
-    def levels(sp, leg, F):
-        # {d: (moved, fixed)}: moved = {eps(y) + F(s) - eps(x)} over the
-        # family's handles s: x -> y over d, fixed = {-F(id at x)} over the
-        # objects x over d; the family comes grouped by source
-        M = sp.apex
-        out = {}
-        for x in M.objects:
-            fixed = out.setdefault(leg.on_obj(x), (set(), set()))[1]
-            fixed.add(G.neg(F(M.identity_at(x))))
-        x = None
-        for s in M.morphism_sample():
-            src = M.source_of(s)
-            if src != x:
-                x = src
-                ex = sp.eps(x)
-                moved = out[leg.on_obj(x)][0]
-            moved.add(G.sub(G.add(sp.eps(M.target_of(s)), F(s)), ex))
-        return out
-
-    def one_value(xs, ys):
-        return not xs or len(xs | ys) == 1
-
-    def hl1(m):
-        return sp1.h.value(sp1.left.on_mor(m))
-
-    def minus_vr2(m):
-        return G.neg(sp2.v.value(sp2.right.on_mor(m)))
-
-    levels2 = levels(sp2, sp2.left, minus_vr2)
-    for d, (a, dd) in levels(sp1, sp1.right, hl1).items():
-        if d in levels2:
-            c, b = levels2[d]
-            ids = {G.neg(x) for x in dd}
-            if not (one_value(a, b) and one_value(c, dd) and one_value(ids, b)):
-                return False
-    return True
-
-
 def compose_spans(sp1, sp2):
     """Homotopy-pullback composition; the apex is the PullbackView of the
     middle legs and the composed label is
     eps(a1, t, a2) = eps2(a2) + V1(t) + eps1(a1).
 
-    Naturality is decided without GSpan.validate: over a discrete middle
-    foot on the factors of each level (_natural_on_factors), in factor
-    points x generators, and otherwise by the same walk of the view's
-    component stars.  A failure raises GSpanError naming the first failing
-    handle of the stars, as GSpan.validate would."""
+    The composite is a G-span by the composition lemma, so it is marked
+    checked and never walked.  A handle (m1, t, m2) goes from (a1, t, a2)
+    to (b1, t', b2) with t' = L2(m2) t R1(m1)^-1, and V1 is a functor, so
+
+        eps(b) + H1 L1(m1)
+          = eps2(b2) + V1 L2(m2) + V1(t) - V1 R1(m1) + eps1(b1) + H1 L1(m1)
+          = eps2(b2) + H2 L2(m2) + V1(t) + eps1(a1)     sp1's square, V1 = H2
+          = V2 R2(m2) + eps2(a2) + V1(t) + eps1(a1)     sp2's square
+          = V2 R2(m2) + eps(a).
+
+    Its premises are checked on the feet and the factors, never on the
+    composite, and each at most once: V1 and H2 agree on T's generating
+    family; each of H1, V1, H2 and V2 is a functor to BG, validated on its
+    foot unless it already was, so V1 = H2 on all of T; and the squares of
+    sp1 and sp2 hold on their generating families, walked here for a span
+    made with check=False, so at every morphism, since the legs are
+    functors.  validate marks a functor or a span checked.  A failure
+    raises GSpanError, or ComposabilityError if the middle legs differ."""
     if sp1.group != sp2.group:
         raise ComposabilityError("spans over different groups")
     if not sp1.v.extensionally_equals(sp2.h):
@@ -486,6 +434,15 @@ def compose_spans(sp1, sp2):
             "middle legs differ: V1 and H2 must be the same functor to BG "
             "(extensional equality on objects and morphisms)"
         )
+    for name, f in (("H1", sp1.h), ("V1", sp1.v), ("H2", sp2.h), ("V2", sp2.v)):
+        if not f.checked:
+            try:
+                f.validate()
+            except FunctorError as err:
+                raise GSpanError("%s is not a functor to BG: %s" % (name, err))
+    for sp in (sp1, sp2):
+        if not sp.checked:
+            sp.validate()
     res = homotopy_pullback(sp1.right, sp2.left)
     G = sp1.group
     v1 = sp1.v
@@ -503,10 +460,7 @@ def compose_spans(sp1, sp2):
         eps,
         check=False,
     )
-    if not (sp1.target.is_discrete and _natural_on_factors(sp1, sp2)):
-        failure = _naturality_failure(out)
-        if failure is not None:
-            raise GSpanError(failure)
+    out.checked = True
     out.pullback = res
     return out
 
@@ -542,13 +496,23 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     components; on the raw pullback apex the labels are not component
     constant and the naive reading fails.
 
-    The left-hand side is read off pi0 of the composed apex, as in
-    span_matrix, restricted to the one entry; the right-hand side builds the
-    fibres of sp1 and sp2 over each d, which are what the identity is about,
-    once per span and (c, d): looping over the entries reuses them."""
+    The left-hand side is read off pi0 of the composed apex, in the one
+    pass span_matrix makes (_fibre_chi), at the representatives r1 of c1
+    and r2 of c2, and moved to (c1, c2): s0 in S(c1, r1) and u0 in
+    U(r2, c2) give the equivalence (a, s, t) -> (a, s s0, u0 t) of
+    r1\\M/r2 with c1\\M/c2, which moves every label g to
+    V2(u0) + g + H1(s0).  The right-hand side builds the fibres of sp1 and
+    sp2 over each d, which are what the identity is about, once per span
+    and (c, d): looping over the entries reuses them."""
     composed = composed if composed is not None else compose_spans(sp1, sp2)
-    lhs = _fibre_chi(composed, (c1, c2)).get((c1, c2), {})
-    G, T = sp1.group, sp1.target
+    G, S, T, U = sp1.group, sp1.source, sp1.target, sp2.target
+    r1, r2 = S.component_rep(c1), U.component_rep(c2)
+    h0 = sp1.h.value(S.hom(c1, r1)[0])
+    v0 = sp2.v.value(U.hom(r2, c2)[0])
+    lhs = {
+        G.add(v0, G.add(g, h0)): x
+        for g, x in _fibre_chi(composed).get((r1, r2), {}).items()
+    }
     rhs = {}
     for d in T.component_reps():
         chi_td = Fraction(1, T.aut_order(d))

@@ -2,14 +2,16 @@
 plus the per-entry fibre construction of span matrices (the definition that
 span_matrix evaluates by groupoid cardinality), the naturality checks of
 spans and 2-cells at every morphism (the validators walk a generating
-family), the equality of 2-cells on every morphism (cells_equal compares on
-a generating family), the table pullback as a loop that looks up every leg
-value and hom-set per morphism pair (the builder looks each up once) and
-the orbits of an action groupoid read off its act alone (the groupoid reads
-them off its generator tables), and the functor validators and associativity
-on every composable pair and triple (the validators walk generating_pairs).
-gspans is imported inside the functions:
-the benchmark imports this module before it times the import of gspans."""
+family), the composite of two spans built with no check (compose_spans
+checks its factors instead), the equality of 2-cells on every morphism
+(cells_equal compares on a generating family), the table pullback as a loop
+that looks up every leg value and hom-set per morphism pair (the builder
+looks each up once) and the orbits of an action groupoid read off its act
+alone (the groupoid reads them off its generator tables), and the functor
+validators and associativity on every composable pair and triple (the
+validators walk generating_pairs).  gspans is imported inside the
+functions: the benchmark imports this module before it times the import of
+gspans."""
 
 import itertools
 from fractions import Fraction
@@ -126,6 +128,31 @@ def all_morphism_span_naturality(sp):
                 "labeling is not natural at morphism %r: %r + HL != VR + %r"
                 % (m, e2, e1)
             )
+
+
+def unchecked_composite(sp1, sp2):
+    """The composite span of sp1 and sp2 built with no check at all: the
+    homotopy pullback of the middle legs, the outer legs through its
+    projections, H1 and V2, and the label eps2(a2) + V1(t) + eps1(a1)."""
+    from gspans.constructions import homotopy_pullback
+    from gspans.gspan import GSpan
+
+    res = homotopy_pullback(sp1.right, sp2.left)
+    G = sp1.group
+
+    def eps(o):
+        a1, t, a2 = o
+        return G.add(sp2.eps(a2), G.add(sp1.v.value(t), sp1.eps(a1)))
+
+    return GSpan(
+        res.groupoid,
+        res.p1.then(sp1.left),
+        res.p2.then(sp2.right),
+        sp1.h,
+        sp2.v,
+        eps,
+        check=False,
+    )
 
 
 def all_morphism_cell_naturality(cell):

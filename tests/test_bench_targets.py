@@ -38,15 +38,18 @@ def test_tracer_target_resolves(mod, path):
 def test_compose_spans_hands_no_view_to_the_tracer_validate_hook():
     # the validate hook sizes apex.morphism_sample() from the views' public
     # attributes (members, carrier, source), which a PullbackView does not
-    # have; compose_spans decides naturality without GSpan.validate, so the
-    # hook only sees apexes it can size
+    # have; compose_spans walks only an unchecked factor and marks its
+    # composite checked by the composition lemma, so the hook sees no apex,
+    # not even with a composite as a factor of the next composition
     import random
 
     from gspans import random_spans as rnd
+    from gspans.constructions import PullbackView
     from gspans.examples import stirling_pair
     from gspans.gspan import GSpan, compose_spans
 
-    pairs = [stirling_pair(2), rnd.random_composable_pair(random.Random(0))]
+    first, second = stirling_pair(2)
+    pairs = [(first, second), rnd.random_composable_pair(random.Random(0))]
     for sp in pairs[0]:
         want = sum(1 for _ in sp.apex.morphism_sample())
         assert _tracer()._sample_size(sp.apex) == want
@@ -55,4 +58,7 @@ def test_compose_spans_hands_no_view_to_the_tracer_validate_hook():
         mp.setattr(GSpan, "validate", lambda sp: hooked.append(sp))
         for sp1, sp2 in pairs:
             compose_spans(sp1, sp2)
+        inner = compose_spans(first, second)
+        outer = compose_spans(inner, first)
     assert hooked == []
+    assert isinstance(outer.apex.M1, PullbackView) and outer.checked

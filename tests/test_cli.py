@@ -190,6 +190,14 @@ def test_example_stirling_groupring(capsys):
         assert out == f.read()
 
 
+@pytest.mark.parametrize("trials", ["-1", "-2"])
+def test_check_negative_trials_exits_2(capsys, trials):
+    assert main(["check", "--which", "main", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --trials: the trial count must be >= 0, got %s\n" % trials
+
+
 @pytest.mark.parametrize("n", ["-1", "7"])
 def test_example_stirling_out_of_range_exits_2(capsys, n):
     assert main(["example", "stirling", "--n", n]) == 2

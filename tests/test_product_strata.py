@@ -1,8 +1,11 @@
 """The composite over a discrete middle foot, the union over d of the
 products M1_d x M2_d of its legs' level sets, against the plain action
-groupoid on each enumerated product carrier, with exact equality; and the
-level-set naturality check of compose_spans against pointwise validate on
-the composite's component stars, with split, twisted and composite feet."""
+groupoid on each enumerated product carrier, with exact equality; and
+compose_spans' check of a composite's factors against the oracles: it
+rejects exactly the pairs with a factor that is not a G-span, and every
+pair whose composite, built unchecked, is not natural, under one-point
+mutations of labels and legs, over discrete, split, twisted and composite
+feet and over the general middle feet of the acceptance corpus."""
 
 import random
 
@@ -10,6 +13,7 @@ import pytest
 
 from gspans.algebra import AbelianGroup
 from gspans.constructions import (
+    FunctorError,
     GroupoidFunctor,
     GroupValuedFunctor,
     PullbackView,
@@ -23,11 +27,17 @@ from gspans.groupoid import (
     ProductGroup,
     SymmetricGroup,
 )
-from gspans import gspan
+from gspans import random_spans as rnd
 from gspans.gspan import GSpan, GSpanError, compose_spans, span_matrix
-from oracles import fibre_span_matrix
+from oracles import (
+    all_morphism_span_naturality,
+    all_pairs_group_valued_check,
+    fibre_span_matrix,
+    unchecked_composite,
+)
 
 Z2 = AbelianGroup([2])
+SEED = 20260810  # the acceptance corpus of criteria 3, 4, 6 and 8
 
 
 def plain_strata(view):
@@ -250,40 +260,60 @@ def test_split_members_become_full_subgroupoid_factors():
 
 
 # ---------------------------------------------------------------------------
-# compose_spans checks the naturality of a composite over a discrete T on
-# the factors of each level; pointwise GSpan.validate on the composite's
-# component stars is the oracle it must agree with
+# compose_spans checks the factors of a composite, never the composite: the
+# squares of the two spans (an unchecked one is walked once) and their legs
+# over BG on the feet.  The oracles: a factor is a G-span when its legs pass
+# the all-pair functor check and its label the all-morphism square; by the
+# composition lemma, the composite of two G-spans, built unchecked, passes
+# GSpan.validate and the all-morphism square.
 
 
-def unchecked_composite(sp1, sp2, monkeypatch):
-    """compose_spans(sp1, sp2) with the factor check passing everything."""
-    with monkeypatch.context() as mp:
-        mp.setattr(gspan, "_natural_on_factors", lambda *args: True)
-        composed = compose_spans(sp1, sp2)
-    assert isinstance(composed.apex, PullbackView)
-    return composed
+def factor_failure(sp1, sp2):
+    """Whether a factor fails its oracle: one of H1, V1, H2 and V2 breaks a
+    functor law on some composable pair, or a label is not natural at some
+    morphism of its apex."""
+    try:
+        for f in (sp1.h, sp1.v, sp2.h, sp2.v):
+            all_pairs_group_valued_check(f)
+    except FunctorError:
+        return True
+    try:
+        for sp in (sp1, sp2):
+            all_morphism_span_naturality(sp)
+    except GSpanError:
+        return True
+    return False
 
 
-def assert_factor_check_agrees(sp1, sp2, monkeypatch):
-    """The factor check and pointwise validate accept or reject together,
-    and compose_spans rejects with pointwise validate's message.  Returns
-    whether the composite is natural."""
-    composed = unchecked_composite(sp1, sp2, monkeypatch)
-    by_factors = gspan._natural_on_factors(sp1, sp2)
+def composite_failure(sp1, sp2, every_morphism):
+    """Whether the composite, built unchecked, fails GSpan.validate or, with
+    every_morphism, the square at every morphism of its apex."""
+    composed = unchecked_composite(sp1, sp2)
     try:
         composed.validate()
-    except GSpanError as err:
-        witness = str(err)
+        if every_morphism:
+            all_morphism_span_naturality(composed)
+    except GSpanError:
+        return True
+    return False
+
+
+def assert_factor_check_agrees(sp1, sp2, every_morphism=True):
+    """compose_spans raises GSpanError exactly when a factor fails its
+    oracle, and whenever the composite, built unchecked, fails one (the
+    lemma's contrapositive); what it returns is checked and passes them.
+    Returns whether it accepted the pair."""
+    try:
+        composed = compose_spans(sp1, sp2)
+    except GSpanError:
+        accepted = False
     else:
-        witness = None
-    assert by_factors == (witness is None)
-    if witness is None:
-        compose_spans(sp1, sp2)
-    else:
-        with pytest.raises(GSpanError) as err:
-            compose_spans(sp1, sp2)
-        assert str(err.value) == witness
-    return by_factors
+        accepted = True
+        assert composed.checked
+    assert accepted == (not factor_failure(sp1, sp2))
+    if accepted:
+        assert not composite_failure(sp1, sp2, every_morphism)
+    return accepted
 
 
 def with_changes(sp, h=None, v=None, eps=None):
@@ -372,38 +402,60 @@ def twisted_pair():
     return sp1, sp2
 
 
-def test_the_twisted_pair_is_lazy_and_natural(monkeypatch):
+def test_the_twisted_pair_is_lazy_and_natural():
     sp1, sp2 = twisted_pair()
-    assert assert_factor_check_agrees(sp1, sp2, monkeypatch)
+    assert assert_factor_check_agrees(sp1, sp2)
     composed = compose_spans(sp1, sp2)
     assert len(set(map(id, plain_strata(composed.apex).values()))) == 2
     assert span_matrix(composed) == span_matrix(sp1) * span_matrix(sp2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_factor_check_accepts_the_stirling_composites(
-    stirling_composites, n, monkeypatch
-):
+def test_factor_check_accepts_the_stirling_composites(stirling_composites, n):
+    # the every-morphism square of the N=4 composite loops 14 050 x 8 830
+    # handle pairs, so there GSpan.validate on its stars is the oracle
     first, second, _ = stirling_composites[n]
-    assert assert_factor_check_agrees(first, second, monkeypatch)
+    assert assert_factor_check_agrees(first, second, every_morphism=n < 4)
 
 
-def test_factor_check_accepts_the_split_union(monkeypatch):
+def test_factor_check_accepts_the_split_union():
     sp1, sp2, _ = split_pair()
-    assert assert_factor_check_agrees(sp1, sp2, monkeypatch)
+    assert assert_factor_check_agrees(sp1, sp2)
 
 
-def one_point_label_mutations(sp1, sp2, rng, count):
-    """eps1 or eps2 moved by a nonzero element at one seeded point."""
+def one_point_mutations(sp1, sp2, rng, count, kinds):
+    """count seeded one-point mutations of the pair, cycling through kinds:
+    "eps" moves eps1 or eps2 at a point; "generator" and "identity" move H1
+    or V2 at a member of its foot's generating family or at an identity;
+    "middle" moves V1 and H2 together at a generator of T.  Every move adds
+    a nonzero element of G."""
     G = sp1.group
     shifts = [g for g in G.elements() if g != G.identity]
     out = []
     for k in range(count):
-        which = k % 2
-        sp = (sp1, sp2)[which]
-        point = rng.choice(sp.apex.objects)
-        moved = eps_moved_at(sp, point, rng.choice(shifts))
-        out.append((moved, sp2) if which == 0 else (sp1, moved))
+        kind, which = kinds[k % len(kinds)], k // len(kinds) % 2
+        shift = rng.choice(shifts)
+        if kind == "eps":
+            sp = (sp1, sp2)[which]
+            moved = eps_moved_at(sp, rng.choice(sp.apex.objects), shift)
+            out.append((moved, sp2) if which == 0 else (sp1, moved))
+        elif kind == "middle":
+            T = sp1.target
+            f = value_moved_at(sp1.v, rng.choice(list(T.morphism_sample())), shift)
+            out.append((with_changes(sp1, v=f), with_changes(sp2, h=f)))
+        else:
+            f = (sp1.h, sp2.v)[which]
+            foot = f.source
+            if kind == "identity":
+                m = foot.identity_at(rng.choice(foot.objects))
+            else:
+                m = rng.choice(list(foot.morphism_sample()))
+            f = value_moved_at(f, m, shift)
+            out.append(
+                (with_changes(sp1, h=f), sp2)
+                if which == 0
+                else (sp1, with_changes(sp2, v=f))
+            )
     return out
 
 
@@ -411,7 +463,7 @@ def one_point_label_mutations(sp1, sp2, rng, count):
     "pair", ["stirling", "split", "twisted", "composite left", "composite right"]
 )
 def test_factor_check_agrees_under_one_point_label_mutations(
-    stirling_composites, pair, monkeypatch
+    stirling_composites, pair
 ):
     if pair == "stirling":
         sp1, sp2, _ = stirling_composites[3]
@@ -420,18 +472,20 @@ def test_factor_check_agrees_under_one_point_label_mutations(
     elif pair == "twisted":
         sp1, sp2 = twisted_pair()
     else:
-        # a composite as a foot: (first o second) o first, first o (second o
-        # first), with a composite's view as one apex
+        # a composite as a factor: (first o second) o first and first o
+        # (second o first), with a composite's view as one apex; its
+        # composite's every-morphism square is out of reach at N=3
         first, second, composed = stirling_composites[3]
         if pair == "composite left":
             sp1, sp2 = composed, first
         else:
             sp1, sp2 = first, compose_spans(second, first)
     rng = random.Random(pair)
+    composite = pair.startswith("composite")
     verdicts = [
-        assert_factor_check_agrees(a, b, monkeypatch)
-        for a, b in one_point_label_mutations(
-            sp1, sp2, rng, 8 if pair.startswith("composite") else 24
+        assert_factor_check_agrees(a, b, every_morphism=not composite)
+        for a, b in one_point_mutations(
+            sp1, sp2, rng, 8 if composite else 24, ["eps"]
         )
     ]
     assert False in verdicts
@@ -440,7 +494,7 @@ def test_factor_check_agrees_under_one_point_label_mutations(
         assert True in verdicts
 
 
-def test_factor_check_agrees_with_wrong_outer_legs(monkeypatch):
+def test_factor_check_agrees_with_wrong_outer_legs():
     sp1, sp2 = twisted_pair()
     S, U = sp1.source, sp2.target
     one = (1,)
@@ -450,17 +504,33 @@ def test_factor_check_agrees_with_wrong_outer_legs(monkeypatch):
         (sp1, with_changes(sp2, v=value_moved_at(sp2.v, ("u", one), one))),
         # ... on the morphism the halves member's generator is sent to
         (with_changes(sp1, h=value_moved_at(sp1.h, ("s", (2,)), (2,))), sp2),
+        # ... on a morphism that only handles off the apexes' generating
+        # families reach: H1's identity law and the walk of sp1 both pass,
+        # and only the functor check of H1 on S sees it
+        (with_changes(sp1, h=value_moved_at(sp1.h, ("s", (3,)), one)), sp2),
+        (sp1, with_changes(sp2, v=value_moved_at(sp2.v, ("u", (3,)), one))),
         # a nonzero value on an identity of S or of U
         (with_changes(sp1, h=value_moved_at(sp1.h, S.identity_at("s"), one)), sp2),
         (sp1, with_changes(sp2, v=value_moved_at(sp2.v, U.identity_at("u"), one))),
     ]
-    assert [assert_factor_check_agrees(a, b, monkeypatch) for a, b in cases] == [
+    assert [assert_factor_check_agrees(a, b) for a, b in cases] == [
         False
     ] * len(cases)
+    # the off-family cases: both walks pass and H1 and V2 keep their
+    # identity laws, yet the composite fails the every-morphism square
+    for a, b in cases[3:5]:
+        a.validate()
+        b.validate()
+        for f in (a.h, b.v):
+            foot = f.source
+            assert all(
+                f.value(foot.identity_at(o)) == Z4.identity for o in foot.objects
+            )
+        assert composite_failure(a, b, every_morphism=True)
 
 
 def test_factor_check_agrees_with_a_nonzero_identity_on_stirling_feet(
-    stirling_composites, monkeypatch
+    stirling_composites,
 ):
     # the feet are discrete: every handle of a stratum over n in S reads
     # H1 at the identity of n, and likewise V2 at the identity of m in U
@@ -471,10 +541,55 @@ def test_factor_check_agrees_with_a_nonzero_identity_on_stirling_feet(
         h = value_moved_at(first.h, base.identity_at(n), (1,))
         v = value_moved_at(second.v, base.identity_at(n), (1,))
         verdicts.append((
-            assert_factor_check_agrees(with_changes(first, h=h), second, monkeypatch),
-            assert_factor_check_agrees(first, with_changes(second, v=v), monkeypatch),
+            assert_factor_check_agrees(with_changes(first, h=h), second),
+            assert_factor_check_agrees(first, with_changes(second, v=v)),
         ))
-    # the composite has objects over every n of S and every m of U, and its
-    # identity handles read H1 at n and V2 at m (generator handles alone
-    # missed n, m = 0 and n = 1, where the strata have no generators)
     assert verdicts == [(False, False)] * len(base.objects)
+
+
+def test_factor_check_is_sound_on_corpus_pairs_over_general_middle_feet():
+    # seeded one-point mutations of every kind on the acceptance corpus
+    # pairs whose middle foot is not discrete and whose group is not trivial
+    rng = random.Random(SEED)
+    pairs = [
+        rnd.random_composable_pair(
+            rng, max_group_order=6, max_objects=8, max_apex_objects=8
+        )
+        for _ in range(50)
+    ]
+    pairs = [
+        (a, b) for a, b in pairs
+        if not a.target.is_discrete and len(a.group.elements()) > 1
+    ][:12]
+    assert len(pairs) == 12
+    kinds = ["eps", "generator", "identity", "middle"]
+    verdicts = []
+    for k, (sp1, sp2) in enumerate(pairs):
+        assert assert_factor_check_agrees(sp1, sp2)
+        mutations = one_point_mutations(sp1, sp2, random.Random(k), 8, kinds)
+        verdicts += [assert_factor_check_agrees(a, b) for a, b in mutations]
+    assert False in verdicts and True in verdicts
+
+
+def test_an_unchecked_factor_is_walked_once(stirling_composites, monkeypatch):
+    first, second, _ = stirling_composites[3]
+    walked = []
+    walk = GSpan.validate
+    monkeypatch.setattr(
+        GSpan, "validate", lambda sp: walked.append(sp) or walk(sp)
+    )
+    h = GroupValuedFunctor(first.source, first.group, first.h.value, check=False)
+    unchecked = with_changes(first, h=h)
+    assert not unchecked.checked and not h.checked
+    composed = compose_spans(unchecked, second)
+    assert walked == [unchecked] and unchecked.checked and composed.checked
+    assert h.checked  # validated on its foot once, like the span
+    # the second composition has a checked composite and a walked factor
+    compose_spans(composed, unchecked)
+    assert walked == [unchecked]
+    # a factor that fails its walk stays unchecked and is walked again
+    broken = eps_moved_at(first, first.apex.objects[-1], (1,))
+    for _ in range(2):
+        with pytest.raises(GSpanError, match="not natural"):
+            compose_spans(broken, second)
+    assert walked == [unchecked, broken, broken] and not broken.checked

@@ -88,6 +88,24 @@ def test_lemma_lhs_matches_fibres_on_random_corpus(corpus):
         assert_lemma_lhs_matches_fibres(sp1, sp2, composed)
 
 
+def test_lemma_lhs_is_one_pass_moved_to_any_objects(corpus):
+    # the left-hand side at every pair of objects, representatives or not,
+    # is read off the one pass span_matrix made over the composite's pi0
+    for sp1, sp2, _ in corpus[:10]:
+        composed = compose_spans(sp1, sp2)
+        reps = composed.apex.component_reps
+        passes = []
+        composed.apex.component_reps = lambda: passes.append(1) or reps()
+        span_matrix(composed)
+        for c1 in sp1.source.objects:
+            for c2 in sp2.target.objects:
+                lhs, rhs = labeled_pullback_identity(
+                    sp1, sp2, c1, c2, composed=composed
+                )
+                assert lhs == rhs == fibre_chi_by_label(composed, c1, c2)
+        assert passes == [1]
+
+
 def test_kernel_matches_fibres_on_subset_and_coset_sweeps():
     # the subset and coset sweeps of acceptance criterion 7
     for orders in abelian_group_order_lists(8):
