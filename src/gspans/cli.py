@@ -9,9 +9,10 @@ resolved object passes its module's validation; errors carry the JSON path.
 
 Commands: validate, euler, matrix, compose, check, example.  Exit codes:
 0 = pass, 1 = check failure, 2 = input error or a materialization refused by
-the size guard.  Pullbacks are lazy; a document's "pullback" groupoid and the
-apex that compose writes out are materialized, and the environment variable
-GSPANS_SIZE_GUARD overrides the guard on that.
+the size guard.  Pullbacks and one-sided fibres are lazy; a document's
+"pullback" and "fibre" groupoids and the apex that compose writes out are
+materialized, and the environment variable GSPANS_SIZE_GUARD overrides the
+guard on that.
 """
 
 import argparse
@@ -286,21 +287,24 @@ class Document:
         if kind == "fibre":
             side = _need(spec, "side", path)
             at = _need(spec, "at", path)
-            if side == "left":
+            if side in ("left", "right"):
                 f = self._functor(_need(spec, "functor", path))
-                return left_fibre(f, self._object(f.target, at, path))
-            if side == "right":
-                f = self._functor(_need(spec, "functor", path))
-                return right_fibre(f, self._object(f.target, at, path))
-            if side == "two":
+                fibre = left_fibre if side == "left" else right_fibre
+                fib = fibre(f, self._object(f.target, at, path))
+            elif side == "two":
                 if not (isinstance(at, list) and len(at) == 2):
                     raise DocumentError(path, "two-sided fibre needs at=[c, d]")
                 l = self._functor(_need(spec, "left", path))
                 r = self._functor(_need(spec, "right", path))
                 c = self._object(l.target, at[0], path)
                 d = self._object(r.target, at[1], path)
-                return two_sided_fibre(l, r, c, d)
-            raise DocumentError(path, "fibre side must be left|right|two")
+                fib = two_sided_fibre(l, r, c, d)
+            else:
+                raise DocumentError(path, "fibre side must be left|right|two")
+            try:
+                return materialize(fib)
+            except Exception as e:
+                raise DocumentError(path, str(e))
         raise DocumentError(path, "unknown groupoid type %r" % kind)
 
     def _object(self, view, objname, path):

@@ -9,11 +9,13 @@ handles are the triples (m1, t, m2), composed slotwise; the projections p1,
 p2 read slots 0 and 2.  Its components, |Aut| and chi multiply out of the
 legs' level sets over a discrete T, and come from a search over its moves
 otherwise; materialize(view) is the explicit table, guarded by its morphism
-count.  Fibres, two-sided pullbacks and Grothendieck constructions are
-tables labelled by slot tuples, with compose/inverse entries filled on
-demand by the one slot law, slotwise: an object label has its morphism
-labels' slot layout, with each view slot holding an object where a morphism
-label holds a morphism.
+count.  The one-sided fibres c\\M = 1{c} x_S M and M/d = M x_T 1{d} and
+the two-sided pullback (P x_S M) x_T Q are pullback views too.  The
+two-sided fibre c\\M/d and the Grothendieck constructions are tables
+labelled by slot tuples, with compose/inverse entries filled on demand by
+the one slot law, slotwise: an object label has its morphism labels' slot
+layout, with each view slot holding an object where a morphism label holds
+a morphism.
 
 The functors check their composition law on groupoid.generating_pairs of
 the source, which is complete, and every other law on every morphism.
@@ -331,14 +333,18 @@ class PullbackView:
         return len(self.hom(a, b))
 
     def all_morphisms(self):
-        """Every handle, enumerated lazily in the order m1, m2, t."""
+        """Every handle, enumerated lazily in the order m1, m2, t.  The pairs
+        (m2, t) with t in T(R1 a1, L2 a2) are listed once per value of
+        R1(a1), so over a discrete T each m1 meets only the m2 on its level."""
         M1, M2, T = self.M1, self.M2, self.T
         legs2 = [(m2, self.l2.on_obj(M2.source_of(m2))) for m2 in M2.all_morphisms()]
+        over = {}  # R1(a1) -> [(m2, t)]
         for m1 in M1.all_morphisms():
             ra1 = self.r1.on_obj(M1.source_of(m1))
-            for m2, la2 in legs2:
-                for t in T.hom(ra1, la2):
-                    yield (m1, t, m2)
+            if ra1 not in over:
+                over[ra1] = [(m2, t) for m2, la2 in legs2 for t in T.hom(ra1, la2)]
+            for m2, t in over[ra1]:
+                yield (m1, t, m2)
 
     # -- invariants ----------------------------------------------------------
 
@@ -475,44 +481,28 @@ def homotopy_pullback(r1, l2):
 
 
 # ---------------------------------------------------------------------------
-# homotopy fibres (built directly; spot-checked against the generic pullback)
+# homotopy fibres and two-sided pullbacks
 
 
 def left_fibre(l, c):
-    """c\\M for l: M -> S: objects (a, s) with s in S(c, La); a morphism
-    (m, s) acts by (a1, s) -> (a2, L(m) o s)."""
-    M, S = l.source, l.target
-    b = TableBuilder()
-    for a in M.objects:
-        for s in S.hom(c, l.on_obj(a)):
-            b.obj((a, s), (M.identity_at(a), s))
-    for m in M.all_morphisms():
-        a1, a2 = M.source_of(m), M.target_of(m)
-        lm = l.on_mor(m)
-        for s in S.hom(c, l.on_obj(a1)):
-            b.mor((m, s), (a1, s), (a2, S.compose_m(lm, s)))
-    return b.build(*slotwise((M, None)))
+    """c\\M = 1{c} x_S M for l: M -> S, as a PullbackView: objects (0, s, a)
+    with s in S(c, La), enumerated a then s; a morphism (id, s, m) acts by
+    (0, s, a1) -> (0, L(m) o s, a2)."""
+    return homotopy_pullback(point_inclusion(l.target, c)[1], l).groupoid
 
 
 def right_fibre(r, d):
-    """M/d for r: M -> T: objects (a, t) with t in T(Ra, d); a morphism
-    (m, t) acts by (a1, t) -> (a2, t o R(m)^-1)."""
-    M, T = r.source, r.target
-    b = TableBuilder()
-    for a in M.objects:
-        for t in T.hom(r.on_obj(a), d):
-            b.obj((a, t), (M.identity_at(a), t))
-    for m in M.all_morphisms():
-        a1, a2 = M.source_of(m), M.target_of(m)
-        rm_inv = T.inverse_m(r.on_mor(m))
-        for t in T.hom(r.on_obj(a1), d):
-            b.mor((m, t), (a1, t), (a2, T.compose_m(t, rm_inv)))
-    return b.build(*slotwise((M, None)))
+    """M/d = M x_T 1{d} for r: M -> T, as a PullbackView: objects (a, t, 0)
+    with t in T(Ra, d), enumerated a then t; a morphism (m, t, id) acts by
+    (a1, t, 0) -> (a2, t o R(m)^-1, 0)."""
+    return homotopy_pullback(r, point_inclusion(r.target, d)[1]).groupoid
 
 
 def two_sided_fibre(l, r, c, d):
-    """c\\M/d: objects (a, s, t); a morphism (m, s, t) acts by
-    (a1, s, t) -> (a2, L(m) o s, t o R(m)^-1)."""
+    """c\\M/d = (1{c} x_S M) x_T 1{d}, built directly as one table: objects
+    (a, s, t); a morphism (m, s, t) acts by
+    (a1, s, t) -> (a2, L(m) o s, t o R(m)^-1).  labeled_fibre builds one per
+    entry, which as nested views would take twice as long."""
     M, S, T = l.source, l.target, r.target
     b = TableBuilder()
     for a in M.objects:
@@ -532,39 +522,10 @@ def two_sided_fibre(l, r, c, d):
 
 
 def two_sided_pullback(r1, l, r, l2):
-    """P x_S M x_T Q for P -R1-> S <-L- M -R-> T <-L2- Q: objects
-    (x, a, y, s, t); a morphism (u, m, v, s, t) is a triple (u, m, v) of
-    morphisms at the source (x1, a1, y1, s, t), whose target's s and t make
-    the evident squares commute in S and T."""
-    P, S, M, T, Q = r1.source, r1.target, l.source, r.target, l2.source
-    b = TableBuilder()
-    for x in P.objects:
-        for a in M.objects:
-            for s in S.hom(r1.on_obj(x), l.on_obj(a)):
-                for y in Q.objects:
-                    for t in T.hom(r.on_obj(a), l2.on_obj(y)):
-                        ident = (P.identity_at(x), M.identity_at(a), Q.identity_at(y))
-                        b.obj((x, a, y, s, t), ident + (s, t))
-    for u in P.all_morphisms():
-        r1u_inv = S.inverse_m(r1.on_mor(u))
-        for m in M.all_morphisms():
-            lm = l.on_mor(m)
-            rm_inv = T.inverse_m(r.on_mor(m))
-            for v in Q.all_morphisms():
-                l2v = l2.on_mor(v)
-                x1, x2 = P.source_of(u), P.target_of(u)
-                a1, a2 = M.source_of(m), M.target_of(m)
-                y1, y2 = Q.source_of(v), Q.target_of(v)
-                for s in S.hom(r1.on_obj(x1), l.on_obj(a1)):
-                    s2 = S.compose_m(S.compose_m(lm, s), r1u_inv)
-                    for t in T.hom(r.on_obj(a1), l2.on_obj(y1)):
-                        t2 = T.compose_m(T.compose_m(l2v, t), rm_inv)
-                        b.mor(
-                            (u, m, v, s, t),
-                            (x1, a1, y1, s, t),
-                            (x2, a2, y2, s2, t2),
-                        )
-    return b.build(*slotwise((P, M, Q, None, None)))
+    """P x_S M x_T Q = (P x_S M) x_T Q for P -R1-> S <-L- M -R-> T <-L2- Q,
+    as nested PullbackViews: objects ((x, s, a), t, y), enumerated x, a, s,
+    y, t, and morphisms ((u, s, m), t, v)."""
+    return homotopy_pullback(homotopy_pullback(r1, l).p2.then(r), l2).groupoid
 
 
 # ---------------------------------------------------------------------------

@@ -250,10 +250,10 @@ def universal_matrix_closed_form(h, v):
     return SpanMatrix(G, rows, cols, entries)
 
 
-def universal_cell(sp, universal=None):
+def universal_cell(sp):
     """The canonical 2-cell from any span to the universal span on (H, V):
     Phi(x) = (Lx, eps x, Rx), with identity transformations."""
-    uni = universal if universal is not None else universal_span(sp.h, sp.v)
+    uni = universal_span(sp.h, sp.v)
     S, T, M = sp.source, sp.target, sp.apex
 
     def obj_map(x):
@@ -280,20 +280,17 @@ def universal_cell(sp, universal=None):
 # subset spans: (1 x 1) matrices from invariant subsets of G
 
 
-def subset_span(G, subset, s_elements, t_elements, h=None, v=None):
+def subset_span(G, subset, s_elements, t_elements):
     """Action-groupoid span realizing the (1 x 1) matrix (1/|T|) sum(subset).
 
-    s_elements/t_elements are subgroups of G (acting by x -> -v(t) + x + h(s));
-    h and v default to the inclusions."""
-    h = h if h is not None else (lambda s: s)
-    v = v if v is not None else (lambda t: t)
+    s_elements/t_elements are subgroups of G, acting by x -> -t + x + s."""
     s_grp = Subgroup(G, s_elements)
     t_grp = Subgroup(G, t_elements)
     subset = sorted({G.check(x) for x in subset})
 
     def act(x, st):
         s, t = st
-        return G.add(G.neg(v(t)), G.add(x, h(s)))
+        return G.add(G.neg(t), G.add(x, s))
 
     in_subset = set(subset)
     for x in subset:
@@ -321,8 +318,8 @@ def subset_span(G, subset, s_elements, t_elements, h=None, v=None):
         lambda m: bt.morphism_of_label[m[1][1]],
         check=False,
     )
-    hf = GroupValuedFunctor(bs, G, lambda m: h(bs.morphism_labels[m]), check=False)
-    vf = GroupValuedFunctor(bt, G, lambda m: v(bt.morphism_labels[m]), check=False)
+    hf = GroupValuedFunctor(bs, G, lambda m: bs.morphism_labels[m], check=False)
+    vf = GroupValuedFunctor(bt, G, lambda m: bt.morphism_labels[m], check=False)
     return GSpan(apex, left, right, hf, vf, lambda x: x)
 
 

@@ -120,60 +120,48 @@ class GSpan:
         self.checked = True
 
 
-class LabeledFibre:
-    """Two-sided homotopy fibre c\\M/d, given as its components, each with
-    its |Aut|, together with its G-valued label, which naturality makes
-    constant on each component."""
-
-    def __init__(self, components, label, c, d):
-        self.components = components  # [(component, |Aut|)]
-        self.label = label
-        self.c = c
-        self.d = d
-
-    def chi_by_label(self):
-        """chi of each label level set, a union of components: g -> sum of
-        1/|Aut| over the components labelled g.  Raises GSpanError, naming
-        two objects, if the label varies on a component."""
-        out = {}
-        for comp, aut in self.components:
-            g = self.label(comp[0])
-            for o in comp[1:]:
-                if self.label(o) != g:
-                    raise GSpanError(
-                        "label not constant on the component of %r: "
-                        "%r at %r, %r at %r"
-                        % (comp[0], g, comp[0], self.label(o), o)
-                    )
-            out[g] = out.get(g, Fraction(0)) + Fraction(1, aut)
-        return out
-
-
 def labeled_fibre(sp, c, d):
-    """The labeled two-sided fibre of a span over component representatives
-    (c, d): two_sided_fibre, whose object (a, s, t) is labelled
-    V(t) + eps(a) + H(s).  Over discrete feet L and R are constant on the
-    components of the apex, and the fibre is the union of those over (c, d)
-    (objects a stand for (a, id, id)), labelled by eps."""
-    M = sp.apex
+    """{g: chi((c\\M/d){label = g})} for the labelled two-sided fibre of a
+    span over component representatives (c, d): two_sided_fibre, whose
+    object (a, s, t) is labelled V(t) + eps(a) + H(s).  Naturality makes the
+    label constant on each component, so a level set is a union of
+    components, each adding 1/|Aut|; raises GSpanError, naming two objects,
+    if the label varies on a component.  Over discrete feet L and R are
+    constant on the components of the apex, and the fibre is the union of
+    those over (c, d) (objects a stand for (a, id, id)), labelled by eps.
+    Memoized on the span (spans do not change) per (c, d); only the chi map
+    is kept, not the fibre."""
+    memo = sp._fibre_chi_memo
+    if (c, d) in memo:
+        return memo[(c, d)]
     if sp.source.is_discrete and sp.target.is_discrete:
+        fib, label = sp.apex, sp.eps
         comps = [
-            (comp, M.aut_order(comp[0]))
-            for comp in M.components()
+            comp
+            for comp in fib.components()
             if sp.left.on_obj(comp[0]) == c and sp.right.on_obj(comp[0]) == d
         ]
-        return LabeledFibre(comps, sp.eps, c, d)
-    fib = two_sided_fibre(sp.left, sp.right, c, d)
-    G = sp.group
+    else:
+        fib = two_sided_fibre(sp.left, sp.right, c, d)
+        G, labels = sp.group, fib.object_labels
 
-    def label(oid):
-        a, s, t = fib.object_labels[oid]
-        return G.add(
-            sp.v.value(t), G.add(sp.eps(a), sp.h.value(s))
-        )
+        def label(oid):
+            a, s, t = labels[oid]
+            return G.add(sp.v.value(t), G.add(sp.eps(a), sp.h.value(s)))
 
-    comps = [(comp, fib.aut_order(comp[0])) for comp in fib.components()]
-    return LabeledFibre(comps, label, c, d)
+        comps = fib.components()
+    out = {}
+    for comp in comps:
+        g = label(comp[0])
+        for o in comp[1:]:
+            if label(o) != g:
+                raise GSpanError(
+                    "label not constant on the component of %r: "
+                    "%r at %r, %r at %r" % (comp[0], g, comp[0], label(o), o)
+                )
+        out[g] = out.get(g, Fraction(0)) + Fraction(1, fib.aut_order(comp[0]))
+    memo[(c, d)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +460,6 @@ def check_main_theorem(sp1, sp2):
     return lhs, rhs
 
 
-def _fibre_chi_by_label(sp, c, d):
-    """labeled_fibre(sp, c, d).chi_by_label(), memoized
-    on the span (spans do not change) per (c, d); only the chi map is kept,
-    not the fibre."""
-    try:
-        return sp._fibre_chi_memo[(c, d)]
-    except KeyError:
-        chi = labeled_fibre(sp, c, d).chi_by_label()
-        sp._fibre_chi_memo[(c, d)] = chi
-        return chi
-
-
 def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     """Both sides of the per-label composition identity at entry (c1, c2):
 
@@ -516,8 +492,8 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     rhs = {}
     for d in T.component_reps():
         chi_td = Fraction(1, T.aut_order(d))
-        left_side = _fibre_chi_by_label(sp1, c1, d)
-        right_side = _fibre_chi_by_label(sp2, d, c2)
+        left_side = labeled_fibre(sp1, c1, d)
+        right_side = labeled_fibre(sp2, d, c2)
         for g1, x1 in left_side.items():
             for g2, x2 in right_side.items():
                 g = G.add(g2, g1)

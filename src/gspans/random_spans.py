@@ -25,6 +25,8 @@ GROUP_ORDER_CHOICES = [
     [1], [2], [3], [4], [2, 2], [5], [6], [2, 3], [7], [8], [2, 4], [2, 2, 2],
 ]
 COMPONENT_GROUP_CHOICES = [[1], [2], [3], [4], [2, 2]]
+HOM_TRIES = 8  # homomorphisms random_functor draws before the trivial one
+MAX_VALUE_SET = 3  # random_set_valued_functor's largest value set
 
 
 def random_group(rng, max_order=6):
@@ -139,7 +141,7 @@ def random_bg_functor(rng, meta, G):
     return GroupValuedFunctor(table, G, values)
 
 
-def random_functor(rng, src_meta, dst_meta, tries=8):
+def random_functor(rng, src_meta, dst_meta):
     """Random functor between random groupoids: each source component maps to
     a destination component through a homomorphism psi with psi(B) <= B' and
     an equivariant coset map."""
@@ -155,7 +157,7 @@ def random_functor(rng, src_meta, dst_meta, tries=8):
             return min(A2.add(h, x) for h in B2)
 
         psi = None
-        for _ in range(tries):
+        for _ in range(HOM_TRIES):
             cand = random_hom(rng, A, A2)
             if all(coset2(cand(h)) == coset2(A2.identity) for h in B):
                 psi = cand
@@ -177,14 +179,13 @@ def random_functor(rng, src_meta, dst_meta, tries=8):
     return GroupoidFunctor(src, dst, obj_map, mor_map)
 
 
-def random_span(rng, h, v, max_apex_objects=6, allow_empty=False):
-    """Full subgroupoid of the universal span on (h, v) with per-component
-    label shifts; always a valid span."""
+def random_span(rng, h, v, max_apex_objects=6):
+    """Full subgroupoid of the universal span on (h, v), on at least one
+    object, with per-component label shifts; always a valid span."""
     uni = universal_span(h, v)
     G = h.group
     pool = list(uni.apex.objects)
-    lo = 0 if allow_empty else 1
-    size = rng.randint(lo, min(max_apex_objects, len(pool)))
+    size = rng.randint(1, min(max_apex_objects, len(pool)))
     objs = sorted(rng.sample(pool, size))
     apex = uni.apex.full_subgroupoid(objs)
     left = GroupoidFunctor(
@@ -282,7 +283,7 @@ def random_two_cell_square(rng):
     return u1, w1, u2, w2
 
 
-def random_set_valued_functor(rng, meta, max_fibre=3):
+def random_set_valued_functor(rng, meta):
     """Set-valued functor on a random groupoid: per component a value set of
     fixed size transported by cyclic shifts through a random homomorphism."""
     from gspans.constructions import SetValuedFunctor
@@ -291,7 +292,7 @@ def random_set_valued_functor(rng, meta, max_fibre=3):
     sizes = {}
     shifts = {}
     for comp in meta.components:
-        size = rng.randint(0, max_fibre)
+        size = rng.randint(0, MAX_VALUE_SET)
         i = comp["index"]
         sizes[i] = size
         A = comp["group"]

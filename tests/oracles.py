@@ -6,7 +6,8 @@ family), the composite of two spans built with no check (compose_spans
 checks its factors instead), the equality of 2-cells on every morphism
 (cells_equal compares on a generating family), the table pullback as a loop
 that looks up every leg value and hom-set per morphism pair (the builder
-looks each up once) and the orbits of an action groupoid read off its act
+looks each up once), the two-sided pullback as one table (gspans nests two
+pullback views) and the orbits of an action groupoid read off its act
 alone (the groupoid reads them off its generator tables), and the functor
 validators and associativity on every composable pair and triple (the
 validators walk generating_pairs).  gspans is imported inside the
@@ -84,8 +85,7 @@ def fibre_chi_by_label(sp, c, d):
     label checked constant on its components; zero levels dropped."""
     from gspans.gspan import labeled_fibre
 
-    by_label = labeled_fibre(sp, c, d).chi_by_label()
-    return {g: x for g, x in by_label.items() if x != 0}
+    return {g: x for g, x in labeled_fibre(sp, c, d).items() if x != 0}
 
 
 def fibre_span_matrix(sp):
@@ -236,6 +236,58 @@ def triple_loop_table_pullback(r1, l2):
                     raise SizeGuardError(count, bound)
                 b.mor((m1, t, m2), (s1, t, s2), (t1, u, t2))
     return b.build(*slotwise((M1, None, M2)))
+
+
+def two_sided_pullback_table(r1, l, r, l2):
+    """P x_S M x_T Q for P -R1-> S <-L- M -R-> T <-L2- Q built directly as
+    one table: objects (x, a, y, s, t), enumerated x, a, s, y, t; a morphism
+    (u, m, v, s, t) is a triple of morphisms at the source (x1, a1, y1, s, t),
+    whose target's s and t make the evident squares commute in S and T."""
+    from gspans.groupoid import TableBuilder, slotwise
+
+    P, S, M, T, Q = r1.source, r1.target, l.source, r.target, l2.source
+    b = TableBuilder()
+    for x in P.objects:
+        for a in M.objects:
+            for s in S.hom(r1.on_obj(x), l.on_obj(a)):
+                for y in Q.objects:
+                    for t in T.hom(r.on_obj(a), l2.on_obj(y)):
+                        ident = (P.identity_at(x), M.identity_at(a), Q.identity_at(y))
+                        b.obj((x, a, y, s, t), ident + (s, t))
+    for u in P.all_morphisms():
+        r1u_inv = S.inverse_m(r1.on_mor(u))
+        x1, x2 = P.source_of(u), P.target_of(u)
+        for m in M.all_morphisms():
+            lm = l.on_mor(m)
+            rm_inv = T.inverse_m(r.on_mor(m))
+            a1, a2 = M.source_of(m), M.target_of(m)
+            for v in Q.all_morphisms():
+                l2v = l2.on_mor(v)
+                y1, y2 = Q.source_of(v), Q.target_of(v)
+                for s in S.hom(r1.on_obj(x1), l.on_obj(a1)):
+                    s2 = S.compose_m(S.compose_m(lm, s), r1u_inv)
+                    for t in T.hom(r.on_obj(a1), l2.on_obj(y1)):
+                        t2 = T.compose_m(T.compose_m(l2v, t), rm_inv)
+                        b.mor(
+                            (u, m, v, s, t),
+                            (x1, a1, y1, s, t),
+                            (x2, a2, y2, s2, t2),
+                        )
+    return b.build(*slotwise((P, M, Q, None, None)))
+
+
+def assert_two_sided_pullback_matches_table(r1, l, r, l2):
+    """two_sided_pullback(r1, l, r, l2), the nested pullback views, against
+    the table built directly: the same chi, the same number of components
+    and its objects ((x, s, a), t, y) in the table's order (x, a, y, s, t)."""
+    from gspans.constructions import two_sided_pullback
+
+    view = two_sided_pullback(r1, l, r, l2)
+    table = two_sided_pullback_table(r1, l, r, l2)
+    assert view.chi() == table.chi()
+    assert len(view.components()) == len(table.components())
+    flat = [(x, a, y, s, t) for (x, s, a), t, y in view.objects]
+    assert flat == [table.object_labels[o] for o in table.objects]
 
 
 def action_orbits(view):

@@ -59,6 +59,34 @@ def test_euler_builders(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"side": "left", "functor": "to_pt", "at": "*"},
+        {"side": "right", "functor": "to_pt", "at": "*"},
+        {"side": "two", "left": "to_pt", "right": "to_pt", "at": ["*", "*"]},
+    ],
+    ids=["left", "right", "two"],
+)
+def test_fibre_documents_are_materialized_under_the_guard(
+    tmp_path, monkeypatch, capsys, spec
+):
+    # each fibre of x -> * at * is a point; at a guard of 0 materializing
+    # its one morphism is refused with the entry's path
+    doc = corpus_doc_with("point_span.json", ["groupoids", "pull"], None)
+    doc["groupoids"]["fib"] = dict(spec, type="fibre")
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["euler", str(f), "--name", "fib"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    monkeypatch.setenv("GSPANS_SIZE_GUARD", "0")
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        "error: groupoids.fib: materialization of 1 morphisms exceeds the "
+        "size guard 0 (set GSPANS_SIZE_GUARD to raise it)\n"
+    )
+
+
 def test_matrix_identity_span(capsys):
     assert main(["matrix", doc_path("bz2_identity.json"), "--span", "ident"]) == 0
     assert capsys.readouterr().out.strip() == "1/2*g(0) + 1/2*g(1)"
@@ -376,8 +404,9 @@ def test_check_interchange_seed_2_passes_on_lazy_pullbacks(monkeypatch, capsys):
 
 
 def test_check_materializes_nothing(monkeypatch, capsys):
-    # pullbacks are lazy and fibres are not guarded, so no trial of any
-    # check meets the size guard, even at a guard of one morphism
+    # pullbacks and one-sided fibres are lazy and only a document's are
+    # materialized, and two-sided fibres are not guarded, so no trial of
+    # any check meets the size guard, even at a guard of one morphism
     monkeypatch.setenv("GSPANS_SIZE_GUARD", "1")
     assert main(["check", "--seed", "5", "--trials", "3"]) == 0
     assert capsys.readouterr().err == ""

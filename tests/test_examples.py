@@ -195,7 +195,7 @@ def test_stirling_composite_alternative_stratification():
     S, T = composed.source, composed.target
     for n in S.objects:
         for m in T.objects:
-            by_label = labeled_fibre(composed, n, m).chi_by_label()
+            by_label = labeled_fibre(composed, n, m)
             expect = {}
             for k in range(m, n + 1):
                 g = ((n - k) % 2,)

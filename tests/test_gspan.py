@@ -201,9 +201,7 @@ def test_labeled_fibre_constancy_and_matrix():
     h = bg_self_functor(b2)
     sp = identity_span(h)
     c = b2.objects[0]
-    fib = labeled_fibre(sp, c, c)
-    by = fib.chi_by_label()
-    assert by == {(0,): Fraction(1), (1,): Fraction(1)}
+    assert labeled_fibre(sp, c, c) == {(0,): Fraction(1), (1,): Fraction(1)}
 
 
 def test_empty_feet_and_apex():
@@ -325,13 +323,13 @@ def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
     S, T, U = sp1.source, sp1.target, sp2.target
     assert not T.is_discrete
     builds = []
-    build = gspan.labeled_fibre
+    build = gspan.two_sided_fibre
 
-    def counting(sp, c, d):
-        builds.append((id(sp), c, d))
-        return build(sp, c, d)
+    def counting(l, r, c, d):
+        builds.append((id(l), c, d))
+        return build(l, r, c, d)
 
-    monkeypatch.setattr(gspan, "labeled_fibre", counting)
+    monkeypatch.setattr(gspan, "two_sided_fibre", counting)
     composed = compose_spans(sp1, sp2)
     for c1 in S.component_reps():
         for c2 in U.component_reps():

@@ -33,11 +33,11 @@ from gspans.gspan import (
     CharacterMatrix,
     GSpan,
     GSpanError,
-    LabeledFibre,
     SpanMatrix,
     SpanMorphism,
     compose_spans,
     fibre_map_preserves_labels,
+    labeled_fibre,
     labeled_pullback_identity,
     pullback_span,
     pushforward_span,
@@ -272,11 +272,29 @@ def test_fibre_map_missing_the_fibre_is_not_label_preserving():
 
 
 def test_chi_by_label_rejects_a_label_that_varies_on_a_component():
-    swap = swap_groupoid()
-    comps = [(c, swap.aut_order(c[0])) for c in swap.components()]
-    fib = LabeledFibre(comps, lambda o: (o,), None, None)
-    with pytest.raises(GSpanError, match="component of 0"):
-        fib.chi_by_label()
+    # apex the swap groupoid on {0, 1} labelled eps(a) = a, which no check
+    # catches with check=False: over discrete feet the fibre over (0, 0) is
+    # the apex, and over the swap groupoid as left foot it is the two-sided
+    # fibre with objects (0, id, id) and (1, swap, id); in both the label
+    # takes two values on one component
+    Z2 = AbelianGroup([2])
+    apex = swap_groupoid()
+    point = discrete_groupoid(1)
+    to_point = GroupoidFunctor(
+        apex, point, lambda a: 0, lambda m: point.identity_at(0)
+    )
+    for left in (to_point, identity_functor(apex)):
+        sp = GSpan(
+            apex,
+            left,
+            to_point,
+            GroupValuedFunctor.trivial(left.target, Z2),
+            GroupValuedFunctor.trivial(point, Z2),
+            lambda a: (a,),
+            check=False,
+        )
+        with pytest.raises(GSpanError, match="component of 0"):
+            labeled_fibre(sp, 0, 0)
 
 
 def test_character_matrix_product_mismatches_raise_value_error():
