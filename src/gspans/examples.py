@@ -6,8 +6,10 @@ skeletal action-groupoid models (conjugation of Sigma(n) on S1(X,k), resp. on
 set partitions encoded as restricted-growth strings).  The Stirling span
 apexes are their Grothendieck constructions with value Fin(X,X): the action
 groupoid of Sigma(n) on pairs (sigma, tau) resp. (rho, tau) under simultaneous
-conjugation.  Matrices only see chi of labeled fibres, which is what these
-models compute without ever materializing hom-sets.
+conjugation, built as the equivalent union of its orbit-stabilizer slices
+(ActionGroupoid.slices): over each representative sigma, Stab(sigma) acting
+on tau by conjugation.  Matrices only see chi of labeled fibres, which is
+what these models compute without ever materializing hom-sets.
 """
 
 import itertools
@@ -134,69 +136,51 @@ class StirlingSpanConfig(namedtuple("StirlingSpanConfig", "kind truncation")):
 SIGN_GROUP = AbelianGroup([2])
 
 
-def _pair_stratum(base_points, act_point, group):
-    """Grothendieck construction of Fin(X,X) over a skeletal action model:
-    Sigma acts on pairs (point, tau) by (act, conjugation)."""
-    carrier = [
-        (x, tau)
-        for x in base_points
-        for tau in sorted(itertools.permutations(range(group.n)))
-    ]
-
-    def act(pair, g):
-        return (act_point(pair[0], g), group.conjugate(pair[1], g))
-
-    return ActionGroupoid(group, carrier, act)
-
-
 def stirling_span(cfg, base=None):
     """The sign-group span whose matrix has entries (n, k) -> S1(n,k) with
     sign label (first kind) or (k, m) -> S2(k,m) (second kind).  Both feet are
     the finite discrete base {0..N} (pass a shared one to make two spans
-    strictly composable)."""
+    strictly composable).
+
+    The stratum (n, k) of the apex is (P x Sigma(n))//Sigma(n), P the
+    permutations with k cycles (resp. partitions with k blocks), built as
+    its orbit-stabilizer slices: one Sigma(n)//Stab(x) per representative x
+    of P, the stabilizer acting on tau by conjugation.  The legs and the
+    label are constant on a stratum, and a matrix entry is chi of a labelled
+    fibre, which an equivalence of apexes keeps."""
     if isinstance(cfg, str):
         raise TypeError("pass a StirlingSpanConfig")
     N = cfg.truncation
     base = base if base is not None else discrete_groupoid(N + 1)
     G = SIGN_GROUP
-    strata = []
-    meta = []  # (left value, right value, label) per stratum
+    slices = []
+    meta = []  # (left value, right value, label) per slice
     for n in range(N + 1):
-        sym = SymmetricGroup(n)
+        taus = SymmetricGroup(n).elements()
         for k in range(0 if n == 0 else 1, n + 1):
             if cfg.kind == "first":
-                points = perms_with_cycles(n, k)
-                stratum = _pair_stratum(points, sym.conjugate, sym)
+                model = fin_perm_groupoid(n, k)
                 label = ((n - k) % 2,)
             else:
-                points = partitions_with_blocks(n, k)
-                stratum = _pair_stratum(points, relabel_partition, sym)
+                model = fin_rel_groupoid(n, k)
                 label = (0,)
-            if not stratum.carrier:
-                continue
-            strata.append(stratum)
-            meta.append((n, k, label))
-    apex = DisjointUnion(strata)
-    lvals = {i: m[0] for i, m in enumerate(meta)}
-    rvals = {i: m[1] for i, m in enumerate(meta)}
-    labels = {i: m[2] for i, m in enumerate(meta)}
+            for sl in model.slices(taus, model.group.conjugate):
+                slices.append(sl)
+                meta.append((n, k, label))
+    apex = DisjointUnion(slices)
     obj_of = base.object_of_label
-    left = GroupoidFunctor(
-        apex,
-        base,
-        lambda o: obj_of[lvals[o[0]]],
-        lambda m: base.identity_at(obj_of[lvals[m[0]]]),
-        check=False,
-    )
-    right = GroupoidFunctor(
-        apex,
-        base,
-        lambda o: obj_of[rvals[o[0]]],
-        lambda m: base.identity_at(obj_of[rvals[m[0]]]),
-        check=False,
-    )
+
+    def leg(slot):
+        return GroupoidFunctor(
+            apex,
+            base,
+            lambda o: obj_of[meta[o[0]][slot]],
+            lambda m: base.identity_at(obj_of[meta[m[0]][slot]]),
+            check=False,
+        )
+
     triv = GroupValuedFunctor.trivial(base, G)
-    sp = GSpan(apex, left, right, triv, triv, lambda o: labels[o[0]])
+    sp = GSpan(apex, leg(0), leg(1), triv, triv, lambda o: meta[o[0]][2])
     sp.config = cfg
     return sp
 

@@ -153,6 +153,7 @@ class Subgroup:
         if self.identity not in els:
             raise ValueError("subgroup must contain the identity")
         self.order = len(els)
+        self._generators = None
 
     def op(self, a, b):
         return self.ambient.op(a, b)
@@ -164,7 +165,24 @@ class Subgroup:
         return list(self._elements)
 
     def generators(self):
-        return [g for g in self._elements if g != self.identity]
+        """Greedy: each element, in element order, not yet in the closure of
+        those taken before it.  Each one at least doubles the closure (a
+        subgroup), so there are at most log2 |H| of them."""
+        if self._generators is None:
+            gens, closure = [], [self.identity]
+            seen = set(closure)
+            for g in self._elements:
+                if g in seen:
+                    continue
+                gens.append(g)
+                for h in closure:  # grows as the search reaches new elements
+                    for s in gens:
+                        hs = self.op(h, s)
+                        if hs not in seen:
+                            seen.add(hs)
+                            closure.append(hs)
+            self._generators = gens
+        return list(self._generators)
 
     def __repr__(self):
         return "Subgroup(%r, %d elements)" % (self.ambient, self.order)
@@ -676,6 +694,22 @@ class ActionGroupoid:
     def hom_size(self, a, b):
         orbit = self._orbit(a)
         return self.group.order // len(orbit) if self._orbit(b) is orbit else 0
+
+    def stabilizer(self, x):
+        """Stab(x) = {g : x.g = x}, the automorphism group of x."""
+        return Subgroup(self.group, [g for _, g in self.hom(x, x)])
+
+    def slices(self, carrier, act):
+        """(X x Y)//G, for this X//G and G acting on Y by act, as the union
+        over the orbit representatives x of the slices Y//Stab(x).  y -> (x, y)
+        is fully faithful, hom((x, y1), (x, y2)) = {g in Stab(x) : y2.g = y1},
+        and essentially surjective, as every (x', y) is isomorphic to a point
+        over a representative; so the union is equivalent to (X x Y)//G, on
+        |X/G| |Y| points in place of |X| |Y|."""
+        return [
+            ActionGroupoid(self.stabilizer(x), carrier, act)
+            for x in self.component_reps()
+        ]
 
     # -- orbits --------------------------------------------------------------
 

@@ -7,10 +7,12 @@ checks its factors instead), the equality of 2-cells on every morphism
 (cells_equal compares on a generating family), the table pullback as a loop
 that looks up every leg value and hom-set per morphism pair (the builder
 looks each up once), the two-sided pullback as one table (gspans nests two
-pullback views) and the orbits of an action groupoid read off its act
-alone (the groupoid reads them off its generator tables), and the functor
+pullback views), the orbits of an action groupoid read off its act
+alone (the groupoid reads them off its generator tables), the functor
 validators and associativity on every composable pair and triple (the
-validators walk generating_pairs).  gspans is imported inside the
+validators walk generating_pairs), and the Stirling spans on the product
+model (P x Sigma(n))//Sigma(n) (gspans builds its orbit-stabilizer
+slices).  gspans is imported inside the
 functions: the benchmark imports this module before it times the import of
 gspans."""
 
@@ -393,3 +395,72 @@ def all_triples_associativity(table):
         for m3 in before.get(m2, ())
         if compose(compose(m1, m2), m3) != compose(m1, compose(m2, m3))
     ]
+
+
+def pair_stratum(base_points, act_point, group):
+    """Grothendieck construction of Fin(X,X) over a skeletal action model:
+    Sigma acts on pairs (point, tau) by (act, conjugation)."""
+    from gspans.groupoid import ActionGroupoid
+
+    carrier = [
+        (x, tau)
+        for x in base_points
+        for tau in sorted(itertools.permutations(range(group.n)))
+    ]
+
+    def act(pair, g):
+        return (act_point(pair[0], g), group.conjugate(pair[1], g))
+
+    return ActionGroupoid(group, carrier, act)
+
+
+def pair_stirling_span(kind, N, base):
+    """stirling_span on the product model: the stratum (n, k) is one
+    pair_stratum, (P x Sigma(n))//Sigma(n), with Sigma(n)'s two generators,
+    where gspans builds its orbit-stabilizer slices.  Same legs and labels:
+    (n, k, label) per stratum."""
+    from gspans.constructions import GroupoidFunctor, GroupValuedFunctor
+    from gspans.examples import (
+        SIGN_GROUP,
+        StirlingSpanConfig,
+        partitions_with_blocks,
+        perms_with_cycles,
+        relabel_partition,
+    )
+    from gspans.groupoid import DisjointUnion, SymmetricGroup
+    from gspans.gspan import GSpan
+
+    strata, meta = [], []
+    for n in range(N + 1):
+        sym = SymmetricGroup(n)
+        for k in range(0 if n == 0 else 1, n + 1):
+            if kind == "first":
+                points, act, label = perms_with_cycles(n, k), sym.conjugate, (n - k) % 2
+            else:
+                points, act, label = partitions_with_blocks(n, k), relabel_partition, 0
+            strata.append(pair_stratum(points, act, sym))
+            meta.append((n, k, (label,)))
+    apex = DisjointUnion(strata)
+    obj_of = base.object_of_label
+
+    def leg(slot):
+        return GroupoidFunctor(
+            apex,
+            base,
+            lambda o: obj_of[meta[o[0]][slot]],
+            lambda m: base.identity_at(obj_of[meta[m[0]][slot]]),
+            check=False,
+        )
+
+    triv = GroupValuedFunctor.trivial(base, SIGN_GROUP)
+    sp = GSpan(apex, leg(0), leg(1), triv, triv, lambda o: meta[o[0]][2])
+    sp.config = StirlingSpanConfig(kind, N)
+    return sp
+
+
+def pair_stirling_pair(N):
+    """stirling_pair on the product model, over one shared base."""
+    from gspans.constructions import discrete_groupoid
+
+    base = discrete_groupoid(N + 1)
+    return pair_stirling_span("first", N, base), pair_stirling_span("second", N, base)

@@ -15,7 +15,12 @@ from gspans.algebra import AbelianGroup
 from gspans.cli import parse_document
 from gspans.examples import stirling_pair, subset_span
 from gspans.gspan import compose_spans, span_matrix
-from oracles import abelian_group_order_lists, action_aut_order, action_orbits
+from oracles import (
+    abelian_group_order_lists,
+    action_aut_order,
+    action_orbits,
+    pair_stirling_pair,
+)
 from test_product_strata import plain_handle, plain_strata, split_pair, twisted_pair
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -132,7 +137,10 @@ def test_unclosed_carrier_is_refused_by_the_table_build():
             read()
 
 
-def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
+def count_pipeline_acts(monkeypatch, make_pair):
+    """Run the N=4 pipeline of make_pair with every action counted: the
+    action groupoids made, each with its act count, and the apex members of
+    both spans."""
     calls = []  # (view, [count]) per action groupoid made
     init = groupoid.ActionGroupoid.__init__
 
@@ -146,30 +154,70 @@ def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
         calls.append((self, count))
         init(self, group, carrier, counted)
 
-    monkeypatch.setattr(groupoid.ActionGroupoid, "__init__", counting_init)
-    first, second = stirling_pair(4)
-    composed = compose_spans(first, second)
-    for sp in (first, second, composed):
-        span_matrix(sp)
-    members = first.apex.members + second.apex.members
+    with monkeypatch.context() as mp:
+        mp.setattr(groupoid.ActionGroupoid, "__init__", counting_init)
+        first, second = make_pair(4)
+        composed = compose_spans(first, second)
+        for sp in (first, second, composed):
+            span_matrix(sp)
+    return calls, first.apex.members + second.apex.members
+
+
+def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
+    # the product model (P x S_n)//S_n: the strata are the only actions
+    calls, members = count_pipeline_acts(monkeypatch, pair_stirling_pair)
     assert [view for view, _ in calls] == members
     for view, count in calls:
         assert count[0] == len(view.carrier) * len(view.group.generators())
     assert sum(count[0] for _, count in calls) == 2012
+    # the slices S_n//Stab(x): each slice acts once per point and generator
+    # of Stab(x); each model P//S_n acts once per point and generator of S_n
+    # for its orbits and once per element of S_n for each stabilizer
+    calls, members = count_pipeline_acts(monkeypatch, stirling_pair)
+    slices = [(view, count[0]) for view, count in calls if view in members]
+    models = [(view, count[0]) for view, count in calls if view not in members]
+    assert [view for view, _ in slices] == members
+    for view, count in slices:
+        assert count == len(view.carrier) * len(view.group.generators())
+    for view, count in models:
+        assert count == len(view.carrier) * len(view.group.generators()) + len(
+            view.component_reps()
+        ) * view.group.order
+    assert sum(count for _, count in slices) == 614
+    assert sum(count for _, count in models) == 392
 
 
 def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
-    calls = []  # the elements inverted
+    calls = []  # (group, element) per element inverted
     pinverse = groupoid.pinverse
+    inv = groupoid.SymmetricGroup.inv
+    inverting = []  # the group whose inv is running
 
     def counting(a):
-        calls.append(a)
+        calls.append((inverting[-1], a))
         return pinverse(a)
 
+    def tracking_inv(self, a):
+        inverting.append(self)
+        try:
+            return inv(self, a)
+        finally:
+            inverting.pop()
+
     monkeypatch.setattr(groupoid, "pinverse", counting)
-    stirling_pair(4)
+    monkeypatch.setattr(groupoid.SymmetricGroup, "inv", tracking_inv)
+    pair_stirling_pair(4)
+    elements = [a for _, a in calls]
     # per kind, once each: the generators of S2, S3 and S4 (a swap, then a
     # swap and a cycle) for the generator tables, and the cycles' inverses,
     # which the conjugation action inverts back
     assert len(calls) == 2 * (1 + 3 + 3)
-    assert calls[:7] == calls[7:] and len(set(calls)) == 7
+    assert elements[:7] == elements[7:] and len(set(elements)) == 7
+    # on slices, each model P//S_n has its own S_n: the first kind's
+    # conjugation inverts all of S_n for the stabilizer searches, sum over
+    # (n, k) of n! = 120 inversions, and the second kind inverts the 16
+    # generators of its models' S_n and the 10 of its stabilizers for the
+    # generator tables; no group inverts an element twice
+    calls.clear()
+    stirling_pair(4)
+    assert len({(id(group), a) for group, a in calls}) == len(calls) == 146

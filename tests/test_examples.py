@@ -171,20 +171,30 @@ def stirling_by_recurrence(n_max):
     return s1, s2
 
 
-def test_stirling_composite_n5():
-    # the composite's naturality is checked on the factors of its strata, so
-    # N = 5 (a 1.35 M-object apex) composes in about a second
-    first, second = stirling_pair(5)
+def assert_composite_is_the_recurrence_product(N):
+    first, second = stirling_pair(N)
     composed = span_matrix(compose_spans(first, second))
     assert composed == span_matrix(first) * span_matrix(second)
-    s1, s2 = stirling_by_recurrence(5)
-    for n in range(6):
-        for m in range(6):
+    s1, s2 = stirling_by_recurrence(N)
+    for n in range(N + 1):
+        for m in range(N + 1):
             terms = {}
-            for k in range(6):
+            for k in range(N + 1):
                 g = ((n - k) % 2,)
                 terms[g] = terms.get(g, 0) + s1[n][k] * s2[k][m]
             assert composed.entries[n][m] == GroupRingElement(Z2, terms)
+
+
+def test_stirling_composite_n5():
+    # the composite's naturality follows from its factors', so N = 5 (a
+    # 124 278-object apex on slices) composes at once
+    assert_composite_is_the_recurrence_product(5)
+
+
+def test_stirling_composite_n6():
+    # on orbit-stabilizer slices each kind has sum p(n) n! = 8 904 points at
+    # N = 6 (the first kind has 533 418 on the product model)
+    assert_composite_is_the_recurrence_product(6)
 
 
 def test_stirling_composite_alternative_stratification():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from gspans.constructions import (
     GroupoidFunctor,
     SetValuedFunctor,
+    discrete_groupoid,
     grothendieck,
 )
 from gspans.groupoid import SymmetricGroup, disjoint_union_tables, materialize
@@ -16,6 +17,8 @@ from gspans.examples import (
     stirling_pair,
     stirling_span,
 )
+from oracles import pair_stirling_span
+from test_stirling_slices import invariants, strata_of
 
 
 def materialized_span(sp):
@@ -71,8 +74,11 @@ def test_lazy_pullback_projections_are_functors():
 
 
 def test_pair_stratum_is_the_grothendieck_construction():
-    # the (n, k) stratum of the first-kind apex is the category of elements
-    # of the conjugation-transported Fin(X,X) over the skeletal model
+    # the (n, k) stratum of the product model's first-kind apex is the
+    # category of elements of the conjugation-transported Fin(X,X) over the
+    # skeletal model, and the union of its orbit-stabilizer slices in the
+    # apex of stirling_span is equivalent to it
+    oracle = pair_stirling_span("first", 3, discrete_groupoid(4))
     sp = stirling_span(StirlingSpanConfig("first", 3))
     base = materialize(fin_perm_groupoid(3, 2))
     taus = sorted(
@@ -92,7 +98,7 @@ def test_pair_stratum_is_the_grothendieck_construction():
     stratum = next(
         member
         for member, lab in zip(
-            sp.apex.members,
+            oracle.apex.members,
             [(0, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)],
         )
         if lab == (3, 2)
@@ -103,3 +109,6 @@ def test_pair_stratum_is_the_grothendieck_construction():
         g.aut_order(c[0]) for c in g.components()
     ) == sorted(stratum.aut_order(c[0]) for c in stratum.components())
     assert g.chi() == Fraction(3)  # S1(3,2)
+    obj_of = sp.source.object_of_label
+    slices = strata_of(sp)[(obj_of[3], obj_of[2])]
+    assert invariants(slices) == invariants([stratum])
