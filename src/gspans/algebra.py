@@ -8,6 +8,10 @@ mod the m-th cyclotomic polynomial; a decimal rendering exists for display
 only.  The isomorphism with the multiplicative picture (roots of unity) is
 g = (e1,...,ek)  <->  zeta^(sum ei*gi*(m/ni)) under a character with
 exponents (g1,...,gk).
+
+Every label, naturality square and fibre count is a sum in G, so each group
+keeps its own sum and negation tables, filled on first use; no table is
+shared between groups, even equal ones.
 """
 
 import itertools
@@ -34,6 +38,11 @@ class AbelianGroup:
 
     Enumeration order is lexicographic on tuples.  The empty list of orders
     gives the trivial group.
+
+    Sums and negatives are read from two tables of this instance, filled on
+    first use by the coordinatewise formula.  The tables stop growing at
+    |G|^2 and |G| entries, as many as the elements fill; an unhashable
+    operand, such as a list, gets the formula.
     """
 
     def __init__(self, orders):
@@ -44,6 +53,9 @@ class AbelianGroup:
         self.orders = orders
         self.order = math.prod(orders)
         self.identity = (0,) * len(orders)
+        self._sums = {}  # (a, b) -> a + b, at most |G|^2 entries
+        self._negs = {}  # a -> -a, at most |G| entries
+        self._max_sums = self.order**2
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and self.orders == other.orders
@@ -61,23 +73,35 @@ class AbelianGroup:
             raise ValueError("%r is not an element of %r" % (g, self))
         return tuple(g)
 
-    # map over operator functions: no Python frame per coordinate; these
-    # run a few times per handle whenever a span is validated
+    # map over operator functions: no Python frame per coordinate
     def add(self, a, b):
-        return tuple(map(operator.mod, map(operator.add, a, b), self.orders))
+        try:
+            return self._sums[a, b]
+        except KeyError:
+            s = tuple(map(operator.mod, map(operator.add, a, b), self.orders))
+            if len(self._sums) < self._max_sums:
+                self._sums[a, b] = s
+            return s
+        except TypeError:  # an unhashable operand, such as a list
+            return tuple(map(operator.mod, map(operator.add, a, b), self.orders))
 
     def neg(self, a):
-        return tuple(map(operator.mod, map(operator.neg, a), self.orders))
+        try:
+            return self._negs[a]
+        except KeyError:
+            n = tuple(map(operator.mod, map(operator.neg, a), self.orders))
+            if len(self._negs) < self.order:
+                self._negs[a] = n
+            return n
+        except TypeError:  # an unhashable operand
+            return tuple(map(operator.mod, map(operator.neg, a), self.orders))
 
     def sub(self, a, b):
-        return tuple(map(operator.mod, map(operator.sub, a, b), self.orders))
+        return self.add(a, self.neg(b))
 
     # aliases so an AbelianGroup can act as the group of an action groupoid
-    def op(self, a, b):
-        return self.add(a, b)
-
-    def inv(self, a):
-        return self.neg(a)
+    op = add
+    inv = neg
 
     def elements(self):
         return [tuple(t) for t in itertools.product(*[range(n) for n in self.orders])]

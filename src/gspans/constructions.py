@@ -195,24 +195,25 @@ def point_inclusion(view, d):
 
 def coset_groupoid(group, subgroup_elements):
     """H\\G as the action groupoid of G on right cosets Hg; hom-sets are
-    double cosets.  Cosets are canonicalized to their minimal element."""
+    double cosets.  Cosets are canonicalized to their minimal element, once
+    per element of G into one table that coset_of and the action read."""
     sub = sorted(set(subgroup_elements))
-    if group.identity not in sub:
+    members = set(sub)
+    if group.identity not in members:
         raise ValueError("subgroup must contain the identity")
     for h1 in sub:
-        if group.inv(h1) not in sub:
+        if group.inv(h1) not in members:
             raise ValueError("%r is not closed under inverses" % (sub,))
         for h2 in sub:
-            if group.op(h1, h2) not in set(sub):
+            if group.op(h1, h2) not in members:
                 raise ValueError("%r is not closed under the operation" % (sub,))
 
-    def coset_of(x):
-        return min(group.op(h, x) for h in sub)
-
-    carrier = sorted({coset_of(x) for x in group.elements()})
+    canonical = {x: min(group.op(h, x) for h in sub) for x in group.elements()}
+    coset_of = canonical.__getitem__
+    carrier = sorted(set(canonical.values()))
 
     def act(rep, g):
-        return coset_of(group.op(rep, g))
+        return canonical[group.op(rep, g)]
 
     ag = ActionGroupoid(group, carrier, act)
     ag.coset_of = coset_of

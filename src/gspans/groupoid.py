@@ -705,9 +705,15 @@ class ActionGroupoid:
         is fully faithful, hom((x, y1), (x, y2)) = {g in Stab(x) : y2.g = y1},
         and essentially surjective, as every (x', y) is isomorphic to a point
         over a representative; so the union is equivalent to (X x Y)//G, on
-        |X/G| |Y| points in place of |X| |Y|."""
+        |X/G| |Y| points in place of |X| |Y|.  A fixed point's stabilizer is
+        all of G, so its slice is Y//G itself, acting through G's generators
+        with no stabilizer search."""
         return [
-            ActionGroupoid(self.stabilizer(x), carrier, act)
+            ActionGroupoid(
+                self.group if len(self._orbit(x)) == 1 else self.stabilizer(x),
+                carrier,
+                act,
+            )
             for x in self.component_reps()
         ]
 

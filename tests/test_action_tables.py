@@ -171,8 +171,11 @@ def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
         assert count[0] == len(view.carrier) * len(view.group.generators())
     assert sum(count[0] for _, count in calls) == 2012
     # the slices S_n//Stab(x): each slice acts once per point and generator
-    # of Stab(x); each model P//S_n acts once per point and generator of S_n
-    # for its orbits and once per element of S_n for each stabilizer
+    # of Stab(x), which is S_n with its own generators at a fixed point x;
+    # each model P//S_n acts once per point and generator of S_n for its
+    # orbits and once per element of S_n for each stabilizer search, one per
+    # orbit that is not a fixed point.  With a greedy Stab(x) = S_n and a
+    # search at every representative, these were 614 and 392.
     calls, members = count_pipeline_acts(monkeypatch, stirling_pair)
     slices = [(view, count[0]) for view, count in calls if view in members]
     models = [(view, count[0]) for view, count in calls if view not in members]
@@ -180,11 +183,12 @@ def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
     for view, count in slices:
         assert count == len(view.carrier) * len(view.group.generators())
     for view, count in models:
-        assert count == len(view.carrier) * len(view.group.generators()) + len(
-            view.component_reps()
-        ) * view.group.order
-    assert sum(count for _, count in slices) == 614
-    assert sum(count for _, count in models) == 392
+        searched = sum(len(orbit) > 1 for orbit in view.components())
+        assert count == len(view.carrier) * len(
+            view.group.generators()
+        ) + searched * view.group.order
+    assert sum(count for _, count in slices) == 542
+    assert sum(count for _, count in models) == 290
 
 
 def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
@@ -214,10 +218,13 @@ def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
     assert len(calls) == 2 * (1 + 3 + 3)
     assert elements[:7] == elements[7:] and len(set(elements)) == 7
     # on slices, each model P//S_n has its own S_n: the first kind's
-    # conjugation inverts all of S_n for the stabilizer searches, sum over
-    # (n, k) of n! = 120 inversions, and the second kind inverts the 16
-    # generators of its models' S_n and the 10 of its stabilizers for the
-    # generator tables; no group inverts an element twice
+    # conjugation inverts all of S_n for the stabilizer searches of the five
+    # models with a point that is not fixed, 6 + 6 + 24 + 24 + 24 = 84
+    # inversions, and the six models of fixed points invert only their
+    # generators and the generators' inverses (8); the second kind inverts
+    # 24 generators and inverses of its models' S_n and its stabilizers for
+    # the generator tables; no group inverts an element twice.  With a
+    # stabilizer search at every representative, this was 120 + 26 = 146.
     calls.clear()
     stirling_pair(4)
-    assert len({(id(group), a) for group, a in calls}) == len(calls) == 146
+    assert len({(id(group), a) for group, a in calls}) == len(calls) == 116

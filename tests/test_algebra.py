@@ -19,6 +19,7 @@ from gspans.algebra import (
     cyclotomic_polynomial,
     euler_phi,
 )
+from oracles import abelian_group_order_lists
 
 Z2 = AbelianGroup([2])
 Z4 = AbelianGroup([4])
@@ -201,6 +202,46 @@ def test_group_arithmetic_is_coordinatewise_mod_n(orders):
         assert G.add(a, b) == G.op(a, b) == want
         assert G.sub(a, b) == G.add(a, G.neg(b))
         assert G.neg(a) == G.inv(a) == tuple((-x) % n for x, n in zip(a, orders))
+
+
+@pytest.mark.parametrize("orders", abelian_group_order_lists(8), ids=str)
+def test_group_tables_agree_with_the_formula(orders):
+    # sums and negatives come from per-instance tables filled on first use;
+    # on the first call and on a repeat call they equal the coordinatewise
+    # formula, list operands get the same tuples, and the tables never grow
+    # past |G|^2 and |G| entries, also when operands outside G come first
+    def plus(a, b):
+        return tuple((x + y) % n for x, y, n in zip(a, b, orders))
+
+    def minus(a):
+        return tuple((-x) % n for x, n in zip(a, orders))
+
+    els = AbelianGroup(orders).elements()
+    outside = [tuple(n + i for n in orders) for i in range(3)] if orders else []
+    for operands in (els + outside, outside + els):
+        G = AbelianGroup(orders)
+        for _ in range(2):  # the first call fills the tables, the repeat reads
+            for a in operands:
+                assert G.neg(a) == G.inv(a) == G.neg(list(a)) == minus(a)
+                for b in operands:
+                    want = plus(a, b)
+                    assert G.add(a, b) == G.op(a, b) == want
+                    assert G.add(list(a), list(b)) == G.op(list(a), b) == want
+                    assert G.sub(a, b) == G.sub(list(a), list(b)) == plus(a, minus(b))
+                    assert len(G._sums) <= G.order**2 and len(G._negs) <= G.order
+        for x in [G.add(a, b) for a in els for b in els] + [G.neg(a) for a in els]:
+            assert type(x) is tuple and all(type(e) is int for e in x)
+        if operands[0] in els:  # the elements alone fill the tables
+            assert len(G._sums) == G.order**2 and len(G._negs) == G.order
+
+
+def test_equal_groups_keep_their_own_tables():
+    G, H = AbelianGroup([4]), AbelianGroup([4])
+    assert G == H and hash(G) == hash(H)
+    assert G.add((1,), (2,)) == (3,) and G.neg((1,)) == (3,)
+    assert G._sums == {((1,), (2,)): (3,)} and G._negs == {(1,): (3,)}
+    assert H._sums == {} and H._negs == {}
+    assert G._sums is not H._sums and G._negs is not H._negs
 
 
 def test_cyclotomic_invariants_raise_arithmetic_error():

@@ -1,5 +1,6 @@
 """Groupoid representations, validation, chi, and weightings."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,39 @@ def test_coset_groupoid():
     assert t.chi() == Fraction(1, 2)
     with pytest.raises(ValueError):
         coset_groupoid(Z4, [(0,), (1,), (2,)])
+
+
+@pytest.mark.parametrize("orders", [[4], [6], [8], [2, 2], [2, 4]], ids=str)
+def test_coset_table_is_the_minimal_element_of_the_coset(orders):
+    # coset_of and the action read one table; both agree with the definition
+    # Hx -> min_h h.x, for every subgroup H of the closed-form sweep's groups
+    G = AbelianGroup(orders)
+    els = G.elements()
+    for sub in G.all_subgroups():
+
+        def coset_of(x):
+            return min(G.op(h, x) for h in sub)
+
+        hg = coset_groupoid(G, sub)
+        assert hg.subgroup == sorted(sub)
+        assert [hg.coset_of(x) for x in els] == [coset_of(x) for x in els]
+        assert hg.carrier == sorted({coset_of(x) for x in els})
+        for rep in hg.carrier:
+            for g in els:
+                assert hg.act(rep, g) == coset_of(G.op(rep, g))
+
+
+@pytest.mark.parametrize(
+    "sub, message",
+    [
+        ([(1,), (5,)], "subgroup must contain the identity"),
+        ([(0,), (1,)], "[(0,), (1,)] is not closed under inverses"),
+        ([(0,), (1,), (5,)], "[(0,), (1,), (5,)] is not closed under the operation"),
+    ],
+)
+def test_coset_groupoid_refuses_a_subset_that_is_not_a_subgroup(sub, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        coset_groupoid(Z6, sub)
 
 
 def test_regular_action_is_eg():

@@ -11,6 +11,7 @@ import pytest
 from gspans.algebra import AbelianGroup
 from gspans.examples import (
     fin_perm_groupoid,
+    fin_rel_groupoid,
     relabel_partition,
     rgs_partitions,
     stirling_pair,
@@ -96,6 +97,30 @@ def test_slices_of_a_product_action_are_its_stabilizer_actions():
         want = [g for g in sym.elements() if sym.conjugate(x, g) == x]
         assert sl.group.elements() == sorted(want)
         assert sl.act == model.group.conjugate
+
+
+@pytest.mark.parametrize("make_model", [fin_perm_groupoid, fin_rel_groupoid])
+def test_a_fixed_point_slice_acts_through_the_whole_group(make_model):
+    # Stab(x) = S_n exactly when x is a fixed point; its slice gets S_n itself,
+    # with its own generators, and the other slices get the stabilizer
+    for n in range(6):
+        for k in range(n + 1):
+            model = make_model(n, k)
+            sym = model.group
+            slices = model.slices(sym.elements(), sym.conjugate)
+            for x, sl in zip(model.component_reps(), slices):
+                want = [g for g in sym.elements() if model.act(x, g) == x]
+                assert sl.group.elements() == sorted(want)
+                assert (sl.group is sym) == (len(want) == sym.order)
+                if sl.group is not sym:
+                    assert isinstance(sl.group, Subgroup)
+
+
+def test_the_identity_slice_at_n7_has_two_generators():
+    model = fin_perm_groupoid(7, 7)  # the identity, fixed by all of S_7
+    (sl,) = model.slices(model.group.elements(), model.group.conjugate)
+    assert sl.group is model.group and len(sl.group.generators()) == 2
+    assert len(Subgroup(model.group, model.group.elements()).generators()) == 6
 
 
 # --- greedy generating sets -------------------------------------------------
