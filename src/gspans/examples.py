@@ -276,16 +276,19 @@ def subset_span(G, subset, s_elements, t_elements):
         s, t = st
         return G.add(G.neg(t), G.add(x, s))
 
+    # closed under the generators (s, 0) and (0, t) of S x T is closed under
+    # S x T: each acts on the finite G as a bijection, which maps a subset
+    # it maps into itself onto itself, so its inverse keeps the subset too
+    st_grp = ProductGroup(s_grp, t_grp)
+    gens = st_grp.generators()
     in_subset = set(subset)
     for x in subset:
-        for s in s_grp.elements():
-            for t in t_grp.elements():
-                if act(x, (s, t)) not in in_subset:
-                    raise ValueError(
-                        "subset is not invariant: %r escapes under (s,t)=%r"
-                        % (x, (s, t))
-                    )
-    apex = ActionGroupoid(ProductGroup(s_grp, t_grp), subset, act)
+        for st in gens:
+            if act(x, st) not in in_subset:
+                raise ValueError(
+                    "subset is not invariant: %r escapes under (s,t)=%r" % (x, st)
+                )
+    apex = ActionGroupoid(st_grp, subset, act)
     bs = delooping_bg(s_grp)
     bt = delooping_bg(t_grp)
     left = GroupoidFunctor(

@@ -30,7 +30,11 @@ are the triples (a1, t, a2), with label eps2(a2) + V1(t) + eps1(a1); the
 composition lemma makes the composite natural, so compose_spans checks only
 its factors (their legs over BG on the feet, an unchecked factor's square)
 and never walks the composite.  A composite is a span like any other and can
-be composed again.  2-cells between composites map those triples directly.
+be composed again.  2-cells between composites map those triples directly,
+and a 2-cell is checked once, where it is made, by the same rule:
+SpanMorphism validates at construction, and vertical_compose and
+horizontal_compose check only their factors and mark the composite checked
+by the composition lemma for 2-cells, so no composite cell is walked.
 Matrix products use the order (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) (for
 abelian G this equals the usual product; a test asserts both agree).
 Component representatives are fixed once per groupoid (its first object),
@@ -78,6 +82,7 @@ class GSpan:
         self._fibre_chi_memo = {}  # (c, d) -> chi by label of c\M/d
         self._chi = None  # _fibre_chi(self)
         self.checked = False  # set by validate, or by compose_spans
+        self.factors = None  # (sp1, sp2) on compose_spans(sp1, sp2)
         if check:
             self.validate()
 
@@ -359,9 +364,7 @@ class CharacterMatrix:
 
     def is_identity(self):
         one = CyclotomicNumber.one(self.conductor)
-        if self.row_index != self.col_index and len(self.row_index) != len(
-            self.col_index
-        ):
+        if len(self.row_index) != len(self.col_index):
             return False
         for i in range(len(self.row_index)):
             for j in range(len(self.col_index)):
@@ -422,15 +425,10 @@ def compose_spans(sp1, sp2):
             "middle legs differ: V1 and H2 must be the same functor to BG "
             "(extensional equality on objects and morphisms)"
         )
-    for name, f in (("H1", sp1.h), ("V1", sp1.v), ("H2", sp2.h), ("V2", sp2.v)):
-        if not f.checked:
-            try:
-                f.validate()
-            except FunctorError as err:
-                raise GSpanError("%s is not a functor to BG: %s" % (name, err))
-    for sp in (sp1, sp2):
-        if not sp.checked:
-            sp.validate()
+    _validate_legs_over_bg(
+        (("H1", sp1.h), ("V1", sp1.v), ("H2", sp2.h), ("V2", sp2.v)), GSpanError
+    )
+    _walk_unchecked(sp1, sp2)
     res = homotopy_pullback(sp1.right, sp2.left)
     G = sp1.group
     v1 = sp1.v
@@ -450,7 +448,28 @@ def compose_spans(sp1, sp2):
     )
     out.checked = True
     out.pullback = res
+    out.factors = (sp1, sp2)
     return out
+
+
+def _walk_unchecked(*factors):
+    """Validate each span or 2-cell that is not checked yet (validate marks
+    it checked)."""
+    for f in factors:
+        if not f.checked:
+            f.validate()
+
+
+def _validate_legs_over_bg(named, error):
+    """Validate each unchecked G-valued functor of (name, functor) pairs once
+    (validate marks it checked); raise error, naming it, if one is not a
+    functor to BG."""
+    for name, f in named:
+        if not f.checked:
+            try:
+                f.validate()
+            except FunctorError as err:
+                raise error("%s is not a functor to BG: %s" % (name, err))
 
 
 def check_main_theorem(sp1, sp2):
@@ -598,22 +617,43 @@ class SpanMorphism:
         self.phi = phi
         self.a = _as_fn(a)
         self.b = _as_fn(b)
+        self.checked = False  # set by validate, identity_cell or a composite
         if check:
             self.validate()
 
     def validate(self):
-        """The laws of a 2-cell: at every object x of M1, A(x) and B(x) have
-        the right endpoints and V(Bx) + eps1(x) = eps2(Phi x) + H(Ax); and A
-        and B are natural on M1.morphism_sample(), a generating family (the
-        component stars of a table or a pullback view: any f: x -> y is
-        star(y) a star(x)^-1 with a in Aut(r) at the representative r).
-        Naturality on generators implies it on composites and inverses only
-        because L1, L2, R1, R2 and Phi are functors, which this does not
-        check: vertical_compose, horizontal_compose and
-        identity_composite_cells build Phi as a functor (see cells_equal),
-        and the CLI checks a document's legs and Phi with
-        GroupoidFunctor(check=True)."""
+        """The laws of a 2-cell, checked once, where the cell is made: at
+        construction, unless check=False, the caller's promise that they
+        hold.  vertical_compose and horizontal_compose walk such a factor
+        once, and never walk their composites, which the composition lemma
+        checks (see there); identity_cell is a 2-cell for every span.  The
+        two spans share their feet (the same objects) and their H and V (the
+        same functors, or functors to BG equal on the foot's generating
+        family; an unchecked one is validated once).  At every object x of
+        M1, A(x) and B(x) have the right endpoints and V(Bx) + eps1(x) =
+        eps2(Phi x) + H(Ax); and A and B are natural on M1.morphism_sample(),
+        a generating family (the component stars of a table or a pullback
+        view: any f: x -> y is star(y) a star(x)^-1 with a in Aut(r) at the
+        representative r).  Naturality on generators implies it on
+        composites and inverses only because L1, L2, R1, R2 and Phi are
+        functors, which this does not check: vertical_compose,
+        horizontal_compose and identity_composite_cells build Phi as a
+        functor (see cells_equal), and the CLI checks a document's legs and
+        Phi with GroupoidFunctor(check=True).  Raises SpanMorphismError at
+        the first failure, or marks the cell checked."""
         sp1, sp2 = self.src_span, self.dst_span
+        if sp1.source is not sp2.source or sp1.target is not sp2.target:
+            raise SpanMorphismError("the cell's two spans have different feet")
+        legs = (("H", sp1.h, sp2.h), ("V", sp1.v, sp2.v))
+        _validate_legs_over_bg(
+            [(name, f) for name, f1, f2 in legs for f in (f1, f2)],
+            SpanMorphismError,
+        )
+        for name, f1, f2 in legs:
+            if f1 is not f2 and not f1.extensionally_equals(f2):
+                raise SpanMorphismError(
+                    "the cell's two spans have different %s over BG" % name
+                )
         S, T, G = sp1.source, sp1.target, sp1.group
         M1 = sp1.apex
         comps = {}  # x -> (A(x), B(x))
@@ -646,49 +686,104 @@ class SpanMorphism:
                 sp2.right.on_mor(pm), bx
             ):
                 raise SpanMorphismError("B is not natural at %r" % (m,))
+        self.checked = True
+
+
+def _checked_cell(src_span, dst_span, phi, a, b):
+    """A cell whose laws hold by construction: built unwalked, marked checked."""
+    cell = SpanMorphism(src_span, dst_span, phi, a, b, check=False)
+    cell.checked = True
+    return cell
 
 
 def identity_cell(sp):
+    """(id, id_M, id): a 2-cell from every span to itself, so checked."""
     S, T = sp.source, sp.target
-    return SpanMorphism(
+    return _checked_cell(
         sp,
         sp,
         identity_functor(sp.apex),
         lambda x: S.identity_at(sp.left.on_obj(x)),
         lambda x: T.identity_at(sp.right.on_obj(x)),
-        check=False,
     )
 
 
 def vertical_compose(c2, c1):
-    """(A2 Phi1 o A1, Phi2 o Phi1, B2 Phi1 o B1) : M1 => M3."""
-    if not (c1.dst_span is c2.src_span or c1.dst_span.apex is c2.src_span.apex):
+    """(A2 Phi1 o A1, Phi2 o Phi1, B2 Phi1 o B1) : M1 => M3.
+
+    The composite is a 2-cell by the composition lemma, so it is marked
+    checked and never walked.  c1: sp1 => sp2 and c2: sp2 => sp3 have the
+    same feet and the same H and V (validate checks that per cell), V is a
+    functor and G is abelian, so at every object x of M1
+
+        V(B2 Phi1 x o B1 x) + eps1(x)
+          = V(B2 Phi1 x) + eps2(Phi1 x) + H(A1 x)          c1's law at x
+          = eps3(Phi2 Phi1 x) + H(A2 Phi1 x) + H(A1 x)     c2's law at Phi1 x
+          = eps3(Phi2 Phi1 x) + H(A2 Phi1 x o A1 x);
+
+    the components have the composed endpoints, and A2 Phi1 o A1 and
+    B2 Phi1 o B1 are natural because A1 and B1 are, and so are A2 and B2
+    whiskered by the functor Phi1.  The premises, checked here: c1 ends at
+    the span c2 starts from (the same object: another span on the same apex
+    has other labels), and each factor is checked, walked here once if it
+    was made with check=False.  A failure raises SpanMorphismError."""
+    if c1.dst_span is not c2.src_span:
         raise SpanMorphismError(
             "cells do not compose vertically: the first ends at another span"
         )
-    sp1 = c1.src_span
-    S, T = sp1.source, sp1.target
-    phi = c1.phi.then(c2.phi)
-    return SpanMorphism(
+    _walk_unchecked(c1, c2)
+    S, T = c1.src_span.source, c1.src_span.target
+    return _checked_cell(
         c1.src_span,
         c2.dst_span,
-        phi,
+        c1.phi.then(c2.phi),
         lambda x: S.compose_m(c2.a(c1.phi.on_obj(x)), c1.a(x)),
         lambda x: T.compose_m(c2.b(c1.phi.on_obj(x)), c1.b(x)),
     )
+
+
+def _composite_of(sp1, sp2, composed):
+    """compose_spans(sp1, sp2), or composed if compose_spans made it from
+    exactly these two spans."""
+    if composed is None:
+        return compose_spans(sp1, sp2)
+    factors = composed.factors
+    if factors is None or factors[0] is not sp1 or factors[1] is not sp2:
+        raise SpanMorphismError(
+            "a given composite is not compose_spans of the cells' spans"
+        )
+    return composed
 
 
 def horizontal_compose(c1, c2, composed_src=None, composed_dst=None):
     """(A1 p1, Phi1 x_T Phi2, B2 p2): on objects
     (x1, t, x2) -> (Phi1 x1, A2 x2 o t o (B1 x1)^-1, Phi2 x2), and on
     handles (m1, t, m2) -> (Phi1 m1, A2 x2 o t o (B1 x1)^-1, Phi2 m2) for
-    m1 from x1 and m2 from x2."""
-    src = composed_src if composed_src is not None else compose_spans(
-        c1.src_span, c2.src_span
-    )
-    dst = composed_dst if composed_dst is not None else compose_spans(
-        c1.dst_span, c2.dst_span
-    )
+    m1 from x1 and m2 from x2.
+
+    The composite is a 2-cell by the composition lemma, so it is marked
+    checked and never walked.  It is vertical_compose's computation,
+    slotwise on (x1, t, x2): with u = A2(x2) t B1(x1)^-1, V1 = H2 a
+    functor, and each cell's two spans sharing H and V (validate checks
+    that per cell),
+
+        V2(B2 x2) + eps(x1, t, x2)
+          = V2(B2 x2) + eps2(x2) + V1(t) + eps1(x1)
+          = eps2'(Phi2 x2) + H2(A2 x2) + V1(t)            c2's law at x2
+            - V1(B1 x1) + eps1'(Phi1 x1) + H1(A1 x1)      c1's law at x1
+          = eps2'(Phi2 x2) + V1(u) + eps1'(Phi1 x1) + H1(A1 x1)
+          = eps'(Phi(x1, t, x2)) + H1(A1 x1);
+
+    A1 p1 and B2 p2 are natural because A1 and B2 are, and the composites'
+    outer legs are L1 p1 and R2 p2.  The premises, checked here: each
+    factor is checked, walked here once if it was made with check=False,
+    and the two spans are compose_spans of the factors' spans, which checks
+    V1 = H2 and the legs over BG: composed_src and composed_dst, when
+    given, must have been made by compose_spans from exactly those spans.
+    A failure raises SpanMorphismError, or compose_spans' own error."""
+    _walk_unchecked(c1, c2)
+    src = _composite_of(c1.src_span, c2.src_span, composed_src)
+    dst = _composite_of(c1.dst_span, c2.dst_span, composed_dst)
     T = c1.src_span.target
 
     def u_at(x1, t, x2):
@@ -705,7 +800,9 @@ def horizontal_compose(c1, c2, composed_src=None, composed_dst=None):
         return (c1.phi.on_mor(m1), u_at(x1, t, x2), c2.phi.on_mor(m2))
 
     phi = GroupoidFunctor(src.apex, dst.apex, obj_map, mor_map, check=False)
-    return SpanMorphism(src, dst, phi, lambda o: c1.a(o[0]), lambda o: c2.b(o[2]))
+    return _checked_cell(
+        src, dst, phi, lambda o: c1.a(o[0]), lambda o: c2.b(o[2])
+    )
 
 
 def identity_composite_cells(sp):
@@ -743,7 +840,9 @@ def identity_composite_cells(sp):
 
 def interchange_check(u1, w1, u2, w2):
     """(w1 * u1) x_T (w2 * u2) == (w1 x_T w2) * (u1 x_T u2), componentwise.
-    u1: A1 => M1, w1: M1 => U1 on the first leg; u2, w2 likewise.  Both
+    u1: A1 => M1, w1: M1 => U1 on the first leg; u2, w2 likewise.  The six
+    composites are checked by the composition lemma, so no composite cell
+    is walked, and a factor only if it was made with check=False.  Both
     Phis are functors, so cells_equal compares them on generators only."""
     top = compose_spans(u1.src_span, u2.src_span)
     mid = compose_spans(u1.dst_span, u2.dst_span)

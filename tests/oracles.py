@@ -82,6 +82,19 @@ def abelian_group_order_lists(max_order):
     return out
 
 
+def all_pairs_subset_escapes(G, subset, s_elements, t_elements):
+    """subset_span's invariance check with every (s, t) in S x T: the
+    pairs (x, (s, t)) with -t + x + s outside the subset."""
+    inside = {G.check(x) for x in subset}
+    return [
+        (x, (s, t))
+        for x in sorted(inside)
+        for s in s_elements
+        for t in t_elements
+        if G.add(G.neg(t), G.add(x, s)) not in inside
+    ]
+
+
 def fibre_chi_by_label(sp, c, d):
     """g -> chi((c\\M/d){label = g}) from the built two-sided fibre, with the
     label checked constant on its components; zero levels dropped."""

@@ -346,6 +346,23 @@ def test_malformed_documents_exit_2_with_their_path(tmp_path, capsys, doc, path)
     assert "Traceback" not in err
 
 
+def test_a_cell_between_spans_on_other_feet_exits_2(tmp_path, capsys):
+    # unit2 is unit over a copy of its foot pt; a cell's two spans share
+    # their feet, so the cell unit => unit2 is refused
+    doc = corpus_doc_with("point_span.json", ["cells", "id_cell", "to"], "unit2")
+    doc["groupoids"]["pt2"] = doc["groupoids"]["pt"]
+    doc["functors"]["to_pt2"] = dict(doc["functors"]["to_pt"], target="pt2")
+    doc["bg_functors"]["triv2"] = dict(doc["bg_functors"]["triv"], source="pt2")
+    doc["spans"]["unit2"] = dict(
+        doc["spans"]["unit"], left="to_pt2", right="to_pt2", h="triv2", v="triv2"
+    )
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cells.id_cell: ") and "different feet" in err
+
+
 def two_group_point_span():
     """point_span.json plus a Z2 character and a span u2 over Z2."""
     doc = corpus_doc_with("point_span.json", ["groups", "Z2"], [2])

@@ -31,6 +31,7 @@ from gspans.examples import (
     universal_matrix_closed_form,
     universal_span,
 )
+from oracles import abelian_group_order_lists, all_pairs_subset_escapes
 
 Z2 = AbelianGroup([2])
 Z4 = AbelianGroup([4])
@@ -360,6 +361,42 @@ def test_subset_span_closed_forms():
     assert span_matrix(sp3).entries[0][0] == subset_span_closed_form(Z4, sub, sub)
     with pytest.raises(ValueError):
         subset_span(Z4, [(1,)], sub, sub)
+
+
+def test_subset_span_invariance_on_generators_matches_all_pairs():
+    # the c07 sweep's invariant subsets (a coset of S + T) and seeded
+    # subsets that are mostly not invariant: subset_span, acting with the
+    # generators (s, 0) and (0, t), refuses exactly what the all-pairs check
+    # refuses, and names a pair that escapes
+    import random
+
+    rng = random.Random(20260810)
+    verdicts = []
+    for orders in abelian_group_order_lists(8):
+        G = AbelianGroup(orders)
+        subs = G.all_subgroups()
+        last = G.elements()[-1]
+        for s_els in subs:
+            for t_els in subs:
+                st = G.subgroup_closure(set(s_els) | set(t_els))
+                coset = sorted({G.add(h, last) for h in st})
+                drawn = rng.sample(G.elements(), rng.randint(1, G.order))
+                for subset in (coset, drawn, [last]):
+                    escapes = all_pairs_subset_escapes(G, subset, s_els, t_els)
+                    try:
+                        subset_span(G, subset, s_els, t_els)
+                    except ValueError as err:
+                        verdicts.append(False)
+                        named = {
+                            "subset is not invariant: %r escapes under (s,t)=%r"
+                            % e
+                            for e in escapes
+                        }
+                        assert str(err) in named
+                    else:
+                        verdicts.append(True)
+                        assert escapes == []
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 100
 
 
 def test_subset_span_realizes_i():

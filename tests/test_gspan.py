@@ -359,3 +359,56 @@ def test_span_invariants_raise_typed_errors():
     first, second = stirling_pair(1)
     cell = horizontal_compose(identity_cell(first), identity_cell(second))
     assert cells_equal(cell, identity_cell(cell.src_span))
+    # the composition lemma's premises, each refused before a composite
+    # cell is built.  Vertically, c1 must end at the very span c2 starts from:
+    # the same apex with the label shifted on its one component is another
+    # span, and the lemma would trust its labels
+    shifted = GSpan(sp.apex, sp.left, sp.right, sp.h, sp.v, lambda a: (0,))
+    with pytest.raises(SpanMorphismError, match="do not compose"):
+        vertical_compose(identity_cell(shifted), identity_cell(sp))
+    # a cell's two spans share their legs over BG: the cells from spans over
+    # BZ2 with V trivial to spans with V tautological pass every object and
+    # naturality law, and their horizontal composite would fail its label
+    # law at (0, 1, 0)
+    c1, c2 = cells_changing_the_middle_leg()
+    with pytest.raises(SpanMorphismError, match="different V over BG"):
+        horizontal_compose(c1, c2)
+    with pytest.raises(SpanMorphismError, match="different V over BG"):
+        c1.validate()
+    with pytest.raises(SpanMorphismError, match="different H over BG"):
+        c2.validate()
+    # a given composite must be compose_spans of the cells' own spans
+    again = stirling_pair(1)
+    ids = identity_cell(first), identity_cell(second)
+    for composed in (compose_spans(*again), compose_spans(second, first), sp):
+        for where in ("composed_src", "composed_dst"):
+            with pytest.raises(SpanMorphismError, match="not compose_spans"):
+                horizontal_compose(*ids, **{where: composed})
+
+
+def cells_changing_the_middle_leg():
+    """Identity-shaped cells c1: sp1 => sp1' and c2: sp2 => sp2' over
+    S = T = U = BZ2 and one-point apexes with label 0, made with
+    check=False: sp1 and sp2 have every leg over BG trivial, sp1' has V
+    and sp2' has H tautological, so sp1 o sp2 and sp1' o sp2' compose."""
+    bz2 = delooping_bg(Z2)
+    point = discrete_groupoid(1)
+    to_bz2 = GroupoidFunctor(
+        point, bz2, lambda o: bz2.objects[0],
+        lambda m: bz2.identity_at(bz2.objects[0]),
+    )
+    triv, taut = GroupValuedFunctor.trivial(bz2, Z2), bg_self_functor(bz2)
+
+    def span(h, v):
+        return GSpan(point, to_bz2, to_bz2, h, v, lambda a: (0,))
+
+    def cell(src, dst):
+        return SpanMorphism(
+            src, dst, identity_functor(point),
+            lambda x: bz2.identity_at(bz2.objects[0]),
+            lambda x: bz2.identity_at(bz2.objects[0]),
+            check=False,
+        )
+
+    return (cell(span(triv, triv), span(triv, taut)),
+            cell(span(triv, triv), span(taut, triv)))

@@ -64,9 +64,9 @@ def corpus():
     return [(sp1, sp2, compose_spans(sp1, sp2)) for sp1, sp2 in pairs]
 
 
-# what interchange_check compared (lhs, rhs) and the horizontal composites
-# it built on the way
-Interchange = namedtuple("Interchange", "holds lhs rhs horizontals")
+# what interchange_check compared (lhs, rhs) and the horizontal and vertical
+# composites it built on the way
+Interchange = namedtuple("Interchange", "holds lhs rhs horizontals verticals")
 
 # the spans and cells that drawing a square and checking it built
 Built = namedtuple("Built", "spans cells interchange")
@@ -74,12 +74,17 @@ Built = namedtuple("Built", "spans cells interchange")
 
 def run_interchange(square):
     """interchange_check(*square), recording what it builds and compares."""
-    horizontals, compared = [], []
-    compose, equal = gspan.horizontal_compose, gspan.cells_equal
+    horizontals, verticals, compared = [], [], []
+    compose, stack = gspan.horizontal_compose, gspan.vertical_compose
+    equal = gspan.cells_equal
 
     def recording_compose(*args):
         horizontals.append(compose(*args))
         return horizontals[-1]
+
+    def recording_stack(*args):
+        verticals.append(stack(*args))
+        return verticals[-1]
 
     def recording_equal(u, w):
         compared.append((u, w))
@@ -87,10 +92,11 @@ def run_interchange(square):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gspan, "horizontal_compose", recording_compose)
+        mp.setattr(gspan, "vertical_compose", recording_stack)
         mp.setattr(gspan, "cells_equal", recording_equal)
         holds = interchange_check(*square)
     [(lhs, rhs)] = compared
-    return Interchange(holds, lhs, rhs, horizontals)
+    return Interchange(holds, lhs, rhs, horizontals, verticals)
 
 
 @pytest.fixture(scope="module")
@@ -292,10 +298,16 @@ def mutated_cell(cell, which, x, rng):
 
 
 def test_cell_validate_matches_the_oracle_on_cell_squares(squares):
+    # drawing a square validates six cells (q and p2 on each leg and the
+    # two universal cells); interchange_check walks none of its six
+    # composites, which the composition lemma checks, so they are walked
+    # here, against the oracle too
     checked = 0
-    for _, cells, _ in built_of(squares):
-        assert len(cells) >= 8
-        for cell in cells:
+    for _, cells, run in built_of(squares):
+        composites = run.horizontals + run.verticals
+        assert len(cells) == 6 and len(composites) == 6
+        assert all(cell.checked for cell in composites)
+        for cell in cells + composites:
             assert outcome(SpanMorphism.validate, cell) is None
             assert outcome(all_morphism_cell_naturality, cell) is None
             checked += 1
