@@ -159,7 +159,8 @@ class AbelianGroup:
 class GroupRingElement:
     """Finitely supported Fraction-valued function on an AbelianGroup.
 
-    Zero coefficients are never stored, so == is structural equality.
+    Zero coefficients are never stored, so == is structural equality.  A
+    coefficient that is already a Fraction is kept; others are converted.
     Multiplication is the convolution product (commutative here).
     """
 
@@ -169,7 +170,8 @@ class GroupRingElement:
         self.group = group
         clean = {}
         for g, c in dict(terms).items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c != 0:
                 clean[group.check(g)] = c
         self.terms = clean
@@ -205,7 +207,8 @@ class GroupRingElement:
         self._require_same_group(other)
         terms = dict(self.terms)
         for g, c in other.terms.items():
-            terms[g] = terms.get(g, Fraction(0)) + c
+            x = terms.get(g)
+            terms[g] = c if x is None else x + c
         return GroupRingElement(self.group, terms)
 
     def __neg__(self):
@@ -222,8 +225,9 @@ class GroupRingElement:
         terms = {}
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
-                g = add(g1, g2)
-                terms[g] = terms.get(g, Fraction(0)) + c1 * c2
+                g, c = add(g1, g2), c1 * c2
+                x = terms.get(g)
+                terms[g] = c if x is None else x + c
         return GroupRingElement(self.group, terms)
 
     def __rmul__(self, other):
@@ -348,7 +352,8 @@ def cyclotomic_polynomial(m):
 class CyclotomicNumber:
     """Element of Q(zeta_m): a Fraction polynomial of degree < phi(m) mod Phi_m.
 
-    Equality is exact polynomial equality; z^m reduces to 1.
+    Equality is exact polynomial equality; z^m reduces to 1.  Coefficients
+    that are already Fractions are kept; others are converted.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -356,7 +361,7 @@ class CyclotomicNumber:
     def __init__(self, conductor, coeffs=()):
         self.conductor = int(conductor)
         modulus = cyclotomic_polynomial(self.conductor)
-        c = [Fraction(x) for x in coeffs]
+        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
         if len(c) >= len(modulus):
             _, c = _poly_divmod(c, modulus)
             c = list(c)

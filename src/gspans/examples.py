@@ -16,7 +16,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from gspans.algebra import AbelianGroup, GroupRingElement
+from gspans.algebra import AbelianGroup, GroupRingElement, NotASubgroupError
 from gspans.constructions import (
     GroupoidFunctor,
     GroupValuedFunctor,
@@ -145,7 +145,9 @@ def stirling_span(cfg, base=None):
     The stratum (n, k) of the apex is (P x Sigma(n))//Sigma(n), P the
     permutations with k cycles (resp. partitions with k blocks), built as
     its orbit-stabilizer slices: one Sigma(n)//Stab(x) per representative x
-    of P, the stabilizer acting on tau by conjugation.  The legs and the
+    of P, the stabilizer acting on tau by conjugation.  Every slice over n,
+    for every k, is a restriction of one level Sigma(n)//Sigma(n), so each
+    generator's conjugation row on Sigma(n) is built once.  The legs and the
     label are constant on a stratum, and a matrix entry is chi of a labelled
     fibre, which an equivalence of apexes keeps."""
     if isinstance(cfg, str):
@@ -156,7 +158,8 @@ def stirling_span(cfg, base=None):
     slices = []
     meta = []  # (left value, right value, label) per slice
     for n in range(N + 1):
-        taus = SymmetricGroup(n).elements()
+        sym = SymmetricGroup(n)
+        level = ActionGroupoid(sym, sym.elements(), sym.conjugate)
         for k in range(0 if n == 0 else 1, n + 1):
             if cfg.kind == "first":
                 model = fin_perm_groupoid(n, k)
@@ -164,18 +167,20 @@ def stirling_span(cfg, base=None):
             else:
                 model = fin_rel_groupoid(n, k)
                 label = (0,)
-            for sl in model.slices(taus, model.group.conjugate):
+            for sl in model.slices(level):
                 slices.append(sl)
                 meta.append((n, k, label))
     apex = DisjointUnion(slices)
     obj_of = base.object_of_label
 
     def leg(slot):
+        objs = [obj_of[m[slot]] for m in meta]  # per slice
+        ids = [base.identity_at(o) for o in objs]
         return GroupoidFunctor(
             apex,
             base,
-            lambda o: obj_of[meta[o[0]][slot]],
-            lambda m: base.identity_at(obj_of[meta[m[0]][slot]]),
+            lambda o: objs[o[0]],
+            lambda m: ids[m[0]],
             check=False,
         )
 
@@ -267,9 +272,18 @@ def universal_cell(sp):
 def subset_span(G, subset, s_elements, t_elements):
     """Action-groupoid span realizing the (1 x 1) matrix (1/|T|) sum(subset).
 
-    s_elements/t_elements are subgroups of G, acting by x -> -t + x + s."""
+    s_elements/t_elements are subgroups of G, acting by x -> -t + x + s;
+    NotASubgroupError (a ValueError) names one that is not.  A set is a
+    subgroup when the closure of Subgroup.generators() is the set: each
+    element is a generator or in the closure of earlier ones, so the closure
+    holds the set, and it adds nothing exactly when the set is closed."""
     s_grp = Subgroup(G, s_elements)
     t_grp = Subgroup(G, t_elements)
+    for name, grp in (("s_elements", s_grp), ("t_elements", t_grp)):
+        if G.subgroup_closure(grp.generators()) != set(grp.elements()):
+            raise NotASubgroupError(
+                "%s %r is not a subgroup of %r" % (name, grp.elements(), G)
+            )
     subset = sorted({G.check(x) for x in subset})
 
     def act(x, st):

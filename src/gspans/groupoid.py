@@ -13,7 +13,8 @@ ActionGroupoid is the lazy form X//G of a right group action: components are
 orbits and automorphism group orders come from orbit-stabilizer, so the large
 examples never materialize their hom-sets.  It evaluates the action on
 generators once, into one integer table per generator, and everything that
-moves a point by a generator reads that table.
+moves a point by a generator reads that table; its restrictions to
+subgroups share those tables.
 
 Composition convention: compose(m2, m1) means "m2 after m1".  In X//G the
 hom-set (x1 -> x2) is {g : x2.g = x1}, so the morphism handle (x1, g) has
@@ -618,10 +619,12 @@ class ActionGroupoid:
     and automorphism orders are computed from orbits without enumerating
     morphisms.
 
-    The action on generators is evaluated once, into one table per generator
+    The action on generators is evaluated once, into one row per generator
     g (carrier position -> position of x.g^-1), built on first use; orbits
     and target_of on generator handles read it.  Other handles act through
-    act(x, g^-1)."""
+    act(x, g^-1).  The rows are kept by element g, and restricted(H) views
+    share them, so an element that generates several subgroups gets one
+    row."""
 
     def __init__(self, group, carrier, act):
         self.group = group
@@ -630,9 +633,24 @@ class ActionGroupoid:
         self._index = {x: i for i, x in enumerate(self.carrier)}
         if len(self._index) != len(self.carrier):
             raise ValueError("carrier has duplicates")
-        self._moves = None
+        self._rows = {}  # g -> row of g, shared with every restriction
+        self._forget_analyses()
+
+    def _forget_analyses(self):
+        """Start the analyses of this view's own group empty."""
+        self._moves = None  # {g: row} over the generators of self.group
         self._orbit_of = None
         self._orbit_list = None
+
+    def restricted(self, subgroup):
+        """X//H for a subgroup H of this group, acting by the same act: a
+        view that shares the carrier, its index and the rows, and reads or
+        fills a row for each generator of H, so no row is built twice among
+        the restrictions of one action.  Its orbits are its own."""
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__, group=subgroup)
+        view._forget_analyses()
+        return view
 
     @property
     def objects(self):
@@ -667,21 +685,28 @@ class ActionGroupoid:
         return [(x, g) for x in self.carrier for g in els]
 
     def _generator_tables(self):
-        """{g: [position of x.g^-1 for x in the carrier]} per generator g."""
+        """{g: [position of x.g^-1 for x in the carrier]} per generator g,
+        each row read from the shared rows or built into them.  A row is
+        stored only once every x.g^-1 is in the carrier, so an unclosed
+        carrier is refused on every call."""
         if self._moves is None:
-            index, act, inv = self._index, self.act, self.group.inv
+            rows, index, act, inv = self._rows, self._index, self.act, self.group.inv
             moves = {}
             for g in self.group.generators():
-                h = inv(g)
-                row = moves[g] = [index.get(act(x, h)) for x in self.carrier]
-                if None in row:
-                    raise ValueError("carrier is not closed under the action")
+                row = rows.get(g)
+                if row is None:
+                    h = inv(g)
+                    row = [index.get(act(x, h)) for x in self.carrier]
+                    if None in row:
+                        raise ValueError("carrier is not closed under the action")
+                    rows[g] = row
+                moves[g] = row
             self._moves = moves
         return self._moves
 
     def target_of(self, m):
         x, g = m
-        row = self._generator_tables().get(g)
+        row = (self._moves or self._generator_tables()).get(g)
         if row is None:
             return self.act(x, self.group.inv(g))
         return self.carrier[row[self._index[x]]]
@@ -699,20 +724,20 @@ class ActionGroupoid:
         """Stab(x) = {g : x.g = x}, the automorphism group of x."""
         return Subgroup(self.group, [g for _, g in self.hom(x, x)])
 
-    def slices(self, carrier, act):
-        """(X x Y)//G, for this X//G and G acting on Y by act, as the union
-        over the orbit representatives x of the slices Y//Stab(x).  y -> (x, y)
-        is fully faithful, hom((x, y1), (x, y2)) = {g in Stab(x) : y2.g = y1},
-        and essentially surjective, as every (x', y) is isomorphic to a point
-        over a representative; so the union is equivalent to (X x Y)//G, on
-        |X/G| |Y| points in place of |X| |Y|.  A fixed point's stabilizer is
-        all of G, so its slice is Y//G itself, acting through G's generators
-        with no stabilizer search."""
+    def slices(self, level):
+        """(X x Y)//G, for this X//G and level = Y//G (G acting on Y), as the
+        union over the orbit representatives x of the slices Y//Stab(x).
+        y -> (x, y) is fully faithful, hom((x, y1), (x, y2)) = {g in Stab(x)
+        : y2.g = y1}, and essentially surjective, as every (x', y) is
+        isomorphic to a point over a representative; so the union is
+        equivalent to (X x Y)//G, on |X/G| |Y| points in place of |X| |Y|.
+        Each slice is level.restricted(Stab(x)), so the slices of every X
+        given the same level build one row per generator between them.  A
+        fixed point's stabilizer is all of G, so its slice acts through G's
+        generators with no stabilizer search."""
         return [
-            ActionGroupoid(
-                self.group if len(self._orbit(x)) == 1 else self.stabilizer(x),
-                carrier,
-                act,
+            level.restricted(
+                self.group if len(self._orbit(x)) == 1 else self.stabilizer(x)
             )
             for x in self.component_reps()
         ]

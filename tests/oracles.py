@@ -1,6 +1,7 @@
 """Brute-force enumeration oracles, independent of the groupoid machinery,
 plus the per-entry fibre construction of span matrices (the definition that
-span_matrix evaluates by groupoid cardinality), the naturality checks of
+span_matrix evaluates by groupoid cardinality), the dense matrix product
+(gspans forms only the nonzero products), the naturality checks of
 spans and 2-cells at every morphism (the validators walk a generating
 family), the composite of two spans built with no check (compose_spans
 checks its factors instead), the equality of 2-cells on every morphism
@@ -125,6 +126,22 @@ def fibre_span_matrix(sp):
         for c in rows
     ]
     return SpanMatrix(sp.group, rows, cols, entries)
+
+
+def dense_product_entries(a, b, zero):
+    """Entries of A B by the dense triple loop, every product formed, zero
+    factors too: (A B)(i, j) = sum over k of B(k, j) A(i, k), in increasing
+    k, starting from the given zero (gspans skips the zero products)."""
+    entries = []
+    for i in range(len(a.row_index)):
+        row = []
+        for j in range(len(b.col_index)):
+            acc = zero
+            for k in range(len(a.col_index)):
+                acc = acc + b.entries[k][j] * a.entries[i][k]
+            row.append(acc)
+        entries.append(row)
+    return entries
 
 
 def all_morphism_span_naturality(sp):

@@ -1,8 +1,9 @@
 """ActionGroupoid reads the action on generators off one table per generator.
 Differential tests against act itself: target_of on every handle, and
 orbits, representatives and |Aut| against an orbit oracle that calls act
-only.  A counting test pins that each member of the Stirling pipeline acts
-once per point and generator."""
+only.  A counting test pins that the Stirling pipeline acts once per point
+and generator of each product stratum, model and level, the slices sharing
+their level's rows."""
 
 import os
 import random
@@ -137,6 +138,47 @@ def test_unclosed_carrier_is_refused_by_the_table_build():
             read()
 
 
+def test_an_unclosed_carrier_is_refused_on_every_call_by_every_restriction():
+    # conjugating the transposition (1, 0, 2) by the swap keeps it, by the
+    # 3-cycle does not: the swap's row is closed and stored, the cycle's row
+    # is refused and never stored, so every read that needs it refuses again
+    sym = groupoid.SymmetricGroup(3)
+    swap, cycle = sym.generators()
+    level = groupoid.ActionGroupoid(sym, [sym.identity, swap], sym.conjugate)
+    whole = level.restricted(sym)
+    for view in (level, whole, level, whole):
+        for read in (view.components, lambda: view.target_of((swap, cycle))):
+            with pytest.raises(ValueError, match="not closed"):
+                read()
+    flip = level.restricted(groupoid.Subgroup(sym, [sym.identity, swap]))
+    assert flip.components() == [[sym.identity], [swap]]
+    assert flip.target_of((swap, swap)) == swap
+    with pytest.raises(ValueError, match="not closed"):
+        level.restricted(sym).components()
+
+
+def test_stirling_slices_read_shared_rows_that_agree_with_act():
+    # every slice of every Stirling span with N <= 6 (stirling_pair(6) has
+    # all of their levels): its generator handles' targets are act(x, g^-1),
+    # and its orbits and |Aut| are those of a fresh build of the same action
+    # that shares no row; slices of one level read one row per generator
+    for sp in stirling_pair(6):
+        rows = {}  # (level act, g) -> the one row its slices read
+        for sl in sp.apex.members:
+            inv = sl.group.inv
+            for x, g in sl.morphism_sample():
+                assert sl.target_of((x, g)) == sl.act(x, inv(g))
+            fresh = groupoid.ActionGroupoid(sl.group, sl.carrier, sl.act)
+            assert sl.components() == fresh.components()
+            assert [sl.aut_order(r) for r in sl.component_reps()] == [
+                fresh.aut_order(r) for r in fresh.component_reps()
+            ]
+            for g, row in sl._generator_tables().items():
+                assert rows.setdefault((sl.act, g), row) is row
+                assert row is not fresh._generator_tables()[g]
+        assert len(rows) < sum(len(sl.group.generators()) for sl in sp.apex.members)
+
+
 def count_pipeline_acts(monkeypatch, make_pair):
     """Run the N=4 pipeline of make_pair with every action counted: the
     action groupoids made, each with its act count, and the apex members of
@@ -170,24 +212,36 @@ def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
     for view, count in calls:
         assert count[0] == len(view.carrier) * len(view.group.generators())
     assert sum(count[0] for _, count in calls) == 2012
-    # the slices S_n//Stab(x): each slice acts once per point and generator
-    # of Stab(x), which is S_n with its own generators at a fixed point x;
-    # each model P//S_n acts once per point and generator of S_n for its
-    # orbits and once per element of S_n for each stabilizer search, one per
-    # orbit that is not a fixed point.  With a greedy Stab(x) = S_n and a
-    # search at every representative, these were 614 and 392.
+    # the slices S_n//Stab(x) are restrictions of one level S_n//S_n (S_n
+    # conjugating itself) per n and kind, the only actions made besides the
+    # models: a slice acts through its level's act and reads its level's
+    # rows, so a level acts once per point and distinct generator among its
+    # slices, whichever slice reads a row first.  Each model P//S_n acts once
+    # per point and generator of S_n for its orbits and once per element of
+    # S_n for each stabilizer search, one per orbit that is not a fixed
+    # point.  The first kind's levels n = 2, 3, 4 have 1, 3 and 5 distinct
+    # generators, the second kind's 1, 2 and 5, so the levels act
+    # 2 + 18 + 120 + 2 + 12 + 120 = 274 times.  With one row per slice and
+    # generator the slices acted 542 times, and before that (a greedy
+    # Stab(x) = S_n and a search at every representative) 614 and 392.
     calls, members = count_pipeline_acts(monkeypatch, stirling_pair)
-    slices = [(view, count[0]) for view, count in calls if view in members]
-    models = [(view, count[0]) for view, count in calls if view not in members]
-    assert [view for view, _ in slices] == members
-    for view, count in slices:
-        assert count == len(view.carrier) * len(view.group.generators())
+    assert not any(view in members for view, _ in calls)  # slices are views
+
+    def slices_of(view):
+        return [m for m in members if m.act is view.act]
+
+    levels = [(view, count[0]) for view, count in calls if slices_of(view)]
+    models = [(view, count[0]) for view, count in calls if not slices_of(view)]
+    assert sum(len(slices_of(view)) for view, _ in levels) == len(members)
+    for view, count in levels:
+        gens = {g for m in slices_of(view) for g in m.group.generators()}
+        assert count == len(view.carrier) * len(gens)
     for view, count in models:
         searched = sum(len(orbit) > 1 for orbit in view.components())
         assert count == len(view.carrier) * len(
             view.group.generators()
         ) + searched * view.group.order
-    assert sum(count for _, count in slices) == 542
+    assert sum(count for _, count in levels) == 274
     assert sum(count for _, count in models) == 290
 
 
@@ -217,14 +271,22 @@ def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
     # which the conjugation action inverts back
     assert len(calls) == 2 * (1 + 3 + 3)
     assert elements[:7] == elements[7:] and len(set(elements)) == 7
-    # on slices, each model P//S_n has its own S_n: the first kind's
-    # conjugation inverts all of S_n for the stabilizer searches of the five
-    # models with a point that is not fixed, 6 + 6 + 24 + 24 + 24 = 84
-    # inversions, and the six models of fixed points invert only their
-    # generators and the generators' inverses (8); the second kind inverts
-    # 24 generators and inverses of its models' S_n and its stabilizers for
-    # the generator tables; no group inverts an element twice.  With a
-    # stabilizer search at every representative, this was 120 + 26 = 146.
+    # on slices, each model P//S_n has its own S_n, and so has each level
+    # S_n//S_n whose rows the slices share.  The first kind's conjugation
+    # inverts all of S_n for the stabilizer searches of the five models with
+    # a point that is not fixed, 6 + 6 + 24 + 24 + 24 = 84 inversions; the
+    # six models of fixed points invert only their generators and the
+    # generators' inverses (8), which is also all that a slice inverts when
+    # it fills a row with its model's S_n; and each level's conjugation
+    # inverts the inverses of its distinct generators, 1 + 3 + 5 = 9.  The
+    # second kind's relabelling inverts nothing: its models' S_n invert their
+    # generators for their orbits (2 + 6 + 8 = 16) and the 3 stabilizer
+    # generators at n = 4 that are not among them for the slices' rows, and
+    # its levels 1 + 2 + 5 = 8.  No group inverts an element twice.  With a
+    # row per slice, each built with its model's S_n and its act, this was
+    # 84 + 8 + 24 = 116, and with a stabilizer search at every
+    # representative 146.
     calls.clear()
     stirling_pair(4)
-    assert len({(id(group), a) for group, a in calls}) == len(calls) == 116
+    assert len({(id(group), a) for group, a in calls}) == len(calls)
+    assert len(calls) == 84 + 8 + 9 + 16 + 3 + 8

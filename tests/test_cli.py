@@ -363,6 +363,23 @@ def test_a_cell_between_spans_on_other_feet_exits_2(tmp_path, capsys):
     assert err.startswith("error: cells.id_cell: ") and "different feet" in err
 
 
+@pytest.mark.parametrize("leg", ["h", "v"])
+def test_a_span_whose_leg_over_bg_is_off_its_foot_exits_2(tmp_path, capsys, leg):
+    # a trivial functor to BG on the apex ap, not on the foot pt
+    doc = corpus_doc_with(
+        "point_span.json",
+        ["bg_functors", "on_apex"],
+        {"type": "trivial", "source": "ap", "group": "Z4"},
+    )
+    doc["spans"]["unit"][leg] = "on_apex"
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: spans.unit: ") and "live on the feet" in err
+    assert "Traceback" not in err
+
+
 def two_group_point_span():
     """point_span.json plus a Z2 character and a span u2 over Z2."""
     doc = corpus_doc_with("point_span.json", ["groups", "Z2"], [2])

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from gspans.algebra import AbelianGroup, Character, GroupRingElement, average_idempotent
+from gspans.algebra import (
+    AbelianGroup,
+    Character,
+    GroupRingElement,
+    NotASubgroupError,
+    average_idempotent,
+)
 from gspans.constructions import bg_self_functor, delooping_bg
 from gspans.groupoid import SymmetricGroup, pcompose, pinverse
 from gspans.gspan import (
@@ -363,6 +369,34 @@ def test_subset_span_closed_forms():
         subset_span(Z4, [(1,)], sub, sub)
 
 
+def test_subset_span_refuses_a_set_that_is_not_a_subgroup():
+    # {0, 1} in Z4 used to pass and end in a ZeroDivisionError in span_matrix
+    with pytest.raises(NotASubgroupError, match=r"s_elements \[\(0,\), \(1,\)\]"):
+        subset_span(Z4, Z4.elements(), [(0,), (1,)], [(0,)])
+    with pytest.raises(ValueError, match=r"t_elements \[\(0,\), \(3,\)\]"):
+        subset_span(Z4, Z4.elements(), [(0,)], [(0,), (3,)])
+    # every set with the identity in every abelian G of order <= 8, on either
+    # side (all of G is invariant under any S and T): the closure of the
+    # greedy generators refuses exactly the sets that the all-pairs
+    # is_subgroup refuses
+    verdicts = []
+    for orders in abelian_group_order_lists(8):
+        G = AbelianGroup(orders)
+        others = [g for g in G.elements() if g != G.identity]
+        for r in range(len(others) + 1):
+            for rest in itertools.combinations(others, r):
+                els = [G.identity, *rest]
+                for sides in ((els, [G.identity]), ([G.identity], els)):
+                    try:
+                        subset_span(G, G.elements(), *sides)
+                    except NotASubgroupError:
+                        verdicts.append(False)
+                    else:
+                        verdicts.append(True)
+                    assert verdicts[-1] == G.is_subgroup(els)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 500
+
+
 def test_subset_span_invariance_on_generators_matches_all_pairs():
     # the c07 sweep's invariant subsets (a coset of S + T) and seeded
     # subsets that are mostly not invariant: subset_span, acting with the
@@ -514,12 +548,15 @@ def test_coset_span_composite_identity():
     sub = [(0,), (2,)]
     sp1 = coset_span(G, [(0,)], sub, sub)
     sp2_raw = coset_span(G, [(0,)], sub, sub)
-    # share the middle leg functor instance
+    # share the middle foot and leg functor instance: sp2's left leg, with
+    # the same maps, lands in sp1's copy of the coset groupoid
+    from gspans.constructions import GroupoidFunctor
     from gspans.gspan import GSpan
 
-    sp2 = GSpan(
-        sp2_raw.apex, sp2_raw.left, sp2_raw.right, sp1.v, sp2_raw.v, sp2_raw.eps
+    left = GroupoidFunctor(
+        sp2_raw.apex, sp1.target, sp2_raw.left.on_obj, sp2_raw.left.on_mor
     )
+    sp2 = GSpan(sp2_raw.apex, left, sp2_raw.right, sp1.v, sp2_raw.v, sp2_raw.eps)
     lhs, rhs = check_main_theorem(sp1, sp2)
     assert lhs == rhs
     # |K2| |{(k1,k2,k3): k3+k2+k1=g}| = sum_{g2+g1=g} |{k2+k1=g1}| |{k3+k2=g2}|

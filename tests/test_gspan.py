@@ -122,8 +122,9 @@ def test_nonnatural_eps_rejected_with_witness():
 def test_compose_point_spans():
     x, y = (1,), (1,)
     spx, spy = point_span(Z2, x), point_span(Z2, y)
-    # force the same middle leg object identity
-    spy2 = GSpan(spy.apex, spy.left, spy.right, spx.v, spy.v, lambda a: y)
+    # force the same middle foot and leg object identity
+    left = GroupoidFunctor(spy.apex, spx.target, spy.left.on_obj, spy.left.on_mor)
+    spy2 = GSpan(spy.apex, left, spy.right, spx.v, spy.v, lambda a: y)
     comp = compose_spans(spx, spy2)
     m = span_matrix(comp)
     assert m.entries[0][0] == GroupRingElement.basis(Z2, Z2.add(x, y))
@@ -352,6 +353,19 @@ def test_span_invariants_raise_typed_errors():
     with pytest.raises(GSpanError, match="different groups"):
         GSpan(sp.apex, sp.left, sp.right, sp.h,
               GroupValuedFunctor.trivial(sp.target, Z4), sp.eps)
+    # H and V live on the feet: the tautological functor on BZ2 is no leg
+    # over the discrete foot {0, 1, 2}, and neither is the trivial one on a
+    # copy of that foot, though its objects and morphisms are the same ids
+    foot = discrete_groupoid(3)
+    ident = GroupoidFunctor(foot, foot, lambda o: o, lambda m: m)
+    on_foot = GroupValuedFunctor.trivial(foot, Z2)
+    taut = bg_self_functor(delooping_bg(Z2))
+    on_copy = GroupValuedFunctor.trivial(discrete_groupoid(3), Z2)
+    for h, v in ((taut, taut), (on_foot, taut), (taut, on_foot),
+                 (on_copy, on_foot), (on_foot, on_copy)):
+        with pytest.raises(GSpanError, match="live on the feet"):
+            GSpan(foot, ident, ident, h, v, lambda a: (0,))
+    GSpan(foot, ident, ident, on_foot, on_foot, lambda a: (0,))
     with pytest.raises(SpanMorphismError, match="do not compose"):
         vertical_compose(identity_cell(other), identity_cell(sp))
     # horizontal composition no longer refuses a lazy composite: the

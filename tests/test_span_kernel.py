@@ -176,9 +176,12 @@ def test_lemma_on_coset_spans_whose_orbits_nobody_has_asked_for():
         sub = [(0,), (3,)]
         sp1 = coset_span(G, [(0,)], sub, G.elements())
         sp2_raw = coset_span(G, [(0,)], G.elements(), sub)
+        # the same left leg into sp1's copy of the middle foot, where H lives
+        left = GroupoidFunctor(
+            sp2_raw.apex, sp1.target, sp2_raw.left.on_obj, sp2_raw.left.on_mor
+        )
         sp2 = GSpan(
-            sp2_raw.apex, sp2_raw.left, sp2_raw.right, sp1.v, sp2_raw.v,
-            sp2_raw.eps,
+            sp2_raw.apex, left, sp2_raw.right, sp1.v, sp2_raw.v, sp2_raw.eps
         )
         return sp1, sp2
 

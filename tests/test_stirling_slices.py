@@ -87,16 +87,23 @@ def test_the_composite_of_slices_is_equivalent_to_the_product_composite(
     )
 
 
+def level_of(model):
+    """S_n acting on itself by conjugation, for a model P//S_n."""
+    sym = model.group
+    return ActionGroupoid(sym, sym.elements(), sym.conjugate)
+
+
 def test_slices_of_a_product_action_are_its_stabilizer_actions():
     sym = SymmetricGroup(4)
     model = fin_perm_groupoid(4, 2)
     taus = sym.elements()
-    slices = model.slices(taus, model.group.conjugate)
+    level = ActionGroupoid(sym, taus, sym.conjugate)
+    slices = model.slices(level)
     assert [sl.carrier for sl in slices] == [taus] * len(model.component_reps())
     for x, sl in zip(model.component_reps(), slices):
         want = [g for g in sym.elements() if sym.conjugate(x, g) == x]
         assert sl.group.elements() == sorted(want)
-        assert sl.act == model.group.conjugate
+        assert sl.act == sym.conjugate
 
 
 @pytest.mark.parametrize("make_model", [fin_perm_groupoid, fin_rel_groupoid])
@@ -107,7 +114,7 @@ def test_a_fixed_point_slice_acts_through_the_whole_group(make_model):
         for k in range(n + 1):
             model = make_model(n, k)
             sym = model.group
-            slices = model.slices(sym.elements(), sym.conjugate)
+            slices = model.slices(level_of(model))
             for x, sl in zip(model.component_reps(), slices):
                 want = [g for g in sym.elements() if model.act(x, g) == x]
                 assert sl.group.elements() == sorted(want)
@@ -118,7 +125,7 @@ def test_a_fixed_point_slice_acts_through_the_whole_group(make_model):
 
 def test_the_identity_slice_at_n7_has_two_generators():
     model = fin_perm_groupoid(7, 7)  # the identity, fixed by all of S_7
-    (sl,) = model.slices(model.group.elements(), model.group.conjugate)
+    (sl,) = model.slices(level_of(model))
     assert sl.group is model.group and len(sl.group.generators()) == 2
     assert len(Subgroup(model.group, model.group.elements()).generators()) == 6
 
