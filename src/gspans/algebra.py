@@ -4,8 +4,9 @@ Conventions.  A finite abelian group Z_{n1} x ... x Z_{nk} is written
 additively; its elements are exponent tuples (e1,...,ek) with 0 <= ei < ni.
 Group-ring coefficients are fractions.Fraction, never floats.  Character
 values live in the exact field Q(zeta_m), represented as polynomial residues
-mod the m-th cyclotomic polynomial; a decimal rendering exists for display
-only.  The isomorphism with the multiplicative picture (roots of unity) is
+mod the m-th cyclotomic polynomial, reduced with one table per conductor of
+the residues of z^k, k < m; a decimal rendering exists for display only.
+The isomorphism with the multiplicative picture (roots of unity) is
 g = (e1,...,ek)  <->  zeta^(sum ei*gi*(m/ni)) under a character with
 exponents (g1,...,gk).
 
@@ -349,24 +350,50 @@ def cyclotomic_polynomial(m):
     return tuple(int(c) for c in num)
 
 
+@lru_cache(maxsize=None)
+def residue_table(m):
+    """z^k mod Phi_m for 0 <= k < m, as integer coefficient tuples of length
+    phi(m): row k+1 is z times row k with its z^phi(m) term replaced by
+    Phi_m's lower terms (Phi_m is monic with integer coefficients).  Since
+    Phi_m divides z^m - 1, z^k reduces to row k mod m for every k >= 0."""
+    modulus = cyclotomic_polynomial(m)
+    deg = len(modulus) - 1
+    row = (1,) + (0,) * (deg - 1)
+    rows = [row]
+    for _ in range(m - 1):
+        top = row[-1]
+        row = tuple(
+            x - top * c for x, c in zip((0,) + row[:-1], modulus)
+        )
+        rows.append(row)
+    return tuple(rows)
+
+
 class CyclotomicNumber:
     """Element of Q(zeta_m): a Fraction polynomial of degree < phi(m) mod Phi_m.
 
     Equality is exact polynomial equality; z^m reduces to 1.  Coefficients
-    that are already Fractions are kept; others are converted.
+    that are already Fractions are kept; others are converted.  A term of
+    degree k >= phi(m) is reduced by adding its coefficient times row k mod m
+    of residue_table(m), so no division is made.
     """
 
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor, coeffs=()):
-        self.conductor = int(conductor)
-        modulus = cyclotomic_polynomial(self.conductor)
+        self.conductor = m = int(conductor)
+        rows = residue_table(m)
+        deg = len(rows[0])
         c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
-        if len(c) >= len(modulus):
-            _, c = _poly_divmod(c, modulus)
-            c = list(c)
-        c = c + [Fraction(0)] * (len(modulus) - 1 - len(c))
-        self.coeffs = tuple(c[: len(modulus) - 1])
+        if len(c) < deg:
+            c += [Fraction(0)] * (deg - len(c))
+        for k in range(deg, len(c)):
+            x = c[k]
+            if x:
+                for i, r in enumerate(rows[k % m]):
+                    if r:
+                        c[i] += r * x
+        self.coeffs = tuple(c[:deg])
 
     @classmethod
     def zero(cls, conductor):
@@ -487,12 +514,14 @@ class Character:
         return CyclotomicNumber.zeta_power(self.conductor, self.exponent_of(g))
 
     def apply(self, x):
+        """rho(x) = sum_g x_g zeta^(exponent of g): the coefficients are added
+        by exponent, then reduced once, into one number."""
         if x.group != self.group:
             raise GroupMismatchError("character and element over different groups")
-        out = CyclotomicNumber.zero(self.conductor)
+        by_exponent = [0] * self.conductor
         for g, c in x.terms.items():
-            out = out + self.value(g) * c
-        return out
+            by_exponent[self.exponent_of(g)] += c
+        return CyclotomicNumber(self.conductor, by_exponent)
 
     def is_injective(self):
         seen = set()

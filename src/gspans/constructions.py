@@ -27,6 +27,7 @@ from operator import itemgetter
 
 from gspans.groupoid import (
     ActionGroupoid,
+    GroupoidView,
     TableBuilder,
     discrete_table,
     generating_pairs,
@@ -101,19 +102,17 @@ def identity_functor(view):
 class GroupValuedFunctor:
     """Functor S -> BG packaged as a G-valued map on morphisms of S; its
     composition law is checked on generating_pairs, as GroupoidFunctor's.
-    validate() marks it checked, so a check made where it is built (or by
+    value is the given map itself, so reading it adds no call.  validate()
+    marks it checked, so a check made where it is built (or by
     compose_spans, once) is not repeated."""
 
     def __init__(self, source, group, mor_map, check=True):
         self.source = source
         self.group = group
-        self._mor_map = _as_fn(mor_map)
+        self.value = _as_fn(mor_map)
         self.checked = False
         if check:
             self.validate()
-
-    def value(self, m):
-        return self._mor_map(m)
 
     def validate(self):
         src, G = self.source, self.group
@@ -237,7 +236,7 @@ def slot_projection(table, view, i):
     )
 
 
-class PullbackView:
+class PullbackView(GroupoidView):
     """The homotopy pullback of the cospan r1: M1 -> T <- M2 : l2, kept lazy.
 
     Objects are the triples (a1, t, a2) with t in T(R1 a1, L2 a2), and a
@@ -247,24 +246,27 @@ class PullbackView:
     pullback with its ids.  Composition is slotwise, keeping the first
     factor's t: (n1, u, n2) o (m1, t, m2) = (n1 o m1, t, n2 o m2).
 
-    The analyses pick their algorithm from T.  Over a discrete T the
-    pullback is the union over objects d of M1_d x M2_d, the level sets of
-    the legs, so its components, representatives and |Aut| multiply out of
-    M1's and M2's own components, grouped by level.  Otherwise a search over
-    the moves (s, t, id) and (id, t, s), for s in M1's and M2's generating
-    families and their inverses, finds the components, each represented by
-    its first object, and |Aut| filters Aut(a1) x Aut(a2).  The generating
-    family is the component stars of that search for either T: all of
-    Aut(r) and one search-tree morphism r -> x for every other object x.
+    The analyses pick their algorithm from T, once, at construction.  Over
+    a discrete T the pullback is the union over objects d of M1_d x M2_d,
+    the level sets of the legs, so its components, representatives and
+    |Aut| multiply out of M1's and M2's own components, grouped by level.
+    Otherwise a search over the moves (s, t, id) and (id, t, s), for s in
+    M1's and M2's generating families and their inverses, finds the
+    components, each represented by its first object, and |Aut| filters
+    Aut(a1) x Aut(a2).  The generating family is the component stars of
+    that search for either T: all of Aut(r) and one search-tree morphism
+    r -> x for every other object x, each with the endpoints the search
+    found.
     """
 
     def __init__(self, r1, l2):
         self.r1, self.l2 = r1, l2
         self.M1, self.M2, self.T = r1.source, l2.source, r1.target
+        self._discrete = self.T.is_discrete
         self._objects = None
         self._reps = None
         self._search = None
-        self._star = None
+        self._family = None
 
     # -- handles -------------------------------------------------------------
 
@@ -413,7 +415,7 @@ class PullbackView:
     def components(self):
         """Components, each in enumeration order, ordered by their first
         object, the representative."""
-        if self.T.is_discrete:
+        if self._discrete:
             return [
                 [(x1, t, x2) for x1 in c1 for x2 in c2]
                 for c1, t, c2 in self._over_levels(
@@ -425,7 +427,7 @@ class PullbackView:
 
     def component_reps(self):
         if self._reps is None:
-            if self.T.is_discrete:
+            if self._discrete:
                 self._reps = list(self._over_levels(
                     self.M1.component_reps(), self.M2.component_reps(),
                     lambda r: r,
@@ -436,13 +438,13 @@ class PullbackView:
 
     def component_rep(self, o):
         a1, t, a2 = o
-        if self.T.is_discrete:
+        if self._discrete:
             return (self.M1.component_rep(a1), t, self.M2.component_rep(a2))
         comps, comp_of, _, index = self._searched()
         return self._object_list()[comps[comp_of[index[o]]][0]]
 
     def aut_order(self, o):
-        if self.T.is_discrete:
+        if self._discrete:
             return self.M1.aut_order(o[0]) * self.M2.aut_order(o[2])
         return self.hom_size(o, o)
 
@@ -452,21 +454,22 @@ class PullbackView:
             Fraction(0),
         )
 
-    def morphism_sample(self):
+    def generating_family(self):
         """The component stars: at each representative r, all of Aut(r),
-        then the search-tree morphism r -> x for every other object x of its
-        component in enumeration order.  Any x -> y is star(y) a star(x)^-1
-        with a in Aut(r), so the stars generate."""
-        if self._star is None:
+        each r -> r, then the search-tree morphism r -> x for every other
+        object x of its component in enumeration order, endpoints as the
+        search found them.  Any x -> y is star(y) a star(x)^-1 with a in
+        Aut(r), so the stars generate.  Made once and cached."""
+        if self._family is None:
             comps, _, path, _ = self._searched()
             objs = self._object_list()
-            star = []
+            family = []
             for comp in comps:
                 r = objs[comp[0]]
-                star.extend(self.hom(r, r))
-                star.extend(path[i] for i in comp[1:])
-            self._star = tuple(star)
-        return self._star
+                family.extend((a, r, r) for a in self.hom(r, r))
+                family.extend((path[i], r, objs[i]) for i in comp[1:])
+            self._family = tuple(family)
+        return self._family
 
 
 def homotopy_pullback(r1, l2):

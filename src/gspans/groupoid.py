@@ -10,22 +10,30 @@ gives its law: (n1, u, n2) after (m1, t, m2) is (n1 m1, t, n2 m2).
 materialize turns any view into a table labelled by its own handles,
 guarded by size_guard().
 ActionGroupoid is the lazy form X//G of a right group action: components are
-orbits and automorphism group orders come from orbit-stabilizer, so the large
-examples never materialize their hom-sets.  It evaluates the action on
-generators once, into one integer table per generator, and everything that
-moves a point by a generator reads that table; its restrictions to
+orbits and automorphism group orders come from orbit-stabilizer, |G|/|orbit|
+kept once per orbit next to the orbits, so the large examples never
+materialize their hom-sets.  It evaluates the action on generators once,
+into one integer table per generator, and everything that moves a point by a
+generator reads that table: orbits, targets, and stabilizers, whose Schreier
+elements come from an orbit search, not a scan of G; its restrictions to
 subgroups share those tables.
 
 Composition convention: compose(m2, m1) means "m2 after m1".  In X//G the
 hom-set (x1 -> x2) is {g : x2.g = x1}, so the morphism handle (x1, g) has
 source x1 and target x1.g^-1, and (x1,g1) followed by (y1,g2) is (x1, g2*g1).
 
-Every view has a generating family, morphism_sample(): an action groupoid's
-points x generators, a table's component stars (at each representative r,
-all of Aut(r) and one morphism r -> x per object x).  A natural square, or
-an equality of functors, that holds on the family holds on every morphism,
-so the validators walk the family, not the morphisms; a functor's
-composition law and a table's associativity are checked on generating_pairs.
+Every view has a generating family: an action groupoid's points x
+generators, a table's component stars (at each representative r, all of
+Aut(r) and one morphism r -> x per object x).  A natural square, or an
+equality of functors, that holds on the family holds on every morphism, so
+the validators walk the family, not the morphisms; a functor's composition
+law and a table's associativity are checked on generating_pairs.  Each view
+yields the family once, with endpoints, from generating_family(): (handle,
+source, target) triples read from what it already holds (an action
+groupoid's generator rows by carrier position, a table's hom index, a union's
+members tagged in turn, a pullback view's search), so the validators make no
+source_of or target_of call per handle; morphism_sample() is its handle
+projection, written once, on GroupoidView.
 
 Groupoids do not change after construction and all analyses are pure; the
 hom index, component partition, star family, orbit partition, an action
@@ -143,6 +151,18 @@ class ProductGroup:
         return "ProductGroup(%r, %r)" % (self.left, self.right)
 
 
+def _extend_closure(op, gens, closure, seen, g):
+    """Add g to gens and grow closure, the subgroup they generate, with seen
+    its element set: a search from every element along every generator."""
+    gens.append(g)
+    for h in closure:  # grows as the search reaches new elements
+        for s in gens:
+            hs = op(h, s)
+            if hs not in seen:
+                seen.add(hs)
+                closure.append(hs)
+
+
 class Subgroup:
     """A subgroup of an ambient group, given by its element set."""
 
@@ -173,20 +193,29 @@ class Subgroup:
             gens, closure = [], [self.identity]
             seen = set(closure)
             for g in self._elements:
-                if g in seen:
-                    continue
-                gens.append(g)
-                for h in closure:  # grows as the search reaches new elements
-                    for s in gens:
-                        hs = self.op(h, s)
-                        if hs not in seen:
-                            seen.add(hs)
-                            closure.append(hs)
+                if g not in seen:
+                    _extend_closure(self.op, gens, closure, seen, g)
             self._generators = gens
         return list(self._generators)
 
     def __repr__(self):
         return "Subgroup(%r, %d elements)" % (self.ambient, self.order)
+
+
+# ---------------------------------------------------------------------------
+# views
+
+
+class GroupoidView:
+    """What the groupoid views share.  Each yields its generating family once,
+    with endpoints, from generating_family(): (handle, source, target)
+    triples, grouped by source, read from what the view already holds (a
+    table's hom index, an action groupoid's generator rows, a pullback view's
+    search), so a walker calls no source_of or target_of per handle."""
+
+    def morphism_sample(self):
+        """The handles of generating_family(), in its order, lazily."""
+        return (m for m, _, _ in self.generating_family())
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +268,7 @@ def generating_pairs(view):
             yield s, f
 
 
-class TableGroupoid:
+class TableGroupoid(GroupoidView):
     """Finite groupoid as tables over integer ids.
 
     compose and inverse map id pairs and ids to ids.  A table built from
@@ -281,7 +310,7 @@ class TableGroupoid:
         self._hom = None
         self._components = None
         self._rep_of = None
-        self._star = None
+        self._family = None
 
     # -- basic access ------------------------------------------------------
 
@@ -358,17 +387,18 @@ class TableGroupoid:
     def is_discrete(self):
         return len(self.source) == len(self.objects)
 
-    def morphism_sample(self):
-        """A generating family of morphisms, the star of each component: at
-        its representative r, all of Aut(r) and the first morphism r -> x to
-        every other object x.  Any x -> y is star(y) a star(x)^-1 with a in
-        Aut(r), so a natural square or an equality of functors that holds on
-        the family holds everywhere.  Every handle leaves its representative,
-        in component order.  Read off the hom index once and cached; nothing
-        is composed."""
-        if self._star is None:
+    def generating_family(self):
+        """The star of each component: at its representative r, all of
+        Aut(r) and the first morphism r -> x to every other object x, each
+        with its endpoints r and x, the key it has in the hom index.  Any
+        x -> y is star(y) a star(x)^-1 with a in Aut(r), so a natural square
+        or an equality of functors that holds on the family holds
+        everywhere.  Every handle leaves its representative, in component
+        order.  Read off the hom index once and cached; nothing is
+        composed."""
+        if self._family is None:
             hom = self._hom_index()
-            star = []
+            family = []
             for comp in self._component_lists():
                 r = comp[0]
                 for x in comp:
@@ -377,9 +407,9 @@ class TableGroupoid:
                         raise ValueError(
                             "no morphism %r -> %r in a component" % (r, x)
                         )
-                    star.extend(ms if x == r else ms[:1])
-            self._star = tuple(star)
-        return self._star
+                    family.extend((m, r, x) for m in (ms if x == r else ms[:1]))
+            self._family = tuple(family)
+        return self._family
 
     def all_morphisms(self):
         return self.morphisms
@@ -613,18 +643,18 @@ def _table_of(view, bound):
 # action groupoids
 
 
-class ActionGroupoid:
+class ActionGroupoid(GroupoidView):
     """X//G for a right action: objects are carrier points, hom(x1,x2) =
     {g : x2.g = x1}, and a morphism handle is (source point, g).  Components
     and automorphism orders are computed from orbits without enumerating
-    morphisms.
+    morphisms: |Aut| = |G|/|orbit| is kept per orbit, next to the orbits.
 
     The action on generators is evaluated once, into one row per generator
-    g (carrier position -> position of x.g^-1), built on first use; orbits
-    and target_of on generator handles read it.  Other handles act through
-    act(x, g^-1).  The rows are kept by element g, and restricted(H) views
-    share them, so an element that generates several subgroups gets one
-    row."""
+    g (carrier position -> position of x.g^-1), built on first use; orbits,
+    stabilizers, the generating family and target_of on generator handles
+    read it.  Other handles act through act(x, g^-1).  The rows are kept by
+    element g, and restricted(H) views share them, so an element that
+    generates several subgroups gets one row."""
 
     def __init__(self, group, carrier, act):
         self.group = group
@@ -641,6 +671,7 @@ class ActionGroupoid:
         self._moves = None  # {g: row} over the generators of self.group
         self._orbit_of = None
         self._orbit_list = None
+        self._orbit_auts = None  # |G|/|orbit| per orbit
 
     def restricted(self, subgroup):
         """X//H for a subgroup H of this group, acting by the same act: a
@@ -674,11 +705,18 @@ class ActionGroupoid:
     def is_discrete(self):
         return self.group.order == 1
 
-    def morphism_sample(self):
-        """Generating family: one handle per object per generator, made
-        lazily and grouped by source."""
-        gens = self.group.generators()
-        return ((x, g) for x in self.carrier for g in gens)
+    def generating_family(self):
+        """One handle (x, g) per point x and generator g, grouped by source,
+        made lazily, with its target x.g^-1 read from g's row by carrier
+        position."""
+        moves = self._generator_tables()
+        rows = [(g, moves[g]) for g in self.group.generators()]
+        carrier = self.carrier
+        return (
+            ((x, g), x, carrier[row[i]])
+            for i, x in enumerate(carrier)
+            for g, row in rows
+        )
 
     def all_morphisms(self):
         els = self.group.elements()
@@ -721,8 +759,45 @@ class ActionGroupoid:
         return self.group.order // len(orbit) if self._orbit(b) is orbit else 0
 
     def stabilizer(self, x):
-        """Stab(x) = {g : x.g = x}, the automorphism group of x."""
-        return Subgroup(self.group, [g for _, g in self.hom(x, x)])
+        """Stab(x) = {g : x.g = x}, the automorphism group of x, by
+        orbit-stabilizer: a search from x along the generator rows gives
+        each point y it reaches an element u_y with x.u_y = y, and
+        u_y g^-1 u_z^-1, for each step y -> z = y.g^-1 that reaches no new
+        point, fixes x.  These Schreier elements generate Stab(x); each one
+        outside the closure built so far joins it, and the search stops once
+        the closure has |G|/|orbit| elements, all of Stab(x).  Only the
+        generators are inverted (their rows did so already): u_z^-1 =
+        g u_y^-1 is carried along the search tree."""
+        G = self.group
+        op = G.op
+        order = G.order // len(self._orbit(x))
+        closure = [G.identity]
+        seen, gens = set(closure), []
+        if order == 1:
+            return Subgroup(G, closure)
+        moves = self._generator_tables()
+        steps = [(g, G.inv(g), row) for g, row in moves.items()]
+        start = self._index[x]
+        tree = {start: (G.identity, G.identity)}  # position -> (u, u^-1)
+        reached = [start]
+        for i in reached:  # grows as the search reaches new points
+            u, u_inv = tree[i]
+            for g, g_inv, row in steps:
+                j = row[i]
+                ug = op(u, g_inv)
+                if j not in tree:
+                    tree[j] = ug, op(g, u_inv)
+                    reached.append(j)
+                    continue
+                s = op(ug, tree[j][1])
+                if s not in seen:
+                    _extend_closure(op, gens, closure, seen, s)
+                    if len(closure) == order:
+                        return Subgroup(G, closure)
+        raise ValueError(
+            "the search from %r closed %d of |G|/|orbit| = %d elements: the "
+            "group's generators do not generate it" % (x, len(closure), order)
+        )
 
     def slices(self, level):
         """(X x Y)//G, for this X//G and level = Y//G (G acting on Y), as the
@@ -748,7 +823,7 @@ class ActionGroupoid:
         """The orbit number of each carrier position, and the orbits as
         position lists in first-point order, each starting at its first
         point: a search over the generator tables (orbits under the g^-1
-        are the orbits under the g)."""
+        are the orbits under the g).  |G|/|orbit| is kept per orbit."""
         if self._orbit_of is None:
             rows = list(self._generator_tables().values())
             orbit_of = [None] * len(self.carrier)
@@ -768,6 +843,7 @@ class ActionGroupoid:
                 orbits.append(orbit)
             self._orbit_of = orbit_of
             self._orbit_list = orbits
+            self._orbit_auts = [self.group.order // len(o) for o in orbits]
         return self._orbit_of, self._orbit_list
 
     def _orbit(self, x):
@@ -787,7 +863,9 @@ class ActionGroupoid:
         return self.carrier[self._orbit(x)[0]]
 
     def aut_order(self, x):
-        return self.group.order // len(self._orbit(x))
+        if self._orbit_auts is None:
+            self._orbits()
+        return self._orbit_auts[self._orbit_of[self._index[x]]]
 
     def chi(self):
         return sum(
@@ -796,7 +874,7 @@ class ActionGroupoid:
         )
 
 
-class DisjointUnion:
+class DisjointUnion(GroupoidView):
     """Disjoint union of groupoid views; objects and morphisms are tagged."""
 
     def __init__(self, members):
@@ -838,11 +916,12 @@ class DisjointUnion:
     def is_discrete(self):
         return all(m.is_discrete for m in self.members)
 
-    def morphism_sample(self):
+    def generating_family(self):
+        """The members' families, member by member, each triple tagged."""
         return (
-            (i, m)
+            ((i, m), (i, x), (i, y))
             for i, member in enumerate(self.members)
-            for m in member.morphism_sample()
+            for m, x, y in member.generating_family()
         )
 
     def all_morphisms(self):

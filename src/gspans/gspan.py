@@ -85,7 +85,7 @@ class GSpan:
         self.h = h
         self.v = v
         self.group = h.group
-        self._eps = _as_fn(eps)
+        self.eps = _as_fn(eps)  # the given labeling itself, called directly
         self._fibre_chi_memo = {}  # (c, d) -> chi by label of c\M/d
         self._chi = None  # _fibre_chi(self)
         self.checked = False  # set by validate, or by compose_spans
@@ -101,29 +101,28 @@ class GSpan:
     def target(self):
         return self.right.target
 
-    def eps(self, a):
-        return self._eps(a)
-
     def validate(self):
         """eps(a2) + HL(m) = VR(m) + eps(a1) on the apex's generating family
-        morphism_sample() (the component stars of a table or a pullback
-        view, an action groupoid's points x generators); composites and
-        inverses follow since HL and VR are functors.  Samples come grouped
-        by source, so eps(a1) is read once per run of handles with the same
-        source (once per component on a star family).  Raises GSpanError at
-        the first failing handle, or marks the span checked.  This is the
-        one naturality walk: compose_spans marks its composite checked by
-        the composition lemma, without a walk."""
-        G, apex = self.group, self.apex
+        (the component stars of a table or a pullback view, an action
+        groupoid's points x generators), read with its endpoints from
+        generating_family(); composites and inverses follow since HL and VR
+        are functors.  The family comes grouped by source, so eps(a1) is
+        read once per run of handles with the same source (once per
+        component on a star family).  Raises GSpanError at the first failing
+        handle, or marks the span checked.  This is the one naturality walk:
+        compose_spans marks its composite checked by the composition lemma,
+        without a walk."""
+        add, eps = self.group.add, self.eps
+        h, left = self.h.value, self.left.on_mor
+        v, right = self.v.value, self.right.on_mor
         a1 = None
-        for m in apex.morphism_sample():
-            src = apex.source_of(m)
+        for m, src, tgt in self.apex.generating_family():
             if a1 is None or src != a1:
                 a1 = src
-                e1 = self.eps(a1)
-            e2 = self.eps(apex.target_of(m))
-            lhs = G.add(e2, self.h.value(self.left.on_mor(m)))
-            rhs = G.add(self.v.value(self.right.on_mor(m)), e1)
+                e1 = eps(a1)
+            e2 = eps(tgt)
+            lhs = add(e2, h(left(m)))
+            rhs = add(v(right(m)), e1)
             if lhs != rhs:
                 raise GSpanError(
                     "labeling is not natural at morphism %r: %r + HL != VR + %r"
@@ -658,10 +657,10 @@ class SpanMorphism:
         same functors, or functors to BG equal on the foot's generating
         family; an unchecked one is validated once).  At every object x of
         M1, A(x) and B(x) have the right endpoints and V(Bx) + eps1(x) =
-        eps2(Phi x) + H(Ax); and A and B are natural on M1.morphism_sample(),
-        a generating family (the component stars of a table or a pullback
-        view: any f: x -> y is star(y) a star(x)^-1 with a in Aut(r) at the
-        representative r).  Naturality on generators implies it on
+        eps2(Phi x) + H(Ax); and A and B are natural on the generating
+        family, read with its endpoints from M1.generating_family() (the
+        component stars of a table or a pullback view: any f: x -> y is
+        star(y) a star(x)^-1 with a in Aut(r) at the representative r).  Naturality on generators implies it on
         composites and inverses only because L1, L2, R1, R2 and Phi are
         functors, which this does not check: vertical_compose,
         horizontal_compose and identity_composite_cells build Phi as a
@@ -701,9 +700,9 @@ class SpanMorphism:
                 raise SpanMorphismError(
                     "label compatibility fails at object %r" % (x,)
                 )
-        for m in M1.morphism_sample():
-            ax, bx = comps[M1.source_of(m)]
-            ay, by = comps[M1.target_of(m)]
+        for m, x, y in M1.generating_family():
+            ax, bx = comps[x]
+            ay, by = comps[y]
             pm = self.phi.on_mor(m)
             if S.compose_m(ay, sp1.left.on_mor(m)) != S.compose_m(
                 sp2.left.on_mor(pm), ax

@@ -1,7 +1,8 @@
 """ActionGroupoid reads the action on generators off one table per generator.
-Differential tests against act itself: target_of on every handle, and
+Differential tests against act itself: target_of on every handle,
 orbits, representatives and |Aut| against an orbit oracle that calls act
-only.  A counting test pins that the Stirling pipeline acts once per point
+only, and stabilizers, searched along the rows, against the scan of
+hom(x, x).  A counting test pins that the Stirling pipeline acts once per point
 and generator of each product stratum, model and level, the slices sharing
 their level's rows."""
 
@@ -14,7 +15,13 @@ from gspans import groupoid
 from gspans import random_spans as rnd
 from gspans.algebra import AbelianGroup
 from gspans.cli import parse_document
-from gspans.examples import stirling_pair, subset_span
+from gspans.constructions import coset_groupoid
+from gspans.examples import (
+    fin_perm_groupoid,
+    fin_rel_groupoid,
+    stirling_pair,
+    subset_span,
+)
 from gspans.gspan import compose_spans, span_matrix
 from oracles import (
     abelian_group_order_lists,
@@ -117,6 +124,57 @@ def test_tables_agree_with_act(name):
                 assert view.aut_order(x) == action_aut_order(view, x)
 
 
+def scanned_stabilizer(view, x):
+    """Stab(x) in X//G as the Subgroup of the g in hom(x, x), a scan of all
+    of G through act (the groupoid searches the orbit of x instead)."""
+    return groupoid.Subgroup(view.group, [g for _, g in view.hom(x, x)])
+
+
+def c07_coset_groupoids():
+    """H\\G for every subgroup H of the groups of c07's coset sweep."""
+    out = []
+    for orders in [[4], [6], [8], [2, 2], [2, 4]]:
+        G = AbelianGroup(orders)
+        out += [coset_groupoid(G, sub) for sub in G.all_subgroups()]
+    return out
+
+
+def test_stabilizers_by_orbit_search_agree_with_the_scan():
+    # the same Subgroup as the scan of hom(x, x): sorted elements and greedy
+    # generators, at every orbit representative of the Stirling models for
+    # n <= 6 and at every point of every c07 coset groupoid
+    models = [
+        make(n, k)
+        for make in (fin_perm_groupoid, fin_rel_groupoid)
+        for n in range(7)
+        for k in range(n + 1)
+    ]
+    cases = [(view, view.component_reps()) for view in models]
+    cases += [(view, view.objects) for view in c07_coset_groupoids()]
+    checked = 0
+    for view, points in cases:
+        for x in points:
+            stab, want = view.stabilizer(x), scanned_stabilizer(view, x)
+            assert stab.elements() == want.elements()
+            assert stab.generators() == want.generators()
+            checked += 1
+    # p(0) + ... + p(6) = 30 orbits per kind, and 72 cosets in 24 groupoids
+    assert checked == 2 * 30 + 72
+
+
+def test_a_stabilizer_search_with_too_few_generators_is_refused():
+    # a group that lists the swap alone as generators of S_3: the search
+    # from the identity, which the swap fixes, closes 2 of |G|/|orbit| = 6
+    class SwapOnly(groupoid.SymmetricGroup):
+        def generators(self):
+            return super().generators()[:1]
+
+    sym = SwapOnly(3)
+    view = groupoid.ActionGroupoid(sym, sym.elements(), sym.conjugate)
+    with pytest.raises(ValueError, match="closed 2 of .* = 6 elements"):
+        view.stabilizer(sym.identity)
+
+
 def test_product_targets_agree_with_the_factor_actions():
     composites = split_and_twisted_composites()
     composites += [compose_spans(*stirling_pair(n)) for n in (2, 3)]
@@ -217,9 +275,11 @@ def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
     # models: a slice acts through its level's act and reads its level's
     # rows, so a level acts once per point and distinct generator among its
     # slices, whichever slice reads a row first.  Each model P//S_n acts once
-    # per point and generator of S_n for its orbits and once per element of
-    # S_n for each stabilizer search, one per orbit that is not a fixed
-    # point.  The first kind's levels n = 2, 3, 4 have 1, 3 and 5 distinct
+    # per point and generator of S_n for its orbits, and not at all for its
+    # stabilizers, which come from an orbit search along those rows: 104
+    # act calls.  A scan of S_n through act for each stabilizer, one per
+    # orbit that is not a fixed point, made it 290, 186 of them in the
+    # scans.  The first kind's levels n = 2, 3, 4 have 1, 3 and 5 distinct
     # generators, the second kind's 1, 2 and 5, so the levels act
     # 2 + 18 + 120 + 2 + 12 + 120 = 274 times.  With one row per slice and
     # generator the slices acted 542 times, and before that (a greedy
@@ -237,12 +297,9 @@ def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
         gens = {g for m in slices_of(view) for g in m.group.generators()}
         assert count == len(view.carrier) * len(gens)
     for view, count in models:
-        searched = sum(len(orbit) > 1 for orbit in view.components())
-        assert count == len(view.carrier) * len(
-            view.group.generators()
-        ) + searched * view.group.order
+        assert count == len(view.carrier) * len(view.group.generators())
     assert sum(count for _, count in levels) == 274
-    assert sum(count for _, count in models) == 290
+    assert sum(count for _, count in models) == 104
 
 
 def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
@@ -273,20 +330,23 @@ def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
     assert elements[:7] == elements[7:] and len(set(elements)) == 7
     # on slices, each model P//S_n has its own S_n, and so has each level
     # S_n//S_n whose rows the slices share.  The first kind's conjugation
-    # inverts all of S_n for the stabilizer searches of the five models with
-    # a point that is not fixed, 6 + 6 + 24 + 24 + 24 = 84 inversions; the
-    # six models of fixed points invert only their generators and the
-    # generators' inverses (8), which is also all that a slice inverts when
-    # it fills a row with its model's S_n; and each level's conjugation
-    # inverts the inverses of its distinct generators, 1 + 3 + 5 = 9.  The
-    # second kind's relabelling inverts nothing: its models' S_n invert their
-    # generators for their orbits (2 + 6 + 8 = 16) and the 3 stabilizer
-    # generators at n = 4 that are not among them for the slices' rows, and
-    # its levels 1 + 2 + 5 = 8.  No group inverts an element twice.  With a
-    # row per slice, each built with its model's S_n and its act, this was
-    # 84 + 8 + 24 = 116, and with a stabilizer search at every
-    # representative 146.
+    # makes each of the nine models with generators invert its generators
+    # and their inverses, once each: 1 at n = 2 and 3 at n = 3 and 4, so
+    # 2 + 9 + 12 = 23.  The stabilizer searches invert nothing (they carry
+    # each u^-1 along the search tree), so a slice's row inverts, through
+    # its model's S_n, only the stabilizer generators not among those: 1 at
+    # n = 3 and 3 at n = 4.  Each level's conjugation inverts the inverses
+    # of its distinct generators, 1 + 3 + 5 = 9.  The second kind's
+    # relabelling inverts nothing: its models' S_n invert their generators
+    # for their orbits (2 + 6 + 8 = 16) and the 3 stabilizer generators at
+    # n = 4 that are not among them for the slices' rows, and its levels
+    # 1 + 2 + 5 = 8.  No group inverts an element twice.  With stabilizers
+    # scanned through the conjugation, which inverts all of S_n for each of
+    # the five models with a point that is not fixed, the first kind made
+    # 84 + 8 + 9 and the total was 128; with a row per slice, each built
+    # with its model's S_n and its act, 116, and with a stabilizer search at
+    # every representative 146.
     calls.clear()
     stirling_pair(4)
     assert len({(id(group), a) for group, a in calls}) == len(calls)
-    assert len(calls) == 84 + 8 + 9 + 16 + 3 + 8
+    assert len(calls) == 23 + 4 + 9 + 16 + 3 + 8

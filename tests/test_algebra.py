@@ -1,6 +1,7 @@
 """Group ring and cyclotomic arithmetic, all equalities exact."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,69 @@ def test_cyclotomic_residue_arithmetic():
         for c in reversed(cyclotomic_polynomial(m)):
             acc = acc * z + CyclotomicNumber.from_rational(m, c)
         assert acc.is_zero()
+
+
+def long_division_residue(m, coeffs):
+    """coeffs reduced mod Phi_m by exact long division, padded to phi(m)."""
+    modulus = cyclotomic_polynomial(m)
+    _, r = algebra._poly_divmod([Fraction(c) for c in coeffs], modulus)
+    return tuple(r) + (Fraction(0),) * (len(modulus) - 1 - len(r))
+
+
+def test_residue_table_rows_are_the_long_division_residues():
+    for m in range(1, 31):
+        rows = algebra.residue_table(m)
+        assert len(rows) == m
+        for k, row in enumerate(rows):
+            assert row == long_division_residue(m, (0,) * k + (1,))
+            assert all(type(c) is int for c in row)
+
+
+def test_reduction_by_the_table_is_long_division():
+    # seeded Fraction lists of every length up to 3m, so terms of degree m
+    # and more fold onto the table's rows by k mod m
+    rng = random.Random(20261019)
+    for m in range(1, 31):
+        for length in range(3 * m + 1):
+            coeffs = [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for _ in range(length)
+            ]
+            x = CyclotomicNumber(m, coeffs)
+            assert x.coeffs == long_division_residue(m, coeffs)
+            assert all(type(c) is Fraction for c in x.coeffs)
+
+
+def term_by_term_image(rho, x):
+    """rho(x) as a sum of one cyclotomic number per term of x."""
+    out = CyclotomicNumber.zero(rho.conductor)
+    for g, c in x.terms.items():
+        out = out + rho.value(g) * c
+    return out
+
+
+def test_character_image_is_the_term_by_term_sum():
+    # every character of every abelian G with |G| <= 16, on seeded elements
+    # with zero, one and many terms
+    rng = random.Random(20261019)
+    characters = 0
+    for orders in abelian_group_order_lists(16):
+        G = AbelianGroup(orders)
+        els = G.elements()
+        xs = [GroupRingElement.zero(G), GroupRingElement.one(G)]
+        for size in (1, 3, len(els)):
+            picked = rng.sample(els, min(size, len(els)))
+            xs.append(GroupRingElement(
+                G, {g: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for g in picked}
+            ))
+        for exps in itertools.product(*[range(n) for n in orders]):
+            rho = Character(G, exps)
+            characters += 1
+            for x in xs:
+                assert rho.apply(x) == term_by_term_image(rho, x)
+    assert characters == sum(
+        AbelianGroup(o).order for o in abelian_group_order_lists(16)
+    )
 
 
 def test_character_examples():

@@ -1,5 +1,6 @@
 """Span matrices, composition = multiplication, identity spans, 2-cells."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from gspans.gspan import (
     SpanMorphism,
 )
 from gspans.constructions import identity_functor
+from gspans.groupoid import ActionGroupoid, DisjointUnion, SymmetricGroup
 
 Z2 = AbelianGroup([2])
 Z4 = AbelianGroup([4])
@@ -366,6 +368,54 @@ def test_span_invariants_raise_typed_errors():
         with pytest.raises(GSpanError, match="live on the feet"):
             GSpan(foot, ident, ident, h, v, lambda a: (0,))
     GSpan(foot, ident, ident, on_foot, on_foot, lambda a: (0,))
+    # a label that is not natural is refused at the first failing handle of
+    # the apex's generating family, which the message names: on the union of
+    # two swap groupoids, the first handle of the second member into the
+    # relabelled point
+    swap = ActionGroupoid(SymmetricGroup(2), [0, 1], lambda x, g: g[x])
+    union = DisjointUnion([swap, swap])
+    point = discrete_groupoid(1)
+    to_point = GroupoidFunctor(
+        union, point, lambda o: 0, lambda m: point.identity_at(0)
+    )
+    on_point = GroupValuedFunctor.trivial(point, Z2)
+    with pytest.raises(GSpanError, match=re.escape(
+        "labeling is not natural at morphism (1, (0, (1, 0))): "
+        "(1,) + HL != VR + (0,)"
+    ) + "$"):
+        GSpan(union, to_point, to_point, on_point, on_point,
+              lambda o: (1,) if o == (1, 1) else (0,))
+    # a 2-cell whose A (or B) is not natural is refused at the first failing
+    # handle of the source apex's family, named in the message: over
+    # M = S = BZ2, from the span with L (or R) the identity to the one with
+    # L (or R) constant, A (or B) the identity, at the handle of (1,)
+    bz2 = delooping_bg(Z2)
+    star = bz2.objects[0]
+    flip = bz2.morphism_of_label[(1,)]
+    ident_leg = GroupoidFunctor(bz2, bz2, lambda o: o, lambda m: m)
+    constant = GroupoidFunctor(
+        bz2, bz2, lambda o: o, lambda m: bz2.identity_at(star)
+    )
+    to_point = GroupoidFunctor(
+        bz2, point, lambda o: 0, lambda m: point.identity_at(0)
+    )
+    triv = GroupValuedFunctor.trivial(bz2, Z2)
+    for name, legs1, legs2 in (
+        ("A", (ident_leg, to_point), (constant, to_point)),
+        ("B", (to_point, ident_leg), (to_point, constant)),
+    ):
+        h, v = (triv, on_point) if name == "A" else (on_point, triv)
+        sp1 = GSpan(bz2, *legs1, h, v, lambda a: (0,))
+        sp2 = GSpan(bz2, *legs2, h, v, lambda a: (0,))
+        feet = (sp1.source, sp1.target)
+        with pytest.raises(SpanMorphismError, match=re.escape(
+            "%s is not natural at %r" % (name, flip)
+        ) + "$"):
+            SpanMorphism(
+                sp1, sp2, identity_functor(bz2),
+                lambda x: feet[0].identity_at(sp1.left.on_obj(x)),
+                lambda x: feet[1].identity_at(sp1.right.on_obj(x)),
+            )
     with pytest.raises(SpanMorphismError, match="do not compose"):
         vertical_compose(identity_cell(other), identity_cell(sp))
     # horizontal composition no longer refuses a lazy composite: the

@@ -134,24 +134,26 @@ def test_stirling_composed_matrix_is_the_product_and_the_fibres(
 
 def validate_walk(composed):
     """The handles that composed.validate() draws from the apex's
-    morphism_sample, checked to be its component stars: all of Aut(r) and
-    one search-tree morphism r -> x per other object x."""
+    generating_family, checked to be morphism_sample() with the endpoints
+    of source_of and target_of, and to be its component stars: all of
+    Aut(r) and one search-tree morphism r -> x per other object x."""
     apex = composed.apex
     comps = apex.components()
     want = list(apex.morphism_sample())
     seen = []
-    sample = apex.morphism_sample
+    family = apex.generating_family
 
-    def counting_sample():
-        for m in sample():
+    def counting_family():
+        for m, x, y in family():
+            assert (x, y) == (apex.source_of(m), apex.target_of(m))
             seen.append(m)
-            yield m
+            yield m, x, y
 
-    apex.morphism_sample = counting_sample
+    apex.generating_family = counting_family
     try:
         composed.validate()
     finally:
-        del apex.morphism_sample
+        del apex.generating_family
     assert seen == want
     assert len(seen) == sum(apex.aut_order(c[0]) + len(c) - 1 for c in comps)
     stars = {}

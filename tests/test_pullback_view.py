@@ -160,7 +160,7 @@ def assert_chain_is_the_triple_product(a, b, c, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(groupoid.TableBuilder, "build", refused)
         with monkeypatch.context() as counted:
-            for name in ("morphism_sample", "_searched"):
+            for name in ("generating_family", "morphism_sample", "_searched"):
                 real = getattr(PullbackView, name)
                 counted.setattr(
                     PullbackView, name,

@@ -106,23 +106,20 @@ def test_lemma_lhs_is_one_pass_moved_to_any_objects(corpus):
         assert passes == [1]
 
 
-def test_kernel_matches_fibres_on_subset_and_coset_sweeps():
-    # the subset and coset sweeps of acceptance criterion 7
+def c07_sweep_spans():
+    """The subset and coset spans of acceptance criterion 7's sweeps: a
+    subset span for every pair of subgroups S, T of every abelian G of order
+    <= 8, on S + T (the coset of S + T through 0), and a coset span
+    H1\\G between K1\\G and K2\\G for every H1 <= K1 cap K2 of Z4, Z6,
+    Z8, Z2^2 and Z2 x Z4."""
+    out = []
     for orders in abelian_group_order_lists(8):
         G = AbelianGroup(orders)
         subs = G.all_subgroups()
         for s_els in subs:
             for t_els in subs:
                 st_ = G.subgroup_closure(set(s_els) | set(t_els))
-                cosets = sorted(
-                    {min(G.add(h_, x) for h_ in st_) for x in G.elements()}
-                )
-                subset = sorted(
-                    g
-                    for g in G.elements()
-                    if min(G.add(h_, g) for h_ in st_) == cosets[0]
-                )
-                assert_kernel_matches_fibres(subset_span(G, subset, s_els, t_els))
+                out.append(subset_span(G, sorted(st_), s_els, t_els))
     for orders in [[4], [6], [8], [2, 2], [2, 4]]:
         G = AbelianGroup(orders)
         subs = G.all_subgroups()
@@ -131,7 +128,14 @@ def test_kernel_matches_fibres_on_subset_and_coset_sweeps():
                 inter = set(k1) & set(k2)
                 for h1 in subs:
                     if set(h1) <= inter:
-                        assert_kernel_matches_fibres(coset_span(G, h1, k1, k2))
+                        out.append(coset_span(G, h1, k1, k2))
+    return out
+
+
+def test_kernel_matches_fibres_on_subset_and_coset_sweeps():
+    # the subset and coset sweeps of acceptance criterion 7
+    for sp in c07_sweep_spans():
+        assert_kernel_matches_fibres(sp)
 
 
 def test_kernel_matches_fibres_on_universal_push_pull_spans():
