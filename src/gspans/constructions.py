@@ -505,8 +505,10 @@ def right_fibre(r, d):
 def two_sided_fibre(l, r, c, d):
     """c\\M/d = (1{c} x_S M) x_T 1{d}, built directly as one table: objects
     (a, s, t); a morphism (m, s, t) acts by
-    (a1, s, t) -> (a2, L(m) o s, t o R(m)^-1).  labeled_fibre builds one per
-    entry, which as nested views would take twice as long."""
+    (a1, s, t) -> (a2, L(m) o s, t o R(m)^-1).  It is the fibre of the CLI's
+    "fibre" documents and of fibre_map_preserves_labels, and the tests'
+    oracle for labeled_fibre, which searches its components without
+    building it.  As nested views it would take about twice as long."""
     M, S, T = l.source, l.target, r.target
     b = TableBuilder()
     for a in M.objects:

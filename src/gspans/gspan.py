@@ -11,11 +11,13 @@ Its matrix has rows pi0(S) and columns pi0(T) in canonical component order,
     entry(c, d) = sum_g chi( (c\\M/d){label = g} ) * (1/|T(d,d)|) * g,
 
 where the label of a fibre object (a, s, t) is V(t) + eps(a) + H(s).  That
-is the definition, and labeled_fibre builds it; the tests use it as the
-oracle.  span_matrix computes the same numbers without building a fibre.  A
-fibre object (a, s, t) has as many outgoing morphisms as a has in M, and
-naturality moves (a, s, t) along M without changing its label, so each
-component [a] of M contributes to exactly one entry, by groupoid cardinality:
+is the definition; labeled_fibre evaluates it per entry by searching the
+fibre's components along the apex's generating family, and the tests build
+the fibre as a table (two_sided_fibre) as the oracle.  span_matrix computes
+the same numbers without a fibre.  A fibre object (a, s, t) has as many
+outgoing morphisms as a has in M, and naturality moves (a, s, t) along M
+without changing its label, so each component [a] of M contributes to
+exactly one entry, by groupoid cardinality:
 
     entry(c, d) = sum over [a] in pi0(M) with [La] = c and [Ra] = d of
                   1/(|Aut a| |Aut d|) * sum over s in S(c, La), t in T(Ra, d)
@@ -132,47 +134,142 @@ class GSpan:
 
 
 def labeled_fibre(sp, c, d):
-    """{g: chi((c\\M/d){label = g})} for the labelled two-sided fibre of a
-    span over component representatives (c, d): two_sided_fibre, whose
-    object (a, s, t) is labelled V(t) + eps(a) + H(s).  Naturality makes the
-    label constant on each component, so a level set is a union of
-    components, each adding 1/|Aut|; raises GSpanError, naming two objects,
-    if the label varies on a component.  Over discrete feet L and R are
-    constant on the components of the apex, and the fibre is the union of
-    those over (c, d) (objects a stand for (a, id, id)), labelled by eps.
-    Memoized on the span (spans do not change) per (c, d); only the chi map
-    is kept, not the fibre."""
+    """{g: chi((c\\M/d){label = g})} for the labelled two-sided fibre
+    c\\M/d of a span at objects c of S and d of T, whose object (a, s, t),
+    s in S(c, La) and t in T(Ra, d), is labelled V(t) + eps(a) + H(s).
+    Naturality makes the label constant on each component, so a level set
+    is a union of components, each adding 1/|Aut|; raises GSpanError,
+    naming two objects, if the label varies on a component.  The fibre is
+    searched, not built (_searched_fibre); two_sided_fibre is the table the
+    tests compare with.  Over discrete feet L and R are constant on the
+    components of the apex, and the fibre is the union of those over
+    (c, d) (objects a stand for (a, id, id)), labelled by eps.  Memoized on
+    the span (spans do not change) per (c, d); only the chi map is kept."""
     memo = sp._fibre_chi_memo
-    if (c, d) in memo:
-        return memo[(c, d)]
-    if sp.source.is_discrete and sp.target.is_discrete:
-        fib, label = sp.apex, sp.eps
-        comps = [
-            comp
-            for comp in fib.components()
-            if sp.left.on_obj(comp[0]) == c and sp.right.on_obj(comp[0]) == d
-        ]
-    else:
-        fib = two_sided_fibre(sp.left, sp.right, c, d)
-        G, labels = sp.group, fib.object_labels
+    if (c, d) not in memo:
+        if sp.source.is_discrete and sp.target.is_discrete:
+            memo[(c, d)] = _apex_fibre(sp, c, d)
+        else:
+            memo[(c, d)] = _searched_fibre(sp, c, d)
+    return memo[(c, d)]
 
-        def label(oid):
-            a, s, t = labels[oid]
-            return G.add(sp.v.value(t), G.add(sp.eps(a), sp.h.value(s)))
 
-        comps = fib.components()
+def _apex_fibre(sp, c, d):
+    """labeled_fibre over discrete feet, from the components of the apex."""
     out = {}
-    for comp in comps:
-        g = label(comp[0])
+    for comp in sp.apex.components():
+        if sp.left.on_obj(comp[0]) != c or sp.right.on_obj(comp[0]) != d:
+            continue
+        g = sp.eps(comp[0])
         for o in comp[1:]:
-            if label(o) != g:
+            if sp.eps(o) != g:
                 raise GSpanError(
                     "label not constant on the component of %r: "
-                    "%r at %r, %r at %r" % (comp[0], g, comp[0], label(o), o)
+                    "%r at %r, %r at %r" % (comp[0], g, comp[0], sp.eps(o), o)
                 )
-        out[g] = out.get(g, Fraction(0)) + Fraction(1, fib.aut_order(comp[0]))
-    memo[(c, d)] = out
+        out[g] = out.get(g, 0) + Fraction(1, sp.apex.aut_order(comp[0]))
     return out
+
+
+def _searched_fibre(sp, c, d):
+    """labeled_fibre over feet that are not both discrete, by a union-find
+    over the fibre's objects (a, s, t), numbered in the order a in
+    M.objects, s in S(c, La), t in T(Ra, d) (two_sided_fibre's ids).
+
+    Each triple (m, a1, a2) of M's generating family moves (a1, s, t) to
+    (a2, L(m) s, t R(m)^-1); the move is the fibre morphism (m, s, t), and
+    the join of its two ends checks that they have the same label.  The
+    moves reach a whole component: the action of M on fibre objects is
+    functorial (the move of m2 m1 is that of m2 after that of m1, and m^-1
+    moves back), and every morphism of M is a word in the family and its
+    inverses, so every fibre morphism is a path of moves.  So the joins
+    find exactly the components, and a label equal at the ends of every
+    move is constant on each of them.  A component is numbered by its
+    least object, as in the table, so the map comes out in the table's
+    order.  Each adds 1/|Aut(a, s, t)|, and
+    Aut(a, s, t) = {m in M(a, a) : L(m) s = s, t R(m)^-1 = t}
+              = {m in M(a, a) : L(m) = id, R(m) = id}
+    since s and t are invertible, so |Aut| is counted once per apex object
+    a, whatever s and t."""
+    S, T, M = sp.source, sp.target, sp.apex
+    add, left, right = sp.group.add, sp.left, sp.right
+    homs_s, homs_t = {}, {}  # La -> S(c, La); Ra -> T(Ra, d), with values
+    at = {}  # a -> (first object id, S(c, La), T(Ra, d))
+    labels = []  # per object id: V(t) + eps(a) + H(s)
+    for a in M.objects:
+        la, ra = left.on_obj(a), right.on_obj(a)
+        hs = homs_s.get(la)
+        if hs is None:
+            hs = homs_s[la] = _hom_with_values(S.hom(c, la), sp.h.value)
+        vt = homs_t.get(ra)
+        if vt is None:
+            vt = homs_t[ra] = _hom_with_values(T.hom(ra, d), sp.v.value)
+        at[a] = (len(labels), hs, vt)
+        if hs[0] and vt[0]:
+            e = sp.eps(a)
+            for h in hs[2]:
+                x = add(e, h)
+                labels.extend([add(v, x) for v in vt[2]])
+    parent = list(range(len(labels)))
+    for m, a1, a2 in M.generating_family():
+        o1, (ss, _, _), (ts, _, _) = at[a1]
+        if not (ss and ts):
+            continue
+        o2, (_, s_pos, _), (_, t_pos, _) = at[a2]
+        lm, rm_inv = left.on_mor(m), T.inverse_m(right.on_mor(m))
+        n = len(ts)
+        t_moves = [t_pos[T.compose_m(t, rm_inv)] for t in ts]
+        for i, s in enumerate(ss):
+            s2 = S.compose_m(lm, s)
+            i2 = s_pos[s2]
+            for j, j2 in enumerate(t_moves):
+                u, w = o1 + i * n + j, o2 + i2 * n + j2
+                if labels[u] != labels[w]:
+                    t = ts[j]
+                    raise GSpanError(
+                        "label not constant on the component of %r: "
+                        "%r at %r, %r at %r"
+                        % (a1, labels[u], (a1, s, t), labels[w],
+                           (a2, s2, T.compose_m(t, rm_inv)))
+                    )
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                while parent[w] != w:
+                    parent[w] = parent[parent[w]]
+                    w = parent[w]
+                if u < w:
+                    parent[w] = u
+                elif w < u:
+                    parent[u] = w
+    out = {}
+    for a, (o, (ss, _, _), (ts, _, _)) in at.items():
+        aut = None
+        for k in range(o, o + len(ss) * len(ts)):
+            if parent[k] == k:  # the least object of its component
+                if aut is None:
+                    aut = _kernel_order(sp, a)
+                g = labels[k]
+                out[g] = out.get(g, 0) + Fraction(1, aut)
+    return out
+
+
+def _hom_with_values(hom, value):
+    """(hom, {morphism: position}, [value of each morphism]) of a hom-set."""
+    return hom, {x: i for i, x in enumerate(hom)}, [value(x) for x in hom]
+
+
+def _kernel_order(sp, a):
+    """#{m in M(a, a) : L(m) = id and R(m) = id}, the |Aut| of every object
+    (a, s, t) of a two-sided fibre."""
+    left, right = sp.left, sp.right
+    id_s = sp.source.identity_at(left.on_obj(a))
+    id_t = sp.target.identity_at(right.on_obj(a))
+    return sum(
+        1
+        for m in sp.apex.hom(a, a)
+        if left.on_mor(m) == id_s and right.on_mor(m) == id_t
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +635,12 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     for d in T.component_reps():
         chi_td = Fraction(1, T.aut_order(d))
         left_side = labeled_fibre(sp1, c1, d)
-        right_side = labeled_fibre(sp2, d, c2)
+        right_side = labeled_fibre(sp2, d, c2).items()
         for g1, x1 in left_side.items():
-            for g2, x2 in right_side.items():
+            y1 = x1 * chi_td
+            for g2, x2 in right_side:
                 g = G.add(g2, g1)
-                rhs[g] = rhs.get(g, Fraction(0)) + x1 * chi_td * x2
+                rhs[g] = rhs.get(g, 0) + y1 * x2
     rhs = {g: v for g, v in rhs.items() if v != 0}
     return lhs, rhs
 

@@ -1,0 +1,194 @@
+"""Differential tests: labeled_fibre, which finds the components of the
+two-sided fibre c\\M/d by a search over the apex's generating family,
+against the fibre built as a table (oracles.fibre_chi_by_label), with exact
+equality at every pair of objects (c, d), representatives or not; and the
+same GSpanError from both when one label is wrong."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gspans import random_spans as rnd
+from gspans.examples import stirling_pair, universal_span
+from gspans.gspan import (
+    GSpan,
+    GSpanError,
+    _searched_fibre,
+    compose_spans,
+    labeled_fibre,
+    pullback_span,
+    pushforward_span,
+)
+from oracles import fibre_chi_by_label
+from test_span_kernel import SEED, c07_sweep_spans
+
+
+def assert_search_matches_table(sp):
+    """labeled_fibre equals the table at every (c, d); over discrete feet,
+    where labeled_fibre reads the apex's own components, the search is
+    compared as well."""
+    both_discrete = sp.source.is_discrete and sp.target.is_discrete
+    for c in sp.source.objects:
+        for d in sp.target.objects:
+            want = fibre_chi_by_label(sp, c, d, table=True)
+            assert labeled_fibre(sp, c, d) == want, (c, d)
+            if both_discrete:
+                assert _searched_fibre(sp, c, d) == want, (c, d)
+
+
+def raises_gspan_error(f, *args):
+    try:
+        f(*args)
+    except GSpanError:
+        return True
+    return False
+
+
+def assert_both_reject_the_same(sp, rng):
+    """With eps moved at one apex object (check=False), labeled_fibre
+    raises GSpanError at exactly the (c, d) where the table does."""
+    objects = list(sp.apex.objects)
+    others = [g for g in sp.group.elements() if g != sp.group.identity]
+    if not (objects and others):
+        return 0
+    a0 = rng.choice(objects)
+    shift = rng.choice(others)
+    eps = sp.eps
+
+    def wrong(a):
+        return sp.group.add(eps(a), shift) if a == a0 else eps(a)
+
+    bad = GSpan(sp.apex, sp.left, sp.right, sp.h, sp.v, wrong, check=False)
+    caught = 0
+    for c in sp.source.objects:
+        for d in sp.target.objects:
+            table = raises_gspan_error(fibre_chi_by_label, bad, c, d, True)
+            assert raises_gspan_error(labeled_fibre, bad, c, d) == table, (c, d)
+            caught += table
+    return caught
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The seeded pairs of the acceptance corpus and their composites."""
+    rng = random.Random(SEED)
+    pairs = [
+        rnd.random_composable_pair(
+            rng, max_group_order=6, max_objects=8, max_apex_objects=8
+        )
+        for _ in range(50)
+    ]
+    return [(sp1, sp2, compose_spans(sp1, sp2)) for sp1, sp2 in pairs]
+
+
+def test_search_matches_table_on_random_corpus(corpus):
+    for sp1, sp2, composed in corpus:
+        for sp in (sp1, sp2, composed):
+            assert_search_matches_table(sp)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_search_matches_table_on_stirling(n):
+    # the composite's table at N = 4 walks its 925 832 morphisms once per
+    # entry, about 5 s each, so there the search is held against the
+    # apex's own components, which labeled_fibre reads over discrete feet
+    # and which the table confirms for N <= 3
+    first, second = stirling_pair(n)
+    composed = compose_spans(first, second)
+    for sp in (first, second) + ((composed,) if n < 4 else ()):
+        assert_search_matches_table(sp)
+    for c in composed.source.objects:
+        for d in composed.target.objects:
+            assert _searched_fibre(composed, c, d) == labeled_fibre(composed, c, d)
+
+
+def test_search_matches_table_on_subset_and_coset_sweeps():
+    # every third span of the sweep: the tables of all 646 take about 9 s
+    for sp in c07_sweep_spans()[::3]:
+        assert_search_matches_table(sp)
+
+
+def test_search_matches_table_on_universal_push_pull_spans():
+    rng = random.Random(SEED + 7)
+    for _ in range(8):
+        G = rnd.random_group(rng, 8)
+        s = rnd.random_groupoid(rng, 5)
+        t = rnd.random_groupoid(rng, 5)
+        h = rnd.random_bg_functor(rng, s, G)
+        v = rnd.random_bg_functor(rng, t, G)
+        assert_search_matches_table(universal_span(h, v))
+    for _ in range(12):
+        phi, h, v, eps = rnd.random_pushforward_data(rng, max_group_order=8)
+        assert_search_matches_table(pushforward_span(phi, h, v, eps))
+        assert_search_matches_table(pullback_span(phi, h, v, eps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_search_matches_table_on_random_seeds(seed):
+    rng = random.Random(seed)
+    sp1, sp2 = rnd.random_composable_pair(rng, max_objects=5, max_apex_objects=5)
+    for sp in (sp1, sp2, compose_spans(sp1, sp2)):
+        assert_search_matches_table(sp)
+
+
+def test_a_wrong_label_is_rejected_where_the_table_rejects_it(corpus):
+    rng = random.Random(SEED + 11)
+    caught = 0
+    for sp1, sp2, composed in corpus[:20]:
+        for sp in (sp1, sp2, composed):
+            caught += assert_both_reject_the_same(sp, rng)
+    for sp in c07_sweep_spans()[::7]:
+        caught += assert_both_reject_the_same(sp, rng)
+    assert caught > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_wrong_label_is_rejected_where_the_table_rejects_it_on_random_seeds(
+    seed,
+):
+    rng = random.Random(seed)
+    sp1, sp2 = rnd.random_composable_pair(rng, max_objects=5, max_apex_objects=5)
+    for sp in (sp1, sp2, compose_spans(sp1, sp2)):
+        assert_both_reject_the_same(sp, rng)
+
+
+def test_the_error_names_both_ends_of_the_move():
+    # apex and left foot the swap groupoid on {0, 1}, labelled eps(a) = a:
+    # the swap 0 -> 1 moves (0, id, id) to (1, swap, id) in the fibre over
+    # (0, 0), and the label changes from (0,) to (1,) along it
+    from gspans.algebra import AbelianGroup
+    from gspans.constructions import (
+        GroupoidFunctor,
+        GroupValuedFunctor,
+        discrete_groupoid,
+        identity_functor,
+    )
+    from test_span_kernel import swap_groupoid
+
+    Z2 = AbelianGroup([2])
+    apex = swap_groupoid()
+    point = discrete_groupoid(1)
+    to_point = GroupoidFunctor(
+        apex, point, lambda a: 0, lambda m: point.identity_at(0)
+    )
+    sp = GSpan(
+        apex,
+        identity_functor(apex),
+        to_point,
+        GroupValuedFunctor.trivial(apex, Z2),
+        GroupValuedFunctor.trivial(point, Z2),
+        lambda a: (a,),
+        check=False,
+    )
+    swap = apex.hom(0, 1)[0]
+    with pytest.raises(GSpanError) as err:
+        labeled_fibre(sp, 0, 0)
+    ident, t = apex.identity_at(0), point.identity_at(0)
+    assert str(err.value) == (
+        "label not constant on the component of 0: (0,) at %r, (1,) at %r"
+        % ((0, ident, t), (1, swap, t))
+    )

@@ -311,8 +311,10 @@ def test_mor_mismatch_cell_rejected():
 
 
 def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
-    # looping the lemma over every entry (c1, c2) needs the fibres c1\M1/d
-    # and d\M2/c2 once each, not once per entry that uses them
+    # looping the lemma over every entry (c1, c2) searches the fibres
+    # c1\M1/d and d\M2/c2 once each, not once per entry that uses them; the
+    # right-hand side comes from those fibres' components: no fibre is built
+    # as a table, and the one-pass chi map is read for the composite only
     import random
 
     from gspans import gspan
@@ -325,14 +327,20 @@ def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
         )
     S, T, U = sp1.source, sp1.target, sp2.target
     assert not T.is_discrete
-    builds = []
-    build = gspan.two_sided_fibre
+    searches, builds, chi_reads = [], [], []
+    search, chi = gspan._searched_fibre, gspan._fibre_chi
 
-    def counting(l, r, c, d):
-        builds.append((id(l), c, d))
-        return build(l, r, c, d)
+    def counting_search(sp, c, d):
+        searches.append((id(sp), c, d))
+        return search(sp, c, d)
 
-    monkeypatch.setattr(gspan, "two_sided_fibre", counting)
+    def counting_chi(sp):
+        chi_reads.append(sp)
+        return chi(sp)
+
+    monkeypatch.setattr(gspan, "_searched_fibre", counting_search)
+    monkeypatch.setattr(gspan, "_fibre_chi", counting_chi)
+    monkeypatch.setattr(gspan, "two_sided_fibre", lambda *a: builds.append(a))
     composed = compose_spans(sp1, sp2)
     for c1 in S.component_reps():
         for c2 in U.component_reps():
@@ -340,7 +348,10 @@ def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
             assert lhs == rhs
     n_s, n_t, n_u = (len(X.component_reps()) for X in (S, T, U))
     assert (n_s, n_t, n_u) == (1, 3, 3)
-    assert len(builds) == len(set(builds)) == n_t * (n_s + n_u)
+    # was: n_t * (n_s + n_u) = 12 two_sided_fibre builds
+    assert len(searches) == len(set(searches)) == n_t * (n_s + n_u)
+    assert builds == []
+    assert chi_reads and all(sp is composed for sp in chi_reads)
 
 
 def test_span_invariants_raise_typed_errors():
