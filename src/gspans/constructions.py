@@ -6,16 +6,18 @@ t in T(R a1, L a2); a morphism (m1, m2) : (a1,t,a2) -> (b1,u,b2) requires
 u o R(m1) = L(m2) o t in T.  homotopy_pullback returns it for every cospan
 as one lazy PullbackView whose objects are those triples and whose morphism
 handles are the triples (m1, t, m2), composed slotwise; the projections p1,
-p2 read slots 0 and 2.  Its components, |Aut| and chi multiply out of the
-legs' level sets over a discrete T, and come from a search over its moves
-otherwise; materialize(view) is the explicit table, guarded by its morphism
-count.  The one-sided fibres c\\M = 1{c} x_S M and M/d = M x_T 1{d} and
-the two-sided pullback (P x_S M) x_T Q are pullback views too.  The
-two-sided fibre c\\M/d and the Grothendieck constructions are tables
-labelled by slot tuples, with compose/inverse entries filled on demand by
-the one slot law, slotwise: an object label has its morphism labels' slot
-layout, with each view slot holding an object where a morphism label holds
-a morphism.
+p2 read slots 0 and 2.  Its representatives and their |Aut| come from the
+double cosets L(Aut r2) \\ T(R r1, L r2) / R(Aut r1), over representatives
+r1 of M1 and r2 of M2, for every T, without listing its objects; its
+components come from a search over its moves (over a discrete T, from the
+legs' level sets); materialize(view) is the explicit table, guarded by its
+morphism count.  The one-sided fibres c\\M = 1{c} x_S M and
+M/d = M x_T 1{d} and the two-sided pullback (P x_S M) x_T Q are pullback
+views too.  The two-sided fibre c\\M/d and the Grothendieck constructions
+are tables labelled by slot tuples, with compose/inverse entries filled on
+demand by the one slot law, slotwise: an object label has its morphism
+labels' slot layout, with each view slot holding an object where a
+morphism label holds a morphism.
 
 The functors check their composition law on groupoid.generating_pairs of
 the source, which is complete, and every other law on every morphism.
@@ -246,17 +248,35 @@ class PullbackView(GroupoidView):
     pullback with its ids.  Composition is slotwise, keeping the first
     factor's t: (n1, u, n2) o (m1, t, m2) = (n1 o m1, t, n2 o m2).
 
-    The analyses pick their algorithm from T, once, at construction.  Over
-    a discrete T the pullback is the union over objects d of M1_d x M2_d,
-    the level sets of the legs, so its components, representatives and
-    |Aut| multiply out of M1's and M2's own components, grouped by level.
-    Otherwise a search over the moves (s, t, id) and (id, t, s), for s in
+    pi0 and |Aut| at the representatives come from one double-coset pass,
+    for every T, that never lists the objects.  For representatives r1 of
+    M1 and r2 of M2 whose legs land in one component of T, Aut(r1) x
+    Aut(r2) acts on T(R1 r1, L2 r2) by t -> L2(m2) t R1(m1)^-1, and:
+    - every (a1, t, a2) is isomorphic to an object over (r1, r2), the
+      representatives of a1's and a2's components: for m1: a1 -> r1 and
+      m2: a2 -> r2, (m1, t, m2) goes to (r1, L2(m2) t R1(m1)^-1, r2);
+    - a morphism between two objects over (r1, r2) is some (m1, t, m2)
+      with m1 in Aut(r1) and m2 in Aut(r2), so they are isomorphic exactly
+      when their t lie in one orbit, and Aut(r1, t, r2) is the stabilizer
+      of t, of order |Aut r1| |Aut r2| / |orbit|;
+    - a component's first object in enumeration order (a1, a2, t) is
+      (r1, least t of its orbit, r2), since r1 and r2 are the first objects
+      of their components.
+    So the pass, over r1 in M1's order, r2 in M2's order and each orbit's
+    least t in T.hom order, yields the search's representatives in the
+    search's order.  It reads T(x, y) once per pair of objects x, y of T,
+    and the legs' images of Aut(r1) and Aut(r2) only where an orbit can
+    have more than one point.  Over a discrete T a non-empty T(x, y) is
+    T(x, x) = {id_x}, so a representative is a pair of the factors' and
+    |Aut| multiplies.
+    components(), component_rep(o) and the generating family need every
+    object: a search over the moves (s, t, id) and (id, t, s), for s in
     M1's and M2's generating families and their inverses, finds the
-    components, each represented by its first object, and |Aut| filters
-    Aut(a1) x Aut(a2).  The generating family is the component stars of
-    that search for either T: all of Aut(r) and one search-tree morphism
-    r -> x for every other object x, each with the endpoints the search
-    found.
+    components, each represented by its first object (over a discrete T,
+    pairs of the factors' components, grouped by level).  The generating
+    family is the component stars of that search: all of Aut(r) and one
+    search-tree morphism r -> x for every other object x, each with the
+    endpoints the search found.
     """
 
     def __init__(self, r1, l2):
@@ -265,6 +285,7 @@ class PullbackView(GroupoidView):
         self._discrete = self.T.is_discrete
         self._objects = None
         self._reps = None
+        self._auts = None  # representative -> |Aut|, over a T not discrete
         self._search = None
         self._family = None
 
@@ -351,19 +372,6 @@ class PullbackView(GroupoidView):
 
     # -- invariants ----------------------------------------------------------
 
-    def _over_levels(self, parts1, parts2, first):
-        """(p1, id_d, p2) for the parts (components or representatives) of
-        M1 and of M2 over one object d of a discrete T, in M1's order, then
-        M2's."""
-        over = {}
-        for p2 in parts2:
-            over.setdefault(self.l2.on_obj(first(p2)), []).append(p2)
-        for p1 in parts1:
-            d = self.r1.on_obj(first(p1))
-            t = self.T.identity_at(d)
-            for p2 in over.get(d, ()):
-                yield p1, t, p2
-
     def _searched(self):
         """Components as sorted position lists, ordered by first position,
         each object's component number, and a path r -> x from its
@@ -414,27 +422,79 @@ class PullbackView(GroupoidView):
 
     def components(self):
         """Components, each in enumeration order, ordered by their first
-        object, the representative."""
+        object, the representative.  Over a discrete T they are the products
+        c1 x c2 of the factors' components over one object d of T, in M1's
+        order, then M2's."""
         if self._discrete:
-            return [
-                [(x1, t, x2) for x1 in c1 for x2 in c2]
-                for c1, t, c2 in self._over_levels(
-                    self.M1.components(), self.M2.components(), itemgetter(0)
+            over = {}  # d -> the components of M2 over d
+            for c2 in self.M2.components():
+                over.setdefault(self.l2.on_obj(c2[0]), []).append(c2)
+            out = []
+            for c1 in self.M1.components():
+                d = self.r1.on_obj(c1[0])
+                t = self.T.identity_at(d)
+                out.extend(
+                    [(x1, t, x2) for x1 in c1 for x2 in c2]
+                    for c2 in over.get(d, ())
                 )
-            ]
+            return out
         objs = self._object_list()
         return [[objs[i] for i in c] for c in self._searched()[0]]
 
     def component_reps(self):
         if self._reps is None:
-            if self._discrete:
-                self._reps = list(self._over_levels(
-                    self.M1.component_reps(), self.M2.component_reps(),
-                    lambda r: r,
-                ))
-            else:
-                self._reps = [c[0] for c in self.components()]
+            self._double_cosets()
         return list(self._reps)
+
+    def _double_cosets(self):
+        """The representatives, in the search's order, and over a T that is
+        not discrete their |Aut|, from one pass over pairs of the factors'
+        representatives (see the class docstring)."""
+        M1, M2, T, discrete = self.M1, self.M2, self.T, self._discrete
+        part = (lambda y: y) if discrete else T.component_rep
+        over = {}  # component of T -> [(r2, L2 r2)], in M2's order
+        for b in M2.component_reps():
+            y = self.l2.on_obj(b)
+            over.setdefault(part(y), []).append((b, y))
+        rows = {}  # x -> ([r2 over x's component], [T(x, L2 r2)])
+        images = {}  # r2 -> L2(Aut r2), read once an orbit needs it
+        reps, auts = [], {}
+        for a in M1.component_reps():
+            x = self.r1.on_obj(a)
+            if x not in rows:
+                group = over.get(part(x), ())
+                homs = {y: T.hom(x, y) for y in {y for _, y in group}}
+                rows[x] = [b for b, _ in group], [homs[y] for _, y in group]
+            bs, homs = rows[x]
+            if discrete:  # each T(x, y) of the row is T(x, x) = [id_x]
+                t = homs[0][0] if homs else None
+                reps.extend([(a, t, b) for b in bs])
+                continue
+            n1, image1 = M1.aut_order(a), None
+            for b, hom in zip(bs, homs):
+                n = n1 * M2.aut_order(b)
+                if n == 1 or len(hom) == 1:  # no orbit has two points
+                    for t in hom:
+                        reps.append((a, t, b))
+                        auts[a, t, b] = n
+                    continue
+                if image1 is None:
+                    image1 = _aut_image(self.r1, a)
+                if b not in images:
+                    images[b] = _aut_image(self.l2, b)
+                seen = set()
+                for t in hom:
+                    if t not in seen:
+                        orbit = {
+                            T.compose_m(u, tr)
+                            for tr in {T.compose_m(t, r) for r in image1}
+                            for u in images[b]
+                        }
+                        seen |= orbit
+                        reps.append((a, t, b))
+                        auts[a, t, b] = n // len(orbit)
+        self._reps = reps
+        self._auts = None if discrete else auts
 
     def component_rep(self, o):
         a1, t, a2 = o
@@ -444,9 +504,13 @@ class PullbackView(GroupoidView):
         return self._object_list()[comps[comp_of[index[o]]][0]]
 
     def aut_order(self, o):
+        """Over a discrete T the factors' orders multiply; otherwise the
+        double-coset pass's order at a representative, once it has run, or
+        hom_size(o, o)."""
         if self._discrete:
             return self.M1.aut_order(o[0]) * self.M2.aut_order(o[2])
-        return self.hom_size(o, o)
+        n = self._auts.get(o) if self._auts else None
+        return self.hom_size(o, o) if n is None else n
 
     def chi(self):
         return sum(
@@ -470,6 +534,12 @@ class PullbackView(GroupoidView):
                 family.extend((path[i], r, objs[i]) for i in comp[1:])
             self._family = tuple(family)
         return self._family
+
+
+def _aut_image(functor, a):
+    """The distinct images of Aut(a) under functor, a subgroup of the
+    automorphisms of its image object."""
+    return list(dict.fromkeys(functor.on_mor(m) for m in functor.source.hom(a, a)))
 
 
 def homotopy_pullback(r1, l2):

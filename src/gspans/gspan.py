@@ -90,6 +90,7 @@ class GSpan:
         self.eps = _as_fn(eps)  # the given labeling itself, called directly
         self._fibre_chi_memo = {}  # (c, d) -> chi by label of c\M/d
         self._chi = None  # _fibre_chi(self)
+        self._apex_fibres = None  # _apex_fibre's maps, over discrete feet
         self.checked = False  # set by validate, or by compose_spans
         self.factors = None  # (sp1, sp2) on compose_spans(sp1, sp2)
         if check:
@@ -155,19 +156,31 @@ def labeled_fibre(sp, c, d):
 
 
 def _apex_fibre(sp, c, d):
-    """labeled_fibre over discrete feet, from the components of the apex."""
-    out = {}
-    for comp in sp.apex.components():
-        if sp.left.on_obj(comp[0]) != c or sp.right.on_obj(comp[0]) != d:
-            continue
-        g = sp.eps(comp[0])
-        for o in comp[1:]:
-            if sp.eps(o) != g:
-                raise GSpanError(
+    """labeled_fibre over discrete feet, from the components of the apex
+    over (c, d).  One pass over the apex's components, made once per span,
+    groups them by (La, Ra) into every entry's map, so all entries together
+    read each component once; an entry with a component whose label is not
+    constant keeps the error, raised when that entry is asked for."""
+    if sp._apex_fibres is None:
+        fibres = sp._apex_fibres = {}  # (c, d) -> chi by label, or an error
+        for comp in sp.apex.components():
+            r = comp[0]
+            key = sp.left.on_obj(r), sp.right.on_obj(r)
+            out = fibres.setdefault(key, {})
+            if isinstance(out, str):
+                continue
+            g = sp.eps(r)
+            bad = next((o for o in comp[1:] if sp.eps(o) != g), None)
+            if bad is None:
+                out[g] = out.get(g, 0) + Fraction(1, sp.apex.aut_order(r))
+            else:
+                fibres[key] = (
                     "label not constant on the component of %r: "
-                    "%r at %r, %r at %r" % (comp[0], g, comp[0], sp.eps(o), o)
+                    "%r at %r, %r at %r" % (r, g, r, sp.eps(bad), bad)
                 )
-        out[g] = out.get(g, 0) + Fraction(1, sp.apex.aut_order(comp[0]))
+    out = sp._apex_fibres.get((c, d), {})
+    if isinstance(out, str):
+        raise GSpanError(out)
     return out
 
 
@@ -883,7 +896,8 @@ def horizontal_compose(c1, c2, composed_src=None, composed_dst=None):
     """(A1 p1, Phi1 x_T Phi2, B2 p2): on objects
     (x1, t, x2) -> (Phi1 x1, A2 x2 o t o (B1 x1)^-1, Phi2 x2), and on
     handles (m1, t, m2) -> (Phi1 m1, A2 x2 o t o (B1 x1)^-1, Phi2 m2) for
-    m1 from x1 and m2 from x2.
+    m1 from x1 and m2 from x2.  The middle slot u is computed once per
+    object (x1, t, x2) of the source apex; a handle reads it at its source.
 
     The composite is a 2-cell by the composition lemma, so it is marked
     checked and never walked.  It is vertical_compose's computation,
@@ -909,19 +923,25 @@ def horizontal_compose(c1, c2, composed_src=None, composed_dst=None):
     src = _composite_of(c1.src_span, c2.src_span, composed_src)
     dst = _composite_of(c1.dst_span, c2.dst_span, composed_dst)
     T = c1.src_span.target
+    M1, M2 = c1.src_span.apex, c2.src_span.apex
+    u_of = {}  # object (x1, t, x2) of the source apex -> its u
 
-    def u_at(x1, t, x2):
-        return T.compose_m(c2.a(x2), T.compose_m(t, T.inverse_m(c1.b(x1))))
+    def u_at(o):
+        u = u_of.get(o)
+        if u is None:
+            x1, t, x2 = o
+            u = u_of[o] = T.compose_m(
+                c2.a(x2), T.compose_m(t, T.inverse_m(c1.b(x1)))
+            )
+        return u
 
     def obj_map(o):
-        x1, t, x2 = o
-        return (c1.phi.on_obj(x1), u_at(x1, t, x2), c2.phi.on_obj(x2))
+        return (c1.phi.on_obj(o[0]), u_at(o), c2.phi.on_obj(o[2]))
 
     def mor_map(m):
         m1, t, m2 = m
-        x1 = c1.src_span.apex.source_of(m1)
-        x2 = c2.src_span.apex.source_of(m2)
-        return (c1.phi.on_mor(m1), u_at(x1, t, x2), c2.phi.on_mor(m2))
+        u = u_at((M1.source_of(m1), t, M2.source_of(m2)))
+        return (c1.phi.on_mor(m1), u, c2.phi.on_mor(m2))
 
     phi = GroupoidFunctor(src.apex, dst.apex, obj_map, mor_map, check=False)
     return _checked_cell(

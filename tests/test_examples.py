@@ -19,6 +19,7 @@ from gspans.gspan import (
     check_main_theorem,
     compose_spans,
     labeled_fibre,
+    matrix_multiply,
     span_matrix,
 )
 from gspans.examples import (
@@ -577,3 +578,41 @@ def test_coset_span_composite_identity():
             if G.add(g2, g1) == g
         )
         assert left == right
+
+
+# the groups of acceptance criterion 7's coset sweep
+C07_COSET_GROUPS = ([4], [6], [8], [2, 2], [2, 4])
+
+
+def c07_coset_pairs(maximal):
+    """(G, (H1, K1, K2), (H2, K2, K3)) for every subgroup triple K1, K2, K3
+    of every c07 coset group (792 triples), with H1 = H2 = {0}, or with the
+    maximal H1 = K1 cap K2 and H2 = K2 cap K3.  The middle foot K2\\G is
+    connected and, as G is not trivial, not discrete."""
+    for orders in C07_COSET_GROUPS:
+        G = AbelianGroup(orders)
+        subs = G.all_subgroups()
+        for k1, k2, k3 in itertools.product(subs, repeat=3):
+            if maximal:
+                h1, h2 = sorted(set(k1) & set(k2)), sorted(set(k2) & set(k3))
+            else:
+                h1 = h2 = [G.identity]
+            yield G, (h1, k1, k2), (h2, k2, k3)
+
+
+@pytest.mark.parametrize("maximal", [False, True], ids=["trivial_h", "maximal_h"])
+def test_coset_compositions_are_the_product_of_the_closed_forms(maximal):
+    # the composition theorem on the catalog, over a connected middle foot:
+    # the composite's matrix, the product of the two closed forms and the
+    # product of the factors' matrices agree
+    count = 0
+    for G, first, second in c07_coset_pairs(maximal):
+        a, b = coset_span(G, *first), coset_span(G, *second)
+        composed = span_matrix(compose_spans(a, b))
+        want = coset_span_closed_form(G, *first) * coset_span_closed_form(
+            G, *second
+        )
+        assert composed.entries == [[want]], (G, first, second)
+        assert composed == matrix_multiply(span_matrix(a), span_matrix(b))
+        count += 1
+    assert count == 792

@@ -8,8 +8,11 @@ table's, over a discrete middle foot (factor arithmetic) and a general one
 (the search over moves), on the acceptance corpus and under hypothesis.
 Both bracketings of three composable spans give the span matrix A B C,
 with every apex a view, nothing materialized and no view searched while
-composing."""
+composing.  The double-coset pass gives the search's representatives and
+|Aut| without listing the objects: on fresh views, over every kind of
+middle foot, and reading a composite's matrix lists none of its objects."""
 
+import itertools
 import random
 
 import pytest
@@ -18,16 +21,19 @@ from hypothesis import strategies as st
 
 from gspans import groupoid
 from gspans import random_spans as rnd
+from gspans.algebra import AbelianGroup
 from gspans.constructions import (
     GroupoidFunctor,
     PullbackView,
+    coset_groupoid,
     discrete_groupoid,
     homotopy_pullback,
 )
-from gspans.examples import stirling_pair
-from gspans.groupoid import materialize
+from gspans.examples import coset_span, stirling_pair
+from gspans.groupoid import SymmetricGroup, _extend_closure, materialize
 from gspans.gspan import compose_spans, span_matrix
 from oracles import triple_loop_table_pullback
+from test_examples import c07_coset_pairs
 from test_product_strata import split_pair, twisted_pair
 
 SEED = 20260810  # the acceptance corpus of criteria 3, 4, 6 and 8
@@ -189,3 +195,169 @@ def test_stirling_chains_are_the_triple_product(n, monkeypatch):
     # it, through its components, which multiply out of the feet's
     first, second = stirling_pair(n)
     assert_chain_is_the_triple_product(first, second, first, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the double-coset pass against the search
+
+
+def assert_double_cosets_are_the_search(view):
+    """On a fresh copy of view, before any search: the pass lists no object,
+    its representatives are the first objects of components(), in order,
+    and aut_order at each is hom_size(r, r)."""
+    fresh = PullbackView(view.r1, view.l2)
+    reps = fresh.component_reps()
+    auts = [fresh.aut_order(r) for r in reps]
+    assert fresh._objects is None and fresh._search is None
+    assert reps == [c[0] for c in fresh.components()]
+    assert auts == [fresh.hom_size(r, r) for r in reps]
+
+
+def bench_cells_squares():
+    """The cells workload's fixed list: square i is drawn from the i-th
+    64-bit draw of random.Random(0)."""
+    base = random.Random(0)
+    return [
+        rnd.random_two_cell_square(random.Random(base.getrandbits(64)))
+        for _ in range(40)
+    ]
+
+
+def subgroups_of(G):
+    """Every subgroup of a small group: the closures of all pairs of its
+    elements."""
+    found = set()
+    for g, h in itertools.product(G.elements(), repeat=2):
+        gens, closure = [], [G.identity]
+        seen = set(closure)
+        for x in (g, h):
+            if x not in seen:
+                _extend_closure(G.op, gens, closure, seen, x)
+        found.add(tuple(sorted(closure)))
+    return sorted(found, key=lambda sub: (len(sub), sub))
+
+
+def coset_cospan(G, h1, k, h2):
+    """H1\\G -> K\\G <- H2\\G, each coset sent to the coset of K holding
+    it, for H1, H2 <= K."""
+    T = coset_groupoid(G, k)
+
+    def projection(h):
+        return GroupoidFunctor(
+            coset_groupoid(G, h), T, T.coset_of,
+            lambda m: (T.coset_of(m[0]), m[1]), check=False,
+        )
+
+    return projection(h1), projection(h2)
+
+
+def test_double_cosets_are_the_search_on_the_corpus(corpus):
+    for sp1, sp2 in corpus:
+        assert_double_cosets_are_the_search(compose_spans(sp1, sp2).apex)
+
+
+def test_double_cosets_are_the_search_on_chains():
+    # both bracketings, so the nested M1 or M2 is itself a view
+    rng = random.Random(SEED)
+    for _ in range(15):
+        a, b, c = random_chain(rng)
+        left = compose_spans(compose_spans(a, b), c).apex
+        right = compose_spans(a, compose_spans(b, c)).apex
+        for view in (left, left.M1, right, right.M2):
+            assert_double_cosets_are_the_search(view)
+
+
+def test_double_cosets_are_the_search_on_the_cells_squares():
+    for u1, _, u2, _ in bench_cells_squares():
+        top = compose_spans(u1.src_span, u2.src_span).apex
+        assert isinstance(top.M1, PullbackView)
+        for view in (top, top.M1, top.M2):
+            assert_double_cosets_are_the_search(view)
+
+
+def test_double_cosets_are_the_search_over_coset_feet():
+    # connected K2\\G middle feet, with Aut(r1) = H1 and Aut(r2) = H2 acting
+    # on each hom-set, so orbits have several points
+    for G, first, second in c07_coset_pairs(maximal=True):
+        a, b = coset_span(G, *first), coset_span(G, *second)
+        assert_double_cosets_are_the_search(compose_spans(a, b).apex)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_double_cosets_are_the_search_over_symmetric_groups(n):
+    # a non-abelian T = K\\Sn, where L2(m2) t R1(m1)^-1 depends on the side
+    G = SymmetricGroup(n)
+    subs = subgroups_of(G)
+    if n == 4:  # K = S4, and H1, H2 among its subgroups of order 6 to 12
+        ks, small = [subs[-1]], [h for h in subs if 6 <= len(h) <= 12]
+    else:
+        ks, small = subs, subs
+    views = 0
+    for k in ks:
+        below = [h for h in small if set(h) <= set(k)]
+        for h1, h2 in itertools.product(below, repeat=2):
+            view = PullbackView(*coset_cospan(G, h1, k, h2))
+            assert not view.T.is_discrete
+            assert_double_cosets_are_the_search(view)
+            views += 1
+    assert views == {3: 53, 4: 64}[n]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_double_cosets_are_the_search_on_stirling(n):
+    first, second = stirling_pair(n)
+    assert_double_cosets_are_the_search(compose_spans(first, second).apex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_double_cosets_are_the_search_under_hypothesis(seed):
+    assert_double_cosets_are_the_search(
+        PullbackView(*rnd.random_cospan(random.Random(seed)))
+    )
+
+
+def test_composite_matrices_list_no_object_over_a_non_discrete_foot(
+    corpus, monkeypatch
+):
+    # a corpus pair, a coset pair and both bracketings of a chain, each over
+    # a middle foot that is not discrete
+    sp1, sp2 = next(p for p in corpus if not p[0].target.is_discrete)
+    G = AbelianGroup([2, 4])
+    h, k = [(0, 0), (0, 2)], G.elements()
+    coset_pair = coset_span(G, h, k, k), coset_span(G, [(0, 0), (1, 0)], k, k)
+    rng = random.Random(SEED)
+    a, b, c = random_chain(rng)
+    while b.source.is_discrete or b.target.is_discrete:
+        a, b, c = random_chain(rng)
+    cases = [
+        ((sp1, sp2), span_matrix(sp1) * span_matrix(sp2)),
+        (coset_pair, span_matrix(coset_pair[0]) * span_matrix(coset_pair[1])),
+    ]
+    abc = span_matrix(a) * span_matrix(b) * span_matrix(c)
+
+    def refused(view):
+        raise AssertionError("a composite's matrix listed its objects")
+
+    with monkeypatch.context() as mp:
+        for name in ("_object_list", "_searched"):
+            mp.setattr(PullbackView, name, refused)
+        got = [span_matrix(compose_spans(*pair)) for pair, _ in cases]
+        chains = [
+            span_matrix(compose_spans(compose_spans(a, b), c)),
+            span_matrix(compose_spans(a, compose_spans(b, c))),
+        ]
+    assert got == [want for _, want in cases]
+    assert chains == [abc, abc]
+
+
+def test_the_pass_reads_each_hom_set_once_over_the_stirling_base(monkeypatch):
+    first, second = stirling_pair(4)
+    view = compose_spans(first, second).apex
+    T, calls = view.T, []
+    real = T.hom
+    monkeypatch.setattr(T, "hom", lambda x, y: calls.append((x, y)) or real(x, y))
+    reps = view.component_reps()
+    assert reps and calls
+    assert len(calls) == len(set(calls)) <= len(T.objects)
+    assert all(x == y for x, y in calls)
