@@ -29,6 +29,7 @@ from operator import itemgetter
 
 from gspans.groupoid import (
     ActionGroupoid,
+    DisjointUnion,
     GroupoidView,
     TableBuilder,
     discrete_table,
@@ -53,6 +54,7 @@ class GroupoidFunctor:
     Validation is eager by default: a functor failing a preservation check is
     rejected at construction.  Composition is checked on generating_pairs of
     the source (complete, see there), the other laws everywhere.
+    member_objects is set by constant_on_members only.
     """
 
     def __init__(self, source, target, obj_map, mor_map, check=True):
@@ -60,8 +62,41 @@ class GroupoidFunctor:
         self.target = target
         self.on_obj = _as_fn(obj_map)
         self.on_mor = _as_fn(mor_map)
+        self.member_objects = None  # one target object per member, or None
         if check:
             self.validate()
+
+    @classmethod
+    def constant_on_members(cls, union, target, objects):
+        """The functor from a DisjointUnion that sends every object of
+        member i to objects[i] and every morphism of member i to that
+        object's identity.  Its maps read only the member index, so it is
+        constant on each member by construction, and a functor: a morphism
+        of member i goes between objects of member i, and id o id = id.  So
+        it is not walked; FunctorError if the objects do not fit the union
+        or the target."""
+        if not isinstance(union, DisjointUnion):
+            raise FunctorError("constant_on_members needs a DisjointUnion")
+        objects = list(objects)
+        if len(objects) != len(union.members):
+            raise FunctorError(
+                "%d objects for %d members" % (len(objects), len(union.members))
+            )
+        outside = set(objects) - set(target.objects)
+        if outside:
+            raise FunctorError(
+                "objects outside the target: %r" % sorted(outside, key=repr)
+            )
+        ids = [target.identity_at(x) for x in objects]
+        f = cls(
+            union,
+            target,
+            lambda o: objects[o[0]],
+            lambda m: ids[m[0]],
+            check=False,
+        )
+        f.member_objects = objects
+        return f
 
     def validate(self):
         src, tgt = self.source, self.target
@@ -131,7 +166,24 @@ class GroupValuedFunctor:
 
     @classmethod
     def trivial(cls, source, group):
-        return cls(source, group, lambda m: group.identity, check=False)
+        """m -> 0, a functor to BG on every source (0 + 0 = 0), so checked."""
+        f = cls(source, group, lambda m: group.identity, check=False)
+        f.checked = True
+        return f
+
+    @classmethod
+    def projection(cls, view, group):
+        """m -> m[1] on an action groupoid X//G of the given group G, so
+        checked: ActionGroupoid.compose_m multiplies the group parts,
+        (y, g2) o (x, g1) = (x, g2 g1), an identity is (x, 0), and every
+        value is an element of G.  FunctorError for any other view."""
+        if not isinstance(view, ActionGroupoid) or view.group != group:
+            raise FunctorError(
+                "projection needs an action groupoid of %r, got %r" % (group, view)
+            )
+        f = cls(view, group, itemgetter(1), check=False)
+        f.checked = True
+        return f
 
     def extensionally_equals(self, other):
         """Same source objects and equal values on the source's generating

@@ -34,7 +34,7 @@ from gspans.groupoid import (
     TableBuilder,
     slotwise,
 )
-from gspans.gspan import GSpan, SpanMatrix, SpanMorphism
+from gspans.gspan import GSpan, MemberLabel, SpanMatrix, SpanMorphism
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +147,12 @@ def stirling_span(cfg, base=None):
     its orbit-stabilizer slices: one Sigma(n)//Stab(x) per representative x
     of P, the stabilizer acting on tau by conjugation.  Every slice over n,
     for every k, is a restriction of one level Sigma(n)//Sigma(n), so each
-    generator's conjugation row on Sigma(n) is built once.  The legs and the
-    label are constant on a stratum, and a matrix entry is chi of a labelled
-    fibre, which an equivalence of apexes keeps."""
+    generator's conjugation row on Sigma(n) is built once.  The legs
+    (GroupoidFunctor.constant_on_members) and the label (MemberLabel) read
+    only the slice index, so GSpan checks the naturality square once per
+    slice, not per morphism, and the rows are built when span_matrix first
+    asks for the slices' orbits.  A matrix entry is chi of a labelled fibre,
+    which an equivalence of apexes keeps."""
     if isinstance(cfg, str):
         raise TypeError("pass a StirlingSpanConfig")
     N = cfg.truncation
@@ -172,20 +175,13 @@ def stirling_span(cfg, base=None):
                 meta.append((n, k, label))
     apex = DisjointUnion(slices)
     obj_of = base.object_of_label
-
-    def leg(slot):
-        objs = [obj_of[m[slot]] for m in meta]  # per slice
-        ids = [base.identity_at(o) for o in objs]
-        return GroupoidFunctor(
-            apex,
-            base,
-            lambda o: objs[o[0]],
-            lambda m: ids[m[0]],
-            check=False,
-        )
-
+    left, right = (
+        GroupoidFunctor.constant_on_members(apex, base, [obj_of[m[i]] for m in meta])
+        for i in (0, 1)
+    )
     triv = GroupValuedFunctor.trivial(base, G)
-    sp = GSpan(apex, leg(0), leg(1), triv, triv, lambda o: meta[o[0]][2])
+    labels = MemberLabel(apex, [m[2] for m in meta])
+    sp = GSpan(apex, left, right, triv, triv, labels)
     sp.config = cfg
     return sp
 
@@ -403,8 +399,8 @@ def coset_span(G, h1_elements, k1_elements, k2_elements):
         lambda m: (k2g.coset_of(m[0]), m[1]),
         check=False,
     )
-    hf = GroupValuedFunctor(k1g, G, lambda m: m[1], check=False)
-    vf = GroupValuedFunctor(k2g, G, lambda m: m[1], check=False)
+    hf = GroupValuedFunctor.projection(k1g, G)
+    vf = GroupValuedFunctor.projection(k2g, G)
     return GSpan(apex, left, right, hf, vf, lambda o: G.identity)
 
 

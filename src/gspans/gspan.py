@@ -23,10 +23,18 @@ exactly one entry, by groupoid cardinality:
                   1/(|Aut a| |Aut d|) * sum over s in S(c, La), t in T(Ra, d)
                   of [V(t) + eps(a) + H(s)].
 
+The inner sum is the QG product of three histograms, V on T(Ra, d), the
+point eps(a) and H on S(c, La), so _fibre_chi groups the components by
+(La, Ra, |Aut a|) and multiplies each group's histogram of eps by V.H once.
+
 This relies on the naturality square, which is checked once per span,
 where the span is made: GSpan validates it at construction, and
 GSpan(..., check=False) is the caller's promise that it holds, which
-span_matrix takes and compose_spans does not (it walks such an input once).
+span_matrix takes and compose_spans does not (it validates such an input
+once).  Validation walks the apex's generating family, except on a span
+constant on the members of a DisjointUnion apex (legs from
+GroupoidFunctor.constant_on_members, a MemberLabel), where the square is
+one equation per member (see GSpan.validate).
 Span composition is the homotopy pullback, a lazy PullbackView whose objects
 are the triples (a1, t, a2), with label eps2(a2) + V1(t) + eps1(a1); the
 composition lemma makes the composite natural, so compose_spans checks only
@@ -54,6 +62,7 @@ from gspans.constructions import (
     identity_functor,
     two_sided_fibre,
 )
+from gspans.groupoid import DisjointUnion
 
 
 class GSpanError(ValueError):
@@ -87,7 +96,14 @@ class GSpan:
         self.h = h
         self.v = v
         self.group = h.group
-        self.eps = _as_fn(eps)  # the given labeling itself, called directly
+        if isinstance(eps, MemberLabel):
+            if eps.union is not apex:
+                raise GSpanError("a MemberLabel must label the apex")
+            self.member_label = eps
+            self.eps = eps.at
+        else:
+            self.member_label = None
+            self.eps = _as_fn(eps)  # the given labeling itself, called directly
         self._fibre_chi_memo = {}  # (c, d) -> chi by label of c\M/d
         self._chi = None  # _fibre_chi(self)
         self._apex_fibres = None  # _apex_fibre's maps, over discrete feet
@@ -105,16 +121,32 @@ class GSpan:
         return self.right.target
 
     def validate(self):
-        """eps(a2) + HL(m) = VR(m) + eps(a1) on the apex's generating family
-        (the component stars of a table or a pullback view, an action
-        groupoid's points x generators), read with its endpoints from
-        generating_family(); composites and inverses follow since HL and VR
-        are functors.  The family comes grouped by source, so eps(a1) is
-        read once per run of handles with the same source (once per
-        component on a star family).  Raises GSpanError at the first failing
-        handle, or marks the span checked.  This is the one naturality walk:
-        compose_spans marks its composite checked by the composition lemma,
-        without a walk."""
+        """The naturality square eps(a2) + HL(m) = VR(m) + eps(a1) at every
+        morphism m: a1 -> a2 of the apex, checked once per member when the
+        span is constant on the members of a DisjointUnion, and otherwise on
+        the apex's generating family.  Raises GSpanError at the first
+        failure, or marks the span checked.  compose_spans marks its
+        composite checked by the composition lemma, without either check.
+
+        Per member: both legs come from GroupoidFunctor.constant_on_members
+        and the label is a MemberLabel of the apex, so on member i the legs
+        send every morphism to id at x_i and to id at y_i, and eps is e_i at
+        every object; all three read only the member index.  Then the square
+        at any m in member i reads e_i + H(id_{x_i}) = V(id_{y_i}) + e_i,
+        the same equation for every m, so checking it once per member checks
+        the square at every morphism of the member, identities included.
+
+        The walk: the generating family (the component stars of a table or
+        a pullback view, an action groupoid's points x generators) is read
+        with its endpoints from generating_family(); composites and inverses
+        follow since HL and VR are functors.  The family comes grouped by
+        source, so eps(a1) is read once per run of handles with the same
+        source (once per component on a star family)."""
+        lo, ro = self.left.member_objects, self.right.member_objects
+        if lo is not None and ro is not None and self.member_label is not None:
+            self._validate_members(lo, ro, self.member_label.values)
+            self.checked = True
+            return
         add, eps = self.group.add, self.eps
         h, left = self.h.value, self.left.on_mor
         v, right = self.v.value, self.right.on_mor
@@ -132,6 +164,39 @@ class GSpan:
                     % (m, e2, e1)
                 )
         self.checked = True
+
+    def _validate_members(self, lo, ro, labels):
+        """e_i + H(id_{x_i}) = V(id_{y_i}) + e_i for each member i, with x_i
+        = lo[i], y_i = ro[i] and e_i = labels[i] (see validate)."""
+        add, S, T = self.group.add, self.source, self.target
+        h_id = {x: self.h.value(S.identity_at(x)) for x in set(lo)}
+        v_id = {y: self.v.value(T.identity_at(y)) for y in set(ro)}
+        for i, e in enumerate(labels):
+            if add(e, h_id[lo[i]]) != add(v_id[ro[i]], e):
+                raise GSpanError(
+                    "labeling is not natural on member %d: %r + H(id) != "
+                    "V(id) + %r" % (i, e, e)
+                )
+
+
+class MemberLabel:
+    """A labeling of a DisjointUnion that is constant on each member: every
+    object (i, x) is labelled values[i].  GSpan reads it through at, which
+    reads only the member index, so it cannot vary on a member; with legs
+    from GroupoidFunctor.constant_on_members it lets GSpan.validate check
+    the square once per member."""
+
+    def __init__(self, union, values):
+        if not isinstance(union, DisjointUnion):
+            raise GSpanError("a MemberLabel needs a DisjointUnion")
+        values = list(values)
+        if len(values) != len(union.members):
+            raise GSpanError(
+                "%d labels for %d members" % (len(values), len(union.members))
+            )
+        self.union = union
+        self.values = values
+        self.at = lambda o: values[o[0]]
 
 
 def labeled_fibre(sp, c, d):
@@ -367,35 +432,55 @@ def _fibre_chi(sp):
     """{(c, d): {g: chi((c\\M/d){label = g})}} over the component
     representatives c of S and d of T, by groupoid cardinality in one pass
     over pi0(M) (see the module docstring), made once per span: span_matrix
-    and labeled_pullback_identity read the same map.  The pass counts the
-    pairs (s, t) in integers per (c, d, |Aut a|) and label, and the map
-    adds one Fraction(count, |Aut a|) per such key, however many components
-    share it (the composed Stirling apex at N=8 has 1.37 M components).
-    S(c, La) and T(Ra, d), with their values under H and V, are read once
-    per object La of S and Ra of T."""
+    and labeled_pullback_identity read the same map.
+
+    A component [a] adds the QG product of three histograms, V on
+    T(Ra, d), the point eps(a) and H on S(c, La), over |Aut a|, and only
+    the point depends on more than (La, Ra, |Aut a|).  So the pass counts
+    the components per key (La, Ra, |Aut a|) and label eps(a), in integers;
+    H on S(c, La) and V on T(Ra, d) are read once per La and Ra, their
+    product V.H, a histogram, is made once per (La, Ra), and each key's
+    histogram of eps is multiplied by its V.H once (G is abelian, so the
+    order of the factors does not matter).  This regroups the span's own
+    pi0: a composite's map comes from the composite's representatives.
+    Each (c, d, |Aut a|) and label then adds one Fraction(count, |Aut a|),
+    however many components share it (the composed Stirling apex at N=8 has
+    1.37 M).  Over discrete feet V.H is one point."""
     if sp._chi is not None:
         return sp._chi
-    S, T, M, G = sp.source, sp.target, sp.apex, sp.group
-    h_of, v_of = {}, {}  # La -> (c, H on S(c, La)); Ra -> (d, V on T(Ra, d))
-    counts = {}  # (c, d, |Aut a|) -> {label: number of (s, t)}
+    S, T, M = sp.source, sp.target, sp.apex
+    add, left, right, eps = sp.group.add, sp.left.on_obj, sp.right.on_obj, sp.eps
+    aut = M.aut_order
+    by_key = {}  # (La, Ra, |Aut a|, eps(a)) -> number of components
     for a in M.component_reps():
-        la, ra = sp.left.on_obj(a), sp.right.on_obj(a)
-        if la not in h_of:
-            c = S.component_rep(la)
-            h_of[la] = c, [sp.h.value(s) for s in S.hom(c, la)]
-        if ra not in v_of:
-            d = T.component_rep(ra)
-            v_of[ra] = d, [sp.v.value(t) for t in T.hom(ra, d)]
-        (c, hs), (d, vs) = h_of[la], v_of[ra]
-        e, n = sp.eps(a), M.aut_order(a)
+        key = left(a), right(a), aut(a), eps(a)
+        by_key[key] = by_key.get(key, 0) + 1
+    h_of, v_of = {}, {}  # La -> (c, H on S(c, La)); Ra -> (d, V on T(Ra, d))
+    vh_of = {}  # (La, Ra) -> (c, d, V.H as (label, count) pairs)
+    counts = {}  # (c, d, |Aut a|) -> {label: number of (a, s, t)}
+    for (la, ra, n, e), k in by_key.items():
+        vh = vh_of.get((la, ra))
+        if vh is None:
+            if la not in h_of:
+                c = S.component_rep(la)
+                h_of[la] = c, [sp.h.value(s) for s in S.hom(c, la)]
+            if ra not in v_of:
+                d = T.component_rep(ra)
+                v_of[ra] = d, [sp.v.value(t) for t in T.hom(ra, d)]
+            (c, hs), (d, vs) = h_of[la], v_of[ra]
+            product = {}
+            for v in vs:
+                for h in hs:
+                    g = add(v, h)
+                    product[g] = product.get(g, 0) + 1
+            vh = vh_of[la, ra] = c, d, product.items()
+        c, d, product = vh
         by_label = counts.get((c, d, n))
         if by_label is None:
             by_label = counts[c, d, n] = {}
-        for h in hs:
-            x = G.add(e, h)
-            for v in vs:
-                g = G.add(v, x)
-                by_label[g] = by_label.get(g, 0) + 1
+        for x, kx in product:
+            g = add(e, x)
+            by_label[g] = by_label.get(g, 0) + k * kx
     out = {}
     for (c, d, n), by_label in counts.items():
         chi = out.setdefault((c, d), {})
@@ -414,7 +499,8 @@ def span_matrix(sp):
 
         1/(|Aut a| |Aut d|) sum_{s in S(c,La), t in T(Ra,d)} [V(t)+eps(a)+H(s)]
 
-    to entry (c, d).  This relies on the naturality square that GSpan
+    to entry (c, d), a product of histograms in QG made once per
+    (La, Ra, |Aut a|).  This relies on the naturality square that GSpan
     validates at construction; GSpan(..., check=False) is the caller's
     promise that it holds.  Coefficients are checked to be >= 0 (the
     semiring guarantee)."""

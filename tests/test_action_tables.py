@@ -345,8 +345,16 @@ def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
     # the five models with a point that is not fixed, the first kind made
     # 84 + 8 + 9 and the total was 128; with a row per slice, each built
     # with its model's S_n and its act, 116, and with a stabilizer search at
-    # every representative 146.
+    # every representative 146.  stirling_pair makes the models' inversions
+    # (23 + 16): it checks naturality once per slice, so it reads no slice
+    # row, and each span_matrix builds its slices' and levels' rows when it
+    # asks for their orbits (4 + 9, then 3 + 8).  Before, the walk over
+    # every handle built them all in stirling_pair.
     calls.clear()
-    stirling_pair(4)
+    first, second = stirling_pair(4)
+    assert len(calls) == 23 + 16
+    span_matrix(first)
+    assert len(calls) == 23 + 16 + 4 + 9
+    span_matrix(second)
     assert len({(id(group), a) for group, a in calls}) == len(calls)
     assert len(calls) == 23 + 4 + 9 + 16 + 3 + 8

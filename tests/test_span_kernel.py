@@ -344,6 +344,8 @@ import test_algebra
 test_algebra.test_cyclotomic_invariants_raise_arithmetic_error()
 import test_cli
 test_cli.test_rational_entry_rejects_an_irrational_entry()
+import test_member_naturality
+test_member_naturality.test_unchecked_h_nonzero_at_an_identity_is_refused_by_both_paths()
 print("checks fired")
 """
 
