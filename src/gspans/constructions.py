@@ -9,15 +9,14 @@ handles are the triples (m1, t, m2), composed slotwise; the projections p1,
 p2 read slots 0 and 2.  Its representatives and their |Aut| come from the
 double cosets L(Aut r2) \\ T(R r1, L r2) / R(Aut r1), over representatives
 r1 of M1 and r2 of M2, for every T, without listing its objects; its
-components come from a search over its moves (over a discrete T, from the
-legs' level sets); materialize(view) is the explicit table, guarded by its
-morphism count.  The one-sided fibres c\\M = 1{c} x_S M and
-M/d = M x_T 1{d} and the two-sided pullback (P x_S M) x_T Q are pullback
-views too.  The two-sided fibre c\\M/d and the Grothendieck constructions
-are tables labelled by slot tuples, with compose/inverse entries filled on
-demand by the one slot law, slotwise: an object label has its morphism
-labels' slot layout, with each view slot holding an object where a
-morphism label holds a morphism.
+components come from a search over its moves; materialize(view) is the
+explicit table, guarded by its morphism count.  The one-sided fibres
+c\\M = 1{c} x_S M and M/d = M x_T 1{d} and the two-sided pullback
+(P x_S M) x_T Q are pullback views too.  The two-sided fibre c\\M/d and
+the Grothendieck constructions are tables labelled by slot tuples, with
+compose/inverse entries filled on demand by the one slot law, slotwise: an
+object label has its morphism labels' slot layout, with each view slot
+holding an object where a morphism label holds a morphism.
 
 The functors check their composition law on groupoid.generating_pairs of
 the source, which is complete, and every other law on every morphism.
@@ -324,8 +323,7 @@ class PullbackView(GroupoidView):
     components(), component_rep(o) and the generating family need every
     object: a search over the moves (s, t, id) and (id, t, s), for s in
     M1's and M2's generating families and their inverses, finds the
-    components, each represented by its first object (over a discrete T,
-    pairs of the factors' components, grouped by level).  The generating
+    components, each represented by its first object.  The generating
     family is the component stars of that search: all of Aut(r) and one
     search-tree morphism r -> x for every other object x, each with the
     endpoints the search found.
@@ -474,22 +472,7 @@ class PullbackView(GroupoidView):
 
     def components(self):
         """Components, each in enumeration order, ordered by their first
-        object, the representative.  Over a discrete T they are the products
-        c1 x c2 of the factors' components over one object d of T, in M1's
-        order, then M2's."""
-        if self._discrete:
-            over = {}  # d -> the components of M2 over d
-            for c2 in self.M2.components():
-                over.setdefault(self.l2.on_obj(c2[0]), []).append(c2)
-            out = []
-            for c1 in self.M1.components():
-                d = self.r1.on_obj(c1[0])
-                t = self.T.identity_at(d)
-                out.extend(
-                    [(x1, t, x2) for x1 in c1 for x2 in c2]
-                    for c2 in over.get(d, ())
-                )
-            return out
+        object, the representative."""
         objs = self._object_list()
         return [[objs[i] for i in c] for c in self._searched()[0]]
 
@@ -549,9 +532,6 @@ class PullbackView(GroupoidView):
         self._auts = None if discrete else auts
 
     def component_rep(self, o):
-        a1, t, a2 = o
-        if self._discrete:
-            return (self.M1.component_rep(a1), t, self.M2.component_rep(a2))
         comps, comp_of, _, index = self._searched()
         return self._object_list()[comps[comp_of[index[o]]][0]]
 
@@ -563,12 +543,6 @@ class PullbackView(GroupoidView):
             return self.M1.aut_order(o[0]) * self.M2.aut_order(o[2])
         n = self._auts.get(o) if self._auts else None
         return self.hom_size(o, o) if n is None else n
-
-    def chi(self):
-        return sum(
-            (Fraction(1, self.aut_order(r)) for r in self.component_reps()),
-            Fraction(0),
-        )
 
     def generating_family(self):
         """The component stars: at each representative r, all of Aut(r),

@@ -217,6 +217,13 @@ class GroupoidView:
         """The handles of generating_family(), in its order, lazily."""
         return (m for m, _, _ in self.generating_family())
 
+    def chi(self):
+        """The groupoid cardinality: sum of 1/|Aut r| over component_reps()."""
+        return sum(
+            (Fraction(1, self.aut_order(r)) for r in self.component_reps()),
+            Fraction(0),
+        )
+
 
 # ---------------------------------------------------------------------------
 # explicit tables
@@ -455,12 +462,6 @@ class TableGroupoid(GroupoidView):
 
     def aut_order(self, o):
         return self.hom_size(o, o)
-
-    def chi(self):
-        return sum(
-            (Fraction(1, self.aut_order(c[0])) for c in self.components()),
-            Fraction(0),
-        )
 
     # -- construction --------------------------------------------------------
 
@@ -947,9 +948,6 @@ class DisjointUnion(GroupoidView):
 
     def aut_order(self, o):
         return self.members[o[0]].aut_order(o[1])
-
-    def chi(self):
-        return sum((m.chi() for m in self.members), Fraction(0))
 
 
 def discrete_table(labels):

@@ -11,13 +11,14 @@ Its matrix has rows pi0(S) and columns pi0(T) in canonical component order,
     entry(c, d) = sum_g chi( (c\\M/d){label = g} ) * (1/|T(d,d)|) * g,
 
 where the label of a fibre object (a, s, t) is V(t) + eps(a) + H(s).  That
-is the definition; labeled_fibre evaluates it per entry by searching the
-fibre's components along the apex's generating family, and the tests build
-the fibre as a table (two_sided_fibre) as the oracle.  span_matrix computes
-the same numbers without a fibre.  A fibre object (a, s, t) has as many
-outgoing morphisms as a has in M, and naturality moves (a, s, t) along M
-without changing its label, so each component [a] of M contributes to
-exactly one entry, by groupoid cardinality:
+is the definition, and the tests build the fibre as a table
+(two_sided_fibre) as the oracle.  The code computes it without a fibre,
+in _fibre_chi, which span_matrix reads, as does labeled_fibre on a checked
+span over discrete feet (elsewhere labeled_fibre searches the fibre's
+components along the apex's generating family).  A fibre object (a, s, t)
+has as many outgoing morphisms as a has in M, and naturality moves
+(a, s, t) along M without changing its label, so each component [a] of M
+contributes to exactly one entry, by groupoid cardinality:
 
     entry(c, d) = sum over [a] in pi0(M) with [La] = c and [Ra] = d of
                   1/(|Aut a| |Aut d|) * sum over s in S(c, La), t in T(Ra, d)
@@ -70,7 +71,8 @@ class GSpanError(ValueError):
 
 
 class ComposabilityError(ValueError):
-    """The middle legs V1 and H2 are not the same functor to BG."""
+    """The middle legs V1 and H2 are not the same functor to BG, or a given
+    composite is not the composite of the given spans."""
 
 
 class GSpan:
@@ -104,9 +106,8 @@ class GSpan:
         else:
             self.member_label = None
             self.eps = _as_fn(eps)  # the given labeling itself, called directly
-        self._fibre_chi_memo = {}  # (c, d) -> chi by label of c\M/d
+        self._searched_fibres = {}  # (c, d) -> _searched_fibre(self, c, d)
         self._chi = None  # _fibre_chi(self)
-        self._apex_fibres = None  # _apex_fibre's maps, over discrete feet
         self.checked = False  # set by validate, or by compose_spans
         self.factors = None  # (sp1, sp2) on compose_spans(sp1, sp2)
         if check:
@@ -204,55 +205,27 @@ def labeled_fibre(sp, c, d):
     c\\M/d of a span at objects c of S and d of T, whose object (a, s, t),
     s in S(c, La) and t in T(Ra, d), is labelled V(t) + eps(a) + H(s).
     Naturality makes the label constant on each component, so a level set
-    is a union of components, each adding 1/|Aut|; raises GSpanError,
-    naming two objects, if the label varies on a component.  The fibre is
-    searched, not built (_searched_fibre); two_sided_fibre is the table the
-    tests compare with.  Over discrete feet L and R are constant on the
-    components of the apex, and the fibre is the union of those over
-    (c, d) (objects a stand for (a, id, id)), labelled by eps.  Memoized on
-    the span (spans do not change) per (c, d); only the chi map is kept."""
-    memo = sp._fibre_chi_memo
+    is a union of components, each adding 1/|Aut|.  On a checked span over
+    discrete feet every object is a representative, and the map is
+    _fibre_chi's entry (see the module docstring).  Every other span's
+    fibre is searched, not built (_searched_fibre), which raises
+    GSpanError, naming two objects, if the label varies on a component;
+    an unchecked span over discrete feet is searched too, so a wrong label
+    is refused at exactly the (c, d) whose fibre holds it.  two_sided_fibre
+    is the table the tests compare with.  A search is memoized on the span
+    (spans do not change) per (c, d); only the chi map is kept."""
+    if sp.checked and sp.source.is_discrete and sp.target.is_discrete:
+        return _fibre_chi(sp).get((c, d), {})
+    memo = sp._searched_fibres
     if (c, d) not in memo:
-        if sp.source.is_discrete and sp.target.is_discrete:
-            memo[(c, d)] = _apex_fibre(sp, c, d)
-        else:
-            memo[(c, d)] = _searched_fibre(sp, c, d)
+        memo[(c, d)] = _searched_fibre(sp, c, d)
     return memo[(c, d)]
 
 
-def _apex_fibre(sp, c, d):
-    """labeled_fibre over discrete feet, from the components of the apex
-    over (c, d).  One pass over the apex's components, made once per span,
-    groups them by (La, Ra) into every entry's map, so all entries together
-    read each component once; an entry with a component whose label is not
-    constant keeps the error, raised when that entry is asked for."""
-    if sp._apex_fibres is None:
-        fibres = sp._apex_fibres = {}  # (c, d) -> chi by label, or an error
-        for comp in sp.apex.components():
-            r = comp[0]
-            key = sp.left.on_obj(r), sp.right.on_obj(r)
-            out = fibres.setdefault(key, {})
-            if isinstance(out, str):
-                continue
-            g = sp.eps(r)
-            bad = next((o for o in comp[1:] if sp.eps(o) != g), None)
-            if bad is None:
-                out[g] = out.get(g, 0) + Fraction(1, sp.apex.aut_order(r))
-            else:
-                fibres[key] = (
-                    "label not constant on the component of %r: "
-                    "%r at %r, %r at %r" % (r, g, r, sp.eps(bad), bad)
-                )
-    out = sp._apex_fibres.get((c, d), {})
-    if isinstance(out, str):
-        raise GSpanError(out)
-    return out
-
-
 def _searched_fibre(sp, c, d):
-    """labeled_fibre over feet that are not both discrete, by a union-find
-    over the fibre's objects (a, s, t), numbered in the order a in
-    M.objects, s in S(c, La), t in T(Ra, d) (two_sided_fibre's ids).
+    """labeled_fibre, by a union-find over the fibre's objects (a, s, t),
+    numbered in the order a in M.objects, s in S(c, La), t in T(Ra, d)
+    (two_sided_fibre's ids).
 
     Each triple (m, a1, a2) of M's generating family moves (a1, s, t) to
     (a2, L(m) s, t R(m)^-1); the move is the fibre morphism (m, s, t), and
@@ -430,22 +403,21 @@ class SpanMatrix:
 
 def _fibre_chi(sp):
     """{(c, d): {g: chi((c\\M/d){label = g})}} over the component
-    representatives c of S and d of T, by groupoid cardinality in one pass
-    over pi0(M) (see the module docstring), made once per span: span_matrix
-    and labeled_pullback_identity read the same map.
+    representatives c of S and d of T, by the entry formula of the module
+    docstring, in one pass over pi0(M) made once per span: span_matrix,
+    labeled_fibre and labeled_pullback_identity read the same map.
 
-    A component [a] adds the QG product of three histograms, V on
-    T(Ra, d), the point eps(a) and H on S(c, La), over |Aut a|, and only
-    the point depends on more than (La, Ra, |Aut a|).  So the pass counts
-    the components per key (La, Ra, |Aut a|) and label eps(a), in integers;
-    H on S(c, La) and V on T(Ra, d) are read once per La and Ra, their
-    product V.H, a histogram, is made once per (La, Ra), and each key's
-    histogram of eps is multiplied by its V.H once (G is abelian, so the
-    order of the factors does not matter).  This regroups the span's own
-    pi0: a composite's map comes from the composite's representatives.
-    Each (c, d, |Aut a|) and label then adds one Fraction(count, |Aut a|),
-    however many components share it (the composed Stirling apex at N=8 has
-    1.37 M).  Over discrete feet V.H is one point."""
+    Only the point eps(a) of a component's product V.eps(a).H depends on
+    more than (La, Ra, |Aut a|).  So the pass counts the components per key
+    (La, Ra, |Aut a|) and label eps(a), in integers; H on S(c, La) and V on
+    T(Ra, d) are read once per La and Ra, their product V.H, a histogram,
+    is made once per (La, Ra), and each key's histogram of eps is
+    multiplied by its V.H once (G is abelian, so the order of the factors
+    does not matter).  This regroups the span's own pi0: a composite's map
+    comes from the composite's representatives.  Each (c, d, |Aut a|) and
+    label then adds one Fraction(count, |Aut a|), however many components
+    share it (the composed Stirling apex at N=8 has 1.37 M).  Over discrete
+    feet V.H is one point."""
     if sp._chi is not None:
         return sp._chi
     S, T, M = sp.source, sp.target, sp.apex
@@ -491,19 +463,12 @@ def _fibre_chi(sp):
 
 
 def span_matrix(sp):
-    """[M, eps]: entry(c,d) = sum_g chi((c\\M/d){label=g}) (1/|T(d,d)|) g.
-
-    The fibres are the definition and the test oracle, not the computation:
-    one pass over pi0(M) (_fibre_chi) adds, for each component [a] with
-    [La] = c and [Ra] = d,
-
-        1/(|Aut a| |Aut d|) sum_{s in S(c,La), t in T(Ra,d)} [V(t)+eps(a)+H(s)]
-
-    to entry (c, d), a product of histograms in QG made once per
-    (La, Ra, |Aut a|).  This relies on the naturality square that GSpan
-    validates at construction; GSpan(..., check=False) is the caller's
-    promise that it holds.  Coefficients are checked to be >= 0 (the
-    semiring guarantee)."""
+    """[M, eps]: entry(c,d) = sum_g chi((c\\M/d){label=g}) (1/|T(d,d)|) g,
+    with the chi maps of _fibre_chi (the entry formula is in the module
+    docstring).  This relies on the naturality square that GSpan validates
+    at construction; GSpan(..., check=False) is the caller's promise that
+    it holds.  Coefficients are checked to be >= 0 (the semiring
+    guarantee)."""
     G = sp.group
     rows = sp.source.component_reps()
     cols = sp.target.component_reps()
@@ -720,8 +685,9 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     r1\\M/r2 with c1\\M/c2, which moves every label g to
     V2(u0) + g + H1(s0).  The right-hand side builds the fibres of sp1 and
     sp2 over each d, which are what the identity is about, once per span
-    and (c, d): looping over the entries reuses them."""
-    composed = composed if composed is not None else compose_spans(sp1, sp2)
+    and (c, d): looping over the entries reuses them.  A given composed
+    must be compose_spans(sp1, sp2) itself (ComposabilityError otherwise)."""
+    composed = _composite_of(sp1, sp2, composed, ComposabilityError, "sp1, sp2")
     G, S, T, U = sp1.group, sp1.source, sp1.target, sp2.target
     r1, r2 = S.component_rep(c1), U.component_rep(c2)
     h0 = sp1.h.value(S.hom(c1, r1)[0])
@@ -965,16 +931,14 @@ def vertical_compose(c2, c1):
     )
 
 
-def _composite_of(sp1, sp2, composed):
+def _composite_of(sp1, sp2, composed, error, of):
     """compose_spans(sp1, sp2), or composed if compose_spans made it from
-    exactly these two spans."""
+    exactly these two spans; otherwise raise error, naming them as of."""
     if composed is None:
         return compose_spans(sp1, sp2)
     factors = composed.factors
     if factors is None or factors[0] is not sp1 or factors[1] is not sp2:
-        raise SpanMorphismError(
-            "a given composite is not compose_spans of the cells' spans"
-        )
+        raise error("a given composite is not compose_spans of %s" % of)
     return composed
 
 
@@ -1006,8 +970,9 @@ def horizontal_compose(c1, c2, composed_src=None, composed_dst=None):
     given, must have been made by compose_spans from exactly those spans.
     A failure raises SpanMorphismError, or compose_spans' own error."""
     _walk_unchecked(c1, c2)
-    src = _composite_of(c1.src_span, c2.src_span, composed_src)
-    dst = _composite_of(c1.dst_span, c2.dst_span, composed_dst)
+    of = "the cells' spans"
+    src = _composite_of(c1.src_span, c2.src_span, composed_src, SpanMorphismError, of)
+    dst = _composite_of(c1.dst_span, c2.dst_span, composed_dst, SpanMorphismError, of)
     T = c1.src_span.target
     M1, M2 = c1.src_span.apex, c2.src_span.apex
     u_of = {}  # object (x1, t, x2) of the source apex -> its u

@@ -99,15 +99,16 @@ def all_pairs_subset_escapes(G, subset, s_elements, t_elements):
 def fibre_chi_by_label(sp, c, d, table=False):
     """g -> chi((c\\M/d){label = g}) from the table two_sided_fibre builds:
     its components, the label checked constant on each, 1/|Aut| per
-    component (labeled_fibre searches the fibre without building it).  Over
-    discrete feet the fibre is the union of the apex's components over
-    (c, d), read as labeled_fibre reads them, unless table is set: the table
-    of the composed Stirling apex at N = 4 walks 925 832 morphisms."""
+    component (labeled_fibre reads _fibre_chi or searches the fibre
+    without building it).  Over discrete feet the fibre is the union of the
+    apex's components over (c, d), read off apex.components() by
+    _apex_chi_by_label, unless table is set: the table of the composed
+    Stirling apex at N = 4 walks 925 832 morphisms."""
     from gspans import gspan
     from gspans.constructions import two_sided_fibre
 
     if not table and sp.source.is_discrete and sp.target.is_discrete:
-        return gspan._apex_fibre(sp, c, d)
+        return _apex_chi_by_label(sp, c, d)
     fib = two_sided_fibre(sp.left, sp.right, c, d)
     G, out = sp.group, {}
     for comp in fib.components():
@@ -119,6 +120,27 @@ def fibre_chi_by_label(sp, c, d, table=False):
                 raise gspan.GSpanError("label varies on a component at %r" % (a,))
             g0 = g
         out[g0] = out.get(g0, 0) + Fraction(1, fib.aut_order(comp[0]))
+    return out
+
+
+def _apex_chi_by_label(sp, c, d):
+    """fibre_chi_by_label over discrete feet: the components of the apex
+    with L = c and R = d, each labelled V(id_d) + eps + H(id_c), which must
+    be the same at each of its objects, and adding 1/|Aut|."""
+    from gspans.gspan import GSpanError
+
+    G, M = sp.group, sp.apex
+    h = sp.h.value(sp.source.identity_at(c))
+    v = sp.v.value(sp.target.identity_at(d))
+    out = {}
+    for comp in M.components():
+        if sp.left.on_obj(comp[0]) != c or sp.right.on_obj(comp[0]) != d:
+            continue
+        labels = {G.add(v, G.add(sp.eps(a), h)) for a in comp}
+        if len(labels) != 1:
+            raise GSpanError("label varies on the component of %r" % (comp[0],))
+        (g,) = labels
+        out[g] = out.get(g, 0) + Fraction(1, M.aut_order(comp[0]))
     return out
 
 

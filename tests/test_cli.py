@@ -33,30 +33,30 @@ def test_validate_nonnatural_eps(capsys):
     assert "natural" in err
 
 
-def test_euler_coset(capsys):
-    assert main(["euler", doc_path("coset_z6.json"), "--name", "HG3"]) == 0
-    assert capsys.readouterr().out.strip() == "1/3"
-    assert main(["euler", doc_path("coset_z6.json"), "--name", "HG2"]) == 0
-    assert capsys.readouterr().out.strip() == "1/2"
-
-
-def test_euler_disjoint_union(capsys):
+EULER = [
+    # coset groupoids G//K of Z6: chi = 1/|K|
+    ("coset_z6.json", "HG2", "1/2"),
+    ("coset_z6.json", "HG3", "1/3"),
+    # a discrete groupoid counts its objects, BG counts 1/|G|
+    ("coset_z6.json", "two_points", "2"),
+    ("coset_z6.json", "bz6", "1/6"),
     # chi is additive: 2 points + BZ6 -> 2 + 1/6
-    assert main(["euler", doc_path("coset_z6.json"), "--name", "both"]) == 0
-    assert capsys.readouterr().out.strip() == "13/6"
-
-
-def test_euler_action_builder(capsys):
+    ("coset_z6.json", "both", "13/6"),
     # Z2 swaps two of three points: chi = |X|/|G| = 3/2
-    assert main(["euler", doc_path("coset_z6.json"), "--name", "swap"]) == 0
-    assert capsys.readouterr().out.strip() == "3/2"
+    ("coset_z6.json", "swap", "3/2"),
+    ("point_span.json", "pt", "1"),
+    ("point_span.json", "ap", "1"),
+    ("point_span.json", "pull", "1"),
+    ("point_span.json", "fib", "1"),
+]
 
 
-def test_euler_builders(capsys):
-    assert main(["euler", doc_path("point_span.json"), "--name", "pull"]) == 0
-    capsys.readouterr()
-    assert main(["euler", doc_path("point_span.json"), "--name", "fib"]) == 0
-    assert capsys.readouterr().out.strip() == "1"
+@pytest.mark.parametrize(
+    "doc,name,chi", EULER, ids=[name for _, name, _ in EULER]
+)
+def test_euler(capsys, doc, name, chi):
+    assert main(["euler", doc_path(doc), "--name", name]) == 0
+    assert capsys.readouterr().out == chi + "\n"
 
 
 @pytest.mark.parametrize(

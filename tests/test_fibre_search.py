@@ -27,7 +27,7 @@ from test_span_kernel import SEED, c07_sweep_spans
 
 def assert_search_matches_table(sp):
     """labeled_fibre equals the table at every (c, d); over discrete feet,
-    where labeled_fibre reads the apex's own components, the search is
+    where labeled_fibre reads _fibre_chi on a checked span, the search is
     compared as well."""
     both_discrete = sp.source.is_discrete and sp.target.is_discrete
     for c in sp.source.objects:
@@ -92,9 +92,9 @@ def test_search_matches_table_on_random_corpus(corpus):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_search_matches_table_on_stirling(n):
     # the composite's table at N = 4 walks its 925 832 morphisms once per
-    # entry, about 5 s each, so there the search is held against the
-    # apex's own components, which labeled_fibre reads over discrete feet
-    # and which the table confirms for N <= 3
+    # entry, about 5 s each, so there the search is held against
+    # labeled_fibre, which reads _fibre_chi on this checked span over
+    # discrete feet and which the table confirms for N <= 3
     first, second = stirling_pair(n)
     composed = compose_spans(first, second)
     for sp in (first, second) + ((composed,) if n < 4 else ()):
@@ -142,7 +142,34 @@ def test_a_wrong_label_is_rejected_where_the_table_rejects_it(corpus):
             caught += assert_both_reject_the_same(sp, rng)
     for sp in c07_sweep_spans()[::7]:
         caught += assert_both_reject_the_same(sp, rng)
+    # over discrete feet an unchecked span is searched, not read off
+    # _fibre_chi, so it is refused at exactly the table's (c, d) too
+    for n in range(4):
+        first, second = stirling_pair(n)
+        for sp in (first, second, compose_spans(first, second)):
+            caught += assert_both_reject_the_same(sp, rng)
     assert caught > 0
+
+
+def test_a_checked_discrete_span_reads_its_fibres_without_a_search(monkeypatch):
+    # on a checked span over discrete feet labeled_fibre reads _fibre_chi,
+    # which needs the composite's representatives and their |Aut| but not
+    # its objects, so neither search may run
+    from gspans import gspan
+    from gspans.constructions import PullbackView
+
+    composed = compose_spans(*stirling_pair(4))
+    entries = [(c, d) for c in composed.source.objects for d in composed.target.objects]
+    want = {cd: fibre_chi_by_label(composed, *cd) for cd in entries}
+
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(gspan, "_searched_fibre", refuse)
+    monkeypatch.setattr(PullbackView, "_searched", refuse)
+    monkeypatch.setattr(PullbackView, "_object_list", refuse)
+    assert {cd: labeled_fibre(composed, *cd) for cd in entries} == want
+    assert any(want.values())
 
 
 @settings(max_examples=40, deadline=None)

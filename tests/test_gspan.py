@@ -457,8 +457,31 @@ def test_span_invariants_raise_typed_errors():
     ids = identity_cell(first), identity_cell(second)
     for composed in (compose_spans(*again), compose_spans(second, first), sp):
         for where in ("composed_src", "composed_dst"):
-            with pytest.raises(SpanMorphismError, match="not compose_spans"):
+            with pytest.raises(
+                SpanMorphismError,
+                match="^a given composite is not compose_spans of the cells' spans$",
+            ):
                 horizontal_compose(*ids, **{where: composed})
+
+
+def test_the_lemma_refuses_a_composite_of_other_spans():
+    # labeled_pullback_identity reads its left-hand side off the given
+    # composite, so one made from other spans, even equal ones, or a span
+    # that is no composite at all is refused, not compared
+    from gspans.examples import stirling_pair
+
+    first, second = stirling_pair(2)
+    again = stirling_pair(2)
+    c1, c2 = first.source.objects[0], second.target.objects[0]
+    for composed in (compose_spans(*again), compose_spans(second, first), first):
+        with pytest.raises(
+            ComposabilityError,
+            match="^a given composite is not compose_spans of sp1, sp2$",
+        ):
+            labeled_pullback_identity(first, second, c1, c2, composed=composed)
+    composed = compose_spans(first, second)
+    lhs, rhs = labeled_pullback_identity(first, second, c1, c2, composed=composed)
+    assert lhs == rhs == labeled_pullback_identity(first, second, c1, c2)[0]
 
 
 def cells_changing_the_middle_leg():
