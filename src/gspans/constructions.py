@@ -30,6 +30,7 @@ from gspans.groupoid import (
     ActionGroupoid,
     DisjointUnion,
     GroupoidView,
+    Subgroup,
     TableBuilder,
     discrete_table,
     generating_pairs,
@@ -247,20 +248,27 @@ def point_inclusion(view, d):
 
 def coset_groupoid(group, subgroup_elements):
     """H\\G as the action groupoid of G on right cosets Hg; hom-sets are
-    double cosets.  Cosets are canonicalized to their minimal element, once
-    per element of G into one table that coset_of and the action read."""
-    sub = sorted(set(subgroup_elements))
+    double cosets.  H is checked to be a subgroup: it holds the identity and
+    the inverses of its elements, and the closure of its greedy generators
+    (Subgroup.is_closed) adds nothing to it.  Cosets are canonicalized to
+    their minimal element into one table that coset_of and the action read,
+    one coset at a time: each element of G not yet in the table gives its
+    coset Hx and one min, so building takes |G| products."""
+    subgroup = Subgroup(group, subgroup_elements)
+    sub = subgroup.elements()
     members = set(sub)
-    if group.identity not in members:
-        raise ValueError("subgroup must contain the identity")
-    for h1 in sub:
-        if group.inv(h1) not in members:
-            raise ValueError("%r is not closed under inverses" % (sub,))
-        for h2 in sub:
-            if group.op(h1, h2) not in members:
-                raise ValueError("%r is not closed under the operation" % (sub,))
+    if any(group.inv(h) not in members for h in sub):
+        raise ValueError("%r is not closed under inverses" % (sub,))
+    if not subgroup.is_closed():
+        raise ValueError("%r is not closed under the operation" % (sub,))
 
-    canonical = {x: min(group.op(h, x) for h in sub) for x in group.elements()}
+    canonical = {}
+    for x in group.elements():
+        if x not in canonical:
+            coset = [group.op(h, x) for h in sub]
+            least = min(coset)
+            for y in coset:
+                canonical[y] = least
     coset_of = canonical.__getitem__
     carrier = sorted(set(canonical.values()))
 
@@ -323,10 +331,11 @@ class PullbackView(GroupoidView):
     components(), component_rep(o) and the generating family need every
     object: a search over the moves (s, t, id) and (id, t, s), for s in
     M1's and M2's generating families and their inverses, finds the
-    components, each represented by its first object.  The generating
-    family is the component stars of that search: all of Aut(r) and one
-    search-tree morphism r -> x for every other object x, each with the
-    endpoints the search found.
+    components, each represented by its first object, and keeps its tree
+    without composing along it.  The generating family is the component
+    stars of that search: all of Aut(r) and the search-tree path r -> x for
+    every other object x, composed only there, each with the endpoints the
+    search found.
     """
 
     def __init__(self, r1, l2):
@@ -424,11 +433,14 @@ class PullbackView(GroupoidView):
 
     def _searched(self):
         """Components as sorted position lists, ordered by first position,
-        each object's component number, and a path r -> x from its
-        component's representative r to every object x: a search along the
-        moves (s, t, id) and (id, t, s) with s in the symmetric family of M1
-        and of M2, which generate the pullback and reach every object of a
-        component from any of its objects."""
+        each object's component number, and the search tree: a search along
+        the moves (s, t, id) and (id, t, s) with s in the symmetric family
+        of M1 and of M2, which generate the pullback and reach every object
+        of a component from any of its objects.  The tree is the list of
+        (x, y, move), in the order the search reached each object y other
+        than a representative, from the position x of the object it was
+        reached from along move; it composes nothing, generating_family
+        makes the paths."""
         if self._search is None:
             M1, M2, T = self.M1, self.M2, self.T
             out1, out2 = {}, {}
@@ -443,13 +455,11 @@ class PullbackView(GroupoidView):
             objs = self._object_list()
             index = {o: i for i, o in enumerate(objs)}
             comp_of = [None] * len(objs)
-            path = [None] * len(objs)
-            comps = []
+            comps, tree = [], []
             for i, o in enumerate(objs):
                 if comp_of[i] is not None:
                     continue
                 k = comp_of[i] = len(comps)
-                path[i] = self.identity_at(o)
                 comp = [i]
                 for j in comp:  # grows as the search reaches new objects
                     a1, t, a2 = objs[j]
@@ -464,10 +474,10 @@ class PullbackView(GroupoidView):
                         n = index[y]
                         if comp_of[n] is None:
                             comp_of[n] = k
-                            path[n] = self.compose_m(move, path[j])
+                            tree.append((j, n, move))
                             comp.append(n)
                 comps.append(sorted(comp))
-            self._search = comps, comp_of, path, index
+            self._search = comps, comp_of, index, tree
         return self._search
 
     def components(self):
@@ -532,7 +542,7 @@ class PullbackView(GroupoidView):
         self._auts = None if discrete else auts
 
     def component_rep(self, o):
-        comps, comp_of, _, index = self._searched()
+        comps, comp_of, index, _ = self._searched()
         return self._object_list()[comps[comp_of[index[o]]][0]]
 
     def aut_order(self, o):
@@ -549,10 +559,18 @@ class PullbackView(GroupoidView):
         each r -> r, then the search-tree morphism r -> x for every other
         object x of its component in enumeration order, endpoints as the
         search found them.  Any x -> y is star(y) a star(x)^-1 with a in
-        Aut(r), so the stars generate.  Made once and cached."""
+        Aut(r), so the stars generate.  The path to y is the move that
+        reached y after the path to the object it was reached from, composed
+        here, in the search's order, once per object.  Made once and
+        cached."""
         if self._family is None:
-            comps, _, path, _ = self._searched()
+            comps, _, _, tree = self._searched()
             objs = self._object_list()
+            path = [None] * len(objs)
+            for comp in comps:
+                path[comp[0]] = self.identity_at(objs[comp[0]])
+            for x, y, move in tree:
+                path[y] = self.compose_m(move, path[x])
             family = []
             for comp in comps:
                 r = objs[comp[0]]

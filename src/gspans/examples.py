@@ -269,14 +269,12 @@ def subset_span(G, subset, s_elements, t_elements):
     """Action-groupoid span realizing the (1 x 1) matrix (1/|T|) sum(subset).
 
     s_elements/t_elements are subgroups of G, acting by x -> -t + x + s;
-    NotASubgroupError (a ValueError) names one that is not.  A set is a
-    subgroup when the closure of Subgroup.generators() is the set: each
-    element is a generator or in the closure of earlier ones, so the closure
-    holds the set, and it adds nothing exactly when the set is closed."""
+    NotASubgroupError (a ValueError) names one that is not
+    (Subgroup.is_closed)."""
     s_grp = Subgroup(G, s_elements)
     t_grp = Subgroup(G, t_elements)
     for name, grp in (("s_elements", s_grp), ("t_elements", t_grp)):
-        if G.subgroup_closure(grp.generators()) != set(grp.elements()):
+        if not grp.is_closed():
             raise NotASubgroupError(
                 "%s %r is not a subgroup of %r" % (name, grp.elements(), G)
             )

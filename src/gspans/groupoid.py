@@ -175,6 +175,7 @@ class Subgroup:
             raise ValueError("subgroup must contain the identity")
         self.order = len(els)
         self._generators = None
+        self._generated = None  # the order of the closure of generators()
 
     def op(self, a, b):
         return self.ambient.op(a, b)
@@ -196,7 +197,15 @@ class Subgroup:
                 if g not in seen:
                     _extend_closure(self.op, gens, closure, seen, g)
             self._generators = gens
+            self._generated = len(closure)
         return list(self._generators)
+
+    def is_closed(self):
+        """Whether the elements are closed under the operation.  Every
+        element lies in the closure of generators(), so they are exactly
+        when that closure is no larger than the element set."""
+        self.generators()
+        return self._generated == self.order
 
     def __repr__(self):
         return "Subgroup(%r, %d elements)" % (self.ambient, self.order)

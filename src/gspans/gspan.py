@@ -14,8 +14,11 @@ where the label of a fibre object (a, s, t) is V(t) + eps(a) + H(s).  That
 is the definition, and the tests build the fibre as a table
 (two_sided_fibre) as the oracle.  The code computes it without a fibre,
 in _fibre_chi, which span_matrix reads, as does labeled_fibre on a checked
-span over discrete feet (elsewhere labeled_fibre searches the fibre's
-components along the apex's generating family).  A fibre object (a, s, t)
+span over discrete feet.  Elsewhere labeled_fibre reads one search per
+span (_searched_chi), a union-find over the objects of the fibres at every
+pair of representatives at once, joined along the apex's generating
+family, and moves a fibre at representatives to any other pair of objects
+by an equivalence that shifts its labels (_to_pair).  A fibre object (a, s, t)
 has as many outgoing morphisms as a has in M, and naturality moves
 (a, s, t) along M without changing its label, so each component [a] of M
 contributes to exactly one entry, by groupoid cardinality:
@@ -106,7 +109,7 @@ class GSpan:
         else:
             self.member_label = None
             self.eps = _as_fn(eps)  # the given labeling itself, called directly
-        self._searched_fibres = {}  # (c, d) -> _searched_fibre(self, c, d)
+        self._searched = None  # _searched_chi(self)
         self._chi = None  # _fibre_chi(self)
         self.checked = False  # set by validate, or by compose_spans
         self.factors = None  # (sp1, sp2) on compose_spans(sp1, sp2)
@@ -208,65 +211,127 @@ def labeled_fibre(sp, c, d):
     is a union of components, each adding 1/|Aut|.  On a checked span over
     discrete feet every object is a representative, and the map is
     _fibre_chi's entry (see the module docstring).  Every other span's
-    fibre is searched, not built (_searched_fibre), which raises
-    GSpanError, naming two objects, if the label varies on a component;
-    an unchecked span over discrete feet is searched too, so a wrong label
-    is refused at exactly the (c, d) whose fibre holds it.  two_sided_fibre
-    is the table the tests compare with.  A search is memoized on the span
-    (spans do not change) per (c, d); only the chi map is kept."""
+    fibres are searched, not built, all at once (_searched_chi), at the
+    representatives r1 of c and r2 of d, and the map at (r1, r2) is moved
+    to (c, d) by the equivalence of _to_pair, which shifts every label by
+    V(u0) + H(s0).  GSpanError, naming two objects of c\\M/d, is raised if
+    the label varies on a component of the fibre; an unchecked span over
+    discrete feet is searched too, so a wrong label is refused at exactly
+    the (c, d) whose fibre holds it.  two_sided_fibre is the table the tests
+    compare with.  The search is memoized on the span (spans do not
+    change), once for all its fibres; only the chi maps and the witnesses
+    are kept."""
     if sp.checked and sp.source.is_discrete and sp.target.is_discrete:
         return _fibre_chi(sp).get((c, d), {})
-    memo = sp._searched_fibres
-    if (c, d) not in memo:
-        memo[(c, d)] = _searched_fibre(sp, c, d)
-    return memo[(c, d)]
+    r1, r2, move = _to_pair(sp, c, d)
+    chi, refused = _searched_chi(sp)
+    witness = refused.get((r1, r2))
+    if witness is not None:
+        a1, g1, o1, g2, o2 = witness
+        if move is not None:
+            obj, label = move
+            g1, o1, g2, o2 = label(g1), obj(o1), label(g2), obj(o2)
+        raise GSpanError(
+            "label not constant on the component of %r: %r at %r, %r at %r"
+            % (a1, g1, o1, g2, o2)
+        )
+    chi = chi.get((r1, r2), {})
+    if move is None:
+        return chi
+    label = move[1]
+    return {label(g): x for g, x in chi.items()}
 
 
-def _searched_fibre(sp, c, d):
-    """labeled_fibre, by a union-find over the fibre's objects (a, s, t),
-    numbered in the order a in M.objects, s in S(c, La), t in T(Ra, d)
-    (two_sided_fibre's ids).
+def _to_pair(sp, c, d):
+    """(r1, r2, move) for objects c of S and d of T: the representatives r1
+    of c's component and r2 of d's, and move, None when (c, d) is (r1, r2)
+    and otherwise the maps (obj, label) of the equivalence
+    r1\\M/r2 -> c\\M/d, (a, s, t) -> (a, s s0, u0 t), for the first s0 in
+    S(c, r1) and u0 in T(r2, d).  It sends the fibre morphism (m, s, t) to
+    (m, s s0, u0 t), so it matches components and |Aut|, and it moves the
+    label V(t) + eps(a) + H(s) to V(u0) + V(t) + eps(a) + H(s) + H(s0), as
+    H and V are functors: label(g) = V(u0) + g + H(s0).  labeled_fibre
+    moves the searched fibres and labeled_pullback_identity the composite's
+    _fibre_chi with it."""
+    S, T = sp.source, sp.target
+    r1, r2 = S.component_rep(c), T.component_rep(d)
+    if (r1, r2) == (c, d):
+        return r1, r2, None
+    s0, u0 = S.hom(c, r1)[0], T.hom(r2, d)[0]
+    add, h0, v0 = sp.group.add, sp.h.value(s0), sp.v.value(u0)
+
+    def obj(o):
+        a, s, t = o
+        return a, S.compose_m(s, s0), T.compose_m(u0, t)
+
+    def label(g):
+        return add(v0, add(g, h0))
+
+    return r1, r2, (obj, label)
+
+
+def _searched_chi(sp):
+    """(chi, refused): chi is {(c, d): {g: chi((c\\M/d){label = g})}} over
+    the representatives c of S and d of T whose fibre is not empty, and
+    refused is {(c, d): (a1, g1, o1, g2, o2)}, the first move, in family
+    order, whose two ends o1 and o2 in c\\M/d have different labels g1 and
+    g2 (a1 the apex object of o1).  One union-find runs over the objects of
+    every such fibre at once: each apex object a lies in exactly one, over
+    c = rep(La) and d = rep(Ra), since S(c', La) is empty for every other
+    representative c'.  Its objects (a, s, t), s in S(c, La) and t in
+    T(Ra, d), are numbered in the order a in M.objects, s, t, so each
+    fibre's objects keep two_sided_fibre's relative order.
 
     Each triple (m, a1, a2) of M's generating family moves (a1, s, t) to
-    (a2, L(m) s, t R(m)^-1); the move is the fibre morphism (m, s, t), and
-    the join of its two ends checks that they have the same label.  The
-    moves reach a whole component: the action of M on fibre objects is
-    functorial (the move of m2 m1 is that of m2 after that of m1, and m^-1
-    moves back), and every morphism of M is a word in the family and its
-    inverses, so every fibre morphism is a path of moves.  So the joins
-    find exactly the components, and a label equal at the ends of every
-    move is constant on each of them.  A component is numbered by its
-    least object, as in the table, so the map comes out in the table's
-    order.  Each adds 1/|Aut(a, s, t)|, and
+    (a2, L(m) s, t R(m)^-1), within the fibre of a1 (a2 is isomorphic to
+    a1, so it has the same representatives); the move is the fibre
+    morphism (m, s, t), and the join of its two ends checks that they have
+    the same label; an identity of the family moves nothing and is
+    skipped.  A move that fails is recorded against its fibre,
+    joins nothing, and the search goes on.  The moves reach a whole
+    component: the action of M on fibre objects is functorial (the move of
+    m2 m1 is that of m2 after that of m1, and m^-1 moves back), and every
+    morphism of M is a word in the family and its inverses, so every fibre
+    morphism is a path of moves.  So in a fibre that nothing refused the
+    joins find exactly the components, and a label equal at the ends of
+    every move is constant on each of them.  A component is numbered by
+    its least object, as in the table.  Each adds 1/|Aut(a, s, t)|, and
     Aut(a, s, t) = {m in M(a, a) : L(m) s = s, t R(m)^-1 = t}
               = {m in M(a, a) : L(m) = id, R(m) = id}
-    since s and t are invertible, so |Aut| is counted once per apex object
-    a, whatever s and t."""
+    since s and t are invertible, which conjugation along any a -> a'
+    carries to Aut(a', s', t'), so |Aut| is counted once per component of
+    M.  The components are counted in integers per (c, d, |Aut|, label),
+    and each key adds one Fraction, as in _fibre_chi.  Made once per span
+    and memoized."""
+    if sp._searched is not None:
+        return sp._searched
     S, T, M = sp.source, sp.target, sp.apex
-    add, left, right = sp.group.add, sp.left, sp.right
-    homs_s, homs_t = {}, {}  # La -> S(c, La); Ra -> T(Ra, d), with values
-    at = {}  # a -> (first object id, S(c, La), T(Ra, d))
+    add, left, right, eps = sp.group.add, sp.left, sp.right, sp.eps
+    homs_s, homs_t = {}, {}  # La -> S(rep La, La); Ra -> T(Ra, rep Ra)
+    at = {}  # a -> (first object id, S(c, La), T(Ra, d)), with values
     labels = []  # per object id: V(t) + eps(a) + H(s)
     for a in M.objects:
         la, ra = left.on_obj(a), right.on_obj(a)
         hs = homs_s.get(la)
         if hs is None:
-            hs = homs_s[la] = _hom_with_values(S.hom(c, la), sp.h.value)
+            c = S.component_rep(la)
+            hs = homs_s[la] = _hom_with_values(c, S.hom(c, la), sp.h.value)
         vt = homs_t.get(ra)
         if vt is None:
-            vt = homs_t[ra] = _hom_with_values(T.hom(ra, d), sp.v.value)
+            d = T.component_rep(ra)
+            vt = homs_t[ra] = _hom_with_values(d, T.hom(ra, d), sp.v.value)
         at[a] = (len(labels), hs, vt)
-        if hs[0] and vt[0]:
-            e = sp.eps(a)
-            for h in hs[2]:
-                x = add(e, h)
-                labels.extend([add(v, x) for v in vt[2]])
+        e = eps(a)
+        for h in hs[3]:
+            x = add(e, h)
+            labels.extend([add(v, x) for v in vt[3]])
     parent = list(range(len(labels)))
+    refused = {}
     for m, a1, a2 in M.generating_family():
-        o1, (ss, _, _), (ts, _, _) = at[a1]
-        if not (ss and ts):
-            continue
-        o2, (_, s_pos, _), (_, t_pos, _) = at[a2]
+        if a1 == a2 and m == M.identity_at(a1):
+            continue  # its move fixes every object
+        o1, (c, ss, _, _), (d, ts, _, _) = at[a1]
+        o2, (_, _, s_pos, _), (_, _, t_pos, _) = at[a2]
         lm, rm_inv = left.on_mor(m), T.inverse_m(right.on_mor(m))
         n = len(ts)
         t_moves = [t_pos[T.compose_m(t, rm_inv)] for t in ts]
@@ -276,13 +341,13 @@ def _searched_fibre(sp, c, d):
             for j, j2 in enumerate(t_moves):
                 u, w = o1 + i * n + j, o2 + i2 * n + j2
                 if labels[u] != labels[w]:
-                    t = ts[j]
-                    raise GSpanError(
-                        "label not constant on the component of %r: "
-                        "%r at %r, %r at %r"
-                        % (a1, labels[u], (a1, s, t), labels[w],
-                           (a2, s2, T.compose_m(t, rm_inv)))
-                    )
+                    if (c, d) not in refused:
+                        t = ts[j]
+                        refused[c, d] = (
+                            a1, labels[u], (a1, s, t),
+                            labels[w], (a2, s2, T.compose_m(t, rm_inv)),
+                        )
+                    continue
                 while parent[u] != u:
                     parent[u] = parent[parent[u]]
                     u = parent[u]
@@ -293,21 +358,34 @@ def _searched_fibre(sp, c, d):
                     parent[w] = u
                 elif w < u:
                     parent[u] = w
-    out = {}
-    for a, (o, (ss, _, _), (ts, _, _)) in at.items():
-        aut = None
+    counts = {}  # (c, d, |Aut|) -> {label: number of components}
+    auts = {}  # representative of a's component in M -> |Aut(a, s, t)|
+    for a, (o, (c, ss, _, _), (d, ts, _, _)) in at.items():
+        by_label = None
         for k in range(o, o + len(ss) * len(ts)):
             if parent[k] == k:  # the least object of its component
-                if aut is None:
-                    aut = _kernel_order(sp, a)
+                if by_label is None:
+                    r = M.component_rep(a)
+                    n = auts.get(r)
+                    if n is None:
+                        n = auts[r] = _kernel_order(sp, r)
+                    by_label = counts.setdefault((c, d, n), {})
                 g = labels[k]
-                out[g] = out.get(g, 0) + Fraction(1, aut)
-    return out
+                by_label[g] = by_label.get(g, 0) + 1
+    chi = {}
+    for (c, d, n), by_label in counts.items():
+        out = chi.setdefault((c, d), {})
+        for g, k in by_label.items():
+            x = Fraction(k, n)
+            out[g] = out[g] + x if g in out else x
+    sp._searched = chi, refused
+    return sp._searched
 
 
-def _hom_with_values(hom, value):
-    """(hom, {morphism: position}, [value of each morphism]) of a hom-set."""
-    return hom, {x: i for i, x in enumerate(hom)}, [value(x) for x in hom]
+def _hom_with_values(x, hom, value):
+    """(x, hom, {morphism: position}, [value of each morphism]) of a
+    hom-set with x the representative it starts or ends at."""
+    return x, hom, {m: i for i, m in enumerate(hom)}, [value(m) for m in hom]
 
 
 def _kernel_order(sp, a):
@@ -680,22 +758,21 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
 
     The left-hand side is read off pi0 of the composed apex, in the one
     pass span_matrix makes (_fibre_chi), at the representatives r1 of c1
-    and r2 of c2, and moved to (c1, c2): s0 in S(c1, r1) and u0 in
-    U(r2, c2) give the equivalence (a, s, t) -> (a, s s0, u0 t) of
-    r1\\M/r2 with c1\\M/c2, which moves every label g to
-    V2(u0) + g + H1(s0).  The right-hand side builds the fibres of sp1 and
-    sp2 over each d, which are what the identity is about, once per span
-    and (c, d): looping over the entries reuses them.  A given composed
-    must be compose_spans(sp1, sp2) itself (ComposabilityError otherwise)."""
+    and r2 of c2, and moved to (c1, c2) by _to_pair's equivalence
+    (a, s, t) -> (a, s s0, u0 t) of r1\\M/r2 with c1\\M/c2, which moves
+    every label g to V2(u0) + g + H1(s0), the move labeled_fibre makes off
+    the representatives.  The right-hand side reads the labelled fibres of
+    sp1 and sp2 over each d (labeled_fibre), which are what the identity is
+    about, from one search per span: looping over the entries reuses it.
+    A given composed must be compose_spans(sp1, sp2) itself
+    (ComposabilityError otherwise)."""
     composed = _composite_of(sp1, sp2, composed, ComposabilityError, "sp1, sp2")
-    G, S, T, U = sp1.group, sp1.source, sp1.target, sp2.target
-    r1, r2 = S.component_rep(c1), U.component_rep(c2)
-    h0 = sp1.h.value(S.hom(c1, r1)[0])
-    v0 = sp2.v.value(U.hom(r2, c2)[0])
-    lhs = {
-        G.add(v0, G.add(g, h0)): x
-        for g, x in _fibre_chi(composed).get((r1, r2), {}).items()
-    }
+    G, T = sp1.group, sp1.target
+    r1, r2, move = _to_pair(composed, c1, c2)
+    lhs = _fibre_chi(composed).get((r1, r2), {})
+    if move is not None:
+        label = move[1]
+        lhs = {label(g): x for g, x in lhs.items()}
     rhs = {}
     for d in T.component_reps():
         chi_td = Fraction(1, T.aut_order(d))

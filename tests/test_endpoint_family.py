@@ -48,12 +48,20 @@ def listed_sample(view):
         return out
     if not isinstance(view, PullbackView):
         raise TypeError("no listed sample for %r" % (view,))
-    comps, _, path, _ = view._searched()
+    comps, _, _, tree = view._searched()
     objs = view.objects
+    reached_from = {y: (x, move) for x, y, move in tree}
+
+    def path(y):  # the search-tree path from y's representative to y
+        if y not in reached_from:
+            return view.identity_at(objs[y])
+        x, move = reached_from[y]
+        return view.compose_m(move, path(x))
+
     for comp in comps:
         r = objs[comp[0]]
         out.extend(view.hom(r, r))
-        out.extend(path[i] for i in comp[1:])
+        out.extend(path(i) for i in comp[1:])
     return out
 
 

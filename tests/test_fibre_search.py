@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspans import random_spans as rnd
+from gspans.constructions import two_sided_fibre
 from gspans.examples import stirling_pair, universal_span
 from gspans.gspan import (
     GSpan,
     GSpanError,
-    _searched_fibre,
+    _searched_chi,
     compose_spans,
     labeled_fibre,
     pullback_span,
@@ -27,15 +28,15 @@ from test_span_kernel import SEED, c07_sweep_spans
 
 def assert_search_matches_table(sp):
     """labeled_fibre equals the table at every (c, d); over discrete feet,
-    where labeled_fibre reads _fibre_chi on a checked span, the search is
-    compared as well."""
+    where labeled_fibre reads _fibre_chi on a checked span and every object
+    is a representative, the search is compared as well."""
     both_discrete = sp.source.is_discrete and sp.target.is_discrete
     for c in sp.source.objects:
         for d in sp.target.objects:
             want = fibre_chi_by_label(sp, c, d, table=True)
             assert labeled_fibre(sp, c, d) == want, (c, d)
             if both_discrete:
-                assert _searched_fibre(sp, c, d) == want, (c, d)
+                assert _searched_chi(sp)[0].get((c, d), {}) == want, (c, d)
 
 
 def raises_gspan_error(f, *args):
@@ -46,9 +47,28 @@ def raises_gspan_error(f, *args):
     return False
 
 
+def assert_names_two_fibre_objects(sp, c, d):
+    """labeled_fibre's GSpanError at (c, d) names two objects of c\\M/d,
+    each with its own label, which differ."""
+    with pytest.raises(GSpanError) as err:
+        labeled_fibre(sp, c, d)
+    fib = two_sided_fibre(sp.left, sp.right, c, d)
+    G = sp.group
+
+    def label(o):
+        a, s, t = o
+        return G.add(sp.v.value(t), G.add(sp.eps(a), sp.h.value(s)))
+
+    named = [
+        o for o in fib.object_of_label if " %r at %r" % (label(o), o) in str(err.value)
+    ]
+    assert len({label(o) for o in named}) == 2, (c, d, str(err.value))
+
+
 def assert_both_reject_the_same(sp, rng):
     """With eps moved at one apex object (check=False), labeled_fibre
-    raises GSpanError at exactly the (c, d) where the table does."""
+    raises GSpanError at exactly the (c, d) where the table does, naming
+    two objects of that fibre."""
     objects = list(sp.apex.objects)
     others = [g for g in sp.group.elements() if g != sp.group.identity]
     if not (objects and others):
@@ -66,6 +86,8 @@ def assert_both_reject_the_same(sp, rng):
         for d in sp.target.objects:
             table = raises_gspan_error(fibre_chi_by_label, bad, c, d, True)
             assert raises_gspan_error(labeled_fibre, bad, c, d) == table, (c, d)
+            if table:
+                assert_names_two_fibre_objects(bad, c, d)
             caught += table
     return caught
 
@@ -101,7 +123,8 @@ def test_search_matches_table_on_stirling(n):
         assert_search_matches_table(sp)
     for c in composed.source.objects:
         for d in composed.target.objects:
-            assert _searched_fibre(composed, c, d) == labeled_fibre(composed, c, d)
+            searched = _searched_chi(composed)[0].get((c, d), {})
+            assert searched == labeled_fibre(composed, c, d)
 
 
 def test_search_matches_table_on_subset_and_coset_sweeps():
@@ -165,7 +188,7 @@ def test_a_checked_discrete_span_reads_its_fibres_without_a_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("searched")
 
-    monkeypatch.setattr(gspan, "_searched_fibre", refuse)
+    monkeypatch.setattr(gspan, "_searched_chi", refuse)
     monkeypatch.setattr(PullbackView, "_searched", refuse)
     monkeypatch.setattr(PullbackView, "_object_list", refuse)
     assert {cd: labeled_fibre(composed, *cd) for cd in entries} == want
@@ -219,3 +242,51 @@ def test_the_error_names_both_ends_of_the_move():
         "label not constant on the component of 0: (0,) at %r, (1,) at %r"
         % ((0, ident, t), (1, swap, t))
     )
+
+
+def test_a_wrong_label_off_the_representatives_names_that_fibre():
+    # apex and left foot the swap groupoid on {0, 1}, H(m) = target - source
+    # in Z4, labelled 0 everywhere: the swap 0 -> 1 moves (0, id, id) to
+    # (1, swap, id) in the fibre over the representatives (0, 0), whose
+    # labels 0 and 1 differ; over (1, 0), not a pair of representatives,
+    # the search's witness is moved by s0 = the swap 1 -> 0, which shifts
+    # both labels by H(s0) = 3
+    from gspans.algebra import AbelianGroup
+    from gspans.constructions import (
+        GroupoidFunctor,
+        GroupValuedFunctor,
+        discrete_groupoid,
+        identity_functor,
+    )
+    from test_span_kernel import swap_groupoid
+
+    Z4 = AbelianGroup([4])
+    apex = swap_groupoid()
+    point = discrete_groupoid(1)
+    to_point = GroupoidFunctor(
+        apex, point, lambda a: 0, lambda m: point.identity_at(0)
+    )
+    h = GroupValuedFunctor(
+        apex, Z4, lambda m: ((apex.target_of(m) - apex.source_of(m)) % 4,)
+    )
+    sp = GSpan(
+        apex,
+        identity_functor(apex),
+        to_point,
+        h,
+        GroupValuedFunctor.trivial(point, Z4),
+        lambda a: (0,),
+        check=False,
+    )
+    assert apex.component_rep(1) == 0
+    swap01, swap10 = apex.hom(0, 1)[0], apex.hom(1, 0)[0]
+    id0, id1, t = apex.identity_at(0), apex.identity_at(1), point.identity_at(0)
+    for c, want in [
+        (0, "(0,) at %r, (1,) at %r" % ((0, id0, t), (1, swap01, t))),
+        (1, "(3,) at %r, (0,) at %r" % ((0, swap10, t), (1, id1, t))),
+    ]:
+        assert raises_gspan_error(fibre_chi_by_label, sp, c, 0, True)
+        with pytest.raises(GSpanError) as err:
+            labeled_fibre(sp, c, 0)
+        assert str(err.value) == "label not constant on the component of 0: " + want
+        assert_names_two_fibre_objects(sp, c, 0)
