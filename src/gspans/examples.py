@@ -8,8 +8,12 @@ apexes are their Grothendieck constructions with value Fin(X,X): the action
 groupoid of Sigma(n) on pairs (sigma, tau) resp. (rho, tau) under simultaneous
 conjugation, built as the equivalent union of its orbit-stabilizer slices
 (ActionGroupoid.slices): over each representative sigma, Stab(sigma) acting
-on tau by conjugation.  Matrices only see chi of labeled fibres, which is
-what these models compute without ever materializing hom-sets.
+on tau by conjugation.  All the slices over n, of both kinds, restrict one
+level Sigma(n)//Sigma(n), which stirling_pair builds once per n for both
+spans; the first kind's slices are the level's own, since Sigma(n)
+conjugating itself is the union over k of the permutations with k cycles.
+Matrices only see chi of labeled fibres, which is what these models compute
+without ever materializing hom-sets.
 """
 
 import itertools
@@ -128,6 +132,8 @@ class StirlingSpanConfig(namedtuple("StirlingSpanConfig", "kind truncation")):
     def __new__(cls, kind, truncation):
         if kind not in ("first", "second"):
             raise ValueError("kind must be 'first' or 'second'")
+        if isinstance(truncation, bool) or not isinstance(truncation, int):
+            raise TypeError("truncation must be an int, not %r" % (truncation,))
         if truncation < 0:
             raise ValueError("truncation must be >= 0")
         return super().__new__(cls, kind, truncation)
@@ -140,58 +146,95 @@ def stirling_span(cfg, base=None):
     """The sign-group span whose matrix has entries (n, k) -> S1(n,k) with
     sign label (first kind) or (k, m) -> S2(k,m) (second kind).  Both feet are
     the finite discrete base {0..N} (pass a shared one to make two spans
-    strictly composable).
+    strictly composable); a base without an object labelled n for some n
+    in 0..N is refused with ValueError.
 
     The stratum (n, k) of the apex is (P x Sigma(n))//Sigma(n), P the
     permutations with k cycles (resp. partitions with k blocks), built as
     its orbit-stabilizer slices: one Sigma(n)//Stab(x) per representative x
     of P, the stabilizer acting on tau by conjugation.  Every slice over n,
-    for every k, is a restriction of one level Sigma(n)//Sigma(n), so each
-    generator's conjugation row on Sigma(n) is built once.  The legs
+    of every k, is a restriction of one level Sigma(n)//Sigma(n), so each
+    generator's conjugation row on Sigma(n) is built once (once per pair in
+    stirling_pair, which shares the levels); the first kind's slices are
+    the level's own (_stirling_strata).  The legs
     (GroupoidFunctor.constant_on_members) and the label (MemberLabel) read
     only the slice index, so GSpan checks the naturality square once per
     slice, not per morphism, and the rows are built when span_matrix first
     asks for the slices' orbits.  A matrix entry is chi of a labelled fibre,
     which an equivalence of apexes keeps."""
+    return _stirling_span(cfg, base, {})
+
+
+def _stirling_span(cfg, base, levels):
+    """stirling_span over levels, {n: (Sigma(n), Sigma(n)//Sigma(n))},
+    read for each n it has and filled for each n it lacks."""
     if isinstance(cfg, str):
         raise TypeError("pass a StirlingSpanConfig")
     N = cfg.truncation
-    base = base if base is not None else discrete_groupoid(N + 1)
-    G = SIGN_GROUP
+    if base is None:
+        base = discrete_groupoid(N + 1)
+    obj_of = getattr(base, "object_of_label", {})
+    missing = [n for n in range(N + 1) if n not in obj_of]
+    if missing:
+        raise ValueError(
+            "the base has no object labelled %s (need 0..%d)"
+            % (", ".join(map(repr, missing)), N)
+        )
     slices = []
     meta = []  # (left value, right value, label) per slice
     for n in range(N + 1):
-        sym = SymmetricGroup(n)
-        level = ActionGroupoid(sym, sym.elements(), sym.conjugate)
-        for k in range(0 if n == 0 else 1, n + 1):
-            if cfg.kind == "first":
-                model = fin_perm_groupoid(n, k)
-                label = ((n - k) % 2,)
-            else:
-                model = fin_rel_groupoid(n, k)
-                label = (0,)
-            for sl in model.slices(level):
-                slices.append(sl)
-                meta.append((n, k, label))
+        if n not in levels:
+            sym = SymmetricGroup(n)
+            levels[n] = sym, ActionGroupoid(sym, sym.elements(), sym.conjugate)
+        for k, strata in _stirling_strata(cfg.kind, *levels[n]):
+            label = ((n - k) % 2,) if cfg.kind == "first" else (0,)
+            slices += strata
+            meta += [(n, k, label)] * len(strata)
     apex = DisjointUnion(slices)
-    obj_of = base.object_of_label
     left, right = (
         GroupoidFunctor.constant_on_members(apex, base, [obj_of[m[i]] for m in meta])
         for i in (0, 1)
     )
-    triv = GroupValuedFunctor.trivial(base, G)
+    triv = GroupValuedFunctor.trivial(base, SIGN_GROUP)
     labels = MemberLabel(apex, [m[2] for m in meta])
     sp = GSpan(apex, left, right, triv, triv, labels)
     sp.config = cfg
     return sp
 
 
+def _stirling_strata(kind, sym, level):
+    """[(k, slices of the stratum (n, k))] in increasing k, over the level
+    Sigma(n)//Sigma(n).  First kind: the level's orbits are the conjugacy
+    classes, in first-point order, and a class's least element is its
+    first point both in Sigma(n) and in the sorted P_k, so bucketing the
+    level's slices by cycle count gives each k's slices in the order of
+    fin_perm_groupoid(n, k).slices(level); each stabilizer search visits the
+    same points along the same rows, so it gives the same Stab(x).  Second
+    kind: one model P_k//Sigma(n), relabelling partitions, per k, from one
+    enumeration of the partitions of n."""
+    if kind == "first":
+        by_k = {}
+        for x, sl in zip(level.component_reps(), level.slices(level)):
+            by_k.setdefault(cycle_count(x), []).append(sl)
+        return sorted(by_k.items())
+    points = {}
+    for rgs in rgs_partitions(sym.n):
+        points.setdefault(rgs_blocks(rgs), []).append(rgs)
+    return [
+        (k, ActionGroupoid(sym, sorted(points[k]), relabel_partition).slices(level))
+        for k in sorted(points)
+    ]
+
+
 def stirling_pair(N):
     """Composable (first kind, second kind) spans over one shared base; the
-    middle legs (first's V, second's H) are both trivial, so equal."""
+    middle legs (first's V, second's H) are both trivial, so equal.  The two
+    spans share their levels Sigma(n)//Sigma(n), so a conjugation row on
+    Sigma(n) that slices of both kinds act through is built once."""
     base = discrete_groupoid(N + 1)
-    first = stirling_span(StirlingSpanConfig("first", N), base)
-    second = stirling_span(StirlingSpanConfig("second", N), base)
+    levels = {}
+    first = _stirling_span(StirlingSpanConfig("first", N), base, levels)
+    second = _stirling_span(StirlingSpanConfig("second", N), base, levels)
     return first, second
 
 

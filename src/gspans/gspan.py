@@ -55,6 +55,7 @@ Component representatives are fixed once per groupoid (its first object),
 and all label formulas use those representatives consistently.
 """
 
+import math
 from fractions import Fraction
 
 from gspans.algebra import CyclotomicNumber, GroupRingElement
@@ -300,9 +301,9 @@ def _searched_chi(sp):
               = {m in M(a, a) : L(m) = id, R(m) = id}
     since s and t are invertible, which conjugation along any a -> a'
     carries to Aut(a', s', t'), so |Aut| is counted once per component of
-    M.  The components are counted in integers per (c, d, |Aut|, label),
-    and each key adds one Fraction, as in _fibre_chi.  Made once per span
-    and memoized."""
+    M.  The components are counted in integers per (c, d, |Aut|, label)
+    and summed into one Fraction per (c, d, label) by _chi_of_counts, as in
+    _fibre_chi.  Made once per span and memoized."""
     if sp._searched is not None:
         return sp._searched
     S, T, M = sp.source, sp.target, sp.apex
@@ -372,13 +373,7 @@ def _searched_chi(sp):
                     by_label = counts.setdefault((c, d, n), {})
                 g = labels[k]
                 by_label[g] = by_label.get(g, 0) + 1
-    chi = {}
-    for (c, d, n), by_label in counts.items():
-        out = chi.setdefault((c, d), {})
-        for g, k in by_label.items():
-            x = Fraction(k, n)
-            out[g] = out[g] + x if g in out else x
-    sp._searched = chi, refused
+    sp._searched = _chi_of_counts(counts), refused
     return sp._searched
 
 
@@ -492,10 +487,11 @@ def _fibre_chi(sp):
     is made once per (La, Ra), and each key's histogram of eps is
     multiplied by its V.H once (G is abelian, so the order of the factors
     does not matter).  This regroups the span's own pi0: a composite's map
-    comes from the composite's representatives.  Each (c, d, |Aut a|) and
-    label then adds one Fraction(count, |Aut a|), however many components
-    share it (the composed Stirling apex at N=8 has 1.37 M).  Over discrete
-    feet V.H is one point."""
+    comes from the composite's representatives.  The counts per
+    (c, d, |Aut a|) and label are summed in integers (_chi_of_counts), so
+    each (c, d) and label makes one Fraction, however many components and
+    |Aut| values share it (the composed Stirling apex at N=8 has 1.37 M
+    components).  Over discrete feet V.H is one point."""
     if sp._chi is not None:
         return sp._chi
     S, T, M = sp.source, sp.target, sp.apex
@@ -531,12 +527,28 @@ def _fibre_chi(sp):
         for x, kx in product:
             g = add(e, x)
             by_label[g] = by_label.get(g, 0) + k * kx
-    out = {}
+    sp._chi = _chi_of_counts(counts)
+    return sp._chi
+
+
+def _chi_of_counts(counts):
+    """{(c, d): {g: chi}} from integer counts {(c, d, |Aut|): {g: count}}:
+    chi at (c, d, g) is the sum of count/|Aut| over the |Aut| values,
+    summed in integers over their lcm at (c, d), so each (c, d, g) makes
+    one Fraction.  The pairs (c, d), and the labels within each, keep the
+    order in which counts first has them."""
+    by_pair = {}  # (c, d) -> [(|Aut|, {g: count})]
     for (c, d, n), by_label in counts.items():
-        chi = out.setdefault((c, d), {})
-        for g, k in by_label.items():
-            chi[g] = chi.get(g, 0) + Fraction(k, n)
-    sp._chi = out
+        by_pair.setdefault((c, d), []).append((n, by_label))
+    out = {}
+    for pair, groups in by_pair.items():
+        den = math.lcm(*(n for n, _ in groups))
+        num = {}
+        for n, by_label in groups:
+            scale = den // n
+            for g, k in by_label.items():
+                num[g] = num.get(g, 0) + k * scale
+        out[pair] = {g: Fraction(k, den) for g, k in num.items()}
     return out
 
 

@@ -271,17 +271,23 @@ def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
         assert count[0] == len(view.carrier) * len(view.group.generators())
     assert sum(count[0] for _, count in calls) == 2012
     # the slices S_n//Stab(x) are restrictions of one level S_n//S_n (S_n
-    # conjugating itself) per n and kind, the only actions made besides the
-    # models: a slice acts through its level's act and reads its level's
-    # rows, so a level acts once per point and distinct generator among its
-    # slices, whichever slice reads a row first.  Each model P//S_n acts once
-    # per point and generator of S_n for its orbits, and not at all for its
-    # stabilizers, which come from an orbit search along those rows: 104
-    # act calls.  A scan of S_n through act for each stabilizer, one per
-    # orbit that is not a fixed point, made it 290, 186 of them in the
-    # scans.  The first kind's levels n = 2, 3, 4 have 1, 3 and 5 distinct
-    # generators, the second kind's 1, 2 and 5, so the levels act
-    # 2 + 18 + 120 + 2 + 12 + 120 = 274 times.  With one row per slice and
+    # conjugating itself) per n, which stirling_pair shares between its two
+    # kinds, the only actions made besides the second kind's models: a
+    # slice acts through its level's act and reads its level's rows, so a
+    # level acts once per point and distinct generator among the slices of
+    # both kinds, whichever slice reads a row first.  The first kind's
+    # slices are the level's own (its orbits are the conjugacy classes), so
+    # it makes no model.  Each second-kind model P//S_n acts once per point
+    # and generator of S_n for its orbits, and not at all for its
+    # stabilizers, which come from an orbit search along those rows:
+    # 2 * 1 + 5 * 2 + 15 * 2 = 42 act calls over the 2, 5 and 15 partitions
+    # of n = 2, 3, 4.  The first kind's models P_k//S_n added 2 * 1 + 6 * 2
+    # + 24 * 2 = 62 (104 in all), and a scan of S_n through act for each
+    # stabilizer made it 290.  The levels n = 2, 3, 4 have 1, 3 and 6
+    # distinct generators among both kinds' slices, so they act
+    # 2 * 1 + 6 * 3 + 24 * 6 = 164 times.  With a level per kind (the first
+    # kind's 1, 3 and 5 generators, the second's 1, 2 and 5) they acted
+    # 2 + 18 + 120 + 2 + 12 + 120 = 274 times; with one row per slice and
     # generator the slices acted 542 times, and before that (a greedy
     # Stab(x) = S_n and a search at every representative) 614 and 392.
     calls, members = count_pipeline_acts(monkeypatch, stirling_pair)
@@ -298,8 +304,8 @@ def test_stirling_pipeline_acts_once_per_point_and_generator(monkeypatch):
         assert count == len(view.carrier) * len(gens)
     for view, count in models:
         assert count == len(view.carrier) * len(view.group.generators())
-    assert sum(count for _, count in levels) == 274
-    assert sum(count for _, count in models) == 104
+    assert sum(count for _, count in levels) == 164
+    assert sum(count for _, count in models) == 42
 
 
 def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
@@ -328,33 +334,31 @@ def test_stirling_pair_inverts_each_element_once_per_group(monkeypatch):
     # which the conjugation action inverts back
     assert len(calls) == 2 * (1 + 3 + 3)
     assert elements[:7] == elements[7:] and len(set(elements)) == 7
-    # on slices, each model P//S_n has its own S_n, and so has each level
-    # S_n//S_n whose rows the slices share.  The first kind's conjugation
-    # makes each of the nine models with generators invert its generators
-    # and their inverses, once each: 1 at n = 2 and 3 at n = 3 and 4, so
-    # 2 + 9 + 12 = 23.  The stabilizer searches invert nothing (they carry
-    # each u^-1 along the search tree), so a slice's row inverts, through
-    # its model's S_n, only the stabilizer generators not among those: 1 at
-    # n = 3 and 3 at n = 4.  Each level's conjugation inverts the inverses
-    # of its distinct generators, 1 + 3 + 5 = 9.  The second kind's
-    # relabelling inverts nothing: its models' S_n invert their generators
-    # for their orbits (2 + 6 + 8 = 16) and the 3 stabilizer generators at
-    # n = 4 that are not among them for the slices' rows, and its levels
-    # 1 + 2 + 5 = 8.  No group inverts an element twice.  With stabilizers
-    # scanned through the conjugation, which inverts all of S_n for each of
-    # the five models with a point that is not fixed, the first kind made
-    # 84 + 8 + 9 and the total was 128; with a row per slice, each built
-    # with its model's S_n and its act, 116, and with a stabilizer search at
-    # every representative 146.  stirling_pair makes the models' inversions
-    # (23 + 16): it checks naturality once per slice, so it reads no slice
-    # row, and each span_matrix builds its slices' and levels' rows when it
-    # asks for their orbits (4 + 9, then 3 + 8).  Before, the walk over
-    # every handle built them all in stirling_pair.
+    # on slices, stirling_pair makes one S_n per n, which its level
+    # S_n//S_n, the slices and the second kind's models P//S_n share.  The
+    # level's orbits, which the first kind's slices come from, invert the
+    # generators of S2, S3 and S4 and, through the conjugation, the cycles'
+    # inverses back: 1 + 3 + 3 = 7.  The stabilizer searches invert nothing
+    # more (they carry each u^-1 along the search tree), nor do the second
+    # kind's relabelling and its models, whose rows invert S_n's generators,
+    # already inverted.  stirling_pair checks naturality once per slice, so
+    # it reads no slice row; each span_matrix builds its slices' rows when
+    # it asks for their orbits, inverting each stabilizer generator not yet
+    # inverted, and through the conjugation its inverse when that is not an
+    # involution: the first kind's (0, 2, 1) at n = 3 and (0, 2, 3, 1) (and
+    # its inverse), (0, 1, 3, 2) and (2, 3, 0, 1) at n = 4, 1 + 4, then the
+    # second kind's (0, 2, 1, 3) at n = 4, 1.  No group inverts an element
+    # twice.  With an S_n per model and per kind's level, stirling_pair made
+    # the first kind's models' 2 + 9 + 12 = 23 inversions and the second's
+    # 2 + 6 + 8 = 16, and the span_matrix calls 4 + 9, then 3 + 8, 63 in
+    # all; with stabilizers scanned through the conjugation the total was
+    # 128, with a row per slice 116, and with a stabilizer search at every
+    # representative 146.
     calls.clear()
     first, second = stirling_pair(4)
-    assert len(calls) == 23 + 16
+    assert len(calls) == 1 + 3 + 3
     span_matrix(first)
-    assert len(calls) == 23 + 16 + 4 + 9
+    assert len(calls) == 7 + 1 + 4
     span_matrix(second)
     assert len({(id(group), a) for group, a in calls}) == len(calls)
-    assert len(calls) == 23 + 4 + 9 + 16 + 3 + 8
+    assert len(calls) == 7 + 1 + 4 + 1

@@ -12,7 +12,7 @@ from gspans.algebra import (
     NotASubgroupError,
     average_idempotent,
 )
-from gspans.constructions import bg_self_functor, delooping_bg
+from gspans.constructions import bg_self_functor, delooping_bg, discrete_groupoid
 from gspans.groupoid import Subgroup, SymmetricGroup, pcompose, pinverse
 from gspans.gspan import (
     character_matrix,
@@ -240,6 +240,30 @@ def test_stirling_guard():
         StirlingSpanConfig("third", 2)
     with pytest.raises(ValueError):
         StirlingSpanConfig("first", -1)
+    # a truncation that is not an int is refused where it is given, not
+    # later inside discrete_groupoid
+    for truncation in (2.5, 2.0, "2", None, True):
+        with pytest.raises(TypeError, match="truncation must be an int"):
+            StirlingSpanConfig("first", truncation)
+
+
+@pytest.mark.parametrize(
+    "base, missing",
+    [
+        (discrete_groupoid(2), "2, 3"),
+        (discrete_groupoid(["a", "b", "c"]), "0, 1, 2, 3"),
+        (discrete_groupoid([0, 1, 3, 4]), "2"),
+    ],
+    ids=["short", "other labels", "gap"],
+)
+def test_stirling_span_refuses_a_base_without_its_labels(monkeypatch, base, missing):
+    # before anything is built: no level, no model, no slice
+    from gspans import examples
+
+    monkeypatch.setattr(examples, "SymmetricGroup", None)
+    for kind in ("first", "second"):
+        with pytest.raises(ValueError, match="no object labelled %s \\(need 0..3\\)" % missing):
+            stirling_span(StirlingSpanConfig(kind, 3), base)
 
 
 def test_disjoint_delooping_span_entry():
