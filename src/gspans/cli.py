@@ -2,17 +2,19 @@
 
 A document is a JSON object with sections "groups", "groupoids", "functors",
 "bg_functors", "characters", "spans", "cells"; entries refer to each other by
-name and the reference graph must be acyclic.  Literal table groupoids use
-caller-chosen object/morphism names; builder groupoids ("BG", "discrete",
-"coset", "disjoint", "pullback", "fibre") are constructed on demand.  Every
+name and the reference graph must be acyclic.  A group is a JSON array of
+integer cyclic orders.  Literal table groupoids use caller-chosen
+object/morphism names; builder groupoids ("BG", "discrete", "coset",
+"action", "disjoint", "pullback", "fibre") are constructed on demand, and
+BG and discrete groupoids name their objects and morphisms too.  Every
 resolved object passes its module's validation; errors carry the JSON path.
 
 Commands: validate, euler, matrix, compose, check, example.  Exit codes:
 0 = pass, 1 = check failure, 2 = input error or a materialization refused by
 the size guard.  Pullbacks and one-sided fibres are lazy; a document's
-"pullback" and "fibre" groupoids and the apex that compose writes out are
-materialized, and the environment variable GSPANS_SIZE_GUARD overrides the
-guard on that.
+"pullback" and "fibre" groupoids and the apex and feet that compose writes
+out are materialized, and the environment variable GSPANS_SIZE_GUARD
+overrides the guard on that.
 """
 
 import argparse
@@ -95,12 +97,14 @@ def _need(mapping, key, path, kind=object):
     return value
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _element(grp, value, path):
     """A group element written as a JSON array of integers, checked to lie
     in grp."""
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise DocumentError(path, "group element must be a JSON array of integers")
     try:
         return grp.check(value)
@@ -109,7 +113,10 @@ def _element(grp, value, path):
 
 
 class Document:
-    """Parsed and fully resolved document."""
+    """Parsed and fully resolved document.  Each entry is built once, in
+    section order, into the dict named after its section (groups ...
+    cells).  names[view] = ({object name: id}, {morphism name: id}) for each
+    groupoid built from names: literal tables, BG and discrete groupoids."""
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -117,95 +124,83 @@ class Document:
         self.data = data
         self.groups = {}
         self.groupoids = {}
-        self.obj_names = {}  # groupoid name -> {object name -> id}
-        self.mor_names = {}  # groupoid name -> {morphism name -> id}
         self.functors = {}
         self.bg_functors = {}
         self.characters = {}
         self.spans = {}
         self.cells = {}
+        self.names = {}
+        self._sections = {
+            "groups": (self.groups, self._build_group),
+            "groupoids": (self.groupoids, self._build_groupoid),
+            "functors": (self.functors, self._build_functor),
+            "bg_functors": (self.bg_functors, self._build_bg_functor),
+            "characters": (self.characters, self._build_character),
+            "spans": (self.spans, self._build_span),
+            "cells": (self.cells, self._build_cell),
+        }
         self._resolving = set()
         for section in SECTIONS:
             if not isinstance(data.get(section, {}), dict):
                 raise DocumentError(section, "section must be a JSON object")
-        for name in data.get("groups", {}):
-            self._group(name)
-        for name in data.get("groupoids", {}):
-            self._groupoid(name)
-        for name in data.get("functors", {}):
-            self._functor(name)
-        for name in data.get("bg_functors", {}):
-            self._bg_functor(name)
-        for name in data.get("characters", {}):
-            spec, path = self._entry("characters", name)
-            grp = self._group(_need(spec, "group", path))
-            # exponents live in the dual group, written like elements of grp
-            exponents = _element(
-                grp, _need(spec, "exponents", path), path + ".exponents"
-            )
-            self.characters[name] = Character(grp, exponents)
-        for name in data.get("spans", {}):
-            self._span(name)
-        for name in data.get("cells", {}):
-            self._cell(name)
+        for section in SECTIONS:
+            for name in data.get(section, {}):
+                self._get(section, name)
 
     # -- sections ----------------------------------------------------------
 
-    def _entry(self, section, name):
-        """(spec, path) of a named section entry, type-checked before it is
-        resolved: names are strings, entries other than groups are objects."""
+    def _get(self, section, name):
+        """The entry section.name, type-checked (names are strings, groups
+        are arrays of integers, other entries objects), built by its
+        section's builder on first use and kept; a name met again while it
+        is being built closes a reference cycle."""
         path = "%s.%s" % (section, name)
         specs = self.data.get(section, {})
         if not isinstance(name, str) or name not in specs:
             raise DocumentError(path, "unresolved name")
         spec = specs[name]
-        if section != "groups" and not isinstance(spec, dict):
+        if section == "groups":
+            if not isinstance(spec, list) or not all(_is_int(n) for n in spec):
+                raise DocumentError(path, "must be a JSON array of integers")
+        elif not isinstance(spec, dict):
             raise DocumentError(path, "entry must be a JSON object")
-        return spec, path
+        built, build = self._sections[section]
+        if name not in built:
+            if (section, name) in self._resolving:
+                raise DocumentError(path, "reference cycle")
+            self._resolving.add((section, name))
+            try:
+                built[name] = build(spec, path)
+            finally:
+                self._resolving.discard((section, name))
+        return built[name]
 
-    def _group(self, name):
-        orders, path = self._entry("groups", name)
-        if name in self.groups:
-            return self.groups[name]
+    def _build_group(self, orders, path):
         try:
-            self.groups[name] = AbelianGroup(orders)
-        except (TypeError, ValueError) as e:
+            return AbelianGroup(orders)
+        except ValueError as e:
             raise DocumentError(path, str(e))
-        return self.groups[name]
 
-    def _groupoid(self, name):
-        spec, path = self._entry("groupoids", name)
-        if name in self.groupoids:
-            return self.groupoids[name]
-        if name in self._resolving:
-            raise DocumentError(path, "reference cycle")
-        self._resolving.add(name)
-        try:
-            g = self._build_groupoid(name, spec, path)
-        finally:
-            self._resolving.discard(name)
-        self.groupoids[name] = g
-        return g
-
-    def _build_groupoid(self, name, spec, path):
+    def _build_groupoid(self, spec, path):
         kind = spec.get("type", "table" if "objects" in spec else None)
         if kind == "table" or ("objects" in spec and "morphisms" in spec):
-            return self._literal_table(name, spec, path)
+            return self._literal_table(spec, path)
         if kind == "BG":
-            grp = self._group(_need(spec, "group", path))
-            g = delooping_bg(grp)
-            self.obj_names[name] = {"*": g.objects[0]}
-            self.mor_names[name] = {
-                ",".join(str(e) for e in lab): mid
-                for mid, lab in g.morphism_labels.items()
-            }
+            g = delooping_bg(self._get("groups", _need(spec, "group", path)))
+            self.names[g] = (
+                {"*": g.objects[0]},
+                {
+                    ",".join(str(e) for e in lab): mid
+                    for mid, lab in g.morphism_labels.items()
+                },
+            )
             return g
         if kind == "discrete":
             objs = _need(spec, "objects", path)
-            if isinstance(objs, int):
+            if _is_int(objs) and objs >= 0:
                 labels = list(range(objs))
             elif isinstance(objs, list) and all(
-                isinstance(l, (int, str)) for l in objs
+                isinstance(l, str) or _is_int(l) for l in objs
             ):
                 labels = list(objs)
             else:
@@ -213,13 +208,13 @@ class Document:
                     path + ".objects", "must be a count or a JSON array of names"
                 )
             g = discrete_groupoid(labels)
-            self.obj_names[name] = {str(l): g.object_of_label[l] for l in labels}
-            self.mor_names[name] = {
-                "id:%s" % l: g.morphism_of_label[("id", l)] for l in labels
-            }
+            self.names[g] = (
+                {str(l): g.object_of_label[l] for l in labels},
+                {"id:%s" % l: g.morphism_of_label[("id", l)] for l in labels},
+            )
             return g
         if kind == "coset":
-            grp = self._group(_need(spec, "group", path))
+            grp = self._get("groups", _need(spec, "group", path))
             sub = [
                 _element(grp, x, "%s.subgroup[%d]" % (path, k))
                 for k, x in enumerate(_need(spec, "subgroup", path, list))
@@ -229,7 +224,7 @@ class Document:
             except ValueError as e:
                 raise DocumentError(path, str(e))
         if kind == "action":
-            grp = self._group(_need(spec, "group", path))
+            grp = self._get("groups", _need(spec, "group", path))
             points = [str(p) for p in _need(spec, "points", path, list)]
             if len(set(points)) != len(points):
                 raise DocumentError(path + ".points", "duplicate point")
@@ -272,14 +267,16 @@ class Document:
                             )
             return ActionGroupoid(grp, points, act)
         if kind == "disjoint":
-            parts = [self._groupoid(p) for p in _need(spec, "parts", path, list)]
+            parts = [
+                self._get("groupoids", p) for p in _need(spec, "parts", path, list)
+            ]
             bad = [p for p in parts if not isinstance(p, TableGroupoid)]
             if bad:
                 raise DocumentError(path, "disjoint parts must be tables")
             return disjoint_union_tables(parts)
         if kind == "pullback":
-            f1 = self._functor(_need(spec, "left", path))
-            f2 = self._functor(_need(spec, "right", path))
+            f1 = self._get("functors", _need(spec, "left", path))
+            f2 = self._get("functors", _need(spec, "right", path))
             try:
                 return materialize(homotopy_pullback(f1, f2).groupoid)
             except Exception as e:
@@ -288,14 +285,14 @@ class Document:
             side = _need(spec, "side", path)
             at = _need(spec, "at", path)
             if side in ("left", "right"):
-                f = self._functor(_need(spec, "functor", path))
+                f = self._get("functors", _need(spec, "functor", path))
                 fibre = left_fibre if side == "left" else right_fibre
                 fib = fibre(f, self._object(f.target, at, path))
             elif side == "two":
                 if not (isinstance(at, list) and len(at) == 2):
                     raise DocumentError(path, "two-sided fibre needs at=[c, d]")
-                l = self._functor(_need(spec, "left", path))
-                r = self._functor(_need(spec, "right", path))
+                l = self._get("functors", _need(spec, "left", path))
+                r = self._get("functors", _need(spec, "right", path))
                 c = self._object(l.target, at[0], path)
                 d = self._object(r.target, at[1], path)
                 fib = two_sided_fibre(l, r, c, d)
@@ -308,21 +305,16 @@ class Document:
         raise DocumentError(path, "unknown groupoid type %r" % kind)
 
     def _object(self, view, objname, path):
-        # resolve an object by name when the groupoid has a name map,
-        # else accept the raw id
-        gname = None
-        for name, g in self.groupoids.items():
-            if g is view:
-                gname = name
-                break
-        names = self.obj_names.get(gname, {})
+        # resolve an object by name when the groupoid has names, else
+        # accept the raw id
+        names = self.names.get(view, ({}, {}))[0]
         if str(objname) in names:
             return names[str(objname)]
         if objname in view.objects:
             return objname
         raise DocumentError(path, "unknown object %r" % (objname,))
 
-    def _literal_table(self, name, spec, path):
+    def _literal_table(self, spec, path):
         objs = _need(spec, "objects", path, list)
         mors = _need(spec, "morphisms", path, list)
         onames = {}
@@ -379,140 +371,105 @@ class Document:
         report = g.validate()
         if report:
             raise DocumentError(path, "; ".join(report))
-        self.obj_names[name] = onames
-        self.mor_names[name] = mnames
+        self.names[g] = (onames, mnames)
         return g
 
-    def _functor(self, name):
-        spec, path = self._entry("functors", name)
-        if name in self.functors:
-            return self.functors[name]
-        src_name = _need(spec, "source", path)
-        tgt_name = _need(spec, "target", path)
-        src = self._groupoid(src_name)
-        tgt = self._groupoid(tgt_name)
-        so, to = self.obj_names.get(src_name), self.obj_names.get(tgt_name)
-        sm, tm = self.mor_names.get(src_name), self.mor_names.get(tgt_name)
-        if so is None or to is None:
+    def _build_functor(self, spec, path):
+        ends = [_need(spec, key, path) for key in ("source", "target")]
+        src, tgt = [self._get("groupoids", name) for name in ends]
+        if src not in self.names or tgt not in self.names:
             raise DocumentError(path, "functor endpoints must be addressable")
+        (so, sm), (to, tm) = self.names[src], self.names[tgt]
         omap, mmap = {}, {}
-        for a, b in _need(spec, "objects", path, dict).items():
-            if str(a) not in so:
-                raise DocumentError(path + ".objects", "unknown object %r" % a)
-            if str(b) not in to:
-                raise DocumentError(path + ".objects", "unresolved name %r" % b)
-            omap[so[str(a)]] = to[str(b)]
-        for f, u in _need(spec, "morphisms", path, dict).items():
-            if str(f) not in sm:
-                raise DocumentError(path + ".morphisms", "unknown morphism %r" % f)
-            if str(u) not in tm:
-                raise DocumentError(path + ".morphisms", "unresolved name %r" % u)
-            mmap[sm[str(f)]] = tm[str(u)]
+        maps = (("objects", omap, so, to), ("morphisms", mmap, sm, tm))
+        for field, out, keys, values in maps:
+            where = "%s.%s" % (path, field)
+            for a, b in _need(spec, field, path, dict).items():
+                if str(a) not in keys:
+                    raise DocumentError(where, "unknown %s %r" % (field[:-1], a))
+                if str(b) not in values:
+                    raise DocumentError(where, "unresolved name %r" % (b,))
+                out[keys[str(a)]] = values[str(b)]
         missing = [o for o in src.objects if o not in omap]
         if missing or any(m not in mmap for m in src.morphisms):
             raise DocumentError(path, "object/morphism map is not total")
         try:
-            fun = GroupoidFunctor(src, tgt, omap, mmap)
+            return GroupoidFunctor(src, tgt, omap, mmap)
         except FunctorError as e:
             raise DocumentError(path, str(e))
-        self.functors[name] = fun
-        return fun
 
-    def _bg_functor(self, name):
-        spec, path = self._entry("bg_functors", name)
-        if name in self.bg_functors:
-            return self.bg_functors[name]
+    def _build_bg_functor(self, spec, path):
         kind = spec.get("type", "table")
-        src_name = _need(spec, "source", path)
-        src = self._groupoid(src_name)
+        src = self._get("groupoids", _need(spec, "source", path))
         if kind == "tautological":
-            if not hasattr(src, "group"):
+            # delooping_bg alone gives a table its group
+            if not (isinstance(src, TableGroupoid) and hasattr(src, "group")):
                 raise DocumentError(path, "tautological needs a BG groupoid")
-            fun = bg_self_functor(src)
-        else:
-            grp = self._group(_need(spec, "group", path))
-            if kind == "trivial":
-                fun = GroupValuedFunctor.trivial(src, grp)
-            elif kind == "table":
-                sm = self.mor_names.get(src_name)
-                if sm is None:
-                    raise DocumentError(path, "source must be addressable")
-                values = {}
-                for f, g in _need(spec, "morphisms", path, dict).items():
-                    if str(f) not in sm:
-                        raise DocumentError(path, "unknown morphism %r" % f)
-                    values[sm[str(f)]] = _element(
-                        grp, g, "%s.morphisms.%s" % (path, f)
-                    )
-                if any(m not in values for m in src.morphisms):
-                    raise DocumentError(path, "morphism map is not total")
-                try:
-                    fun = GroupValuedFunctor(src, grp, values)
-                except FunctorError as e:
-                    raise DocumentError(path, str(e))
-            else:
-                raise DocumentError(path, "unknown bg functor type %r" % kind)
-        self.bg_functors[name] = fun
-        return fun
+            return bg_self_functor(src)
+        grp = self._get("groups", _need(spec, "group", path))
+        if kind == "trivial":
+            return GroupValuedFunctor.trivial(src, grp)
+        if kind != "table":
+            raise DocumentError(path, "unknown bg functor type %r" % kind)
+        if src not in self.names:
+            raise DocumentError(path, "source must be addressable")
+        sm = self.names[src][1]
+        values = {}
+        for f, g in _need(spec, "morphisms", path, dict).items():
+            if str(f) not in sm:
+                raise DocumentError(path, "unknown morphism %r" % f)
+            values[sm[str(f)]] = _element(grp, g, "%s.morphisms.%s" % (path, f))
+        if any(m not in values for m in src.morphisms):
+            raise DocumentError(path, "morphism map is not total")
+        try:
+            return GroupValuedFunctor(src, grp, values)
+        except FunctorError as e:
+            raise DocumentError(path, str(e))
 
-    def _span(self, name):
-        spec, path = self._entry("spans", name)
-        if name in self.spans:
-            return self.spans[name]
+    def _build_character(self, spec, path):
+        grp = self._get("groups", _need(spec, "group", path))
+        # exponents live in the dual group, written like elements of grp
+        exponents = _element(grp, _need(spec, "exponents", path), path + ".exponents")
+        return Character(grp, exponents)
+
+    def _build_span(self, spec, path):
         kind = spec.get("type", "explicit")
+        bg = lambda key: self._get("bg_functors", _need(spec, key, path))
         if kind == "identity":
-            sp = identity_span(self._bg_functor(_need(spec, "h", path)))
-        elif kind == "universal":
-            sp = universal_span(
-                self._bg_functor(_need(spec, "h", path)),
-                self._bg_functor(_need(spec, "v", path)),
-            )
-        elif kind == "explicit":
-            apex_name = _need(spec, "apex", path)
-            apex = self._groupoid(apex_name)
-            left = self._functor(_need(spec, "left", path))
-            right = self._functor(_need(spec, "right", path))
-            h = self._bg_functor(_need(spec, "h", path))
-            v = self._bg_functor(_need(spec, "v", path))
-            onames = self.obj_names.get(apex_name)
-            if onames is None:
-                raise DocumentError(path, "apex must be addressable")
-            eps_spec = _need(spec, "eps", path, dict)
-            eps = {}
-            for o, g in eps_spec.items():
-                if str(o) not in onames:
-                    raise DocumentError(path + ".eps", "unknown object %r" % o)
-                eps[onames[str(o)]] = _element(
-                    h.group, g, "%s.eps.%s" % (path, o)
-                )
-            if any(o not in eps for o in apex.objects):
-                raise DocumentError(path + ".eps", "labeling is not total")
-            try:
-                sp = GSpan(apex, left, right, h, v, eps)
-            except GSpanError as e:
-                raise DocumentError(path, str(e))
-        else:
+            return identity_span(bg("h"))
+        if kind == "universal":
+            return universal_span(bg("h"), bg("v"))
+        if kind != "explicit":
             raise DocumentError(path, "unknown span type %r" % kind)
-        self.spans[name] = sp
-        return sp
+        apex = self._get("groupoids", _need(spec, "apex", path))
+        left = self._get("functors", _need(spec, "left", path))
+        right = self._get("functors", _need(spec, "right", path))
+        h, v = bg("h"), bg("v")
+        if apex not in self.names:
+            raise DocumentError(path, "apex must be addressable")
+        onames = self.names[apex][0]
+        eps = {}
+        for o, g in _need(spec, "eps", path, dict).items():
+            if str(o) not in onames:
+                raise DocumentError(path + ".eps", "unknown object %r" % o)
+            eps[onames[str(o)]] = _element(h.group, g, "%s.eps.%s" % (path, o))
+        if any(o not in eps for o in apex.objects):
+            raise DocumentError(path + ".eps", "labeling is not total")
+        try:
+            return GSpan(apex, left, right, h, v, eps)
+        except GSpanError as e:
+            raise DocumentError(path, str(e))
 
-    def _cell(self, name):
-        spec, path = self._entry("cells", name)
-        if name in self.cells:
-            return self.cells[name]
-        src = self._span(_need(spec, "from", path))
-        dst = self._span(_need(spec, "to", path))
-        # phi is given over the apex names of both spans
-        apex_src_name = self.data["spans"][spec["from"]].get("apex")
-        apex_dst_name = self.data["spans"][spec["to"]].get("apex")
-        so = self.obj_names.get(apex_src_name)
-        sm = self.mor_names.get(apex_src_name)
-        to = self.obj_names.get(apex_dst_name)
-        tm = self.mor_names.get(apex_dst_name)
-        if None in (so, sm, to, tm):
+    def _build_cell(self, spec, path):
+        src = self._get("spans", _need(spec, "from", path))
+        dst = self._get("spans", _need(spec, "to", path))
+        # phi is given over the apex names of both spans, a and b over the
+        # feet's, and only an explicit span's apex has names
+        if src.apex not in self.names or dst.apex not in self.names:
             raise DocumentError(path, "cells need explicit spans over tables")
-        s_names = self.mor_names[self._name_of(src.source)]
-        t_names = self.mor_names[self._name_of(src.target)]
+        (so, sm), (to, tm) = self.names[src.apex], self.names[dst.apex]
+        s_names = self.names[src.source][1]
+        t_names = self.names[src.target][1]
 
         def names_map(where, where_path, field, key_names, value_names):
             out = {}
@@ -535,17 +492,9 @@ class Document:
             raise DocumentError(path, "cell maps are not total")
         try:
             phi = GroupoidFunctor(src.apex, dst.apex, omap, mmap)
-            cell = SpanMorphism(src, dst, phi, a, b)
+            return SpanMorphism(src, dst, phi, a, b)
         except (FunctorError, SpanMorphismError) as e:
             raise DocumentError(path, str(e))
-        self.cells[name] = cell
-        return cell
-
-    def _name_of(self, view):
-        for name, g in self.groupoids.items():
-            if g is view:
-                return name
-        raise DocumentError("$", "anonymous groupoid in cell")
 
     # -- serialization (round-trip) -----------------------------------------
 
@@ -565,36 +514,36 @@ def parse_document(text, path="<doc>"):
 # serialization of computed spans (for `compose`)
 
 
-def table_to_doc(g):
-    objs = ["o%d" % i for i in range(len(g.objects))]
-    oname = {o: "o%d" % i for i, o in enumerate(g.objects)}
-    mname = {m: "m%d" % j for j, m in enumerate(g.morphisms)}
-    return {
-        "objects": objs,
+def table_doc(view):
+    """Any groupoid as a literal table document, materialized under the size
+    guard, with the names it gives the view's object and morphism handles:
+    "o<i>" and "m<j>" in the view's order."""
+    t = materialize(view)
+    on = {o: "o%d" % i for i, o in enumerate(t.objects)}
+    mn = {m: "m%d" % j for j, m in enumerate(t.morphisms)}
+    doc = {
+        "objects": list(on.values()),
         "morphisms": [
-            {"id": mname[m], "src": oname[g.source[m]], "tgt": oname[g.target[m]]}
-            for m in g.morphisms
+            {"id": mn[m], "src": on[t.source[m]], "tgt": on[t.target[m]]}
+            for m in t.morphisms
         ],
-        "identity": {oname[o]: mname[g.identity[o]] for o in g.objects},
+        "identity": {on[o]: mn[t.identity[o]] for o in t.objects},
         "compose": [
-            [mname[m2], mname[m1], mname[g.compose_m(m2, m1)]]
-            for m2, m1 in composable_pairs(g)
+            [mn[m2], mn[m1], mn[t.compose_m(m2, m1)]]
+            for m2, m1 in composable_pairs(t)
         ],
-        "inverse": {mname[m]: mname[g.inverse_m(m)] for m in g.morphisms},
-    }, oname, mname
+        "inverse": {mn[m]: mn[t.inverse_m(m)] for m in t.morphisms},
+    }
+    ol, ml = t.object_labels, t.morphism_labels
+    return doc, {ol[o]: n for o, n in on.items()}, {ml[m]: n for m, n in mn.items()}
 
 
 def span_to_doc(sp, out_name):
     """A standalone re-parseable document containing the span, with its
-    apex materialized (refused past the size guard)."""
-    table = materialize(sp.apex)
-    obj, mor = table.object_labels, table.morphism_labels
-    apex_doc, ao, am = table_to_doc(table)
+    apex and both feet written by table_doc."""
     apex = out_name + ".apex"
-    span = {
-        "apex": apex,
-        "eps": {ao[o]: list(sp.eps(obj[o])) for o in table.objects},
-    }
+    apex_doc, ao, am = table_doc(sp.apex)
+    span = {"apex": apex, "eps": {name: list(sp.eps(x)) for x, name in ao.items()}}
     doc = {
         "groups": {"G": list(sp.group.orders)},
         "groupoids": {apex: apex_doc},
@@ -605,18 +554,17 @@ def span_to_doc(sp, out_name):
     for side, foot, bg in (("left", "source", "h"), ("right", "target", "v")):
         leg, value = getattr(sp, side), getattr(sp, bg).value
         names = {k: "%s.%s" % (out_name, k) for k in (side, foot, bg)}
-        foot_doc, fo, fm = table_to_doc(leg.target)
-        doc["groupoids"][names[foot]] = foot_doc
+        doc["groupoids"][names[foot]], fo, fm = table_doc(leg.target)
         doc["functors"][names[side]] = {
             "source": apex,
             "target": names[foot],
-            "objects": {ao[o]: fo[leg.on_obj(obj[o])] for o in table.objects},
-            "morphisms": {am[m]: fm[leg.on_mor(mor[m])] for m in table.morphisms},
+            "objects": {name: fo[leg.on_obj(x)] for x, name in ao.items()},
+            "morphisms": {name: fm[leg.on_mor(m)] for m, name in am.items()},
         }
         doc["bg_functors"][names[bg]] = {
             "source": names[foot],
             "group": "G",
-            "morphisms": {fm[m]: list(value(m)) for m in leg.target.morphisms},
+            "morphisms": {name: list(value(m)) for m, name in fm.items()},
         }
         span[side], span[bg] = names[side], names[bg]
     return doc
@@ -634,6 +582,14 @@ def _load(path):
         raise DocumentError(path, str(e))
 
 
+def _named_entry(doc, section, name):
+    """The entry of a resolved document named on the command line."""
+    entries = getattr(doc, section)
+    if name not in entries:
+        raise DocumentError("%s.%s" % (section, name), "unresolved name")
+    return entries[name]
+
+
 def cmd_validate(args):
     _load(args.file)
     print("ok")
@@ -641,10 +597,7 @@ def cmd_validate(args):
 
 
 def cmd_euler(args):
-    doc = _load(args.file)
-    if args.name not in doc.groupoids:
-        raise DocumentError("groupoids.%s" % args.name, "unresolved name")
-    print(doc.groupoids[args.name].chi())
+    print(_named_entry(_load(args.file), "groupoids", args.name).chi())
     return 0
 
 
@@ -657,135 +610,96 @@ def _rational_entry(e):
 
 def cmd_matrix(args):
     doc = _load(args.file)
-    if args.span not in doc.spans:
-        raise DocumentError("spans.%s" % args.span, "unresolved name")
-    m = span_matrix(doc.spans[args.span])
+    m = span_matrix(_named_entry(doc, "spans", args.span))
     if args.character:
-        if args.character not in doc.characters:
-            raise DocumentError(
-                "characters.%s" % args.character, "unresolved name"
-            )
-        rho = doc.characters[args.character]
+        rho = _named_entry(doc, "characters", args.character)
         if rho.group != m.group:
             raise DocumentError(
                 "characters.%s" % args.character,
                 "character over %r, span %s over %r" % (rho.group, args.span, m.group),
             )
         cm = character_matrix(m, rho)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "entries": [
-                            [e.render() for e in row] for row in cm.entries
-                        ]
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print(cm.render())
+        rows = [[e.render() for e in row] for row in cm.entries]
+        value = {"entries": rows} if args.json else cm.render()
     else:
-        if args.json:
-            print(json.dumps(m.to_json(), indent=2))
-        else:
-            print(m.render())
+        value = m.to_json() if args.json else m.render()
+    print(json.dumps(value, indent=2) if args.json else value)
     return 0
 
 
 def cmd_compose(args):
     doc = _load(args.file)
-    for name in (args.left, args.right):
-        if name not in doc.spans:
-            raise DocumentError("spans.%s" % name, "unresolved name")
+    left, right = [_named_entry(doc, "spans", n) for n in (args.left, args.right)]
     try:
-        composed = compose_spans(doc.spans[args.left], doc.spans[args.right])
+        composed = compose_spans(left, right)
     except ComposabilityError as e:
         raise DocumentError("spans.%s" % args.right, str(e))
     out = args.out or "%s.%s" % (args.left, args.right)
-    fragment = span_to_doc(composed, out)
-    print(json.dumps(fragment, indent=2, sort_keys=True))
+    print(json.dumps(span_to_doc(composed, out), indent=2, sort_keys=True))
     return 0
 
 
-def _check_main(rng, trials, report):
-    for i in trials:
-        sp1, sp2 = rnd.random_composable_pair(rng)
-        lhs, rhs = check_main_theorem(sp1, sp2)
-        if lhs != rhs:
-            report("main", i, "composition != product:\n%s\nvs\n%s" % (
-                lhs.render(), rhs.render()))
-            return False
-    return True
+# each check is one trial: the trial's failure message, or None
 
 
-def _check_restrict(rng, trials, report, doc):
-    spans = list(doc.spans.values()) if doc else []
-    for i in trials:
-        sp = spans[i] if i < len(spans) else rnd.random_span_with_structure(rng)
-        m = span_matrix(sp)
-        li = span_matrix(identity_span(sp.h))
-        ri = span_matrix(identity_span(sp.v))
-        if matrix_multiply(li, m) != m or matrix_multiply(m, ri) != m:
-            report("restrict", i, "absorption fails for span matrix\n%s" % m.render())
-            return False
-    return True
+def _check_main(rng, trial, spans):
+    sp1, sp2 = rnd.random_composable_pair(rng)
+    lhs, rhs = check_main_theorem(sp1, sp2)
+    if lhs != rhs:
+        return "composition != product:\n%s\nvs\n%s" % (lhs.render(), rhs.render())
+    return None
 
 
-def _check_phistar(rng, trials, report):
-    for i in trials:
-        phi, h, v, eps = rnd.random_pushforward_data(rng)
-        if span_matrix(pushforward_span(phi, h, v, eps)) != (
-            pushforward_matrix_closed_form(phi, h, v, eps, forward=True)
-        ):
-            report("phi*", i, "pushforward closed form mismatch")
-            return False
-        if span_matrix(pullback_span(phi, h, v, eps)) != (
-            pushforward_matrix_closed_form(phi, h, v, eps, forward=False)
-        ):
-            report("phi*", i, "pullback closed form mismatch")
-            return False
-    return True
+def _check_restrict(rng, trial, spans):
+    sp = spans[trial] if trial < len(spans) else rnd.random_span_with_structure(rng)
+    m = span_matrix(sp)
+    li = span_matrix(identity_span(sp.h))
+    ri = span_matrix(identity_span(sp.v))
+    if matrix_multiply(li, m) != m or matrix_multiply(m, ri) != m:
+        return "absorption fails for span matrix\n%s" % m.render()
+    return None
 
 
-def _check_interchange(rng, trials, report):
-    for i in trials:
-        u1, w1, u2, w2 = rnd.random_two_cell_square(rng)
-        if not interchange_check(u1, w1, u2, w2):
-            report("interchange", i, "interchange law fails")
-            return False
-    return True
+def _check_phistar(rng, trial, spans):
+    phi, h, v, eps = rnd.random_pushforward_data(rng)
+    if span_matrix(pushforward_span(phi, h, v, eps)) != (
+        pushforward_matrix_closed_form(phi, h, v, eps, forward=True)
+    ):
+        return "pushforward closed form mismatch"
+    if span_matrix(pullback_span(phi, h, v, eps)) != (
+        pushforward_matrix_closed_form(phi, h, v, eps, forward=False)
+    ):
+        return "pullback closed form mismatch"
+    return None
 
 
-def _check_lemma_chi(rng, trials, report):
-    for i in trials:
-        sp1, sp2 = rnd.random_composable_pair(
-            rng, max_objects=5, max_apex_objects=5
-        )
-        composed = compose_spans(sp1, sp2)
-        for c1 in sp1.source.component_reps():
-            for c2 in sp2.target.component_reps():
-                lhs, rhs = labeled_pullback_identity(
-                    sp1, sp2, c1, c2, composed=composed
-                )
-                if lhs != rhs:
-                    report("lemma-chi", i, "per-label identity fails at (%r,%r)"
-                           % (c1, c2))
-                    return False
-        r1, l2 = rnd.random_cospan(rng)
-        lhs, rhs = pullback_euler_check(r1, l2)
-        if lhs != rhs:
-            report("lemma-chi", i, "pullback chi: %s != %s" % (lhs, rhs))
-            return False
-    return True
+def _check_interchange(rng, trial, spans):
+    if not interchange_check(*rnd.random_two_cell_square(rng)):
+        return "interchange law fails"
+    return None
+
+
+def _check_lemma_chi(rng, trial, spans):
+    sp1, sp2 = rnd.random_composable_pair(rng, max_objects=5, max_apex_objects=5)
+    composed = compose_spans(sp1, sp2)
+    for c1 in sp1.source.component_reps():
+        for c2 in sp2.target.component_reps():
+            lhs, rhs = labeled_pullback_identity(sp1, sp2, c1, c2, composed=composed)
+            if lhs != rhs:
+                return "per-label identity fails at (%r,%r)" % (c1, c2)
+    r1, l2 = rnd.random_cospan(rng)
+    lhs, rhs = pullback_euler_check(r1, l2)
+    if lhs != rhs:
+        return "pullback chi: %s != %s" % (lhs, rhs)
+    return None
 
 
 CHECKS = {
-    "main": lambda rng, n, rep, doc: _check_main(rng, n, rep),
+    "main": _check_main,
     "restrict": _check_restrict,
-    "phi*": lambda rng, n, rep, doc: _check_phistar(rng, n, rep),
-    "interchange": lambda rng, n, rep, doc: _check_interchange(rng, n, rep),
-    "lemma-chi": lambda rng, n, rep, doc: _check_lemma_chi(rng, n, rep),
+    "phi*": _check_phistar,
+    "interchange": _check_interchange,
+    "lemma-chi": _check_lemma_chi,
 }
 
 
@@ -794,19 +708,21 @@ def cmd_check(args):
         raise DocumentError(
             "--trials", "the trial count must be >= 0, got %d" % args.trials
         )
-    doc = _load(args.file) if args.file else None
+    # a document's spans are the first trials of restrict
+    spans = list(_load(args.file).spans.values()) if args.file else []
     which = list(CHECKS) if args.which == "all" else [args.which]
-    failures = []
-
-    def report(check, trial, message):
-        failures.append((check, trial, message))
-        print("FAIL %s (trial %d, seed %d): %s" % (check, trial, args.seed, message))
-
+    failed = False
     for w in which:
         rng = random.Random(args.seed)
-        if CHECKS[w](rng, range(args.trials), report, doc):
+        for i in range(args.trials):
+            message = CHECKS[w](rng, i, spans)
+            if message is not None:
+                failed = True
+                print("FAIL %s (trial %d, seed %d): %s" % (w, i, args.seed, message))
+                break
+        else:
             print("pass %s (%d trials, seed %d)" % (w, args.trials, args.seed))
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 # the one bound on --n, part of the CLI contract: on orbit-stabilizer slices
@@ -824,54 +740,32 @@ def cmd_example(args):
         )
     first, second = stirling_pair(n)
     a, b = span_matrix(first), span_matrix(second)
-    prod = matrix_multiply(a, b)
-    if args.character == "sign":
+    sign = args.character == "sign"
+    if sign:
         rho = Character(first.group, (1,))
-        fa = character_matrix(a, rho)
-        fb = character_matrix(b, rho)
-        fp = fa * fb
-        render = lambda cm: "\n".join(
-            " ".join(_rational_entry(e) for e in row) for row in cm.entries
-        )
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "first": [[_rational_entry(e) for e in r] for r in fa.entries],
-                        "second": [[_rational_entry(e) for e in r] for r in fb.entries],
-                        "product": [[_rational_entry(e) for e in r] for r in fp.entries],
-                        "product_is_identity": fp.is_identity(),
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print("signed first kind:")
-            print(render(fa))
-            print("second kind:")
-            print(render(fb))
-            print("product:")
-            print(render(fp))
-            print("identity:", fp.is_identity())
+        a, b = character_matrix(a, rho), character_matrix(b, rho)
+        product = a * b
+        rows = lambda cm: [[_rational_entry(e) for e in r] for r in cm.entries]
+        as_json, as_text = rows, lambda cm: "\n".join(map(" ".join, rows(cm)))
     else:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "first": a.to_json(),
-                        "second": b.to_json(),
-                        "product": prod.to_json(),
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print("first kind:")
-            print(a.render())
-            print("second kind:")
-            print(b.render())
-            print("product:")
-            print(prod.render())
+        product = matrix_multiply(a, b)
+        as_json, as_text = (lambda m: m.to_json()), (lambda m: m.render())
+    shown = [
+        ("first", "signed first kind" if sign else "first kind", a),
+        ("second", "second kind", b),
+        ("product", "product", product),
+    ]
+    if args.json:
+        out = {key: as_json(m) for key, _, m in shown}
+        if sign:
+            out["product_is_identity"] = product.is_identity()
+        print(json.dumps(out, indent=2))
+    else:
+        for _, title, m in shown:
+            print(title + ":")
+            print(as_text(m))
+        if sign:
+            print("identity:", product.is_identity())
     return 0
 
 
@@ -907,11 +801,7 @@ def build_parser():
 
     k = sub.add_parser("check", help="run seeded theorem checks")
     k.add_argument("file", nargs="?")
-    k.add_argument(
-        "--which",
-        default="all",
-        choices=["main", "restrict", "phi*", "interchange", "lemma-chi", "all"],
-    )
+    k.add_argument("--which", default="all", choices=[*CHECKS, "all"])
     k.add_argument("--seed", type=int, default=20260810)
     k.add_argument("--trials", type=int, default=20)
     k.set_defaults(fn=cmd_check)

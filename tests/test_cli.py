@@ -534,3 +534,129 @@ def test_a_table_that_is_not_associative_exits_2(tmp_path, capsys):
     assert err.startswith("error: groupoids.loop: associativity fails on triple ")
     assert "identity" not in err and "inverse" not in err
     assert "Traceback" not in err
+
+
+def test_check_failures_print_one_fail_line_each_and_exit_1(monkeypatch, capsys):
+    # interchange fails at its second call and the pullback closed form at
+    # its first: each check stops at its first failing trial, and the
+    # others still pass
+    import gspans.cli as cli
+
+    calls = []
+    real_interchange = cli.interchange_check
+    real_closed_form = cli.pushforward_matrix_closed_form
+
+    def interchange(*cells):
+        calls.append(cells)
+        return len(calls) != 2 and real_interchange(*cells)
+
+    def closed_form(phi, h, v, eps, forward):
+        return real_closed_form(phi, h, v, eps, forward=True) if forward else None
+
+    monkeypatch.setattr(cli, "interchange_check", interchange)
+    monkeypatch.setattr(cli, "pushforward_matrix_closed_form", closed_form)
+    assert main(["check", "--which", "all", "--seed", "3", "--trials", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == (
+        "pass main (4 trials, seed 3)\n"
+        "pass restrict (4 trials, seed 3)\n"
+        "FAIL phi* (trial 0, seed 3): pullback closed form mismatch\n"
+        "FAIL interchange (trial 1, seed 3): interchange law fails\n"
+        "pass lemma-chi (4 trials, seed 3)\n"
+    )
+    assert err == ""
+
+
+@pytest.mark.parametrize("source", ["HG2", "swap", "two_points"])
+def test_tautological_needs_a_bg_groupoid(tmp_path, capsys, source):
+    # a coset and an action groupoid carry a group too, but only BG's
+    # morphisms are its elements
+    doc = corpus_doc_with(
+        "coset_z6.json",
+        ["bg_functors", "taut"],
+        {"type": "tautological", "source": source},
+    )
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bg_functors.taut: tautological needs a BG groupoid\n"
+    )
+    doc["bg_functors"]["taut"]["source"] = "bz6"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 0
+
+
+def test_compose_writes_action_groupoid_feet_as_tables(capsys):
+    # the feet of id are the action groupoid Z2/{0}, not tables
+    with open(doc_path("coset_feet.json")) as f:
+        ident = parse_document(f.read()).spans["id"]
+    argv = ["compose", doc_path("coset_feet.json"), "--left", "id", "--right", "id"]
+    assert main(argv) == 0
+    out = parse_document(capsys.readouterr().out)
+    from gspans.gspan import compose_spans, span_matrix
+
+    composed = out.spans["id.id"]
+    # the written feet index the rows by table ids, not by coset points
+    m, expected = span_matrix(composed), span_matrix(compose_spans(ident, ident))
+    assert (m.group, m.entries) == (expected.group, expected.entries)
+    assert len(composed.source.objects) == len(ident.source.objects) == 2
+    assert len(composed.source.morphisms) == 4
+
+
+@pytest.mark.parametrize(
+    "keys, value, path",
+    [
+        (["groups", "Z6"], [2.5], "groups.Z6"),
+        (["groups", "Z6"], "66", "groups.Z6"),
+        (["groups", "Z6"], [True, 3], "groups.Z6"),
+        (["groups", "Z6"], ["4"], "groups.Z6"),
+        (["groups", "Z6"], {}, "groups.Z6"),
+        (["groupoids", "two_points", "objects"], True, "groupoids.two_points.objects"),
+        (["groupoids", "two_points", "objects"], -2, "groupoids.two_points.objects"),
+        (["groupoids", "two_points", "objects"], [False], "groupoids.two_points.objects"),
+    ],
+    ids=["float", "string", "bool", "string-order", "object", "true", "negative",
+         "bool-name"],
+)
+def test_group_orders_and_discrete_counts_are_type_checked(
+    tmp_path, capsys, keys, value, path
+):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(corpus_doc_with("coset_z6.json", keys, value)))
+    assert main(["validate", str(f)]) == 2
+    reason = (
+        "must be a JSON array of integers"
+        if keys[0] == "groups"
+        else "must be a count or a JSON array of names"
+    )
+    assert capsys.readouterr().err == "error: %s: %s\n" % (path, reason)
+
+
+@pytest.mark.parametrize("value", [0, 3, [], [0, "a"]])
+def test_a_discrete_groupoid_takes_a_count_or_names(tmp_path, capsys, value):
+    keys = ["groupoids", "two_points", "objects"]
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(corpus_doc_with("coset_z6.json", keys, value)))
+    assert main(["euler", str(f), "--name", "two_points"]) == 0
+    count = value if isinstance(value, int) else len(value)
+    assert capsys.readouterr().out == "%d\n" % count
+
+
+def test_a_reference_cycle_exits_2_where_it_closes(tmp_path, capsys):
+    # P is the pullback of f with itself and f starts at P: the cycle closes
+    # at P.  With Q in front, Q -> f -> P -> f closes at the functor f.
+    doc = corpus_doc_with(
+        "point_span.json", ["groupoids", "P"], {"type": "pullback", "left": "f",
+                                               "right": "f"}
+    )
+    doc["functors"]["f"] = dict(doc["functors"]["to_pt"], source="P")
+    doc["groupoids"] = {"P": doc["groupoids"]["P"], **doc["groupoids"]}
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().err == "error: groupoids.P: reference cycle\n"
+    doc["groupoids"] = {"Q": doc["groupoids"]["P"], **doc["groupoids"]}
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().err == "error: functors.f: reference cycle\n"

@@ -1,6 +1,6 @@
-"""Fuzz `gspans validate`, `matrix` and `compose` with mutated corpus
-documents: whatever the edit, each command exits 0 (still valid) or 2 (input
-error, with a message) and never ends in a traceback."""
+"""Fuzz `gspans validate`, `euler`, `matrix`, `compose` and `check FILE` with
+mutated corpus documents: whatever the edit, each command exits 0 (still
+valid) or 2 (input error, with a message) and never ends in a traceback."""
 
 import contextlib
 import copy
@@ -136,3 +136,17 @@ def test_compose_on_mutated_corpus_exits_0_or_2(doc, data):
     spans = st.sampled_from(section_names(doc, "spans"))
     argv = ["compose", "--left", data.draw(spans), "--right", data.draw(spans)]
     assert_exits_0_or_2(doc, argv)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_documents(), st.data())
+def test_euler_on_mutated_corpus_exits_0_or_2(doc, data):
+    name = data.draw(st.sampled_from(section_names(doc, "groupoids")))
+    assert_exits_0_or_2(doc, ["euler", "--name", name])
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_documents())
+def test_check_restrict_on_mutated_corpus_exits_0_or_2(doc):
+    # the document's spans are the first trials, then seeded random spans
+    assert_exits_0_or_2(doc, ["check", "--which", "restrict", "--trials", "2"])
