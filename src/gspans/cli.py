@@ -207,6 +207,11 @@ class Document:
                 raise DocumentError(
                     path + ".objects", "must be a count or a JSON array of names"
                 )
+            seen = set()
+            for l in labels:
+                if str(l) in seen:
+                    raise DocumentError(path + ".objects", "duplicate object %r" % l)
+                seen.add(str(l))
             g = discrete_groupoid(labels)
             self.names[g] = (
                 {str(l): g.object_of_label[l] for l in labels},

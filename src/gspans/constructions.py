@@ -327,7 +327,13 @@ class PullbackView(GroupoidView):
     and the legs' images of Aut(r1) and Aut(r2) only where an orbit can
     have more than one point.  Over a discrete T a non-empty T(x, y) is
     T(x, x) = {id_x}, so a representative is a pair of the factors' and
-    |Aut| multiplies.
+    |Aut| multiplies.  The pass is one generator, representatives(), that
+    yields (r1, t, r2, |Aut|) and stores nothing per component: a
+    composite's span matrix reads each component once from it, with the
+    factors' rows, and never holds the list (gspan._composite_keys).  The
+    list of representatives, and their |Aut| over a T that is not
+    discrete, are built from it once, only when component_reps() or
+    aut_order needs them.
     components(), component_rep(o) and the generating family need every
     object: a search over the moves (s, t, id) and (id, t, s), for s in
     M1's and M2's generating families and their inverses, finds the
@@ -487,41 +493,50 @@ class PullbackView(GroupoidView):
         return [[objs[i] for i in c] for c in self._searched()[0]]
 
     def component_reps(self):
-        if self._reps is None:
-            self._double_cosets()
-        return list(self._reps)
+        return list(self._listed()[0])
 
-    def _double_cosets(self):
-        """The representatives, in the search's order, and over a T that is
-        not discrete their |Aut|, from one pass over pairs of the factors'
-        representatives (see the class docstring)."""
-        M1, M2, T, discrete = self.M1, self.M2, self.T, self._discrete
-        part = (lambda y: y) if discrete else T.component_rep
-        over = {}  # component of T -> [(r2, L2 r2)], in M2's order
+    def _listed(self):
+        """(reps, auts): the pass's representatives as a list and, over a T
+        that is not discrete, their |Aut| by representative, made once, for
+        the callers that need a list or a lookup."""
+        if self._reps is None:
+            reps, auts = [], None if self._discrete else {}
+            for a, t, b, n in self.representatives():
+                reps.append((a, t, b))
+                if auts is not None:
+                    auts[a, t, b] = n
+            self._reps, self._auts = reps, auts
+        return self._reps, self._auts
+
+    def representatives(self):
+        """Yield (r1, t, r2, |Aut|) for each component, in the search's
+        order, from one pass over pairs of the factors' representatives (see
+        the class docstring).  Nothing is stored per component: a caller
+        that reads each component once, such as a composite's _fibre_chi,
+        never holds the list.  |Aut r2| and each row of hom-sets are read
+        once, and the legs' images of Aut(r1) and Aut(r2) only where an
+        orbit can have two points."""
+        M1, M2, T = self.M1, self.M2, self.T
+        part = (lambda y: y) if self._discrete else T.component_rep
+        over = {}  # component of T -> [(r2, L2 r2, |Aut r2|)], in M2's order
         for b in M2.component_reps():
             y = self.l2.on_obj(b)
-            over.setdefault(part(y), []).append((b, y))
-        rows = {}  # x -> ([r2 over x's component], [T(x, L2 r2)])
+            over.setdefault(part(y), []).append((b, y, M2.aut_order(b)))
+        rows = {}  # x -> [(r2, |Aut r2|, T(x, L2 r2))] over x's component
         images = {}  # r2 -> L2(Aut r2), read once an orbit needs it
-        reps, auts = [], {}
         for a in M1.component_reps():
             x = self.r1.on_obj(a)
-            if x not in rows:
+            row = rows.get(x)
+            if row is None:
                 group = over.get(part(x), ())
-                homs = {y: T.hom(x, y) for y in {y for _, y in group}}
-                rows[x] = [b for b, _ in group], [homs[y] for _, y in group]
-            bs, homs = rows[x]
-            if discrete:  # each T(x, y) of the row is T(x, x) = [id_x]
-                t = homs[0][0] if homs else None
-                reps.extend([(a, t, b) for b in bs])
-                continue
+                homs = {y: T.hom(x, y) for y in {y for _, y, _ in group}}
+                row = rows[x] = [(b, n2, homs[y]) for b, y, n2 in group]
             n1, image1 = M1.aut_order(a), None
-            for b, hom in zip(bs, homs):
-                n = n1 * M2.aut_order(b)
+            for b, n2, hom in row:
+                n = n1 * n2
                 if n == 1 or len(hom) == 1:  # no orbit has two points
                     for t in hom:
-                        reps.append((a, t, b))
-                        auts[a, t, b] = n
+                        yield a, t, b, n
                     continue
                 if image1 is None:
                     image1 = _aut_image(self.r1, a)
@@ -536,10 +551,7 @@ class PullbackView(GroupoidView):
                             for u in images[b]
                         }
                         seen |= orbit
-                        reps.append((a, t, b))
-                        auts[a, t, b] = n // len(orbit)
-        self._reps = reps
-        self._auts = None if discrete else auts
+                        yield a, t, b, n // len(orbit)
 
     def component_rep(self, o):
         comps, comp_of, index, _ = self._searched()
@@ -547,11 +559,11 @@ class PullbackView(GroupoidView):
 
     def aut_order(self, o):
         """Over a discrete T the factors' orders multiply; otherwise the
-        double-coset pass's order at a representative, once it has run, or
-        hom_size(o, o)."""
+        double-coset pass's order at a representative, or hom_size(o, o)
+        elsewhere."""
         if self._discrete:
             return self.M1.aut_order(o[0]) * self.M2.aut_order(o[2])
-        n = self._auts.get(o) if self._auts else None
+        n = self._listed()[1].get(o)
         return self.hom_size(o, o) if n is None else n
 
     def generating_family(self):

@@ -43,12 +43,18 @@ Span composition is the homotopy pullback, a lazy PullbackView whose objects
 are the triples (a1, t, a2), with label eps2(a2) + V1(t) + eps1(a1); the
 composition lemma makes the composite natural, so compose_spans checks only
 its factors (their legs over BG on the feet, an unchecked factor's square)
-and never walks the composite.  A composite is a span like any other and can
-be composed again.  2-cells between composites map those triples directly,
-and a 2-cell is checked once, where it is made, by the same rule:
-SpanMorphism validates at construction, and vertical_compose and
-horizontal_compose check only their factors and mark the composite checked
-by the composition lemma for 2-cells, so no composite cell is walked.
+and never walks the composite.  A composite's matrix is still read off its
+own pi0, as one stream: the apex's double-coset pass yields each component
+(a1, t, a2, |Aut|) once, and _fibre_chi takes L1(a1), R2(a2) and the label
+from the factors' rows, (L1 a1, eps1 a1) and (R2 a2, eps2 a2) once per
+factor representative and V1(t) once per t, with no list of the
+composite's components and no call of its legs or label per component.
+A composite is a span like any other and can be composed again.  2-cells
+between composites map those triples directly, and a 2-cell is checked
+once, where it is made, by the same rule: SpanMorphism validates at
+construction, and vertical_compose and horizontal_compose check only their
+factors and mark the composite checked by the composition lemma for
+2-cells, so no composite cell is walked.
 Matrix products use the order (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) (for
 abelian G this equals the usual product; a test asserts both agree).
 Component representatives are fixed once per groupoid (its first object),
@@ -487,7 +493,11 @@ def _fibre_chi(sp):
     is made once per (La, Ra), and each key's histogram of eps is
     multiplied by its V.H once (G is abelian, so the order of the factors
     does not matter).  This regroups the span's own pi0: a composite's map
-    comes from the composite's representatives.  The counts per
+    comes from the composite's representatives, streamed by its apex's
+    double-coset pass and keyed from its factors' rows (_composite_keys),
+    in the order and with the counts that the loop over its listed
+    representatives and its legs, label and aut_order gives every other
+    span.  The counts per
     (c, d, |Aut a|) and label are summed in integers (_chi_of_counts), so
     each (c, d) and label makes one Fraction, however many components and
     |Aut| values share it (the composed Stirling apex at N=8 has 1.37 M
@@ -495,12 +505,15 @@ def _fibre_chi(sp):
     if sp._chi is not None:
         return sp._chi
     S, T, M = sp.source, sp.target, sp.apex
-    add, left, right, eps = sp.group.add, sp.left.on_obj, sp.right.on_obj, sp.eps
-    aut = M.aut_order
-    by_key = {}  # (La, Ra, |Aut a|, eps(a)) -> number of components
-    for a in M.component_reps():
-        key = left(a), right(a), aut(a), eps(a)
-        by_key[key] = by_key.get(key, 0) + 1
+    add = sp.group.add
+    if sp.factors is None:
+        left, right, eps, aut = sp.left.on_obj, sp.right.on_obj, sp.eps, M.aut_order
+        by_key = {}  # (La, Ra, |Aut a|, eps(a)) -> number of components
+        for a in M.component_reps():
+            key = left(a), right(a), aut(a), eps(a)
+            by_key[key] = by_key.get(key, 0) + 1
+    else:
+        by_key = _composite_keys(sp)
     h_of, v_of = {}, {}  # La -> (c, H on S(c, La)); Ra -> (d, V on T(Ra, d))
     vh_of = {}  # (La, Ra) -> (c, d, V.H as (label, count) pairs)
     counts = {}  # (c, d, |Aut a|) -> {label: number of (a, s, t)}
@@ -529,6 +542,39 @@ def _fibre_chi(sp):
             by_label[g] = by_label.get(g, 0) + k * kx
     sp._chi = _chi_of_counts(counts)
     return sp._chi
+
+
+def _composite_keys(sp):
+    """_fibre_chi's count per key (La, Ra, |Aut a|, eps(a)) on a composite
+    of sp1 and sp2, from the stream of its apex's representatives
+    (a1, t, a2, |Aut|): L is L1(a1), R is R2(a2) and eps is
+    eps2(a2) + V1(t) + eps1(a1), read from the factor rows (L1 a1, eps1 a1),
+    made as the stream reaches each a1 (it yields each a1's components
+    together), and (R2 a2, eps2 a2), made once per a2, and from V1(t), once
+    per t; V1(t) + eps1(a1) is added once per run of one (a1, t).  Every
+    component of the composite is visited once, and no list of them is
+    made.  No count of one factor's representatives meets the other's:
+    the keys are the composite's own, one per component."""
+    sp1, sp2 = sp.factors
+    add, left1, eps1 = sp.group.add, sp1.left.on_obj, sp1.eps
+    right2, eps2, v1 = sp2.right.on_obj, sp2.eps, sp1.v.value
+    rows2, v_of = {}, {}  # a2 -> (R2 a2, eps2 a2); t -> V1 t
+    by_key = {}
+    last1 = last_t = object()  # the stream yields each a1's components together
+    for a1, t, a2, n in sp.apex.representatives():
+        if a1 is not last1:
+            last1, last_t, l1, e1 = a1, object(), left1(a1), eps1(a1)
+        if t is not last_t:
+            vt = v_of.get(t)
+            if vt is None:
+                vt = v_of[t] = v1(t)
+            last_t, w = t, add(vt, e1)
+        row2 = rows2.get(a2)
+        if row2 is None:
+            row2 = rows2[a2] = right2(a2), eps2(a2)
+        key = l1, row2[0], n, add(row2[1], w)
+        by_key[key] = by_key.get(key, 0) + 1
+    return by_key
 
 
 def _chi_of_counts(counts):

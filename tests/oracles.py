@@ -4,7 +4,9 @@ span_matrix evaluates by groupoid cardinality), the dense matrix product
 (gspans forms only the nonzero products), the naturality checks of
 spans and 2-cells at every morphism (the validators walk a generating
 family), the composite of two spans built with no check (compose_spans
-checks its factors instead), the equality of 2-cells on every morphism
+checks its factors instead) and its matrix's counts read through its
+legs and label at each representative (a composite streams them from its
+factors' rows), the equality of 2-cells on every morphism
 (cells_equal compares on a generating family), the table pullback as a loop
 that looks up every leg value and hom-set per morphism pair (the builder
 looks each up once), the two-sided pullback as one table (gspans nests two
@@ -225,6 +227,22 @@ def unchecked_composite(sp1, sp2):
         eps,
         check=False,
     )
+
+
+def closure_keys(sp):
+    """_fibre_chi's count per key (La, Ra, |Aut a|, eps(a)) by the
+    per-component closure route: a loop over the apex's component_reps()
+    that calls the span's left and right legs, the apex's aut_order and the
+    label eps at each representative, in that order (a composite's
+    _fibre_chi streams its apex's representatives and reads its factors'
+    rows instead)."""
+    left, right, eps = sp.left.on_obj, sp.right.on_obj, sp.eps
+    aut = sp.apex.aut_order
+    by_key = {}
+    for a in sp.apex.component_reps():
+        key = left(a), right(a), aut(a), eps(a)
+        by_key[key] = by_key.get(key, 0) + 1
+    return by_key
 
 
 def all_morphism_cell_naturality(cell):

@@ -643,6 +643,18 @@ def test_a_discrete_groupoid_takes_a_count_or_names(tmp_path, capsys, value):
     assert capsys.readouterr().out == "%d\n" % count
 
 
+@pytest.mark.parametrize("value, name", [([1, "1"], "'1'"), (["a", "b", "a"], "'a'")])
+def test_a_discrete_groupoid_refuses_a_duplicate_name(tmp_path, capsys, value, name):
+    # names are read as strings, so 1 and "1" name one object
+    keys = ["groupoids", "two_points", "objects"]
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(corpus_doc_with("coset_z6.json", keys, value)))
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().err == (
+        "error: groupoids.two_points.objects: duplicate object %s\n" % name
+    )
+
+
 def test_a_reference_cycle_exits_2_where_it_closes(tmp_path, capsys):
     # P is the pullback of f with itself and f starts at P: the cycle closes
     # at P.  With Q in front, Q -> f -> P -> f closes at the functor f.

@@ -8,6 +8,7 @@ Inputs: the seeded acceptance corpus (both spans, their feet and the
 composite), the Stirling apexes and composites for N <= 5, the c07 coset and
 subset apexes, and the composite apexes of the cells workload's squares."""
 
+import functools
 import random
 
 import pytest
@@ -52,6 +53,7 @@ def listed_sample(view):
     objs = view.objects
     reached_from = {y: (x, move) for x, y, move in tree}
 
+    @functools.cache  # each prefix of a path is composed once
     def path(y):  # the search-tree path from y's representative to y
         if y not in reached_from:
             return view.identity_at(objs[y])

@@ -90,12 +90,13 @@ def test_lemma_lhs_matches_fibres_on_random_corpus(corpus):
 
 def test_lemma_lhs_is_one_pass_moved_to_any_objects(corpus):
     # the left-hand side at every pair of objects, representatives or not,
-    # is read off the one pass span_matrix made over the composite's pi0
+    # is read off the one pass span_matrix made over the composite's pi0,
+    # the stream of its representatives
     for sp1, sp2, _ in corpus[:10]:
         composed = compose_spans(sp1, sp2)
-        reps = composed.apex.component_reps
+        reps = composed.apex.representatives
         passes = []
-        composed.apex.component_reps = lambda: passes.append(1) or reps()
+        composed.apex.representatives = lambda: passes.append(1) or reps()
         span_matrix(composed)
         for c1 in sp1.source.objects:
             for c2 in sp2.target.objects:
