@@ -236,6 +236,8 @@ class Document:
             table = _need(spec, "action", path, dict)
             act_map = {}
             for p, moves in table.items():
+                if p not in points:
+                    raise DocumentError(path + ".action.%s" % p, "unknown point")
                 if not isinstance(moves, dict):
                     raise DocumentError(
                         path + ".action.%s" % p, "must be a JSON object"
@@ -248,7 +250,11 @@ class Document:
                         raise DocumentError(where, str(e))
                     if str(q) not in points:
                         raise DocumentError(where, "unknown point %r" % (q,))
-                    act_map[(str(p), g)] = str(q)
+                    if (p, g) in act_map:
+                        raise DocumentError(where, "element %r given twice" % (g,))
+                    if g == grp.identity and str(q) != p:  # act never reads it
+                        raise DocumentError(where, "the identity moves %r" % p)
+                    act_map[(p, g)] = str(q)
 
             def act(x, g):
                 if g == grp.identity:

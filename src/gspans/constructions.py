@@ -331,9 +331,9 @@ class PullbackView(GroupoidView):
     yields (r1, t, r2, |Aut|) and stores nothing per component: a
     composite's span matrix reads each component once from it, with the
     factors' rows, and never holds the list (gspan._composite_keys).  The
-    list of representatives, and their |Aut| over a T that is not
-    discrete, are built from it once, only when component_reps() or
-    aut_order needs them.
+    list of representatives is built from it once, only when
+    component_reps() needs it; aut_order multiplies the factors' orders
+    over a discrete T and counts hom(o, o) over any other.
     components(), component_rep(o) and the generating family need every
     object: a search over the moves (s, t, id) and (id, t, s), for s in
     M1's and M2's generating families and their inverses, finds the
@@ -350,7 +350,6 @@ class PullbackView(GroupoidView):
         self._discrete = self.T.is_discrete
         self._objects = None
         self._reps = None
-        self._auts = None  # representative -> |Aut|, over a T not discrete
         self._search = None
         self._family = None
 
@@ -493,20 +492,10 @@ class PullbackView(GroupoidView):
         return [[objs[i] for i in c] for c in self._searched()[0]]
 
     def component_reps(self):
-        return list(self._listed()[0])
-
-    def _listed(self):
-        """(reps, auts): the pass's representatives as a list and, over a T
-        that is not discrete, their |Aut| by representative, made once, for
-        the callers that need a list or a lookup."""
+        """The pass's representatives as a list, made once."""
         if self._reps is None:
-            reps, auts = [], None if self._discrete else {}
-            for a, t, b, n in self.representatives():
-                reps.append((a, t, b))
-                if auts is not None:
-                    auts[a, t, b] = n
-            self._reps, self._auts = reps, auts
-        return self._reps, self._auts
+            self._reps = [(a, t, b) for a, t, b, _ in self.representatives()]
+        return list(self._reps)
 
     def representatives(self):
         """Yield (r1, t, r2, |Aut|) for each component, in the search's
@@ -558,13 +547,11 @@ class PullbackView(GroupoidView):
         return self._object_list()[comps[comp_of[index[o]]][0]]
 
     def aut_order(self, o):
-        """Over a discrete T the factors' orders multiply; otherwise the
-        double-coset pass's order at a representative, or hom_size(o, o)
-        elsewhere."""
+        """Over a discrete T the factors' orders multiply; otherwise
+        hom_size(o, o)."""
         if self._discrete:
             return self.M1.aut_order(o[0]) * self.M2.aut_order(o[2])
-        n = self._listed()[1].get(o)
-        return self.hom_size(o, o) if n is None else n
+        return self.hom_size(o, o)
 
     def generating_family(self):
         """The component stars: at each representative r, all of Aut(r),
@@ -632,9 +619,9 @@ def two_sided_fibre(l, r, c, d):
     """c\\M/d = (1{c} x_S M) x_T 1{d}, built directly as one table: objects
     (a, s, t); a morphism (m, s, t) acts by
     (a1, s, t) -> (a2, L(m) o s, t o R(m)^-1).  It is the fibre of the CLI's
-    "fibre" documents and of fibre_map_preserves_labels, and the tests'
-    oracle for labeled_fibre, which searches its components without
-    building it.  As nested views it would take about twice as long."""
+    "fibre" documents, and the tests' oracle for labeled_fibre, which
+    searches its components without building it, and for the 2-cell fibre
+    map.  As nested views it would take about twice as long."""
     M, S, T = l.source, l.target, r.target
     b = TableBuilder()
     for a in M.objects:

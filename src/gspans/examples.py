@@ -1,10 +1,10 @@
 """Executable catalog of concrete spans: subset spans, universal spans, spans
 of groups, coset spans, and the Stirling spans over the finite base 0..N.
 
-The permutation-with-k-cycles and partition-with-m-blocks groupoids are the
-skeletal action-groupoid models (conjugation of Sigma(n) on S1(X,k), resp. on
-set partitions encoded as restricted-growth strings).  The Stirling span
-apexes are their Grothendieck constructions with value Fin(X,X): the action
+The Stirling span apexes are Grothendieck constructions with value Fin(X,X)
+over the skeletal action-groupoid models P_k//Sigma(n) of n-sets with a
+k-cycle permutation (conjugation of Sigma(n) on S1(X,k)), resp. with a
+k-block partition (relabelling of restricted-growth strings): the action
 groupoid of Sigma(n) on pairs (sigma, tau) resp. (rho, tau) under simultaneous
 conjugation, built as the equivalent union of its orbit-stabilizer slices
 (ActionGroupoid.slices): over each representative sigma, Stab(sigma) acting
@@ -12,11 +12,11 @@ on tau by conjugation.  All the slices over n, of both kinds, restrict one
 level Sigma(n)//Sigma(n), which stirling_pair builds once per n for both
 spans; the first kind's slices are the level's own, since Sigma(n)
 conjugating itself is the union over k of the permutations with k cycles.
-Matrices only see chi of labeled fibres, which is what these models compute
-without ever materializing hom-sets.
+The models P_k//Sigma(n) are built only here; tests/oracles.py has them
+standalone, as reference models.  Matrices only see chi of labeled fibres,
+which is what these models compute without ever materializing hom-sets.
 """
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -58,12 +58,6 @@ def cycle_count(perm):
     return count
 
 
-def perms_with_cycles(n, k):
-    return sorted(
-        p for p in itertools.permutations(range(n)) if cycle_count(p) == k
-    )
-
-
 def rgs_partitions(n):
     """All set partitions of {0..n-1} as restricted-growth strings."""
     if n == 0:
@@ -85,10 +79,6 @@ def rgs_blocks(rgs):
     return (max(rgs) + 1) if rgs else 0
 
 
-def partitions_with_blocks(n, m):
-    return sorted(r for r in rgs_partitions(n) if rgs_blocks(r) == m)
-
-
 def _canonical_rgs(labels):
     seen = {}
     out = []
@@ -102,22 +92,6 @@ def _canonical_rgs(labels):
 def relabel_partition(rgs, g):
     """Right action: i ~ j in rgs.g  iff  g(i) ~ g(j) in rgs."""
     return _canonical_rgs([rgs[g[i]] for i in range(len(g))])
-
-
-def fin_perm_groupoid(n, k):
-    """Skeletal model of the groupoid of n-sets with a k-cycle permutation."""
-    if not (0 <= k <= n):
-        raise ValueError("need 0 <= k <= n")
-    sym = SymmetricGroup(n)
-    return ActionGroupoid(sym, perms_with_cycles(n, k), sym.conjugate)
-
-
-def fin_rel_groupoid(k, m):
-    """Skeletal model of the groupoid of k-sets with an m-block partition."""
-    if not (0 <= m <= k):
-        raise ValueError("need 0 <= m <= k")
-    sym = SymmetricGroup(k)
-    return ActionGroupoid(sym, partitions_with_blocks(k, m), relabel_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +182,7 @@ def _stirling_strata(kind, sym, level):
     classes, in first-point order, and a class's least element is its
     first point both in Sigma(n) and in the sorted P_k, so bucketing the
     level's slices by cycle count gives each k's slices in the order of
-    fin_perm_groupoid(n, k).slices(level); each stabilizer search visits the
+    P_k//Sigma(n).slices(level); each stabilizer search visits the
     same points along the same rows, so it gives the same Stab(x).  Second
     kind: one model P_k//Sigma(n), relabelling partitions, per k, from one
     enumeration of the partitions of n."""

@@ -71,7 +71,6 @@ from gspans.constructions import (
     _as_fn,
     homotopy_pullback,
     identity_functor,
-    two_sided_fibre,
 )
 from gspans.groupoid import DisjointUnion
 
@@ -1213,23 +1212,29 @@ def cells_equal(u, w):
 def fibre_map_preserves_labels(cell, c, d):
     """The induced map of two-sided fibres
     (x, s, t) -> (Phi x, A(x) o s, t o B(x)^-1) lands in the target fibre
-    and in the same label level; False if some image misses either."""
+    and in the same label level; False if some image misses either.  It
+    walks the objects of c\\M1/d in the fibre table's order, and an image
+    (px, s2, t2) is in c\\M2/d when px is in M2, s2 in S(c, L2 px) and t2
+    in T(R2 px, d), so it builds no fibre and walks no apex morphism."""
     sp1, sp2 = cell.src_span, cell.dst_span
     S, T, G = sp1.source, sp1.target, sp1.group
-    fib1 = two_sided_fibre(sp1.left, sp1.right, c, d)
-    fib2 = two_sided_fibre(sp2.left, sp2.right, c, d)
+    objects2 = set(sp2.apex.objects)
 
-    def label(sp, triple):
-        a, s, t = triple
+    def label(sp, a, s, t):
         return G.add(sp.v.value(t), G.add(sp.eps(a), sp.h.value(s)))
 
-    for oid in fib1.objects:
-        x, s, t = fib1.object_labels[oid]
-        px = cell.phi.on_obj(x)
-        s2 = S.compose_m(cell.a(x), s)
-        t2 = T.compose_m(t, T.inverse_m(cell.b(x)))
-        if (px, s2, t2) not in fib2.object_of_label:
-            return False  # the image misses the target fibre
-        if label(sp2, (px, s2, t2)) != label(sp1, (x, s, t)):
-            return False
+    for x in sp1.apex.objects:
+        for s in S.hom(c, sp1.left.on_obj(x)):
+            for t in T.hom(sp1.right.on_obj(x), d):
+                px = cell.phi.on_obj(x)
+                s2 = S.compose_m(cell.a(x), s)
+                t2 = T.compose_m(t, T.inverse_m(cell.b(x)))
+                if (
+                    px not in objects2
+                    or s2 not in sp2.source.hom(c, sp2.left.on_obj(px))
+                    or t2 not in sp2.target.hom(sp2.right.on_obj(px), d)
+                ):
+                    return False  # the image misses the target fibre
+                if label(sp2, px, s2, t2) != label(sp1, x, s, t):
+                    return False
     return True

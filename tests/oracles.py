@@ -7,15 +7,19 @@ family), the composite of two spans built with no check (compose_spans
 checks its factors instead) and its matrix's counts read through its
 legs and label at each representative (a composite streams them from its
 factors' rows), the equality of 2-cells on every morphism
-(cells_equal compares on a generating family), the table pullback as a loop
+(cells_equal compares on a generating family), the map of two-sided
+fibres a 2-cell induces, read off both fibre tables (gspans walks the
+source fibre's objects), the table pullback as a loop
 that looks up every leg value and hom-set per morphism pair (the builder
 looks each up once), the two-sided pullback as one table (gspans nests two
 pullback views), the orbits of an action groupoid read off its act
 alone (the groupoid reads them off its generator tables), the functor
 validators and associativity on every composable pair and triple (the
-validators walk generating_pairs), and the Stirling spans on the product
-model (P x Sigma(n))//Sigma(n) (gspans builds its orbit-stabilizer
-slices).  gspans is imported inside the
+validators walk generating_pairs), the skeletal models P_k//Sigma(n) of
+n-sets with a k-cycle permutation or a k-block partition (gspans builds
+them only inside the Stirling strata), and the Stirling spans on the
+product model (P x Sigma(n))//Sigma(n) (gspans builds its
+orbit-stabilizer slices).  gspans is imported inside the
 functions: the benchmark imports this module before it times the import of
 gspans."""
 
@@ -298,6 +302,33 @@ def all_morphism_cells_equal(u, w):
     return all(u.phi.on_mor(m) == w.phi.on_mor(m) for m in M.all_morphisms())
 
 
+def table_fibre_map_preserves_labels(cell, c, d):
+    """fibre_map_preserves_labels read off both fibre tables: the image of
+    every object of c\\M1/d looked up among the objects of c\\M2/d
+    (gspans walks the objects of c\\M1/d and builds neither table)."""
+    from gspans.constructions import two_sided_fibre
+
+    sp1, sp2 = cell.src_span, cell.dst_span
+    S, T, G = sp1.source, sp1.target, sp1.group
+    fib1 = two_sided_fibre(sp1.left, sp1.right, c, d)
+    fib2 = two_sided_fibre(sp2.left, sp2.right, c, d)
+
+    def label(sp, triple):
+        a, s, t = triple
+        return G.add(sp.v.value(t), G.add(sp.eps(a), sp.h.value(s)))
+
+    for oid in fib1.objects:
+        x, s, t = fib1.object_labels[oid]
+        px = cell.phi.on_obj(x)
+        s2 = S.compose_m(cell.a(x), s)
+        t2 = T.compose_m(t, T.inverse_m(cell.b(x)))
+        if (px, s2, t2) not in fib2.object_of_label:
+            return False  # the image misses the target fibre
+        if label(sp2, (px, s2, t2)) != label(sp1, (x, s, t)):
+            return False
+    return True
+
+
 def triple_loop_table_pullback(r1, l2):
     """The table pullback of r1: M1 -> T <- M2 : l2 built by the m1 x m2 x t
     loop that evaluates the legs and T.hom for every pair (m1, m2), with the
@@ -485,6 +516,44 @@ def all_triples_associativity(table):
     ]
 
 
+def perms_with_cycles(n, k):
+    from gspans.examples import cycle_count
+
+    return sorted(
+        p for p in itertools.permutations(range(n)) if cycle_count(p) == k
+    )
+
+
+def partitions_with_blocks(n, m):
+    from gspans.examples import rgs_blocks, rgs_partitions
+
+    return sorted(r for r in rgs_partitions(n) if rgs_blocks(r) == m)
+
+
+def fin_perm_groupoid(n, k):
+    """Skeletal model of the groupoid of n-sets with a k-cycle permutation
+    (gspans builds it only inside the Stirling strata, from one level)."""
+    from gspans.groupoid import ActionGroupoid, SymmetricGroup
+
+    if not (0 <= k <= n):
+        raise ValueError("need 0 <= k <= n")
+    sym = SymmetricGroup(n)
+    return ActionGroupoid(sym, perms_with_cycles(n, k), sym.conjugate)
+
+
+def fin_rel_groupoid(k, m):
+    """Skeletal model of the groupoid of k-sets with an m-block partition
+    (gspans builds it only inside the Stirling strata, from one enumeration
+    of the partitions of k)."""
+    from gspans.examples import relabel_partition
+    from gspans.groupoid import ActionGroupoid, SymmetricGroup
+
+    if not (0 <= m <= k):
+        raise ValueError("need 0 <= m <= k")
+    sym = SymmetricGroup(k)
+    return ActionGroupoid(sym, partitions_with_blocks(k, m), relabel_partition)
+
+
 def pair_stratum(base_points, act_point, group):
     """Grothendieck construction of Fin(X,X) over a skeletal action model:
     Sigma acts on pairs (point, tau) by (act, conjugation)."""
@@ -508,13 +577,7 @@ def pair_stirling_span(kind, N, base):
     where gspans builds its orbit-stabilizer slices.  Same legs and labels:
     (n, k, label) per stratum."""
     from gspans.constructions import GroupoidFunctor, GroupValuedFunctor
-    from gspans.examples import (
-        SIGN_GROUP,
-        StirlingSpanConfig,
-        partitions_with_blocks,
-        perms_with_cycles,
-        relabel_partition,
-    )
+    from gspans.examples import SIGN_GROUP, StirlingSpanConfig, relabel_partition
     from gspans.groupoid import DisjointUnion, SymmetricGroup
     from gspans.gspan import GSpan
 

@@ -16,17 +16,14 @@ from gspans import random_spans as rnd
 from gspans.algebra import AbelianGroup
 from gspans.cli import parse_document
 from gspans.constructions import coset_groupoid
-from gspans.examples import (
-    fin_perm_groupoid,
-    fin_rel_groupoid,
-    stirling_pair,
-    subset_span,
-)
+from gspans.examples import stirling_pair, subset_span
 from gspans.gspan import compose_spans, span_matrix
 from oracles import (
     abelian_group_order_lists,
     action_aut_order,
     action_orbits,
+    fin_perm_groupoid,
+    fin_rel_groupoid,
     pair_stirling_pair,
 )
 from test_product_strata import plain_handle, plain_strata, split_pair, twisted_pair

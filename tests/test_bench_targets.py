@@ -2,11 +2,14 @@
 
 bench/tracer.py wraps its TARGETS by name from outside the package; a rename
 in gspans would otherwise only show up as a failing `bench/run.py --trace 1`.
-Nothing is wrapped or run here."""
+Nothing is wrapped or run here.  And tests/oracles.py, which bench/workloads.py
+imports before it times the import of gspans, loads no gspans module."""
 
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,3 +65,21 @@ def test_compose_spans_hands_no_view_to_the_tracer_validate_hook():
         outer = compose_spans(inner, first)
     assert hooked == []
     assert isinstance(outer.apex.M1, PullbackView) and outer.checked
+
+
+def test_importing_the_oracles_loads_no_gspans_module():
+    # bench/run.py times `import gspans` as part of set-up, after
+    # bench/workloads.py has imported oracles; an oracle that imported
+    # gspans at module level would move that cost out of the timing
+    code = (
+        "import sys, oracles; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gspans'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=os.path.dirname(os.path.abspath(__file__)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

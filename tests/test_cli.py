@@ -335,6 +335,29 @@ def corpus_doc_with(name, keys, value):
             corpus_doc_with("point_span.json", ["cells", "id_cell", "a"], {}),
             "cells.id_cell",
         ),
+        # action entries that act would ignore or overwrite
+        (
+            corpus_doc_with(
+                "coset_z6.json", ["groupoids", "swap", "action", "zzz"], {"1": "a"}
+            ),
+            "groupoids.swap.action.zzz",
+        ),
+        (
+            corpus_doc_with(
+                "coset_z6.json",
+                ["groupoids", "swap", "action", "a"],
+                {"1": "a", "01": "b"},
+            ),
+            "groupoids.swap.action.a.01",
+        ),
+        (
+            corpus_doc_with(
+                "coset_z6.json",
+                ["groupoids", "swap", "action", "a"],
+                {"0": "b", "1": "b"},
+            ),
+            "groupoids.swap.action.a.0",
+        ),
     ],
 )
 def test_malformed_documents_exit_2_with_their_path(tmp_path, capsys, doc, path):

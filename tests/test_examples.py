@@ -27,8 +27,6 @@ from gspans.examples import (
     StirlingSpanConfig,
     coset_span,
     coset_span_closed_form,
-    fin_perm_groupoid,
-    fin_rel_groupoid,
     group_square_closed_form,
     group_square_span,
     stirling_pair,
@@ -39,7 +37,12 @@ from gspans.examples import (
     universal_matrix_closed_form,
     universal_span,
 )
-from oracles import abelian_group_order_lists, all_pairs_subset_escapes
+from oracles import (
+    abelian_group_order_lists,
+    all_pairs_subset_escapes,
+    fin_perm_groupoid,
+    fin_rel_groupoid,
+)
 
 Z2 = AbelianGroup([2])
 Z4 = AbelianGroup([4])

@@ -318,7 +318,7 @@ def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
     # map is read for the composite only
     import random
 
-    from gspans import gspan
+    from gspans import constructions, gspan
     from gspans import random_spans as rnd
 
     rng = random.Random(20260810)
@@ -342,7 +342,9 @@ def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
 
     monkeypatch.setattr(gspan, "_searched_chi", counting_search)
     monkeypatch.setattr(gspan, "_fibre_chi", counting_chi)
-    monkeypatch.setattr(gspan, "two_sided_fibre", lambda *a: builds.append(a))
+    monkeypatch.setattr(
+        constructions, "two_sided_fibre", lambda *a: builds.append(a)
+    )
     composed = compose_spans(sp1, sp2)
     for c1 in S.component_reps():
         for c2 in U.component_reps():

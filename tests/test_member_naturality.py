@@ -22,13 +22,15 @@ from gspans.constructions import (
 from gspans.examples import (
     SIGN_GROUP,
     StirlingSpanConfig,
-    fin_perm_groupoid,
-    fin_rel_groupoid,
     stirling_span,
 )
 from gspans.groupoid import DisjointUnion
 from gspans.gspan import GSpan, GSpanError, MemberLabel
-from oracles import all_morphism_span_naturality
+from oracles import (
+    all_morphism_span_naturality,
+    fin_perm_groupoid,
+    fin_rel_groupoid,
+)
 
 SEED = 20261019
 

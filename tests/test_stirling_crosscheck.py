@@ -11,13 +11,8 @@ from gspans.constructions import (
 )
 from gspans.groupoid import SymmetricGroup, disjoint_union_tables, materialize
 from gspans.gspan import GSpan, compose_spans, span_matrix
-from gspans.examples import (
-    StirlingSpanConfig,
-    fin_perm_groupoid,
-    stirling_pair,
-    stirling_span,
-)
-from oracles import pair_stirling_span
+from gspans.examples import StirlingSpanConfig, stirling_pair, stirling_span
+from oracles import fin_perm_groupoid, pair_stirling_span
 from test_stirling_slices import invariants, strata_of
 
 

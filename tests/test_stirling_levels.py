@@ -16,15 +16,10 @@ import pytest
 from gspans import gspan
 from gspans import random_spans as rnd
 from gspans.constructions import discrete_groupoid
-from gspans.examples import (
-    StirlingSpanConfig,
-    fin_perm_groupoid,
-    fin_rel_groupoid,
-    stirling_pair,
-    stirling_span,
-)
+from gspans.examples import StirlingSpanConfig, stirling_pair, stirling_span
 from gspans.groupoid import ActionGroupoid, SymmetricGroup
 from gspans.gspan import compose_spans, labeled_pullback_identity, span_matrix
+from oracles import fin_perm_groupoid, fin_rel_groupoid
 from test_examples import catalog_pairs
 
 

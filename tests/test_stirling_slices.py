@@ -9,16 +9,15 @@ from fractions import Fraction
 import pytest
 
 from gspans.algebra import AbelianGroup
-from gspans.examples import (
-    fin_perm_groupoid,
-    fin_rel_groupoid,
-    relabel_partition,
-    rgs_partitions,
-    stirling_pair,
-)
+from gspans.examples import relabel_partition, rgs_partitions, stirling_pair
 from gspans.groupoid import ActionGroupoid, Subgroup, SymmetricGroup
 from gspans.gspan import compose_spans, span_matrix
-from oracles import abelian_group_order_lists, pair_stirling_pair
+from oracles import (
+    abelian_group_order_lists,
+    fin_perm_groupoid,
+    fin_rel_groupoid,
+    pair_stirling_pair,
+)
 
 
 def strata_of(sp):
