@@ -620,8 +620,8 @@ def two_sided_fibre(l, r, c, d):
     (a, s, t); a morphism (m, s, t) acts by
     (a1, s, t) -> (a2, L(m) o s, t o R(m)^-1).  It is the fibre of the CLI's
     "fibre" documents, and the tests' oracle for labeled_fibre, which
-    searches its components without building it, and for the 2-cell fibre
-    map.  As nested views it would take about twice as long."""
+    reads the span matrix's chi map without building it, and for the
+    2-cell fibre map.  As nested views it would take about twice as long."""
     M, S, T = l.source, l.target, r.target
     b = TableBuilder()
     for a in M.objects:

@@ -13,12 +13,9 @@ Its matrix has rows pi0(S) and columns pi0(T) in canonical component order,
 where the label of a fibre object (a, s, t) is V(t) + eps(a) + H(s).  That
 is the definition, and the tests build the fibre as a table
 (two_sided_fibre) as the oracle.  The code computes it without a fibre,
-in _fibre_chi, which span_matrix reads, as does labeled_fibre on a checked
-span over discrete feet.  Elsewhere labeled_fibre reads one search per
-span (_searched_chi), a union-find over the objects of the fibres at every
-pair of representatives at once, joined along the apex's generating
-family, and moves a fibre at representatives to any other pair of objects
-by an equivalence that shifts its labels (_to_pair).  A fibre object (a, s, t)
+in _fibre_chi, which span_matrix and labeled_fibre both read; labeled_fibre
+moves a fibre at representatives to any other pair of objects by an
+equivalence that shifts its labels (_to_pair).  A fibre object (a, s, t)
 has as many outgoing morphisms as a has in M, and naturality moves
 (a, s, t) along M without changing its label, so each component [a] of M
 contributes to exactly one entry, by groupoid cardinality:
@@ -35,7 +32,8 @@ This relies on the naturality square, which is checked once per span,
 where the span is made: GSpan validates it at construction, and
 GSpan(..., check=False) is the caller's promise that it holds, which
 span_matrix takes and compose_spans does not (it validates such an input
-once).  Validation walks the apex's generating family, except on a span
+once), and labeled_fibre refuses only at the fibres whose square fails
+(_refused).  Validation walks the apex's generating family, except on a span
 constant on the members of a DisjointUnion apex (legs from
 GroupoidFunctor.constant_on_members, a MemberLabel), where the square is
 one equation per member (see GSpan.validate).
@@ -115,7 +113,7 @@ class GSpan:
         else:
             self.member_label = None
             self.eps = _as_fn(eps)  # the given labeling itself, called directly
-        self._searched = None  # _searched_chi(self)
+        self._refused = None  # _refused(self)
         self._chi = None  # _fibre_chi(self)
         self.checked = False  # set by validate, or by compose_spans
         self.factors = None  # (sp1, sp2) on compose_spans(sp1, sp2)
@@ -146,33 +144,18 @@ class GSpan:
         the same equation for every m, so checking it once per member checks
         the square at every morphism of the member, identities included.
 
-        The walk: the generating family (the component stars of a table or
-        a pullback view, an action groupoid's points x generators) is read
-        with its endpoints from generating_family(); composites and inverses
-        follow since HL and VR are functors.  The family comes grouped by
-        source, so eps(a1) is read once per run of handles with the same
-        source (once per component on a star family)."""
+        Otherwise the square is walked on the generating family
+        (_unnatural), and the first handle where it fails is the witness."""
         lo, ro = self.left.member_objects, self.right.member_objects
         if lo is not None and ro is not None and self.member_label is not None:
             self._validate_members(lo, ro, self.member_label.values)
             self.checked = True
             return
-        add, eps = self.group.add, self.eps
-        h, left = self.h.value, self.left.on_mor
-        v, right = self.v.value, self.right.on_mor
-        a1 = None
-        for m, src, tgt in self.apex.generating_family():
-            if a1 is None or src != a1:
-                a1 = src
-                e1 = eps(a1)
-            e2 = eps(tgt)
-            lhs = add(e2, h(left(m)))
-            rhs = add(v(right(m)), e1)
-            if lhs != rhs:
-                raise GSpanError(
-                    "labeling is not natural at morphism %r: %r + HL != VR + %r"
-                    % (m, e2, e1)
-                )
+        for m, _, _, e1, e2 in _unnatural(self):
+            raise GSpanError(
+                "labeling is not natural at morphism %r: %r + HL != VR + %r"
+                % (m, e2, e1)
+            )
         self.checked = True
 
     def _validate_members(self, lo, ro, labels):
@@ -209,29 +192,41 @@ class MemberLabel:
         self.at = lambda o: values[o[0]]
 
 
+def _unnatural(sp):
+    """(m, a1, a2, eps(a1), eps(a2)) for each handle m: a1 -> a2 of the
+    apex's generating family (the component stars of a table or a pullback
+    view, an action groupoid's points x generators) where the square
+    eps(a2) + HL(m) = VR(m) + eps(a1) fails, in family order; composites
+    and inverses follow from the family when HL and VR are functors.  The
+    family comes grouped by source, so eps(a1) is read once per run of
+    handles with the same source (once per component on a star family).
+    GSpan.validate raises at the first; _refused keeps the first per fibre."""
+    add, eps = sp.group.add, sp.eps
+    h, left = sp.h.value, sp.left.on_mor
+    v, right = sp.v.value, sp.right.on_mor
+    a1 = None
+    for m, src, tgt in sp.apex.generating_family():
+        if a1 is None or src != a1:
+            a1 = src
+            e1 = eps(a1)
+        e2 = eps(tgt)
+        if add(e2, h(left(m))) != add(v(right(m)), e1):
+            yield m, a1, tgt, e1, e2
+
+
 def labeled_fibre(sp, c, d):
     """{g: chi((c\\M/d){label = g})} for the labelled two-sided fibre
     c\\M/d of a span at objects c of S and d of T, whose object (a, s, t),
-    s in S(c, La) and t in T(Ra, d), is labelled V(t) + eps(a) + H(s).
-    Naturality makes the label constant on each component, so a level set
-    is a union of components, each adding 1/|Aut|.  On a checked span over
-    discrete feet every object is a representative, and the map is
-    _fibre_chi's entry (see the module docstring).  Every other span's
-    fibres are searched, not built, all at once (_searched_chi), at the
-    representatives r1 of c and r2 of d, and the map at (r1, r2) is moved
-    to (c, d) by the equivalence of _to_pair, which shifts every label by
-    V(u0) + H(s0).  GSpanError, naming two objects of c\\M/d, is raised if
-    the label varies on a component of the fibre; an unchecked span over
-    discrete feet is searched too, so a wrong label is refused at exactly
-    the (c, d) whose fibre holds it.  two_sided_fibre is the table the tests
-    compare with.  The search is memoized on the span (spans do not
-    change), once for all its fibres; only the chi maps and the witnesses
-    are kept."""
-    if sp.checked and sp.source.is_discrete and sp.target.is_discrete:
-        return _fibre_chi(sp).get((c, d), {})
+    s in S(c, La) and t in T(Ra, d), is labelled V(t) + eps(a) + H(s).  It
+    is _fibre_chi's map at the representatives r1 of c and r2 of d, the
+    span matrix's own, moved to (c, d) by _to_pair's equivalence, which
+    shifts every label by V(u0) + H(s0).  two_sided_fibre is the table the
+    tests compare with.  A span made with check=False is refused
+    (GSpanError, naming two objects of c\\M/d with different labels) at
+    exactly the (c, d) whose fibre holds a handle where its square fails
+    (_refused); a checked span walks nothing."""
     r1, r2, move = _to_pair(sp, c, d)
-    chi, refused = _searched_chi(sp)
-    witness = refused.get((r1, r2))
+    witness = None if sp.checked else _refused(sp).get((r1, r2))
     if witness is not None:
         a1, g1, o1, g2, o2 = witness
         if move is not None:
@@ -241,7 +236,7 @@ def labeled_fibre(sp, c, d):
             "label not constant on the component of %r: %r at %r, %r at %r"
             % (a1, g1, o1, g2, o2)
         )
-    chi = chi.get((r1, r2), {})
+    chi = _fibre_chi(sp).get((r1, r2), {})
     if move is None:
         return chi
     label = move[1]
@@ -257,8 +252,7 @@ def _to_pair(sp, c, d):
     (m, s s0, u0 t), so it matches components and |Aut|, and it moves the
     label V(t) + eps(a) + H(s) to V(u0) + V(t) + eps(a) + H(s) + H(s0), as
     H and V are functors: label(g) = V(u0) + g + H(s0).  labeled_fibre
-    moves the searched fibres and labeled_pullback_identity the composite's
-    _fibre_chi with it."""
+    moves _fibre_chi's map, and a refusal's witness, with it."""
     S, T = sp.source, sp.target
     r1, r2 = S.component_rep(c), T.component_rep(d)
     if (r1, r2) == (c, d):
@@ -276,129 +270,38 @@ def _to_pair(sp, c, d):
     return r1, r2, (obj, label)
 
 
-def _searched_chi(sp):
-    """(chi, refused): chi is {(c, d): {g: chi((c\\M/d){label = g})}} over
-    the representatives c of S and d of T whose fibre is not empty, and
-    refused is {(c, d): (a1, g1, o1, g2, o2)}, the first move, in family
-    order, whose two ends o1 and o2 in c\\M/d have different labels g1 and
-    g2 (a1 the apex object of o1).  One union-find runs over the objects of
-    every such fibre at once: each apex object a lies in exactly one, over
-    c = rep(La) and d = rep(Ra), since S(c', La) is empty for every other
-    representative c'.  Its objects (a, s, t), s in S(c, La) and t in
-    T(Ra, d), are numbered in the order a in M.objects, s, t, so each
-    fibre's objects keep two_sided_fibre's relative order.
-
-    Each triple (m, a1, a2) of M's generating family moves (a1, s, t) to
-    (a2, L(m) s, t R(m)^-1), within the fibre of a1 (a2 is isomorphic to
-    a1, so it has the same representatives); the move is the fibre
-    morphism (m, s, t), and the join of its two ends checks that they have
-    the same label; an identity of the family moves nothing and is
-    skipped.  A move that fails is recorded against its fibre,
-    joins nothing, and the search goes on.  The moves reach a whole
-    component: the action of M on fibre objects is functorial (the move of
-    m2 m1 is that of m2 after that of m1, and m^-1 moves back), and every
-    morphism of M is a word in the family and its inverses, so every fibre
-    morphism is a path of moves.  So in a fibre that nothing refused the
-    joins find exactly the components, and a label equal at the ends of
-    every move is constant on each of them.  A component is numbered by
-    its least object, as in the table.  Each adds 1/|Aut(a, s, t)|, and
-    Aut(a, s, t) = {m in M(a, a) : L(m) s = s, t R(m)^-1 = t}
-              = {m in M(a, a) : L(m) = id, R(m) = id}
-    since s and t are invertible, which conjugation along any a -> a'
-    carries to Aut(a', s', t'), so |Aut| is counted once per component of
-    M.  The components are counted in integers per (c, d, |Aut|, label)
-    and summed into one Fraction per (c, d, label) by _chi_of_counts, as in
-    _fibre_chi.  Made once per span and memoized."""
-    if sp._searched is not None:
-        return sp._searched
-    S, T, M = sp.source, sp.target, sp.apex
-    add, left, right, eps = sp.group.add, sp.left, sp.right, sp.eps
-    homs_s, homs_t = {}, {}  # La -> S(rep La, La); Ra -> T(Ra, rep Ra)
-    at = {}  # a -> (first object id, S(c, La), T(Ra, d)), with values
-    labels = []  # per object id: V(t) + eps(a) + H(s)
-    for a in M.objects:
-        la, ra = left.on_obj(a), right.on_obj(a)
-        hs = homs_s.get(la)
-        if hs is None:
-            c = S.component_rep(la)
-            hs = homs_s[la] = _hom_with_values(c, S.hom(c, la), sp.h.value)
-        vt = homs_t.get(ra)
-        if vt is None:
-            d = T.component_rep(ra)
-            vt = homs_t[ra] = _hom_with_values(d, T.hom(ra, d), sp.v.value)
-        at[a] = (len(labels), hs, vt)
-        e = eps(a)
-        for h in hs[3]:
-            x = add(e, h)
-            labels.extend([add(v, x) for v in vt[3]])
-    parent = list(range(len(labels)))
-    refused = {}
-    for m, a1, a2 in M.generating_family():
-        if a1 == a2 and m == M.identity_at(a1):
-            continue  # its move fixes every object
-        o1, (c, ss, _, _), (d, ts, _, _) = at[a1]
-        o2, (_, _, s_pos, _), (_, _, t_pos, _) = at[a2]
-        lm, rm_inv = left.on_mor(m), T.inverse_m(right.on_mor(m))
-        n = len(ts)
-        t_moves = [t_pos[T.compose_m(t, rm_inv)] for t in ts]
-        for i, s in enumerate(ss):
-            s2 = S.compose_m(lm, s)
-            i2 = s_pos[s2]
-            for j, j2 in enumerate(t_moves):
-                u, w = o1 + i * n + j, o2 + i2 * n + j2
-                if labels[u] != labels[w]:
-                    if (c, d) not in refused:
-                        t = ts[j]
-                        refused[c, d] = (
-                            a1, labels[u], (a1, s, t),
-                            labels[w], (a2, s2, T.compose_m(t, rm_inv)),
-                        )
-                    continue
-                while parent[u] != u:
-                    parent[u] = parent[parent[u]]
-                    u = parent[u]
-                while parent[w] != w:
-                    parent[w] = parent[parent[w]]
-                    w = parent[w]
-                if u < w:
-                    parent[w] = u
-                elif w < u:
-                    parent[u] = w
-    counts = {}  # (c, d, |Aut|) -> {label: number of components}
-    auts = {}  # representative of a's component in M -> |Aut(a, s, t)|
-    for a, (o, (c, ss, _, _), (d, ts, _, _)) in at.items():
-        by_label = None
-        for k in range(o, o + len(ss) * len(ts)):
-            if parent[k] == k:  # the least object of its component
-                if by_label is None:
-                    r = M.component_rep(a)
-                    n = auts.get(r)
-                    if n is None:
-                        n = auts[r] = _kernel_order(sp, r)
-                    by_label = counts.setdefault((c, d, n), {})
-                g = labels[k]
-                by_label[g] = by_label.get(g, 0) + 1
-    sp._searched = _chi_of_counts(counts), refused
-    return sp._searched
-
-
-def _hom_with_values(x, hom, value):
-    """(x, hom, {morphism: position}, [value of each morphism]) of a
-    hom-set with x the representative it starts or ends at."""
-    return x, hom, {m: i for i, m in enumerate(hom)}, [value(m) for m in hom]
-
-
-def _kernel_order(sp, a):
-    """#{m in M(a, a) : L(m) = id and R(m) = id}, the |Aut| of every object
-    (a, s, t) of a two-sided fibre."""
-    left, right = sp.left, sp.right
-    id_s = sp.source.identity_at(left.on_obj(a))
-    id_t = sp.target.identity_at(right.on_obj(a))
-    return sum(
-        1
-        for m in sp.apex.hom(a, a)
-        if left.on_mor(m) == id_s and right.on_mor(m) == id_t
-    )
+def _refused(sp):
+    """{(c, d): (a1, g1, o1, g2, o2)} over the representatives c of S and d
+    of T: the first handle m: a1 -> a2 of the generating family, with
+    c = rep(L a1) and d = rep(R a1), where the square fails (_unnatural),
+    as a move of c\\M/d from o1 = (a1, s0, t0), s0 the first of S(c, L a1)
+    and t0 the first of T(R a1, d), to o2 = (a2, L(m) s0, t0 R(m)^-1),
+    with labels g1 at o1 and g2 at o2.  As H and V are functors (validated
+    here first, GSpanError otherwise),
+    g2 - g1 = eps(a2) + HL(m) - VR(m) - eps(a1) for every s and t, so the
+    labels differ at the ends of m's moves exactly where the square fails;
+    in a fibre with none the label is constant on each component, and
+    _fibre_chi's count |S(c, La)| |T(Ra, d)| / |Aut a| per component of M is
+    the sum of 1/|Aut| over the fibre's components it meets, by
+    orbit-stabilizer.  Made once per span and memoized."""
+    if sp._refused is None:
+        _validate_legs_over_bg((("H", sp.h), ("V", sp.v)), GSpanError)
+        S, T, add = sp.source, sp.target, sp.group.add
+        h, v, left, right = sp.h.value, sp.v.value, sp.left, sp.right
+        refused = {}
+        for m, a1, a2, e1, e2 in _unnatural(sp):
+            la, ra = left.on_obj(a1), right.on_obj(a1)
+            c, d = S.component_rep(la), T.component_rep(ra)
+            if (c, d) not in refused:
+                s0, t0 = S.hom(c, la)[0], T.hom(ra, d)[0]
+                s2 = S.compose_m(left.on_mor(m), s0)
+                t2 = T.compose_m(t0, T.inverse_m(right.on_mor(m)))
+                refused[c, d] = (
+                    a1, add(v(t0), add(e1, h(s0))), (a1, s0, t0),
+                    add(v(t2), add(e2, h(s2))), (a2, s2, t2),
+                )
+        sp._refused = refused
+    return sp._refused
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +385,8 @@ class SpanMatrix:
 def _fibre_chi(sp):
     """{(c, d): {g: chi((c\\M/d){label = g})}} over the component
     representatives c of S and d of T, by the entry formula of the module
-    docstring, in one pass over pi0(M) made once per span: span_matrix,
-    labeled_fibre and labeled_pullback_identity read the same map.
+    docstring, in one pass over pi0(M) made once per span: span_matrix
+    and labeled_fibre read the same map.
 
     Only the point eps(a) of a component's product V.eps(a).H depends on
     more than (La, Ra, |Aut a|).  So the pass counts the components per key
@@ -813,23 +716,14 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     components; on the raw pullback apex the labels are not component
     constant and the naive reading fails.
 
-    The left-hand side is read off pi0 of the composed apex, in the one
-    pass span_matrix makes (_fibre_chi), at the representatives r1 of c1
-    and r2 of c2, and moved to (c1, c2) by _to_pair's equivalence
-    (a, s, t) -> (a, s s0, u0 t) of r1\\M/r2 with c1\\M/c2, which moves
-    every label g to V2(u0) + g + H1(s0), the move labeled_fibre makes off
-    the representatives.  The right-hand side reads the labelled fibres of
-    sp1 and sp2 over each d (labeled_fibre), which are what the identity is
-    about, from one search per span: looping over the entries reuses it.
+    Both sides read labeled_fibre: the composite's fibre at (c1, c2), and
+    sp1's and sp2's over each d, each from its span's one _fibre_chi map,
+    which span_matrix reads too, so looping over the entries reuses them.
     A given composed must be compose_spans(sp1, sp2) itself
     (ComposabilityError otherwise)."""
     composed = _composite_of(sp1, sp2, composed, ComposabilityError, "sp1, sp2")
     G, T = sp1.group, sp1.target
-    r1, r2, move = _to_pair(composed, c1, c2)
-    lhs = _fibre_chi(composed).get((r1, r2), {})
-    if move is not None:
-        label = move[1]
-        lhs = {label(g): x for g, x in lhs.items()}
+    lhs = labeled_fibre(composed, c1, c2)
     rhs = {}
     for d in T.component_reps():
         chi_td = Fraction(1, T.aut_order(d))

@@ -105,11 +105,11 @@ def all_pairs_subset_escapes(G, subset, s_elements, t_elements):
 def fibre_chi_by_label(sp, c, d, table=False):
     """g -> chi((c\\M/d){label = g}) from the table two_sided_fibre builds:
     its components, the label checked constant on each, 1/|Aut| per
-    component (labeled_fibre reads _fibre_chi or searches the fibre
-    without building it).  Over discrete feet the fibre is the union of the
-    apex's components over (c, d), read off apex.components() by
-    _apex_chi_by_label, unless table is set: the table of the composed
-    Stirling apex at N = 4 walks 925 832 morphisms."""
+    component (labeled_fibre reads _fibre_chi, without a fibre).  Over
+    discrete feet the fibre is the union of the apex's components over
+    (c, d), read off apex.components() by _apex_chi_by_label, unless table
+    is set: the table of the composed Stirling apex at N = 4 walks 925 832
+    morphisms."""
     from gspans import gspan
     from gspans.constructions import two_sided_fibre
 

@@ -718,10 +718,10 @@ def test_subset_and_group_square_compositions_are_the_product_of_the_closed_form
 @pytest.mark.parametrize("kind", ["trivial_h", "maximal_h", "subset", "group_square"])
 def test_lemma_on_a_slice_of_the_catalog_sweeps(kind):
     # the per-label identity at every pair of objects (c1, c2) of the outer
-    # feet, on every 13th pair of each sweep: the factors' fibres are
-    # searched over action-groupoid feet (coset spans) and delooping feet
-    # (subset and group-square spans), and read off the representatives on
-    # a foot with more than one object
+    # feet, on every 13th pair of each sweep: the factors' fibres are read
+    # over action-groupoid feet (coset spans) and delooping feet (subset
+    # and group-square spans), and moved off the representatives on a foot
+    # with more than one object
     checked = 0
     for i, (a, b, _) in enumerate(catalog_pairs(kind)):
         if i % 13:

@@ -1,8 +1,9 @@
-"""Differential tests: labeled_fibre, which finds the components of the
-two-sided fibre c\\M/d by a search over the apex's generating family,
+"""Differential tests: labeled_fibre, which reads the span matrix's chi map
+(_fibre_chi) at the representatives and moves it to any pair of objects,
 against the fibre built as a table (oracles.fibre_chi_by_label), with exact
-equality at every pair of objects (c, d), representatives or not; and the
-same GSpanError from both when one label is wrong."""
+equality at every pair of objects (c, d), representatives or not; and, on a
+span made with check=False, the same GSpanError from both where one label
+is wrong, and the same values everywhere else."""
 
 import random
 
@@ -16,7 +17,6 @@ from gspans.examples import stirling_pair, universal_span
 from gspans.gspan import (
     GSpan,
     GSpanError,
-    _searched_chi,
     compose_spans,
     labeled_fibre,
     pullback_span,
@@ -26,17 +26,12 @@ from oracles import fibre_chi_by_label
 from test_span_kernel import SEED, c07_sweep_spans
 
 
-def assert_search_matches_table(sp):
-    """labeled_fibre equals the table at every (c, d); over discrete feet,
-    where labeled_fibre reads _fibre_chi on a checked span and every object
-    is a representative, the search is compared as well."""
-    both_discrete = sp.source.is_discrete and sp.target.is_discrete
+def assert_matches_table(sp):
+    """labeled_fibre equals the table at every (c, d)."""
     for c in sp.source.objects:
         for d in sp.target.objects:
             want = fibre_chi_by_label(sp, c, d, table=True)
             assert labeled_fibre(sp, c, d) == want, (c, d)
-            if both_discrete:
-                assert _searched_chi(sp)[0].get((c, d), {}) == want, (c, d)
 
 
 def raises_gspan_error(f, *args):
@@ -68,7 +63,8 @@ def assert_names_two_fibre_objects(sp, c, d):
 def assert_both_reject_the_same(sp, rng):
     """With eps moved at one apex object (check=False), labeled_fibre
     raises GSpanError at exactly the (c, d) where the table does, naming
-    two objects of that fibre."""
+    two objects of that fibre, and gives the table's map at every other
+    (c, d)."""
     objects = list(sp.apex.objects)
     others = [g for g in sp.group.elements() if g != sp.group.identity]
     if not (objects and others):
@@ -88,6 +84,9 @@ def assert_both_reject_the_same(sp, rng):
             assert raises_gspan_error(labeled_fibre, bad, c, d) == table, (c, d)
             if table:
                 assert_names_two_fibre_objects(bad, c, d)
+            else:
+                want = fibre_chi_by_label(bad, c, d, True)
+                assert labeled_fibre(bad, c, d) == want, (c, d)
             caught += table
     return caught
 
@@ -108,29 +107,25 @@ def corpus():
 def test_search_matches_table_on_random_corpus(corpus):
     for sp1, sp2, composed in corpus:
         for sp in (sp1, sp2, composed):
-            assert_search_matches_table(sp)
+            assert_matches_table(sp)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_search_matches_table_on_stirling(n):
     # the composite's table at N = 4 walks its 925 832 morphisms once per
-    # entry, about 5 s each, so there the search is held against
-    # labeled_fibre, which reads _fibre_chi on this checked span over
-    # discrete feet and which the table confirms for N <= 3
+    # entry, about 5 s each, so there the composite is held against the
+    # apex's components instead, in
+    # test_a_checked_discrete_span_reads_its_fibres_without_a_search
     first, second = stirling_pair(n)
     composed = compose_spans(first, second)
     for sp in (first, second) + ((composed,) if n < 4 else ()):
-        assert_search_matches_table(sp)
-    for c in composed.source.objects:
-        for d in composed.target.objects:
-            searched = _searched_chi(composed)[0].get((c, d), {})
-            assert searched == labeled_fibre(composed, c, d)
+        assert_matches_table(sp)
 
 
 def test_search_matches_table_on_subset_and_coset_sweeps():
     # every third span of the sweep: the tables of all 646 take about 9 s
     for sp in c07_sweep_spans()[::3]:
-        assert_search_matches_table(sp)
+        assert_matches_table(sp)
 
 
 def test_search_matches_table_on_universal_push_pull_spans():
@@ -141,11 +136,11 @@ def test_search_matches_table_on_universal_push_pull_spans():
         t = rnd.random_groupoid(rng, 5)
         h = rnd.random_bg_functor(rng, s, G)
         v = rnd.random_bg_functor(rng, t, G)
-        assert_search_matches_table(universal_span(h, v))
+        assert_matches_table(universal_span(h, v))
     for _ in range(12):
         phi, h, v, eps = rnd.random_pushforward_data(rng, max_group_order=8)
-        assert_search_matches_table(pushforward_span(phi, h, v, eps))
-        assert_search_matches_table(pullback_span(phi, h, v, eps))
+        assert_matches_table(pushforward_span(phi, h, v, eps))
+        assert_matches_table(pullback_span(phi, h, v, eps))
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +149,7 @@ def test_search_matches_table_on_random_seeds(seed):
     rng = random.Random(seed)
     sp1, sp2 = rnd.random_composable_pair(rng, max_objects=5, max_apex_objects=5)
     for sp in (sp1, sp2, compose_spans(sp1, sp2)):
-        assert_search_matches_table(sp)
+        assert_matches_table(sp)
 
 
 def test_a_wrong_label_is_rejected_where_the_table_rejects_it(corpus):
@@ -165,8 +160,8 @@ def test_a_wrong_label_is_rejected_where_the_table_rejects_it(corpus):
             caught += assert_both_reject_the_same(sp, rng)
     for sp in c07_sweep_spans()[::7]:
         caught += assert_both_reject_the_same(sp, rng)
-    # over discrete feet an unchecked span is searched, not read off
-    # _fibre_chi, so it is refused at exactly the table's (c, d) too
+    # over discrete feet too an unchecked span is refused at exactly the
+    # table's (c, d), and read off _fibre_chi everywhere else
     for n in range(4):
         first, second = stirling_pair(n)
         for sp in (first, second, compose_spans(first, second)):
@@ -175,10 +170,9 @@ def test_a_wrong_label_is_rejected_where_the_table_rejects_it(corpus):
 
 
 def test_a_checked_discrete_span_reads_its_fibres_without_a_search(monkeypatch):
-    # on a checked span over discrete feet labeled_fibre reads _fibre_chi,
-    # which needs the composite's representatives and their |Aut| but not
-    # its objects, so neither search may run
-    from gspans import gspan
+    # labeled_fibre reads _fibre_chi, which needs the composite's
+    # representatives and their |Aut| but not its objects, so the apex's
+    # search over its objects may not run
     from gspans.constructions import PullbackView
 
     composed = compose_spans(*stirling_pair(4))
@@ -188,7 +182,6 @@ def test_a_checked_discrete_span_reads_its_fibres_without_a_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("searched")
 
-    monkeypatch.setattr(gspan, "_searched_chi", refuse)
     monkeypatch.setattr(PullbackView, "_searched", refuse)
     monkeypatch.setattr(PullbackView, "_object_list", refuse)
     assert {cd: labeled_fibre(composed, *cd) for cd in entries} == want
@@ -249,7 +242,7 @@ def test_a_wrong_label_off_the_representatives_names_that_fibre():
     # in Z4, labelled 0 everywhere: the swap 0 -> 1 moves (0, id, id) to
     # (1, swap, id) in the fibre over the representatives (0, 0), whose
     # labels 0 and 1 differ; over (1, 0), not a pair of representatives,
-    # the search's witness is moved by s0 = the swap 1 -> 0, which shifts
+    # the witness at the representatives is moved by s0 = the swap 1 -> 0, which shifts
     # both labels by H(s0) = 3
     from gspans.algebra import AbelianGroup
     from gspans.constructions import (
@@ -290,3 +283,46 @@ def test_a_wrong_label_off_the_representatives_names_that_fibre():
             labeled_fibre(sp, c, 0)
         assert str(err.value) == "label not constant on the component of 0: " + want
         assert_names_two_fibre_objects(sp, c, 0)
+
+
+def test_an_unchecked_h_that_is_not_a_functor_is_refused_at_every_fibre():
+    # H is the nonzero element at the identity of 3 (check=False): the
+    # refusal's argument needs H and V to be functors, so labeled_fibre
+    # validates them first and refuses every fibre, not only those over 3
+    from gspans.constructions import GroupValuedFunctor
+    from gspans.examples import StirlingSpanConfig, stirling_span
+
+    sp = stirling_span(StirlingSpanConfig("first", 3))
+    base = sp.source
+    bad_id = base.identity_at(base.object_of_label[3])
+    h = GroupValuedFunctor(
+        base, sp.group, lambda m: (1,) if m == bad_id else (0,), check=False
+    )
+    bad = GSpan(sp.apex, sp.left, sp.right, h, sp.v, sp.member_label, check=False)
+    entries = [(c, d) for c in base.objects for d in sp.target.objects]
+    assert len(entries) == 16
+    for c, d in entries:
+        with pytest.raises(GSpanError, match="H is not a functor to BG"):
+            labeled_fibre(bad, c, d)
+
+
+def test_a_checked_span_walks_nothing(corpus, monkeypatch):
+    # labeled_fibre and the lemma read a checked span's _fibre_chi and
+    # never its naturality square
+    from gspans import gspan
+    from gspans.gspan import labeled_pullback_identity
+
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(gspan, "_unnatural", refuse)
+    for sp1, sp2, composed in corpus:
+        for sp in (sp1, sp2, composed):
+            assert sp.checked
+            for c in sp.source.objects:
+                for d in sp.target.objects:
+                    labeled_fibre(sp, c, d)
+        for c1 in sp1.source.objects:
+            for c2 in sp2.target.objects:
+                lhs, rhs = labeled_pullback_identity(sp1, sp2, c1, c2, composed)
+                assert lhs == rhs

@@ -311,11 +311,10 @@ def test_mor_mismatch_cell_rejected():
 
 
 def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
-    # looping the lemma over every entry (c1, c2) searches each factor span
-    # once, for all its fibres c1\M1/d and d\M2/c2 at once, not once per
-    # fibre or per entry that uses it; the right-hand side comes from those
-    # fibres' components: no fibre is built as a table, and the one-pass chi
-    # map is read for the composite only
+    # looping the lemma over every entry (c1, c2) reads each span's one
+    # chi map, which span_matrix reads too: _fibre_chi is computed once
+    # each for the composite, sp1 and sp2, not once per fibre or per entry
+    # that uses it, and no fibre is built as a table
     import random
 
     from gspans import constructions, gspan
@@ -328,19 +327,14 @@ def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
         )
     S, T, U = sp1.source, sp1.target, sp2.target
     assert not T.is_discrete
-    searches, builds, chi_reads = [], [], []
-    search, chi = gspan._searched_chi, gspan._fibre_chi
-
-    def counting_search(sp):
-        if sp._searched is None:  # not read off the span's memo
-            searches.append(sp)
-        return search(sp)
+    builds, computed = [], []
+    chi = gspan._fibre_chi
 
     def counting_chi(sp):
-        chi_reads.append(sp)
+        if sp._chi is None:  # not read off the span's memo
+            computed.append(sp)
         return chi(sp)
 
-    monkeypatch.setattr(gspan, "_searched_chi", counting_search)
     monkeypatch.setattr(gspan, "_fibre_chi", counting_chi)
     monkeypatch.setattr(
         constructions, "two_sided_fibre", lambda *a: builds.append(a)
@@ -352,11 +346,8 @@ def test_lemma_builds_each_right_hand_fibre_once(monkeypatch):
             assert lhs == rhs
     n_s, n_t, n_u = (len(X.component_reps()) for X in (S, T, U))
     assert (n_s, n_t, n_u) == (1, 3, 3)
-    # was: n_t * (n_s + n_u) = 12 searches, one per fibre, and before
-    # that as many two_sided_fibre builds
-    assert searches == [sp1, sp2]
+    assert computed == [composed, sp1, sp2]
     assert builds == []
-    assert chi_reads and all(sp is composed for sp in chi_reads)
 
 
 def test_span_invariants_raise_typed_errors():

@@ -347,6 +347,8 @@ import test_cli
 test_cli.test_rational_entry_rejects_an_irrational_entry()
 import test_member_naturality
 test_member_naturality.test_unchecked_h_nonzero_at_an_identity_is_refused_by_both_paths()
+import test_fibre_search
+test_fibre_search.test_an_unchecked_h_that_is_not_a_functor_is_refused_at_every_fibre()
 print("checks fired")
 """
 

@@ -4,8 +4,8 @@ stirling_pair builds one level Sigma(n)//Sigma(n) per n for both kinds, and
 the first kind reads its slices off that level's own orbits.  These tests
 hold the members against the per-k models they replace
 (fin_perm_groupoid(n, k), fin_rel_groupoid(n, k)), the spans of a pair
-against spans built alone, and gspan._chi_of_counts, which both readers of
-the integer counts end in, against one Fraction per (c, d, |Aut|, label)."""
+against spans built alone, and gspan._chi_of_counts, which _fibre_chi's
+integer counts end in, against one Fraction per (c, d, |Aut|, label)."""
 
 import random
 import sys
@@ -142,8 +142,8 @@ def test_chi_of_counts_is_the_per_key_sum_on_stirling(recorded):
 
 
 def test_chi_of_counts_is_the_per_key_sum_on_the_theorem_pairs(recorded):
-    # span_matrix reads _fibre_chi; the lemma's right-hand side over feet
-    # that are not discrete reads _searched_chi: both end in the helper
+    # span_matrix and both sides of the lemma read _fibre_chi, the one
+    # caller of the helper
     for sp1, sp2 in theorem_pairs():
         composed = compose_spans(sp1, sp2)
         span_matrix(composed)
@@ -151,7 +151,7 @@ def test_chi_of_counts_is_the_per_key_sum_on_the_theorem_pairs(recorded):
             for c2 in sp2.target.component_reps():
                 labeled_pullback_identity(sp1, sp2, c1, c2, composed=composed)
     assert_same_chi(recorded)
-    assert {caller for caller, _, _ in recorded} == {"_fibre_chi", "_searched_chi"}
+    assert {caller for caller, _, _ in recorded} == {"_fibre_chi"}
 
 
 @pytest.mark.parametrize("kind", ["trivial_h", "maximal_h"])
