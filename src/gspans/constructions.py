@@ -22,6 +22,7 @@ The functors check their composition law on groupoid.generating_pairs of
 the source, which is complete, and every other law on every morphism.
 """
 
+import itertools
 from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
@@ -187,9 +188,9 @@ class GroupValuedFunctor:
 
     def extensionally_equals(self, other):
         """Same source objects and equal values on the source's generating
-        family morphism_sample() (a table's component stars): two functors
-        that agree there agree on every morphism.  Both must be functors;
-        one that is not can differ off the family unseen."""
+        family morphism_sample(): two functors that agree there agree on
+        every morphism.  Both must be functors; one that is not can differ
+        off the family unseen."""
         if self.group != other.group:
             return False
         if list(self.source.objects) != list(other.source.objects):
@@ -337,11 +338,9 @@ class PullbackView(GroupoidView):
     components(), component_rep(o) and the generating family need every
     object: a search over the moves (s, t, id) and (id, t, s), for s in
     M1's and M2's generating families and their inverses, finds the
-    components, each represented by its first object, and keeps its tree
-    without composing along it.  The generating family is the component
-    stars of that search: all of Aut(r) and the search-tree path r -> x for
-    every other object x, composed only there, each with the endpoints the
-    search found.
+    components, each represented by its first object, and keeps its forest
+    of first-reaching moves.  The generating family is that forest, with
+    all of Aut(r) at each representative r; nothing is composed for it.
     """
 
     def __init__(self, r1, l2):
@@ -438,14 +437,14 @@ class PullbackView(GroupoidView):
 
     def _searched(self):
         """Components as sorted position lists, ordered by first position,
-        each object's component number, and the search tree: a search along
-        the moves (s, t, id) and (id, t, s) with s in the symmetric family
-        of M1 and of M2, which generate the pullback and reach every object
-        of a component from any of its objects.  The tree is the list of
-        (x, y, move), in the order the search reached each object y other
-        than a representative, from the position x of the object it was
-        reached from along move; it composes nothing, generating_family
-        makes the paths."""
+        each object's component number, and the search forest: a search
+        along the moves (s, t, id) and (id, t, s) with s in the symmetric
+        family of M1 and of M2, which generate the pullback and reach every
+        object of a component from any of its objects.  The forest is the
+        list of (move, x, y), in the order the search reached each object y
+        other than a representative, from the object x it was reached from;
+        a component's len - 1 moves follow the previous component's.  It
+        composes nothing."""
         if self._search is None:
             M1, M2, T = self.M1, self.M2, self.T
             out1, out2 = {}, {}
@@ -460,7 +459,7 @@ class PullbackView(GroupoidView):
             objs = self._object_list()
             index = {o: i for i, o in enumerate(objs)}
             comp_of = [None] * len(objs)
-            comps, tree = [], []
+            comps, forest = [], []
             for i, o in enumerate(objs):
                 if comp_of[i] is not None:
                     continue
@@ -479,10 +478,10 @@ class PullbackView(GroupoidView):
                         n = index[y]
                         if comp_of[n] is None:
                             comp_of[n] = k
-                            tree.append((j, n, move))
+                            forest.append((move, objs[j], y))
                             comp.append(n)
                 comps.append(sorted(comp))
-            self._search = comps, comp_of, index, tree
+            self._search = comps, comp_of, index, forest
         return self._search
 
     def components(self):
@@ -554,27 +553,21 @@ class PullbackView(GroupoidView):
         return self.hom_size(o, o)
 
     def generating_family(self):
-        """The component stars: at each representative r, all of Aut(r),
-        each r -> r, then the search-tree morphism r -> x for every other
-        object x of its component in enumeration order, endpoints as the
-        search found them.  Any x -> y is star(y) a star(x)^-1 with a in
-        Aut(r), so the stars generate.  The path to y is the move that
-        reached y after the path to the object it was reached from, composed
-        here, in the search's order, once per object.  Made once and
-        cached."""
+        """The search forest: for each component, in component order, all
+        of Aut(r) at its representative r, each r -> r, then the move that
+        first reached each other object, in the search's order, with the
+        endpoints the search recorded.  Any x -> y is path(y) a path(x)^-1
+        with a in Aut(r), each path a word in the forest's moves, so the
+        family generates; each object's moves are contiguous, so it comes
+        grouped by source.  Made once and cached; nothing is composed."""
         if self._family is None:
-            comps, _, _, tree = self._searched()
-            objs = self._object_list()
-            path = [None] * len(objs)
-            for comp in comps:
-                path[comp[0]] = self.identity_at(objs[comp[0]])
-            for x, y, move in tree:
-                path[y] = self.compose_m(move, path[x])
+            comps, _, _, forest = self._searched()
+            objs, moves = self._object_list(), iter(forest)
             family = []
             for comp in comps:
                 r = objs[comp[0]]
                 family.extend((a, r, r) for a in self.hom(r, r))
-                family.extend((path[i], r, objs[i]) for i in comp[1:])
+                family.extend(itertools.islice(moves, len(comp) - 1))
             self._family = tuple(family)
         return self._family
 

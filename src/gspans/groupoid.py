@@ -22,21 +22,22 @@ Composition convention: compose(m2, m1) means "m2 after m1".  In X//G the
 hom-set (x1 -> x2) is {g : x2.g = x1}, so the morphism handle (x1, g) has
 source x1 and target x1.g^-1, and (x1,g1) followed by (y1,g2) is (x1, g2*g1).
 
-Every view has a generating family: an action groupoid's points x
-generators, a table's component stars (at each representative r, all of
-Aut(r) and one morphism r -> x per object x).  A natural square, or an
-equality of functors, that holds on the family holds on every morphism, so
-the validators walk the family, not the morphisms; a functor's composition
-law and a table's associativity are checked on generating_pairs.  Each view
-yields the family once, with endpoints, from generating_family(): (handle,
-source, target) triples read from what it already holds (an action
-groupoid's generator rows by carrier position, a table's hom index, a union's
-members tagged in turn, a pullback view's search), so the validators make no
-source_of or target_of call per handle; morphism_sample() is its handle
-projection, written once, on GroupoidView.
+Every view has a generating family, grouped by source: an action groupoid's
+points x generators, a table's component stars (at each representative r,
+all of Aut(r) and one morphism r -> x per object x), a pullback view's
+search forest.  A natural square, or an equality of functors, that holds
+on the family holds on every morphism, so the validators walk the family,
+not the morphisms; a functor's composition law and a table's associativity
+are checked on generating_pairs.  Each view yields the family once, with
+endpoints, from generating_family(): (handle, source, target) triples read
+from what it already holds (an action groupoid's generator rows by carrier
+position, a table's hom index, a union's members tagged in turn, a pullback
+view's search), composing nothing, so the validators make no source_of or
+target_of call per handle; morphism_sample() is its handle projection,
+written once, on GroupoidView.
 
 Groupoids do not change after construction and all analyses are pure; the
-hom index, component partition, star family, orbit partition, an action
+hom index, component partition, generating family, orbit partition, an action
 groupoid's generator tables and a table's compose/inverse entries are filled
 lazily, so prime them (call components(), or validate() on a table) before
 sharing a groupoid across threads.
@@ -220,7 +221,7 @@ class GroupoidView:
     with endpoints, from generating_family(): (handle, source, target)
     triples, grouped by source, read from what the view already holds (a
     table's hom index, an action groupoid's generator rows, a pullback view's
-    search), so a walker calls no source_of or target_of per handle."""
+    forest), so a walker calls no source_of or target_of per handle."""
 
     def morphism_sample(self):
         """The handles of generating_family(), in its order, lazily."""
@@ -266,11 +267,12 @@ def generating_pairs(view):
     They suffice for a functor F that preserves identities, into an
     associative target: the h with F(h f) = F(h) F(f) for all f are closed
     under composition, F(h2 h1 f) = F(h2) F(h1) F(f) = F(h2 h1) F(f), and
-    every x -> y is a product star(y) a star(x)^-1 of members of S', with a
-    in Aut(r) (a word in the generators, on an action groupoid).
+    the family generates: x -> y is star(y) a star(x)^-1 on a table and
+    path(y) a path(x)^-1 on a pullback view, a in Aut(r), each path a word
+    in the forest's moves, and a word in the generators on an action groupoid.
 
-    As middle factors, (h s) f = h (s f), they suffice for associativity
-    (Light's test): if a and b are middle-associative, so is a b, since
+    On a table, as middle factors (h s) f = h (s f), they suffice for
+    associativity (Light's test): a b is middle-associative if a and b are:
     (h (a b)) f = ((h a) b) f = (h a) (b f) = h (a (b f)) = h ((a b) f).
     Once every composite is defined with the right endpoints and the
     identity and inverse laws hold, each f : x -> y is star(y) (a star(x)^-1)

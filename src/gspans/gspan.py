@@ -194,12 +194,12 @@ class MemberLabel:
 
 def _unnatural(sp):
     """(m, a1, a2, eps(a1), eps(a2)) for each handle m: a1 -> a2 of the
-    apex's generating family (the component stars of a table or a pullback
-    view, an action groupoid's points x generators) where the square
-    eps(a2) + HL(m) = VR(m) + eps(a1) fails, in family order; composites
-    and inverses follow from the family when HL and VR are functors.  The
-    family comes grouped by source, so eps(a1) is read once per run of
-    handles with the same source (once per component on a star family).
+    apex's generating family (a table's component stars, a pullback view's
+    search forest, an action groupoid's points x generators) where the
+    square eps(a2) + HL(m) = VR(m) + eps(a1) fails, in family order;
+    composites and inverses follow from the family when HL and VR are
+    functors.  The family comes grouped by source, so eps(a1) is read once
+    per run of handles with the same source.
     GSpan.validate raises at the first; _refused keeps the first per fibre."""
     add, eps = sp.group.add, sp.eps
     h, left = sp.h.value, sp.left.on_mor
@@ -308,6 +308,18 @@ def _refused(sp):
 # matrices
 
 
+def _entry_rows(row_index, col_index, entries):
+    """entries as a list of rows, one per row index, each with one entry per
+    column index: the shape of a span or character matrix, else ValueError."""
+    rows = [list(row) for row in entries]
+    if len(rows) != len(row_index) or any(len(r) != len(col_index) for r in rows):
+        raise ValueError(
+            "rows of %r entries for %d row and %d column indexes"
+            % ([len(r) for r in rows], len(row_index), len(col_index))
+        )
+    return rows
+
+
 class SpanMatrix:
     """pi0(S) x pi0(T) array of group-ring elements, canonical index order."""
 
@@ -315,18 +327,7 @@ class SpanMatrix:
         self.group = group
         self.row_index = list(row_index)
         self.col_index = list(col_index)
-        self.entries = [list(row) for row in entries]
-        if len(self.entries) != len(self.row_index):
-            raise ValueError(
-                "%d rows of entries for %d row indexes"
-                % (len(self.entries), len(self.row_index))
-            )
-        for i, row in enumerate(self.entries):
-            if len(row) != len(self.col_index):
-                raise ValueError(
-                    "row %d has %d entries for %d column indexes"
-                    % (i, len(row), len(self.col_index))
-                )
+        self.entries = _entry_rows(self.row_index, self.col_index, entries)
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -562,7 +563,7 @@ class CharacterMatrix:
     def __init__(self, row_index, col_index, entries, conductor):
         self.row_index = list(row_index)
         self.col_index = list(col_index)
-        self.entries = [list(r) for r in entries]
+        self.entries = _entry_rows(self.row_index, self.col_index, entries)
         self.conductor = conductor
 
     def entry(self, i, j):
@@ -849,9 +850,9 @@ class SpanMorphism:
         family; an unchecked one is validated once).  At every object x of
         M1, A(x) and B(x) have the right endpoints and V(Bx) + eps1(x) =
         eps2(Phi x) + H(Ax); and A and B are natural on the generating
-        family, read with its endpoints from M1.generating_family() (the
-        component stars of a table or a pullback view: any f: x -> y is
-        star(y) a star(x)^-1 with a in Aut(r) at the representative r).  Naturality on generators implies it on
+        family, read with its endpoints from M1.generating_family(), a
+        generating family grouped by source (see groupoid.generating_pairs
+        for why it generates).  Naturality on generators implies it on
         composites and inverses only because L1, L2, R1, R2 and Phi are
         functors, which this does not check: vertical_compose,
         horizontal_compose and identity_composite_cells build Phi as a
@@ -1082,14 +1083,15 @@ def interchange_check(u1, w1, u2, w2):
 def cells_equal(u, w):
     """Componentwise equality of parallel 2-cells on one source apex M: Phi,
     A and B at every object, and Phi on M.morphism_sample().  That family
-    suffices for functors: any f: x -> y of a table or a pullback view is
-    star(y) a star(x)^-1 with a in Aut(r) at its component's representative
-    r (an action groupoid's family generates it).  interchange_check's two Phis are
-    functors by construction: vertical_compose's is `then` of two functors,
-    and horizontal_compose's, (m1, t, m2) -> (Phi1 m1, A2(x2) t B1(x1)^-1,
-    Phi2 m2) for m1 from x1 and m2 from x2, is one whenever Phi1 and Phi2
-    are functors and A and B are natural, because slotwise takes a
-    composite's element slot from its source factor."""
+    suffices for functors, as it generates M: on a pullback view any
+    f: x -> y is path(y) a path(x)^-1 with a in Aut(r) at its component's
+    representative r and each path a word in the search forest's moves.
+    interchange_check's two Phis are functors by construction:
+    vertical_compose's is `then` of two functors, and horizontal_compose's,
+    (m1, t, m2) -> (Phi1 m1, A2(x2) t B1(x1)^-1, Phi2 m2) for m1 from x1
+    and m2 from x2, is one whenever Phi1 and Phi2 are functors and A and B
+    are natural, because slotwise takes a composite's element slot from its
+    source factor."""
     M = u.src_span.apex
     if w.src_span.apex is not M:
         return False

@@ -263,7 +263,7 @@ def random_two_cell_square(rng):
     cell A_i => M_i (absorption) followed by the canonical cell M_i => U_i
     into the universal span.  Sizes are kept tiny; the nested pullbacks that
     interchange_check builds are lazy views, so no size guard applies and
-    only their objects and component stars are enumerated."""
+    only their objects and search forests are enumerated."""
     from gspans.examples import universal_cell
     from gspans.gspan import identity_composite_cells
 

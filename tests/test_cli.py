@@ -452,7 +452,7 @@ def test_compose_refused_by_the_size_guard_exits_2(monkeypatch, capsys):
 def test_check_interchange_seed_2_passes_on_lazy_pullbacks(monkeypatch, capsys):
     # trial 2 of seed 2 nests a pullback of more than 20 000 morphisms, which
     # the size guard refused while pullbacks were tables; the lazy pullback
-    # enumerates only objects and component stars, and is not guarded
+    # enumerates only objects and its search forest, and is not guarded
     monkeypatch.delenv("GSPANS_SIZE_GUARD", raising=False)
     assert main(["check", "--which", "interchange", "--seed", "2"]) == 0
     out, err = capsys.readouterr()

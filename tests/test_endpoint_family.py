@@ -8,7 +8,6 @@ Inputs: the seeded acceptance corpus (both spans, their feet and the
 composite), the Stirling apexes and composites for N <= 5, the c07 coset and
 subset apexes, and the composite apexes of the cells workload's squares."""
 
-import functools
 import random
 
 import pytest
@@ -16,7 +15,12 @@ import pytest
 from gspans import random_spans as rnd
 from gspans.constructions import PullbackView
 from gspans.examples import stirling_pair
-from gspans.groupoid import ActionGroupoid, DisjointUnion, TableGroupoid
+from gspans.groupoid import (
+    ActionGroupoid,
+    DisjointUnion,
+    TableGroupoid,
+    symmetric_family,
+)
 from gspans.gspan import compose_spans, interchange_check
 from test_span_kernel import c07_sweep_spans
 
@@ -25,11 +29,10 @@ SEED = 20260810  # the acceptance corpus of criteria 3, 4, 6 and 8
 
 def listed_sample(view):
     """A view's generating family as handles alone, listed as each kind of
-    view listed it before it yielded endpoints: a table's component stars
-    off its hom index (all of Aut(r), then the first r -> x), an action
-    groupoid's points x generators, a union's members' in turn, tagged, and
-    a pullback view's stars off its search (all of Aut(r), then the
-    search-tree morphism r -> x)."""
+    view lists it without endpoints: a table's component stars off its hom
+    index (all of Aut(r), then the first r -> x), an action groupoid's
+    points x generators, a union's members' in turn, tagged, and a pullback
+    view's search forest, searched again here (search_forest)."""
     if isinstance(view, DisjointUnion):
         return [
             (i, m)
@@ -39,8 +42,8 @@ def listed_sample(view):
     if isinstance(view, ActionGroupoid):
         gens = view.group.generators()
         return [(x, g) for x in view.carrier for g in gens]
-    out = []
     if isinstance(view, TableGroupoid):
+        out = []
         for comp in view.components():
             r = comp[0]
             for x in comp:
@@ -49,21 +52,38 @@ def listed_sample(view):
         return out
     if not isinstance(view, PullbackView):
         raise TypeError("no listed sample for %r" % (view,))
-    comps, _, _, tree = view._searched()
-    objs = view.objects
-    reached_from = {y: (x, move) for x, y, move in tree}
+    return search_forest(view)
 
-    @functools.cache  # each prefix of a path is composed once
-    def path(y):  # the search-tree path from y's representative to y
-        if y not in reached_from:
-            return view.identity_at(objs[y])
-        x, move = reached_from[y]
-        return view.compose_m(move, path(x))
 
-    for comp in comps:
-        r = objs[comp[0]]
+def search_forest(view):
+    """A pullback view's forest by a search of its own: from each object
+    not yet reached, in enumeration order, all its automorphisms, then,
+    from each object in the order reached, the moves (s, t, id) for s in
+    M1's symmetric family, then (id, t, s) for s in M2's, out of it,
+    keeping each move that reaches a new object.  Targets are read with
+    target_of, and nothing is composed."""
+    M1, M2 = view.M1, view.M2
+    out1, out2 = {}, {}
+    for s in symmetric_family(M1):
+        out1.setdefault(M1.source_of(s), []).append(s)
+    for s in symmetric_family(M2):
+        out2.setdefault(M2.source_of(s), []).append(s)
+    reached, out = set(), []
+    for r in view.objects:
+        if r in reached:
+            continue
+        reached.add(r)
         out.extend(view.hom(r, r))
-        out.extend(path(i) for i in comp[1:])
+        queue = [r]
+        for a1, t, a2 in queue:  # grows as the search reaches new objects
+            moves = [(s, t, M2.identity_at(a2)) for s in out1.get(a1, ())]
+            moves += [(M1.identity_at(a1), t, s) for s in out2.get(a2, ())]
+            for m in moves:
+                y = view.target_of(m)
+                if y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+                    out.append(m)
     return out
 
 
@@ -155,7 +175,7 @@ def test_family_is_the_listed_sample_with_its_endpoints(name):
         kinds.update(type(m) for m in getattr(view, "members", ()))
     assert KINDS[name] <= kinds
     if name == "acceptance corpus":
-        # pullbacks whose stars come from a search over a connected T
+        # pullbacks whose forests come from a search over a connected T
         assert any(
             isinstance(v, PullbackView) and not v.T.is_discrete for v in views
         )

@@ -132,44 +132,59 @@ def test_stirling_composed_matrix_is_the_product_and_the_fibres(
     assert m == fibre_span_matrix(composed)
 
 
+def assert_search_forest(view, family):
+    """family, a list of (handle, source, target) triples, is the pullback
+    view's search forest: for each component in order, all of Aut(r) at its
+    representative r, then one move (s, t, id) or (id, t, s) into each other
+    object y, from r or an object reached before y, with its endpoints;
+    sources come in the order their objects were reached, so the family is
+    grouped by source and its size is the sum of |Aut r| + |comp| - 1."""
+    M1, M2 = view.M1, view.M2
+    at = 0
+    for comp in view.components():
+        r = comp[0]
+        aut = view.hom(r, r)
+        assert family[at:at + len(aut)] == [(a, r, r) for a in aut]
+        at += len(aut)
+        position = {r: 0}
+        for m, x, y in family[at:at + len(comp) - 1]:
+            assert (x, y) == (view.source_of(m), view.target_of(m))
+            assert y not in position
+            assert m[0] == M1.identity_at(x[0]) or m[2] == M2.identity_at(x[2])
+            position[y] = len(position)
+        sources = [position[x] for _, x, _ in family[at:at + len(comp) - 1]]
+        assert sources == sorted(sources)
+        assert len(position) == len(comp) and set(position) == set(comp)
+        at += len(comp) - 1
+    assert at == len(family)
+
+
 def validate_walk(composed):
     """The handles that composed.validate() draws from the apex's
-    generating_family, checked to be morphism_sample() with the endpoints
-    of source_of and target_of, and to be its component stars: all of
-    Aut(r) and one search-tree morphism r -> x per other object x."""
+    generating_family, checked to be morphism_sample() and to be its search
+    forest (assert_search_forest)."""
     apex = composed.apex
-    comps = apex.components()
     want = list(apex.morphism_sample())
     seen = []
     family = apex.generating_family
 
     def counting_family():
-        for m, x, y in family():
-            assert (x, y) == (apex.source_of(m), apex.target_of(m))
-            seen.append(m)
-            yield m, x, y
+        for triple in family():
+            seen.append(triple)
+            yield triple
 
     apex.generating_family = counting_family
     try:
         composed.validate()
     finally:
         del apex.generating_family
-    assert seen == want
-    assert len(seen) == sum(apex.aut_order(c[0]) + len(c) - 1 for c in comps)
-    stars = {}
-    for m in seen:
-        stars.setdefault(apex.source_of(m), []).append(m)
-    assert list(stars) == [c[0] for c in comps]
-    for comp in comps:
-        r = comp[0]
-        star = stars[r]
-        assert star[: apex.aut_order(r)] == apex.hom(r, r)
-        assert [apex.target_of(m) for m in star[apex.aut_order(r):]] == comp[1:]
+    assert [m for m, _, _ in seen] == want
+    assert_search_forest(apex, seen)
     return seen
 
 
 def test_validate_visits_every_generating_handle(stirling_composites):
-    # pointwise validate walks the composite's component stars; on the
+    # pointwise validate walks the composite's search forest; on the
     # product model (P x S_n)//S_n, 22 389 handles (56 274 points x
     # generators before the stars), on the slices S_n//Stab(x) 11 631
     oracle = compose_spans(*pair_stirling_pair(4))
@@ -425,7 +440,7 @@ def test_the_twisted_pair_is_lazy_and_natural():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_factor_check_accepts_the_stirling_composites(stirling_composites, n):
     # the every-morphism square of the N=4 composite loops 14 050 x 8 830
-    # handle pairs, so there GSpan.validate on its stars is the oracle
+    # handle pairs, so there GSpan.validate on its forest is the oracle
     first, second, _ = stirling_composites[n]
     assert assert_factor_check_agrees(first, second, every_morphism=n < 4)
 

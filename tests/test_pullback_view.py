@@ -3,9 +3,10 @@ spans, whose middle composites are feet of the outer pullback.
 
 materialize(view) is the table pullback: the same labels, ids, sources and
 targets as the per-pair loop oracle.  The view's own analyses (components,
-representatives, |Aut|, chi and the component stars) agree with the
-table's, over a discrete middle foot (factor arithmetic) and a general one
-(the search over moves), on the acceptance corpus and under hypothesis.
+representatives, |Aut|, chi, and the search forest, which generates the
+table's morphisms) agree with the table's, over a discrete middle foot
+(factor arithmetic) and a general one (the search over moves), on the
+acceptance corpus, the cells squares and under hypothesis.
 Both bracketings of three composable spans give the span matrix A B C,
 with every apex a view, nothing materialized and no view searched while
 composing.  The double-coset pass gives the search's representatives and
@@ -34,7 +35,8 @@ from gspans.groupoid import SymmetricGroup, _extend_closure, materialize
 from gspans.gspan import compose_spans, span_matrix
 from oracles import triple_loop_table_pullback
 from test_examples import c07_coset_pairs
-from test_product_strata import split_pair, twisted_pair
+from test_product_strata import assert_search_forest, split_pair, twisted_pair
+from test_star_family import closure
 
 SEED = 20260810  # the acceptance corpus of criteria 3, 4, 6 and 8
 
@@ -55,7 +57,6 @@ def assert_view_matches_its_table(view):
     table's labels, which are the view's handles."""
     table = materialize(view)
     obj, mor = table.object_labels, table.morphism_labels
-    mid = table.morphism_of_label
     assert view.objects == [obj[o] for o in table.objects]
     assert view.components() == [[obj[o] for o in c] for c in table.components()]
     assert view.component_reps() == [obj[r] for r in table.component_reps()]
@@ -63,23 +64,17 @@ def assert_view_matches_its_table(view):
     for o in table.objects:
         assert view.component_rep(obj[o]) == obj[table.component_rep(o)]
         assert view.aut_order(obj[o]) == table.aut_order(o)
+    for r in table.component_reps():
+        assert view.hom(obj[r], obj[r]) == [mor[m] for m in table.hom(r, r)]
     for m in table.morphisms:
         assert view.source_of(mor[m]) == obj[table.source[m]]
         assert view.target_of(mor[m]) == obj[table.target[m]]
-    # the stars: at each representative all of Aut(r), then one morphism
-    # r -> x for every other object x, in enumeration order
-    star = [mid[m] for m in view.morphism_sample()]
-    want = []
-    for c in table.components():
-        r = c[0]
-        aut = table.hom(r, r)
-        assert star[len(want):len(want) + len(aut)] == aut
-        want += aut
-        want += [(r, x) for x in c[1:]]
-    assert len(star) == len(want)
-    for m, w in zip(star, want):
-        if isinstance(w, tuple):
-            assert (table.source[m], table.target[m]) == w
+    # the search forest: at each representative all of Aut(r), then one
+    # move into every other object, from an object reached before it; it
+    # generates the table's morphisms under composition and inverses
+    family = list(view.generating_family())
+    assert_search_forest(view, family)
+    assert closure(view, [m for m, _, _ in family]) == set(mor.values())
 
 
 def discrete_cospan(rng, max_objects=5):
@@ -141,6 +136,34 @@ def test_views_match_their_tables_under_hypothesis(seed, discrete):
     assert_view_matches_its_table(view)
 
 
+def test_views_match_their_tables_on_the_cells_squares(monkeypatch):
+    # square 24's top composite has 26 244 morphisms, over the default guard
+    monkeypatch.setenv("GSPANS_SIZE_GUARD", "30000")
+    for u1, _, u2, _ in bench_cells_squares():
+        top = compose_spans(u1.src_span, u2.src_span).apex
+        for view in (top, top.M1, top.M2):
+            assert_view_matches_its_table(view)
+
+
+def test_the_generating_family_composes_nothing(corpus, monkeypatch):
+    views = [compose_spans(sp1, sp2).apex for sp1, sp2 in corpus]
+    for u1, _, u2, _ in bench_cells_squares():
+        top = compose_spans(u1.src_span, u2.src_span).apex
+        views += [top, top.M1, top.M2]
+    views += [compose_spans(*stirling_pair(n)).apex for n in range(5)]
+
+    def refused(*args):
+        raise AssertionError("the generating family composed a morphism")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(PullbackView, "compose_m", refused)
+        families = [view.generating_family() for view in views]
+    for view, family in zip(views, families):
+        assert len(family) == sum(
+            view.aut_order(c[0]) + len(c) - 1 for c in view.components()
+        )
+
+
 # ---------------------------------------------------------------------------
 # chains of three spans: both bracketings are A B C, lazily
 
@@ -155,8 +178,8 @@ def random_chain(rng):
 
 def assert_chain_is_the_triple_product(a, b, c, monkeypatch):
     """Both bracketings are views whose span matrix is A B C, nothing is
-    materialized, and the compose_spans calls ask no view for its component
-    stars or its search: a composite is checked by the composition lemma."""
+    materialized, and the compose_spans calls ask no view for its generating
+    family or its search: a composite is checked by the composition lemma."""
     want = span_matrix(a) * span_matrix(b) * span_matrix(c)
 
     def refused(*args):

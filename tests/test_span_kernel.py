@@ -321,6 +321,13 @@ def test_span_matrix_shape_mismatches_raise_value_error():
         SpanMatrix(Z2, [0, 1], [0], [[one]])
     with pytest.raises(ValueError):
         SpanMatrix(Z2, [0], [0, 1], [[one]])
+    # a character matrix has the same shape check: a ragged one would
+    # multiply a 2 x 1 matrix into a 1 x 1 result from one of two terms
+    one2 = CyclotomicNumber.one(2)
+    with pytest.raises(ValueError):
+        CharacterMatrix([0], [0, 1], [[one2]], 2)
+    with pytest.raises(ValueError):
+        CharacterMatrix([0, 1], [0], [[one2]], 2)
 
 
 OPTIMIZED_CHECKS = """

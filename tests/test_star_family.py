@@ -459,7 +459,7 @@ def test_table_pullback_matches_the_per_pair_loop_on_the_corpus(corpus):
 def test_square_24_passes_interchange_at_the_default_guard(squares, monkeypatch):
     # square 24's top composite has 54 objects and 26 244 morphisms: the
     # table pullback was refused by the guard, the view enumerates only its
-    # objects and its 88 star handles, and only materializing it is guarded
+    # objects and its 88 forest handles, and only materializing it is guarded
     monkeypatch.delenv("GSPANS_SIZE_GUARD", raising=False)
     square, built = squares[24]
     assert interchange_check(*square)
