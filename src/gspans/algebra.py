@@ -10,6 +10,17 @@ The isomorphism with the multiplicative picture (roots of unity) is
 g = (e1,...,ek)  <->  zeta^(sum ei*gi*(m/ni)) under a character with
 exponents (g1,...,gk).
 
+Products are summed in integers: each operand's coefficients become
+numerators over the lcm of its denominators (_numerators), products of
+numerators are added per output key (_accumulate), and each output
+coefficient is one Fraction (_over); over Q(zeta_m) the sums are kept per
+unreduced power of z and reduced once (_reduce).  A character image adds
+numerators per exponent, and gspan's matrix product takes the same steps.
+The public constructors check every key and convert every coefficient; the
+result of an operation on elements already made (sum, negation, product,
+scaling, reduction) is built by the class's one private constructor,
+_closed, which checks nothing again.
+
 Every label, naturality square and fibre count is a sum in G, so each group
 keeps its own sum and negation tables, filled on first use; no table is
 shared between groups, even equal ones.
@@ -40,23 +51,30 @@ class AbelianGroup:
     Enumeration order is lexicographic on tuples.  The empty list of orders
     gives the trivial group.
 
+    Each order is an int >= 1 (TypeError for another type, bool included;
+    ValueError below 1).
+
     Sums and negatives are read from two tables of this instance, filled on
     first use by the coordinatewise formula.  The tables stop growing at
-    |G|^2 and |G| entries, as many as the elements fill; an unhashable
-    operand, such as a list, gets the formula.
+    min(|G|^2, 65536) and |G| entries, at most as many as the elements fill;
+    an unhashable operand, such as a list, gets the formula.  The cap bounds
+    the sum table near 12 MB (a tuple-pair key costs about 180 bytes); every
+    group of order <= 256 still keeps all its sums.
     """
 
     def __init__(self, orders):
-        orders = tuple(int(n) for n in orders)
+        orders = tuple(orders)
         for n in orders:
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise TypeError("cyclic order must be an int, not %r" % (n,))
             if n < 1:
                 raise ValueError("cyclic order must be >= 1, got %r" % (n,))
         self.orders = orders
         self.order = math.prod(orders)
         self.identity = (0,) * len(orders)
-        self._sums = {}  # (a, b) -> a + b, at most |G|^2 entries
+        self._sums = {}  # (a, b) -> a + b, at most _max_sums entries
         self._negs = {}  # a -> -a, at most |G| entries
-        self._max_sums = self.order**2
+        self._max_sums = min(self.order**2, 1 << 16)
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and self.orders == other.orders
@@ -157,12 +175,41 @@ class AbelianGroup:
 # the group ring QG
 
 
+def _numerators(terms):
+    """(den, [(key, numerator)]) for (key, Fraction) pairs: den is the lcm
+    of their denominators and each numerator is over den.  One pass: when
+    den grows, the numerators made so far are rescaled."""
+    den, out = 1, []
+    for g, c in terms:
+        n, d = c.as_integer_ratio()
+        if den % d:
+            s = d // math.gcd(den, d)
+            den *= s
+            out = [(h, k * s) for h, k in out]
+        out.append((g, n * (den // d)))
+    return den, out
+
+
+def _accumulate(acc, add, xs, ys):
+    """acc[add(g, h)] += m * n for (g, m) in xs and (h, n) in ys, xs in the
+    outer loop: the integer core of every product, keys first met first."""
+    for g, m in xs:
+        for h, n in ys:
+            k = add(g, h)
+            acc[k] = acc.get(k, 0) + m * n
+    return acc
+
+
 class GroupRingElement:
     """Finitely supported Fraction-valued function on an AbelianGroup.
 
-    Zero coefficients are never stored, so == is structural equality.  A
-    coefficient that is already a Fraction is kept; others are converted.
-    Multiplication is the convolution product (commutative here).
+    Zero coefficients are never stored, so == is structural equality.  The
+    constructor checks every key to be an element of the group, keeps a
+    Fraction coefficient and converts the others; operations build their
+    results with _closed.  Multiplication is the convolution product
+    (commutative here), summed in integers with one Fraction per output
+    term, in the order the loop over the left operand's terms, then the
+    right's, first reaches them.
     """
 
     __slots__ = ("group", "terms")
@@ -176,6 +223,27 @@ class GroupRingElement:
             if c != 0:
                 clean[group.check(g)] = c
         self.terms = clean
+
+    @classmethod
+    def _closed(cls, group, terms):
+        """The element with terms {g: nonzero Fraction}, taken as they are:
+        each g is an element of group already."""
+        x = object.__new__(cls)
+        x.group = group
+        x.terms = terms
+        return x
+
+    @classmethod
+    def _over(cls, group, nums, den):
+        """The element sum_g (nums[g] / den) g from integer numerators whose
+        keys are elements of group: one Fraction per nonzero term."""
+        return cls._closed(
+            group, {g: Fraction(k, den) for g, k in nums.items() if k}
+        )
+
+    def _numerators(self):
+        """_numerators of the terms, in term order."""
+        return _numerators(self.terms.items())
 
     @classmethod
     def zero(cls, group):
@@ -210,10 +278,13 @@ class GroupRingElement:
         for g, c in other.terms.items():
             x = terms.get(g)
             terms[g] = c if x is None else x + c
-        return GroupRingElement(self.group, terms)
+        terms = {g: c for g, c in terms.items() if c}
+        return GroupRingElement._closed(self.group, terms)
 
     def __neg__(self):
-        return GroupRingElement(self.group, {g: -c for g, c in self.terms.items()})
+        return GroupRingElement._closed(
+            self.group, {g: -c for g, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -222,14 +293,10 @@ class GroupRingElement:
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._require_same_group(other)
-        add = self.group.add
-        terms = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
-                g, c = add(g1, g2), c1 * c2
-                x = terms.get(g)
-                terms[g] = c if x is None else x + c
-        return GroupRingElement(self.group, terms)
+        den1, xs = self._numerators()
+        den2, ys = other._numerators()
+        nums = _accumulate({}, self.group.add, xs, ys)
+        return GroupRingElement._over(self.group, nums, den1 * den2)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -238,7 +305,8 @@ class GroupRingElement:
 
     def scaled(self, c):
         c = Fraction(c)
-        return GroupRingElement(self.group, {g: c * x for g, x in self.terms.items()})
+        terms = {g: c * x for g, x in self.terms.items()} if c else {}
+        return GroupRingElement._closed(self.group, terms)
 
     def augmentation(self):
         """Sum of coefficients (the image under the trivial character)."""
@@ -292,18 +360,6 @@ def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
 
 
 def _poly_divmod(num, den):
@@ -369,31 +425,65 @@ def residue_table(m):
     return tuple(rows)
 
 
+def _reduce(m, terms, zero=0):
+    """sum of x z^k over the (k, x) pairs, mod Phi_m: its phi(m)
+    coefficients, each starting at zero.  A term with k >= phi(m) adds x
+    times row k mod m of residue_table(m), so nothing is divided and
+    integer numerators stay integers."""
+    rows = residue_table(m)
+    deg = len(rows[0])
+    out = [zero] * deg
+    for k, x in terms:
+        if k < deg:
+            out[k] += x
+        elif x:
+            for i, r in enumerate(rows[k % m]):
+                if r:
+                    out[i] += r * x
+    return out
+
+
 class CyclotomicNumber:
     """Element of Q(zeta_m): a Fraction polynomial of degree < phi(m) mod Phi_m.
 
-    Equality is exact polynomial equality; z^m reduces to 1.  Coefficients
-    that are already Fractions are kept; others are converted.  A term of
-    degree k >= phi(m) is reduced by adding its coefficient times row k mod m
-    of residue_table(m), so no division is made.
+    Equality is exact polynomial equality; z^m reduces to 1.  The conductor
+    m is an int >= 1 (TypeError for another type, bool included).  The
+    constructor keeps Fraction coefficients, converts the others and
+    reduces the terms of degree >= phi(m) (_reduce); operations build their
+    results with _closed.  A product is summed in integers per unreduced
+    power of z and reduced once, one Fraction per coefficient.
     """
 
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor, coeffs=()):
-        self.conductor = m = int(conductor)
-        rows = residue_table(m)
-        deg = len(rows[0])
+        if isinstance(conductor, bool) or not isinstance(conductor, int):
+            raise TypeError("conductor must be an int, not %r" % (conductor,))
         c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
-        if len(c) < deg:
-            c += [Fraction(0)] * (deg - len(c))
-        for k in range(deg, len(c)):
-            x = c[k]
-            if x:
-                for i, r in enumerate(rows[k % m]):
-                    if r:
-                        c[i] += r * x
-        self.coeffs = tuple(c[:deg])
+        self.conductor = conductor
+        self.coeffs = tuple(_reduce(conductor, enumerate(c), Fraction(0)))
+
+    @classmethod
+    def _closed(cls, conductor, coeffs):
+        """The number with the given phi(conductor) Fraction coefficients,
+        taken as they are."""
+        x = object.__new__(cls)
+        x.conductor = conductor
+        x.coeffs = coeffs
+        return x
+
+    @classmethod
+    def _over(cls, conductor, nums, den):
+        """sum_k (nums[k] / den) z^k from integer numerators per power k of
+        z, reduced in integers (_reduce): one Fraction per coefficient."""
+        return cls._closed(
+            conductor,
+            tuple([Fraction(k, den) for k in _reduce(conductor, nums.items())]),
+        )
+
+    def _numerators(self):
+        """_numerators of the nonzero coefficients, keyed by degree."""
+        return _numerators((k, c) for k, c in enumerate(self.coeffs) if c)
 
     @classmethod
     def zero(cls, conductor):
@@ -420,12 +510,12 @@ class CyclotomicNumber:
 
     def __add__(self, other):
         self._require_same_field(other)
-        return CyclotomicNumber(
-            self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return CyclotomicNumber._closed(
+            self.conductor, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, [-a for a in self.coeffs])
+        return CyclotomicNumber._closed(self.conductor, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -433,9 +523,14 @@ class CyclotomicNumber:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return CyclotomicNumber(self.conductor, [c * a for a in self.coeffs])
+            return CyclotomicNumber._closed(
+                self.conductor, tuple(c * a for a in self.coeffs)
+            )
         self._require_same_field(other)
-        return CyclotomicNumber(self.conductor, _poly_mul(self.coeffs, other.coeffs))
+        den1, xs = self._numerators()
+        den2, ys = other._numerators()
+        nums = _accumulate({}, operator.add, xs, ys)
+        return CyclotomicNumber._over(self.conductor, nums, den1 * den2)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -498,6 +593,7 @@ class Character:
             e % n for e, n in zip(exponents, group.orders)
         )
         self.conductor = math.lcm(*group.orders) if group.orders else 1
+        self._exponents = {}  # g -> exponent_of(g), filled by apply
 
     @classmethod
     def trivial(cls, group):
@@ -514,14 +610,22 @@ class Character:
         return CyclotomicNumber.zeta_power(self.conductor, self.exponent_of(g))
 
     def apply(self, x):
-        """rho(x) = sum_g x_g zeta^(exponent of g): the coefficients are added
-        by exponent, then reduced once, into one number."""
+        """rho(x) = sum_g x_g zeta^(exponent of g), in integers: x's
+        coefficients are numerators over the lcm of their denominators, added
+        by exponent and reduced once, one Fraction per coefficient.  The
+        exponent of each g is read from this character's table, where g is
+        checked once, when it first enters."""
         if x.group != self.group:
             raise GroupMismatchError("character and element over different groups")
-        by_exponent = [0] * self.conductor
-        for g, c in x.terms.items():
-            by_exponent[self.exponent_of(g)] += c
-        return CyclotomicNumber(self.conductor, by_exponent)
+        table = self._exponents
+        den, nums = x._numerators()
+        by_exponent = {}
+        for g, k in nums:
+            e = table.get(g)
+            if e is None:
+                e = table[g] = self.exponent_of(g)
+            by_exponent[e] = by_exponent.get(e, 0) + k
+        return CyclotomicNumber._over(self.conductor, by_exponent, den)
 
     def is_injective(self):
         seen = set()

@@ -54,15 +54,22 @@ construction, and vertical_compose and horizontal_compose check only their
 factors and mark the composite checked by the composition lemma for
 2-cells, so no composite cell is walked.
 Matrix products use the order (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) (for
-abelian G this equals the usual product; a test asserts both agree).
+abelian G this equals the usual product; a test asserts both agree).  Span
+and character matrices share one sparse product, _product_entries, summed
+in integers with one Fraction per term of each entry, and span_matrix
+also makes one Fraction per term.  Neither checks a key again, so each
+label is checked to be an element of G where it is read: per member, on
+the validation walk, and at the representatives in _fibre_chi.
 Component representatives are fixed once per groupoid (its first object),
 and all label formulas use those representatives consistently.
 """
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
-from gspans.algebra import CyclotomicNumber, GroupRingElement
+from gspans.algebra import CyclotomicNumber, GroupRingElement, _accumulate
 from gspans.constructions import (
     FunctorError,
     GroupoidFunctor,
@@ -160,11 +167,15 @@ class GSpan:
 
     def _validate_members(self, lo, ro, labels):
         """e_i + H(id_{x_i}) = V(id_{y_i}) + e_i for each member i, with x_i
-        = lo[i], y_i = ro[i] and e_i = labels[i] (see validate)."""
+        = lo[i], y_i = ro[i] and e_i = labels[i] (see validate); each
+        distinct e_i is checked once to be an element of G."""
         add, S, T = self.group.add, self.source, self.target
+        checked = set()
         h_id = {x: self.h.value(S.identity_at(x)) for x in set(lo)}
         v_id = {y: self.v.value(T.identity_at(y)) for y in set(ro)}
         for i, e in enumerate(labels):
+            if e not in checked:
+                _check_label(self.group, e, checked)
             if add(e, h_id[lo[i]]) != add(v_id[ro[i]], e):
                 raise GSpanError(
                     "labeling is not natural on member %d: %r + H(id) != "
@@ -192,6 +203,19 @@ class MemberLabel:
         self.at = lambda o: values[o[0]]
 
 
+def _check_label(group, e, checked):
+    """Add the label e to the set checked if it is an element of group, and
+    raise GSpanError otherwise: the group's add would truncate or reduce a
+    label of the wrong length or range without an error, and no term of
+    the matrix is checked again.  Callers skip the labels already in
+    checked, so each distinct label is checked once."""
+    try:
+        group.check(e)
+    except (TypeError, ValueError):
+        raise GSpanError("label %r is not an element of %r" % (e, group)) from None
+    checked.add(e)
+
+
 def _unnatural(sp):
     """(m, a1, a2, eps(a1), eps(a2)) for each handle m: a1 -> a2 of the
     apex's generating family (a table's component stars, a pullback view's
@@ -199,9 +223,11 @@ def _unnatural(sp):
     square eps(a2) + HL(m) = VR(m) + eps(a1) fails, in family order;
     composites and inverses follow from the family when HL and VR are
     functors.  The family comes grouped by source, so eps(a1) is read once
-    per run of handles with the same source.
+    per run of handles with the same source.  Each distinct label read is
+    checked to be an element of G (GSpanError otherwise).
     GSpan.validate raises at the first; _refused keeps the first per fibre."""
-    add, eps = sp.group.add, sp.eps
+    G, eps, checked = sp.group, sp.eps, set()
+    add = G.add
     h, left = sp.h.value, sp.left.on_mor
     v, right = sp.v.value, sp.right.on_mor
     a1 = None
@@ -209,7 +235,11 @@ def _unnatural(sp):
         if a1 is None or src != a1:
             a1 = src
             e1 = eps(a1)
+            if e1 not in checked:
+                _check_label(G, e1, checked)
         e2 = eps(tgt)
+        if e2 not in checked:
+            _check_label(G, e2, checked)
         if add(e2, h(left(m))) != add(v(right(m)), e1):
             yield m, a1, tgt, e1, e2
 
@@ -236,11 +266,11 @@ def labeled_fibre(sp, c, d):
             "label not constant on the component of %r: %r at %r, %r at %r"
             % (a1, g1, o1, g2, o2)
         )
-    chi = _fibre_chi(sp).get((r1, r2), {})
+    den, nums = _fibre_chi(sp).get((r1, r2), (1, {}))
     if move is None:
-        return chi
+        return {g: Fraction(k, den) for g, k in nums.items()}
     label = move[1]
-    return {label(g): x for g, x in chi.items()}
+    return {label(g): Fraction(k, den) for g, k in nums.items()}
 
 
 def _to_pair(sp, c, d):
@@ -401,10 +431,12 @@ def _fibre_chi(sp):
     in the order and with the counts that the loop over its listed
     representatives and its legs, label and aut_order gives every other
     span.  The counts per
-    (c, d, |Aut a|) and label are summed in integers (_chi_of_counts), so
-    each (c, d) and label makes one Fraction, however many components and
-    |Aut| values share it (the composed Stirling apex at N=8 has 1.37 M
-    components).  Over discrete feet V.H is one point."""
+    (c, d, |Aut a|) and label are summed in integers (_chi_of_counts) into
+    one numerator over one denominator per (c, d), however many components
+    and |Aut| values share it (the composed Stirling apex at N=8 has 1.37 M
+    components); a reader makes one Fraction from each.  Each distinct
+    label eps(a) is checked to be an element of G.  Over discrete feet V.H
+    is one point."""
     if sp._chi is not None:
         return sp._chi
     S, T, M = sp.source, sp.target, sp.apex
@@ -417,6 +449,10 @@ def _fibre_chi(sp):
             by_key[key] = by_key.get(key, 0) + 1
     else:
         by_key = _composite_keys(sp)
+    checked = set()  # GSpan(..., check=False) has read no label yet
+    for key in by_key:
+        if key[3] not in checked:
+            _check_label(sp.group, key[3], checked)
     h_of, v_of = {}, {}  # La -> (c, H on S(c, La)); Ra -> (d, V on T(Ra, d))
     vh_of = {}  # (La, Ra) -> (c, d, V.H as (label, count) pairs)
     counts = {}  # (c, d, |Aut a|) -> {label: number of (a, s, t)}
@@ -481,11 +517,12 @@ def _composite_keys(sp):
 
 
 def _chi_of_counts(counts):
-    """{(c, d): {g: chi}} from integer counts {(c, d, |Aut|): {g: count}}:
-    chi at (c, d, g) is the sum of count/|Aut| over the |Aut| values,
-    summed in integers over their lcm at (c, d), so each (c, d, g) makes
-    one Fraction.  The pairs (c, d), and the labels within each, keep the
-    order in which counts first has them."""
+    """{(c, d): (den, {g: numerator})} from integer counts
+    {(c, d, |Aut|): {g: count}}: chi at (c, d, g) is the sum of count/|Aut|
+    over the |Aut| values, kept as an integer numerator over their lcm den
+    at (c, d), so no Fraction is made here; its readers make one per term.
+    The pairs (c, d), and the labels within each, keep the order in which
+    counts first has them."""
     by_pair = {}  # (c, d) -> [(|Aut|, {g: count})]
     for (c, d, n), by_label in counts.items():
         by_pair.setdefault((c, d), []).append((n, by_label))
@@ -497,17 +534,20 @@ def _chi_of_counts(counts):
             scale = den // n
             for g, k in by_label.items():
                 num[g] = num.get(g, 0) + k * scale
-        out[pair] = {g: Fraction(k, den) for g, k in num.items()}
+        out[pair] = den, num
     return out
 
 
 def span_matrix(sp):
     """[M, eps]: entry(c,d) = sum_g chi((c\\M/d){label=g}) (1/|T(d,d)|) g,
     with the chi maps of _fibre_chi (the entry formula is in the module
-    docstring).  This relies on the naturality square that GSpan validates
-    at construction; GSpan(..., check=False) is the caller's promise that
-    it holds.  Coefficients are checked to be >= 0 (the semiring
-    guarantee)."""
+    docstring).  Each chi is an integer numerator over a denominator at
+    (c, d), and 1/|T(d,d)| is folded into that denominator, so each term
+    is one Fraction; its label was checked to be an element of G where
+    _fibre_chi read it.  This relies on the naturality square that GSpan
+    validates at construction; GSpan(..., check=False) is the caller's
+    promise that it holds.  Coefficients are checked to be >= 0 (the
+    semiring guarantee)."""
     G = sp.group
     rows = sp.source.component_reps()
     cols = sp.target.component_reps()
@@ -516,45 +556,64 @@ def span_matrix(sp):
     for c in rows:
         row = []
         for d in cols:
-            chi_td = Fraction(1, sp.target.aut_order(d))
-            terms = {g: x * chi_td for g, x in chi.get((c, d), {}).items()}
-            if any(v < 0 for v in terms.values()):
+            den, nums = chi.get((c, d), (1, {}))
+            if any(k < 0 for k in nums.values()):
                 raise GSpanError("negative coefficient at entry (%r, %r)" % (c, d))
-            row.append(GroupRingElement(G, terms))
+            row.append(GroupRingElement._over(G, nums, den * sp.target.aut_order(d)))
         entries.append(row)
     return SpanMatrix(G, rows, cols, entries)
 
 
-def _product_entries(a, b, zero):
-    """Entries of A B over a ring with the given zero:
+def _integer_rows(entries):
+    """(den, rows): den is the lcm of the denominators of every entry, and
+    rows holds each entry's terms as (key, numerator over den) pairs, an
+    empty list at a zero entry."""
+    forms = [[x._numerators() for x in row] for row in entries]
+    den = math.lcm(*[d for row in forms for d, _ in row])
+    return den, [
+        [[(g, k * (den // d)) for g, k in terms] for d, terms in row]
+        for row in forms
+    ]
+
+
+def _product_entries(a, b, add, over):
+    """Entries of A B, for span or character matrices:
     (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) -- the order that stays correct
     over non-commutative group rings; equals the usual product here.  The
     sum is sparse: for each row of A only the d with A(c1, d) nonzero, and
     for each of those only the c2 with B(d, c2) nonzero, in increasing d,
     so a zero product is never formed (Stirling matrices are triangular).
-    An entry with no such d is the given zero."""
+    It is summed in integers: each matrix's coefficients are numerators
+    over one denominator per matrix (_integer_rows), the products of an
+    entry's numerators are added per key, add(key in B, key in A), over
+    every d, and over(numerators, den) makes the entry once, one Fraction
+    per term, with den the product of the two matrices' denominators."""
     if a.col_index != b.row_index:
         raise ValueError("inner indexes do not match")
-    b_nonzero = [
-        [(j, x) for j, x in enumerate(row) if not x.is_zero()] for row in b.entries
-    ]
+    den_a, rows_a = _integer_rows(a.entries)
+    den_b, rows_b = _integer_rows(b.entries)
+    den = den_a * den_b
+    b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows_b]
     entries = []
-    for a_row in a.entries:
-        row = [zero] * len(b.col_index)
+    for a_row in rows_a:
+        sums = [{} for _ in b.col_index]
         for k, y in enumerate(a_row):
-            if not y.is_zero():
+            if y:
                 for j, x in b_nonzero[k]:
-                    row[j] = row[j] + x * y
-        entries.append(row)
+                    _accumulate(sums[j], add, x, y)
+        entries.append([over(nums, den) for nums in sums])
     return entries
 
 
 def matrix_multiply(a, b):
-    """The product A B of span matrices (see _product_entries)."""
+    """The product A B of span matrices (see _product_entries): keys add
+    in G."""
     if a.group != b.group:
         raise ValueError("matrices over different groups")
-    entries = _product_entries(a, b, GroupRingElement.zero(a.group))
-    return SpanMatrix(a.group, a.row_index, b.col_index, entries)
+    G = a.group
+    over = functools.partial(GroupRingElement._over, G)
+    entries = _product_entries(a, b, G.add, over)
+    return SpanMatrix(G, a.row_index, b.col_index, entries)
 
 
 class CharacterMatrix:
@@ -583,8 +642,12 @@ class CharacterMatrix:
             raise ValueError(
                 "conductors differ: %r vs %r" % (self.conductor, other.conductor)
             )
+        # keys are powers of z, added unreduced; _over reduces each entry once
         entries = _product_entries(
-            self, other, CyclotomicNumber.zero(self.conductor)
+            self,
+            other,
+            operator.add,
+            functools.partial(CyclotomicNumber._over, self.conductor),
         )
         return CharacterMatrix(self.row_index, other.col_index, entries, self.conductor)
 

@@ -1,7 +1,10 @@
 """Brute-force enumeration oracles, independent of the groupoid machinery,
 plus the per-entry fibre construction of span matrices (the definition that
 span_matrix evaluates by groupoid cardinality), the dense matrix product
-(gspans forms only the nonzero products), the naturality checks of
+(gspans forms only the nonzero products), the Fraction forms of the
+products in QG and Q(zeta_m), of a character image and of the span matrix
+(gspans sums each in integers and makes one Fraction per output term),
+the naturality checks of
 spans and 2-cells at every morphism (the validators walk a generating
 family), the composite of two spans built with no check (compose_spans
 checks its factors instead) and its matrix's counts read through its
@@ -174,20 +177,85 @@ def fibre_span_matrix(sp):
     return SpanMatrix(sp.group, rows, cols, entries)
 
 
-def dense_product_entries(a, b, zero):
+def dense_product_entries(a, b, zero, mul):
     """Entries of A B by the dense triple loop, every product formed, zero
-    factors too: (A B)(i, j) = sum over k of B(k, j) A(i, k), in increasing
-    k, starting from the given zero (gspans skips the zero products)."""
+    factors too: (A B)(i, j) = sum over k of mul(B(k, j), A(i, k)), in
+    increasing k, added as ring elements from the given zero (gspans skips
+    the zero products and adds an entry's products in integers)."""
     entries = []
     for i in range(len(a.row_index)):
         row = []
         for j in range(len(b.col_index)):
             acc = zero
             for k in range(len(a.col_index)):
-                acc = acc + b.entries[k][j] * a.entries[i][k]
+                acc = acc + mul(b.entries[k][j], a.entries[i][k])
             row.append(acc)
         entries.append(row)
     return entries
+
+
+def fraction_qg_product(x, y):
+    """x y in QG by the Fraction double loop: one Fraction product and one
+    Fraction sum per pair of terms, the terms in the order the loop first
+    reaches them, every key checked by the constructor (gspans sums
+    integer numerators)."""
+    from gspans.algebra import GroupRingElement
+
+    add = x.group.add
+    terms = {}
+    for g1, c1 in x.terms.items():
+        for g2, c2 in y.terms.items():
+            g, c = add(g1, g2), c1 * c2
+            t = terms.get(g)
+            terms[g] = c if t is None else t + c
+    return GroupRingElement(x.group, terms)
+
+
+def fraction_cyclotomic_product(x, y):
+    """x y in Q(zeta_m): the product of the Fraction polynomials, one
+    Fraction product and sum per pair of coefficients, reduced by the
+    constructor (gspans reduces integer numerators)."""
+    from gspans.algebra import CyclotomicNumber
+
+    out = [0] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(y.coeffs):
+            out[i + j] += a * b
+    return CyclotomicNumber(x.conductor, out)
+
+
+def fraction_character_image(rho, x):
+    """rho(x): x's Fraction coefficients added by the exponent of each key,
+    computed and checked per term, then reduced by the constructor."""
+    from gspans.algebra import CyclotomicNumber
+
+    by_exponent = [0] * rho.conductor
+    for g, c in x.terms.items():
+        by_exponent[rho.exponent_of(g)] += c
+    return CyclotomicNumber(rho.conductor, by_exponent)
+
+
+def fraction_span_matrix(sp):
+    """span_matrix with two Fractions per term: chi((c\\M/d){label = g})
+    as labeled_fibre gives it at the representatives, times 1/|T(d,d)|, every
+    key checked by the constructor (gspans folds 1/|T(d,d)| into chi's
+    integer denominator)."""
+    from gspans.algebra import GroupRingElement
+    from gspans.gspan import SpanMatrix, labeled_fibre
+
+    rows = sp.source.component_reps()
+    cols = sp.target.component_reps()
+    entries = []
+    for c in rows:
+        row = []
+        for d in cols:
+            chi_td = Fraction(1, sp.target.aut_order(d))
+            terms = {g: x * chi_td for g, x in labeled_fibre(sp, c, d).items()}
+            row.append(GroupRingElement(sp.group, terms))
+        entries.append(row)
+    return SpanMatrix(sp.group, rows, cols, entries)
 
 
 def all_morphism_span_naturality(sp):

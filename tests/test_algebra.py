@@ -299,6 +299,35 @@ def test_group_tables_agree_with_the_formula(orders):
             assert len(G._sums) == G.order**2 and len(G._negs) == G.order
 
 
+def test_the_sum_table_stops_at_its_cap():
+    # |Z512|^2 = 262144 sums would fill about 47 MB of tuple-pair keys; the
+    # table keeps 65536 and the rest get the formula.  Z16 x Z16 keeps all.
+    assert AbelianGroup([16, 16])._max_sums == 256**2 == 1 << 16
+    G = AbelianGroup([512])
+    assert G._max_sums == 1 << 16
+    els = G.elements()[:300]
+    for _ in range(2):  # the first pass fills the table, the second reads
+        for a in els:
+            for b in els:
+                assert G.add(a, b) == ((a[0] + b[0]) % 512,)
+        assert len(G._sums) == 1 << 16
+
+
+def test_non_int_orders_and_conductors_raise_type_error():
+    # int() would truncate 2.5 to Z2 and take True for Z1; raised, not
+    # asserted, so also under python -O
+    for orders in ([2.5], [True, 3], [2, 3.0], ["4"]):
+        with pytest.raises(TypeError, match="must be an int"):
+            AbelianGroup(orders)
+    for conductor in (2.9, True, 4.0, "4"):
+        with pytest.raises(TypeError, match="must be an int"):
+            CyclotomicNumber(conductor, (1,))
+    with pytest.raises(ValueError, match=">= 1"):
+        AbelianGroup([2, 0])
+    with pytest.raises(ValueError, match=">= 1"):
+        CyclotomicNumber(0, (1,))
+
+
 def test_equal_groups_keep_their_own_tables():
     G, H = AbelianGroup([4]), AbelianGroup([4])
     assert G == H and hash(G) == hash(H)

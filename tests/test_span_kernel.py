@@ -350,6 +350,9 @@ import test_gspan
 test_gspan.test_span_invariants_raise_typed_errors()
 import test_algebra
 test_algebra.test_cyclotomic_invariants_raise_arithmetic_error()
+test_algebra.test_non_int_orders_and_conductors_raise_type_error()
+import test_integer_products
+test_integer_products.test_a_label_outside_the_group_is_refused()
 import test_cli
 test_cli.test_rational_entry_rejects_an_irrational_entry()
 import test_member_naturality

@@ -1,9 +1,11 @@
 """The sparse matrix product against the dense triple loop it replaces
-(oracles.dense_product_entries): matrix_multiply and CharacterMatrix.__mul__
-on the Stirling matrices, the seeded acceptance corpus, matrices with zero
-rows and columns, and 1 x k and k x 1 shapes.  A group, conductor or inner
-index mismatch still raises, even between zero matrices, where no product
-is formed."""
+(oracles.dense_product_entries), whose products are the Fraction loops
+(oracles.fraction_qg_product and fraction_cyclotomic_product):
+matrix_multiply and CharacterMatrix.__mul__ on the Stirling matrices, the
+seeded acceptance corpus, matrices with zero rows and columns, and 1 x k
+and k x 1 shapes, under every character, conductors 3, 4 and 8 included.
+A group, conductor or inner index mismatch still raises, even between zero
+matrices, where no product is formed."""
 
 import itertools
 import random
@@ -20,7 +22,11 @@ from gspans.algebra import (
 )
 from gspans.examples import stirling_pair
 from gspans.gspan import SpanMatrix, character_matrix, matrix_multiply, span_matrix
-from oracles import dense_product_entries
+from oracles import (
+    dense_product_entries,
+    fraction_cyclotomic_product,
+    fraction_qg_product,
+)
 
 CORPUS_SEED = 20260810  # the acceptance corpus
 
@@ -35,12 +41,16 @@ def assert_products_match(a, b):
     """matrix_multiply(a, b), and the product of the character images under
     every character of the group, equal the dense loop, indexes included."""
     got = matrix_multiply(a, b)
-    assert got.entries == dense_product_entries(a, b, GroupRingElement.zero(a.group))
+    assert got.entries == dense_product_entries(
+        a, b, GroupRingElement.zero(a.group), fraction_qg_product
+    )
     assert (got.row_index, got.col_index) == (a.row_index, b.col_index)
     for rho in all_characters(a.group):
         ca, cb = character_matrix(a, rho), character_matrix(b, rho)
         got = ca * cb
-        want = dense_product_entries(ca, cb, CyclotomicNumber.zero(rho.conductor))
+        want = dense_product_entries(
+            ca, cb, CyclotomicNumber.zero(rho.conductor), fraction_cyclotomic_product
+        )
         assert got.entries == want
         assert (got.row_index, got.col_index) == (a.row_index, b.col_index)
 
@@ -78,7 +88,7 @@ def random_matrix(rng, G, rows, cols, zero_rows=(), zero_cols=()):
     return SpanMatrix(G, range(rows), range(cols), entries)
 
 
-@pytest.mark.parametrize("orders", [[2], [3], [2, 2]])
+@pytest.mark.parametrize("orders", [[2], [3], [2, 2], [2, 4], [3, 3], [8]])
 def test_zero_rows_columns_and_thin_shapes_match_the_dense_loop(orders):
     G = AbelianGroup(orders)
     rng = random.Random(sum(orders))

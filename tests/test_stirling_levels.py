@@ -123,13 +123,21 @@ def theorem_pairs():
 
 def assert_same_chi(calls):
     assert calls
-    for _, counts, got in calls:
+    for _, counts, result in calls:
         want = per_key_chi(counts)
+        # each chi an integer numerator over one int denominator per (c, d)
+        got = {
+            pair: {g: Fraction(k, den) for g, k in nums.items()}
+            for pair, (den, nums) in result.items()
+        }
         assert got == want
-        # the same pairs and labels in the same order, each value a Fraction
+        # the same pairs and labels in the same order
         assert list(got) == list(want)
         assert [list(chi) for chi in got.values()] == [list(chi) for chi in want.values()]
-        assert all(type(x) is Fraction for chi in got.values() for x in chi.values())
+        assert all(
+            type(den) is int and all(type(k) is int for k in nums.values())
+            for den, nums in result.values()
+        )
 
 
 def test_chi_of_counts_is_the_per_key_sum_on_stirling(recorded):
