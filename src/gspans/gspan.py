@@ -13,12 +13,13 @@ Its matrix has rows pi0(S) and columns pi0(T) in canonical component order,
 where the label of a fibre object (a, s, t) is V(t) + eps(a) + H(s).  That
 is the definition, and the tests build the fibre as a table
 (two_sided_fibre) as the oracle.  The code computes it without a fibre,
-in _fibre_chi, which span_matrix and labeled_fibre both read; labeled_fibre
-moves a fibre at representatives to any other pair of objects by an
-equivalence that shifts its labels (_to_pair).  A fibre object (a, s, t)
-has as many outgoing morphisms as a has in M, and naturality moves
-(a, s, t) along M without changing its label, so each component [a] of M
-contributes to exactly one entry, by groupoid cardinality:
+in _fibre_chi, which span_matrix, labeled_fibre and the per-label lemma
+read; labeled_fibre moves a fibre at representatives to any other pair of
+objects by an equivalence that shifts its labels (_to_pair).  A fibre
+object (a, s, t) has as many outgoing morphisms as a has in M, and
+naturality moves (a, s, t) along M without changing its label, so each
+component [a] of M contributes to exactly one entry, by groupoid
+cardinality:
 
     entry(c, d) = sum over [a] in pi0(M) with [La] = c and [Ra] = d of
                   1/(|Aut a| |Aut d|) * sum over s in S(c, La), t in T(Ra, d)
@@ -56,10 +57,13 @@ factors and mark the composite checked by the composition lemma for
 Matrix products use the order (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) (for
 abelian G this equals the usual product; a test asserts both agree).  Span
 and character matrices share one sparse product, _product_entries, summed
-in integers with one Fraction per term of each entry, and span_matrix
-also makes one Fraction per term.  Neither checks a key again, so each
-label is checked to be an element of G where it is read: per member, on
-the validation walk, and at the representatives in _fibre_chi.
+in integers with one Fraction per term of each entry.  span_matrix also
+makes one Fraction per term, and so does the right-hand side of the
+per-label lemma (labeled_pullback_identity), which sums the factors'
+integer chi maps over each d and moves the sum once, by the composite's
+shift.  None checks a key again, so each label is checked to be an
+element of G where it is read: per member, on the validation walk, and at
+the representatives in _fibre_chi.
 Component representatives are fixed once per groupoid (its first object),
 and all label formulas use those representatives consistently.
 """
@@ -780,25 +784,46 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     components; on the raw pullback apex the labels are not component
     constant and the naive reading fails.
 
-    Both sides read labeled_fibre: the composite's fibre at (c1, c2), and
-    sp1's and sp2's over each d, each from its span's one _fibre_chi map,
-    which span_matrix reads too, so looping over the entries reuses them.
-    A given composed must be compose_spans(sp1, sp2) itself
-    (ComposabilityError otherwise)."""
+    The left-hand side is labeled_fibre of the composite at (c1, c2).  The
+    right-hand side reads the factors' _fibre_chi maps, which span_matrix
+    reads too, at r1 = rep(c1), each representative d of T and r2 =
+    rep(c2): one integer map (den, {g: numerator}) per factor and d.  Its
+    terms n1 n2 / (den1 |Aut d| den2) are summed in integers over the lcm L
+    of those denominators, and one Fraction(k, L) is made per nonzero sum,
+    once its key is shifted by the composite's own move of (r1, r2) to
+    (c1, c2), H1(s0) + V2(u0) (_to_pair).  No other shift is needed:
+    labeled_fibre would move sp1's map at (r1, d) to (c1, d) by
+    V1(u) + H1(s0) and sp2's at (d, r2) to (d, c2) by H2(u) + V2(u0), with u
+    the first of Aut(d), and (a, s, t) -> (a, s, u t) is an automorphism of
+    a fibre c\\M/d that adds V(u) to every label, so the map from label
+    to chi at (c, d) is unchanged by a shift by V(u), u in Aut(d) (and, by
+    (a, s, t) -> (a, s u, t), by H(u), u in Aut(c)).  Nor is a refusal: a
+    composite exists only of checked factors, as compose_spans walks an
+    unchecked one, so no fibre of a factor has a failing square.  A given
+    composed must be compose_spans(sp1, sp2) itself (ComposabilityError
+    otherwise)."""
     composed = _composite_of(sp1, sp2, composed, ComposabilityError, "sp1, sp2")
-    G, T = sp1.group, sp1.target
+    T, add = sp1.target, sp1.group.add
     lhs = labeled_fibre(composed, c1, c2)
-    rhs = {}
+    r1, r2, move = _to_pair(composed, c1, c2)
+    chi1, chi2 = _fibre_chi(sp1), _fibre_chi(sp2)
+    terms = []  # (den1 |Aut d| den2, sp1's numerators, sp2's numerators)
     for d in T.component_reps():
-        chi_td = Fraction(1, T.aut_order(d))
-        left_side = labeled_fibre(sp1, c1, d)
-        right_side = labeled_fibre(sp2, d, c2).items()
-        for g1, x1 in left_side.items():
-            y1 = x1 * chi_td
-            for g2, x2 in right_side:
-                g = G.add(g2, g1)
-                rhs[g] = rhs.get(g, 0) + y1 * x2
-    rhs = {g: v for g, v in rhs.items() if v != 0}
+        left_side, right_side = chi1.get((r1, d)), chi2.get((d, r2))
+        if left_side and right_side:
+            den = left_side[0] * T.aut_order(d) * right_side[0]
+            terms.append((den, left_side[1], right_side[1].items()))
+    lcm = math.lcm(*(den for den, _, _ in terms))
+    sums = {}
+    for den, nums1, nums2 in terms:
+        scale = lcm // den
+        for g1, n1 in nums1.items():
+            k1 = n1 * scale
+            for g2, n2 in nums2:
+                g = add(g2, g1)
+                sums[g] = sums.get(g, 0) + k1 * n2
+    label = (lambda g: g) if move is None else move[1]
+    rhs = {label(g): Fraction(k, lcm) for g, k in sums.items() if k}
     return lhs, rhs
 
 
@@ -899,6 +924,7 @@ class SpanMorphism:
         self.a = _as_fn(a)
         self.b = _as_fn(b)
         self.checked = False  # set by validate, identity_cell or a composite
+        self._dst_objects = None  # fibre_map_preserves_labels(self, ...)
         if check:
             self.validate()
 
@@ -1174,26 +1200,47 @@ def fibre_map_preserves_labels(cell, c, d):
     and in the same label level; False if some image misses either.  It
     walks the objects of c\\M1/d in the fibre table's order, and an image
     (px, s2, t2) is in c\\M2/d when px is in M2, s2 in S(c, L2 px) and t2
-    in T(R2 px, d), so it builds no fibre and walks no apex morphism."""
+    in T(R2 px, d), so it builds no fibre and walks no apex morphism.  An x
+    with S(c, L1 x) or T(R1 x, d) empty has no fibre object and is skipped;
+    for the others Phi(x), A(x), B(x)^-1 and the parts of the labels in x
+    and s or x and t are read once per x, each hom-set once per foot
+    object, and M2's objects once per cell."""
     sp1, sp2 = cell.src_span, cell.dst_span
-    S, T, G = sp1.source, sp1.target, sp1.group
-    objects2 = set(sp2.apex.objects)
-
-    def label(sp, a, s, t):
-        return G.add(sp.v.value(t), G.add(sp.eps(a), sp.h.value(s)))
-
+    S, T, add = sp1.source, sp1.target, sp1.group.add
+    if cell._dst_objects is None:
+        cell._dst_objects = set(sp2.apex.objects)
+    objects2 = cell._dst_objects
+    left, right = sp1.left.on_obj, sp1.right.on_obj
+    from_c = functools.cache(lambda y: S.hom(c, y))
+    to_d = functools.cache(lambda y: T.hom(y, d))
+    from_c2 = functools.cache(lambda y: sp2.source.hom(c, y))
+    to_d2 = functools.cache(lambda y: sp2.target.hom(y, d))
     for x in sp1.apex.objects:
-        for s in S.hom(c, sp1.left.on_obj(x)):
-            for t in T.hom(sp1.right.on_obj(x), d):
-                px = cell.phi.on_obj(x)
-                s2 = S.compose_m(cell.a(x), s)
-                t2 = T.compose_m(t, T.inverse_m(cell.b(x)))
-                if (
-                    px not in objects2
-                    or s2 not in sp2.source.hom(c, sp2.left.on_obj(px))
-                    or t2 not in sp2.target.hom(sp2.right.on_obj(px), d)
-                ):
-                    return False  # the image misses the target fibre
-                if label(sp2, px, s2, t2) != label(sp1, x, s, t):
+        ss = from_c(left(x))
+        ts = to_d(right(x)) if ss else None
+        if not ts:
+            continue
+        px = cell.phi.on_obj(x)
+        if px not in objects2:
+            return False  # the image misses the target fibre
+        ax, bx_inv = cell.a(x), T.inverse_m(cell.b(x))
+        ss2 = [S.compose_m(ax, s) for s in ss]
+        ts2 = [T.compose_m(t, bx_inv) for t in ts]
+        hom_s2 = from_c2(sp2.left.on_obj(px))
+        hom_t2 = to_d2(sp2.right.on_obj(px))
+        if any(s2 not in hom_s2 for s2 in ss2) or any(
+            t2 not in hom_t2 for t2 in ts2
+        ):
+            return False  # the image misses the target fibre
+        e1, e2 = sp1.eps(x), sp2.eps(px)
+        # label(x, s, t) = V(t) + (eps(x) + H(s)), its last two read per s
+        xs = [
+            (add(e1, sp1.h.value(s)), add(e2, sp2.h.value(s2)))
+            for s, s2 in zip(ss, ss2)
+        ]
+        for t, t2 in zip(ts, ts2):
+            v1, v2 = sp1.v.value(t), sp2.v.value(t2)
+            for w1, w2 in xs:
+                if add(v2, w2) != add(v1, w1):
                     return False
     return True

@@ -2,8 +2,9 @@
 plus the per-entry fibre construction of span matrices (the definition that
 span_matrix evaluates by groupoid cardinality), the dense matrix product
 (gspans forms only the nonzero products), the Fraction forms of the
-products in QG and Q(zeta_m), of a character image and of the span matrix
-(gspans sums each in integers and makes one Fraction per output term),
+products in QG and Q(zeta_m), of a character image, of the span matrix
+and of the per-label lemma's right-hand side (gspans sums each in
+integers and makes one Fraction per output term),
 the naturality checks of
 spans and 2-cells at every morphism (the validators walk a generating
 family), the composite of two spans built with no check (compose_spans
@@ -175,6 +176,29 @@ def fibre_span_matrix(sp):
         for c in rows
     ]
     return SpanMatrix(sp.group, rows, cols, entries)
+
+
+def fraction_lemma_rhs(sp1, sp2, c1, c2):
+    """The right-hand side of labeled_pullback_identity at (c1, c2) by the
+    Fraction double loop over labeled_fibre: each factor's map moved to
+    (c1, d) and (d, c2) for each representative d of T, one Fraction
+    product and one Fraction sum per pair of labels (gspans reads the
+    factors' integer chi maps at the representatives, sums in integers and
+    moves the sum once, by the composite's shift)."""
+    from gspans.gspan import labeled_fibre
+
+    G, T = sp1.group, sp1.target
+    rhs = {}
+    for d in T.component_reps():
+        chi_td = Fraction(1, T.aut_order(d))
+        left_side = labeled_fibre(sp1, c1, d)
+        right_side = labeled_fibre(sp2, d, c2).items()
+        for g1, x1 in left_side.items():
+            y1 = x1 * chi_td
+            for g2, x2 in right_side:
+                g = G.add(g2, g1)
+                rhs[g] = rhs.get(g, 0) + y1 * x2
+    return {g: v for g, v in rhs.items() if v != 0}
 
 
 def dense_product_entries(a, b, zero, mul):

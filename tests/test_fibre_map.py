@@ -89,7 +89,8 @@ def _first_other(view, y, same):
 
 def broken_variants(cell):
     """Cells made with check=False from cell: Phi off the target apex, A
-    ending at another object of S (both miss the fibre), and A or B
+    ending at another object of S or B at another object of T (all miss
+    the fibre), and A or B
     composed with an automorphism of its end (the image stays in the fibre
     and its label moves by H or V of it, unless that is 0)."""
     sp1, sp2 = cell.src_span, cell.dst_span
@@ -116,7 +117,11 @@ def broken_variants(cell):
         sp1.apex, sp2.apex, lambda x: ("absent", x), phi.on_mor, check=False
     )
     return {
-        "miss": [make(absent, a, b), make(phi, then(S, off, sp2.left, a), b)],
+        "miss": [
+            make(absent, a, b),
+            make(phi, then(S, off, sp2.left, a), b),
+            make(phi, a, then(T, off, sp2.right, b)),
+        ],
         "label": [
             make(phi, then(S, twist, sp2.left, a), b),
             make(phi, a, then(T, twist, sp2.right, b)),

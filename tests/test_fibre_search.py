@@ -308,14 +308,23 @@ def test_an_unchecked_h_that_is_not_a_functor_is_refused_at_every_fibre():
 
 def test_a_checked_span_walks_nothing(corpus, monkeypatch):
     # labeled_fibre and the lemma read a checked span's _fibre_chi and
-    # never its naturality square
+    # never its naturality square; the lemma's right-hand side reads the
+    # factors' chi maps, so its one labeled_fibre call is the composite's
     from gspans import gspan
     from gspans.gspan import labeled_pullback_identity
 
     def refuse(*args):
         raise AssertionError("walked")
 
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return labeled_fibre(*args)
+
     monkeypatch.setattr(gspan, "_unnatural", refuse)
+    monkeypatch.setattr(gspan, "_refused", refuse)
+    monkeypatch.setattr(gspan, "labeled_fibre", counted)
     for sp1, sp2, composed in corpus:
         for sp in (sp1, sp2, composed):
             assert sp.checked
@@ -324,5 +333,29 @@ def test_a_checked_span_walks_nothing(corpus, monkeypatch):
                     labeled_fibre(sp, c, d)
         for c1 in sp1.source.objects:
             for c2 in sp2.target.objects:
+                calls.clear()
                 lhs, rhs = labeled_pullback_identity(sp1, sp2, c1, c2, composed)
                 assert lhs == rhs
+                assert calls == [(composed, c1, c2)]
+
+
+def test_a_fibre_is_unchanged_by_a_shift_by_h_or_v_of_an_automorphism(corpus):
+    # (a, s, t) -> (a, s, u t), u in Aut(d), adds V(u) to every label of
+    # c\M/d, and (a, s, t) -> (a, s u, t), u in Aut(c), adds H(u): the lemma
+    # moves its sum by the composite's shift alone because of this
+    shifted = 0
+    for sp1, sp2, composed in corpus:
+        for sp in (sp1, sp2, composed):
+            S, T, add = sp.source, sp.target, sp.group.add
+            for c in S.objects:
+                hs = {sp.h.value(u) for u in S.hom(c, c)}
+                for d in T.objects:
+                    vs = {sp.v.value(u) for u in T.hom(d, d)}
+                    shifts = hs | vs
+                    if len(shifts) == 1:
+                        continue  # both trivial
+                    chi = labeled_fibre(sp, c, d)
+                    for x in shifts:
+                        assert {add(g, x): k for g, k in chi.items()} == chi, (c, d)
+                    shifted += bool(chi)
+    assert shifted > 0
