@@ -15,7 +15,9 @@ numerators over the lcm of its denominators (_numerators), products of
 numerators are added per output key (_accumulate), and each output
 coefficient is one Fraction (_over); over Q(zeta_m) the sums are kept per
 unreduced power of z and reduced once (_reduce).  A character image adds
-numerators per exponent, and gspan's matrix product takes the same steps.
+numerators per exponent and reduces once (Character._image, which apply
+and gspan's character_matrix read), and gspan's matrix product takes the
+same steps.
 The public constructors check every key and convert every coefficient; the
 result of an operation on elements already made (sum, negation, product,
 scaling, reduction) is built by the class's one private constructor,
@@ -234,12 +236,11 @@ class GroupRingElement:
         return x
 
     @classmethod
-    def _over(cls, group, nums, den):
-        """The element sum_g (nums[g] / den) g from integer numerators whose
-        keys are elements of group: one Fraction per nonzero term."""
-        return cls._closed(
-            group, {g: Fraction(k, den) for g, k in nums.items() if k}
-        )
+    def _over(cls, group, terms, den):
+        """The element sum (k / den) g over the (g, k) pairs of integer
+        numerators, each g an element of group and met once: one Fraction
+        per nonzero term."""
+        return cls._closed(group, {g: Fraction(k, den) for g, k in terms if k})
 
     def _numerators(self):
         """_numerators of the terms, in term order."""
@@ -296,7 +297,7 @@ class GroupRingElement:
         den1, xs = self._numerators()
         den2, ys = other._numerators()
         nums = _accumulate({}, self.group.add, xs, ys)
-        return GroupRingElement._over(self.group, nums, den1 * den2)
+        return GroupRingElement._over(self.group, nums.items(), den1 * den2)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -473,12 +474,13 @@ class CyclotomicNumber:
         return x
 
     @classmethod
-    def _over(cls, conductor, nums, den):
-        """sum_k (nums[k] / den) z^k from integer numerators per power k of
-        z, reduced in integers (_reduce): one Fraction per coefficient."""
+    def _over(cls, conductor, terms, den):
+        """sum (x / den) z^k over the (k, x) pairs of integer numerators per
+        power k of z, reduced in integers (_reduce): one Fraction per
+        coefficient."""
         return cls._closed(
             conductor,
-            tuple([Fraction(k, den) for k in _reduce(conductor, nums.items())]),
+            tuple([Fraction(x, den) for x in _reduce(conductor, terms)]),
         )
 
     def _numerators(self):
@@ -530,7 +532,7 @@ class CyclotomicNumber:
         den1, xs = self._numerators()
         den2, ys = other._numerators()
         nums = _accumulate({}, operator.add, xs, ys)
-        return CyclotomicNumber._over(self.conductor, nums, den1 * den2)
+        return CyclotomicNumber._over(self.conductor, nums.items(), den1 * den2)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -593,7 +595,7 @@ class Character:
             e % n for e, n in zip(exponents, group.orders)
         )
         self.conductor = math.lcm(*group.orders) if group.orders else 1
-        self._exponents = {}  # g -> exponent_of(g), filled by apply
+        self._exponents = {}  # g -> exponent_of(g), filled by _image
 
     @classmethod
     def trivial(cls, group):
@@ -611,21 +613,27 @@ class Character:
 
     def apply(self, x):
         """rho(x) = sum_g x_g zeta^(exponent of g), in integers: x's
-        coefficients are numerators over the lcm of their denominators, added
-        by exponent and reduced once, one Fraction per coefficient.  The
-        exponent of each g is read from this character's table, where g is
-        checked once, when it first enters."""
+        coefficients are numerators over the lcm of their denominators
+        (_numerators), imaged by _image, one Fraction per coefficient."""
         if x.group != self.group:
             raise GroupMismatchError("character and element over different groups")
-        table = self._exponents
         den, nums = x._numerators()
+        return CyclotomicNumber._over(self.conductor, enumerate(self._image(nums)), den)
+
+    def _image(self, terms):
+        """The phi(m) integer coefficients of sum k zeta^(exponent of g)
+        over the (g, k) pairs: the k are added by exponent and the sum is
+        reduced once (_reduce).  apply and gspan.character_matrix both read
+        it.  The exponent of each g is read from this character's table,
+        where g is checked once, when it first enters."""
+        table = self._exponents
         by_exponent = {}
-        for g, k in nums:
+        for g, k in terms:
             e = table.get(g)
             if e is None:
                 e = table[g] = self.exponent_of(g)
             by_exponent[e] = by_exponent.get(e, 0) + k
-        return CyclotomicNumber._over(self.conductor, by_exponent, den)
+        return _reduce(self.conductor, by_exponent.items())
 
     def is_injective(self):
         seen = set()

@@ -54,16 +54,23 @@ once, where it is made, by the same rule: SpanMorphism validates at
 construction, and vertical_compose and horizontal_compose check only their
 factors and mark the composite checked by the composition lemma for
 2-cells, so no composite cell is walked.
-Matrix products use the order (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) (for
-abelian G this equals the usual product; a test asserts both agree).  Span
-and character matrices share one sparse product, _product_entries, summed
-in integers with one Fraction per term of each entry.  span_matrix also
-makes one Fraction per term, and so does the right-hand side of the
-per-label lemma (labeled_pullback_identity), which sums the factors'
-integer chi maps over each d and moves the sum once, by the composite's
-shift.  None checks a key again, so each label is checked to be an
-element of G where it is read: per member, on the validation walk, and at
-the representatives in _fibre_chi.
+A span's chi map has one denominator, the lcm of its |Aut a| values, and
+a span or character matrix one integer form (den, rows): rows[i][j] lists
+entry (i, j)'s nonzero (key, numerator) terms over den.  span_matrix folds
+1/|Aut d| into den and makes entries from the same integers, one Fraction
+per term.  Matrix products use the order (A B)(c1, c2) = sum_d B(d, c2)
+A(c1, d) (for abelian G this equals the usual product; a test asserts both
+agree).  Span and character matrices share one sparse product,
+_product_entries, which reads both forms and sums the product's own in
+integers.  A character image maps a form's numerators by exponent
+(Character._image, which apply reads too); a character matrix makes its
+CyclotomicNumber entries only when read, and is_identity and == read the
+forms.  The right-hand side of the per-label lemma
+(labeled_pullback_identity) sums the factors' integer chi maps over each
+d and moves the sum once, by the composite's shift.  None checks a key
+again, so each label is checked to be an element of G where it is read:
+per member, on the validation walk, and at the representatives in
+_fibre_chi.
 Component representatives are fixed once per groupoid (its first object),
 and all label formulas use those representatives consistently.
 """
@@ -73,7 +80,7 @@ import math
 import operator
 from fractions import Fraction
 
-from gspans.algebra import CyclotomicNumber, GroupRingElement, _accumulate
+from gspans.algebra import CyclotomicNumber, GroupRingElement, _accumulate, _reduce
 from gspans.constructions import (
     FunctorError,
     GroupoidFunctor,
@@ -270,7 +277,8 @@ def labeled_fibre(sp, c, d):
             "label not constant on the component of %r: %r at %r, %r at %r"
             % (a1, g1, o1, g2, o2)
         )
-    den, nums = _fibre_chi(sp).get((r1, r2), (1, {}))
+    den, chi = _fibre_chi(sp)
+    nums = chi.get((r1, r2), {})
     if move is None:
         return {g: Fraction(k, den) for g, k in nums.items()}
     label = move[1]
@@ -355,13 +363,24 @@ def _entry_rows(row_index, col_index, entries):
 
 
 class SpanMatrix:
-    """pi0(S) x pi0(T) array of group-ring elements, canonical index order."""
+    """pi0(S) x pi0(T) array of group-ring elements, canonical index order,
+    with its integer form (den, rows): rows[i][j] lists entry (i, j)'s
+    nonzero (g, numerator) terms over den (see the module docstring)."""
 
     def __init__(self, group, row_index, col_index, entries):
         self.group = group
         self.row_index = list(row_index)
         self.col_index = list(col_index)
         self.entries = _entry_rows(self.row_index, self.col_index, entries)
+        self.form = _integer_rows(self.entries)
+
+    @classmethod
+    def _made(cls, group, row_index, col_index, entries, form):
+        """The matrix with these entries and their form, taken as they are."""
+        x = object.__new__(cls)
+        x.group, x.entries, x.form = group, entries, form
+        x.row_index, x.col_index = list(row_index), list(col_index)
+        return x
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -383,7 +402,7 @@ class SpanMatrix:
             and self.group == other.group
             and self.row_index == other.row_index
             and self.col_index == other.col_index
-            and self.entries == other.entries
+            and _same_form(self.form, other.form)
         )
 
     def __mul__(self, other):
@@ -417,11 +436,36 @@ class SpanMatrix:
         )
 
 
+def _integer_rows(entries):
+    """The integer form (den, rows) of a matrix's entries: den is the lcm of
+    the denominators of every entry, and rows[i][j] lists the nonzero terms
+    of entry (i, j) as (key, numerator over den) pairs."""
+    forms = [[x._numerators() for x in row] for row in entries]
+    den = math.lcm(*[d for row in forms for d, _ in row])
+    return den, [
+        [[(g, k * (den // d)) for g, k in terms] for d, terms in row]
+        for row in forms
+    ]
+
+
+def _same_form(form1, form2):
+    """Whether two integer forms of one shape hold the same entries: each
+    entry's numerators, cross-multiplied by the other form's denominator,
+    make the same map."""
+    (den1, rows1), (den2, rows2) = form1, form2
+    return all(
+        len(x) == len(y) and {g: k * den2 for g, k in x} == {g: k * den1 for g, k in y}
+        for row1, row2 in zip(rows1, rows2)
+        for x, y in zip(row1, row2)
+    )
+
+
 def _fibre_chi(sp):
-    """{(c, d): {g: chi((c\\M/d){label = g})}} over the component
-    representatives c of S and d of T, by the entry formula of the module
-    docstring, in one pass over pi0(M) made once per span: span_matrix
-    and labeled_fibre read the same map.
+    """(den, {(c, d): {g: numerator}}) over the component representatives c
+    of S and d of T: chi((c\\M/d){label = g}) is numerator / den, by the
+    entry formula of the module docstring, in one pass over pi0(M) made
+    once per span.  span_matrix, labeled_fibre and the per-label lemma read
+    the same map.
 
     Only the point eps(a) of a component's product V.eps(a).H depends on
     more than (La, Ra, |Aut a|).  So the pass counts the components per key
@@ -434,13 +478,13 @@ def _fibre_chi(sp):
     double-coset pass and keyed from its factors' rows (_composite_keys),
     in the order and with the counts that the loop over its listed
     representatives and its legs, label and aut_order gives every other
-    span.  The counts per
-    (c, d, |Aut a|) and label are summed in integers (_chi_of_counts) into
-    one numerator over one denominator per (c, d), however many components
-    and |Aut| values share it (the composed Stirling apex at N=8 has 1.37 M
-    components); a reader makes one Fraction from each.  Each distinct
-    label eps(a) is checked to be an element of G.  Over discrete feet V.H
-    is one point."""
+    span.  One denominator serves the whole span: den is the lcm of its
+    |Aut a| values, and each key's count is scaled by den / |Aut a| as it
+    is added, so every chi is one integer numerator over den, however many
+    components and |Aut| values share it (the composed Stirling apex at N=8
+    has 1.37 M components); a reader makes one Fraction per term.  Each
+    distinct label eps(a) is checked to be an element of G.  Over discrete
+    feet V.H is one point."""
     if sp._chi is not None:
         return sp._chi
     S, T, M = sp.source, sp.target, sp.apex
@@ -457,9 +501,10 @@ def _fibre_chi(sp):
     for key in by_key:
         if key[3] not in checked:
             _check_label(sp.group, key[3], checked)
+    den = math.lcm(*{key[2] for key in by_key})
     h_of, v_of = {}, {}  # La -> (c, H on S(c, La)); Ra -> (d, V on T(Ra, d))
     vh_of = {}  # (La, Ra) -> (c, d, V.H as (label, count) pairs)
-    counts = {}  # (c, d, |Aut a|) -> {label: number of (a, s, t)}
+    chi = {}  # (c, d) -> {label: chi times den}
     for (la, ra, n, e), k in by_key.items():
         vh = vh_of.get((la, ra))
         if vh is None:
@@ -477,13 +522,14 @@ def _fibre_chi(sp):
                     product[g] = product.get(g, 0) + 1
             vh = vh_of[la, ra] = c, d, product.items()
         c, d, product = vh
-        by_label = counts.get((c, d, n))
+        by_label = chi.get((c, d))
         if by_label is None:
-            by_label = counts[c, d, n] = {}
+            by_label = chi[c, d] = {}
+        k *= den // n
         for x, kx in product:
             g = add(e, x)
             by_label[g] = by_label.get(g, 0) + k * kx
-    sp._chi = _chi_of_counts(counts)
+    sp._chi = den, chi
     return sp._chi
 
 
@@ -520,114 +566,113 @@ def _composite_keys(sp):
     return by_key
 
 
-def _chi_of_counts(counts):
-    """{(c, d): (den, {g: numerator})} from integer counts
-    {(c, d, |Aut|): {g: count}}: chi at (c, d, g) is the sum of count/|Aut|
-    over the |Aut| values, kept as an integer numerator over their lcm den
-    at (c, d), so no Fraction is made here; its readers make one per term.
-    The pairs (c, d), and the labels within each, keep the order in which
-    counts first has them."""
-    by_pair = {}  # (c, d) -> [(|Aut|, {g: count})]
-    for (c, d, n), by_label in counts.items():
-        by_pair.setdefault((c, d), []).append((n, by_label))
-    out = {}
-    for pair, groups in by_pair.items():
-        den = math.lcm(*(n for n, _ in groups))
-        num = {}
-        for n, by_label in groups:
-            scale = den // n
-            for g, k in by_label.items():
-                num[g] = num.get(g, 0) + k * scale
-        out[pair] = den, num
-    return out
-
-
 def span_matrix(sp):
     """[M, eps]: entry(c,d) = sum_g chi((c\\M/d){label=g}) (1/|T(d,d)|) g,
     with the chi maps of _fibre_chi (the entry formula is in the module
-    docstring).  Each chi is an integer numerator over a denominator at
-    (c, d), and 1/|T(d,d)| is folded into that denominator, so each term
-    is one Fraction; its label was checked to be an element of G where
-    _fibre_chi read it.  This relies on the naturality square that GSpan
-    validates at construction; GSpan(..., check=False) is the caller's
-    promise that it holds.  Coefficients are checked to be >= 0 (the
-    semiring guarantee)."""
-    G = sp.group
+    docstring).  Each chi is an integer numerator over the span's one
+    denominator den, and 1/|T(d,d)| is folded in: the matrix's integer form
+    is over den * L, L the lcm of the |T(d,d)|, read once per column d, and
+    column d's numerators are scaled by L / |T(d,d)|.  Each entry is made
+    from the same integers, one Fraction per term; its label was checked to
+    be an element of G where _fibre_chi read it.  This relies on the
+    naturality square that GSpan validates at construction;
+    GSpan(..., check=False) is the caller's promise that it holds.
+    Coefficients are checked to be >= 0 (the semiring guarantee)."""
+    G, T = sp.group, sp.target
     rows = sp.source.component_reps()
-    cols = sp.target.component_reps()
-    chi = _fibre_chi(sp)
-    entries = []
+    cols = T.component_reps()
+    den, chi = _fibre_chi(sp)
+    auts = [T.aut_order(d) for d in cols]
+    lcm = math.lcm(*auts)
+    den *= lcm
+    scaled_cols = [(d, lcm // n) for d, n in zip(cols, auts)]
+    entries, form, empty = [], [], {}
     for c in rows:
-        row = []
-        for d in cols:
-            den, nums = chi.get((c, d), (1, {}))
-            if any(k < 0 for k in nums.values()):
+        row, form_row = [], []
+        for d, scale in scaled_cols:
+            terms = [(g, k * scale) for g, k in chi.get((c, d), empty).items() if k]
+            if any(k < 0 for _, k in terms):
                 raise GSpanError("negative coefficient at entry (%r, %r)" % (c, d))
-            row.append(GroupRingElement._over(G, nums, den * sp.target.aut_order(d)))
+            row.append(GroupRingElement._over(G, terms, den))
+            form_row.append(terms)
         entries.append(row)
-    return SpanMatrix(G, rows, cols, entries)
+        form.append(form_row)
+    return SpanMatrix._made(G, rows, cols, entries, (den, form))
 
 
-def _integer_rows(entries):
-    """(den, rows): den is the lcm of the denominators of every entry, and
-    rows holds each entry's terms as (key, numerator over den) pairs, an
-    empty list at a zero entry."""
-    forms = [[x._numerators() for x in row] for row in entries]
-    den = math.lcm(*[d for row in forms for d, _ in row])
-    return den, [
-        [[(g, k * (den // d)) for g, k in terms] for d, terms in row]
-        for row in forms
-    ]
-
-
-def _product_entries(a, b, add, over):
-    """Entries of A B, for span or character matrices:
+def _product_entries(a, b, add):
+    """The integer form (den, sums) of A B, for span or character matrices:
     (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) -- the order that stays correct
-    over non-commutative group rings; equals the usual product here.  The
+    over non-commutative group rings; equals the usual product here.  It
+    reads both operands' integer forms: den is the product of their
+    denominators, and sums[i][j] maps each key add(key in B, key in A) to
+    the sum over every d of the products of the entries' numerators.  The
     sum is sparse: for each row of A only the d with A(c1, d) nonzero, and
     for each of those only the c2 with B(d, c2) nonzero, in increasing d,
     so a zero product is never formed (Stirling matrices are triangular).
-    It is summed in integers: each matrix's coefficients are numerators
-    over one denominator per matrix (_integer_rows), the products of an
-    entry's numerators are added per key, add(key in B, key in A), over
-    every d, and over(numerators, den) makes the entry once, one Fraction
-    per term, with den the product of the two matrices' denominators."""
+    A sum may be 0 where terms cancel."""
     if a.col_index != b.row_index:
         raise ValueError("inner indexes do not match")
-    den_a, rows_a = _integer_rows(a.entries)
-    den_b, rows_b = _integer_rows(b.entries)
-    den = den_a * den_b
+    den_a, rows_a = a.form
+    den_b, rows_b = b.form
     b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows_b]
-    entries = []
+    out = []
     for a_row in rows_a:
         sums = [{} for _ in b.col_index]
         for k, y in enumerate(a_row):
             if y:
                 for j, x in b_nonzero[k]:
                     _accumulate(sums[j], add, x, y)
-        entries.append([over(nums, den) for nums in sums])
-    return entries
+        out.append(sums)
+    return den_a * den_b, out
 
 
 def matrix_multiply(a, b):
     """The product A B of span matrices (see _product_entries): keys add
-    in G."""
+    in G, and each entry is made once from its integer sums."""
     if a.group != b.group:
         raise ValueError("matrices over different groups")
     G = a.group
-    over = functools.partial(GroupRingElement._over, G)
-    entries = _product_entries(a, b, G.add, over)
-    return SpanMatrix(G, a.row_index, b.col_index, entries)
+    den, sums = _product_entries(a, b, G.add)
+    form = [[[(g, k) for g, k in s.items() if k] for s in row] for row in sums]
+    entries = [[GroupRingElement._over(G, terms, den) for terms in row] for row in form]
+    return SpanMatrix._made(G, a.row_index, b.col_index, entries, (den, form))
+
+
+def _nonzero(coeffs):
+    """The nonzero (degree, coefficient) pairs of a reduced coefficient list."""
+    return [(k, x) for k, x in enumerate(coeffs) if x]
 
 
 class CharacterMatrix:
-    """Entrywise character image of a SpanMatrix, exact in Q(zeta_m)."""
+    """Entrywise character image of a SpanMatrix, exact in Q(zeta_m), with
+    its integer form (den, rows): rows[i][j] lists entry (i, j)'s nonzero
+    (degree, numerator) pairs, reduced mod Phi_m, over den.  An image or a
+    product is made from its form alone (_made), and its entries on their
+    first read, once."""
 
     def __init__(self, row_index, col_index, entries, conductor):
         self.row_index = list(row_index)
         self.col_index = list(col_index)
-        self.entries = _entry_rows(self.row_index, self.col_index, entries)
+        self._entries = _entry_rows(self.row_index, self.col_index, entries)
         self.conductor = conductor
+        self.form = _integer_rows(self._entries)
+
+    @classmethod
+    def _made(cls, row_index, col_index, form, conductor):
+        """The matrix with the given integer form, its entries not yet made."""
+        x = object.__new__(cls)
+        x.row_index, x.col_index = list(row_index), list(col_index)
+        x._entries, x.conductor, x.form = None, conductor, form
+        return x
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            m, (den, rows) = self.conductor, self.form
+            over = CyclotomicNumber._over
+            self._entries = [[over(m, terms, den) for terms in row] for row in rows]
+        return self._entries
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -638,7 +683,7 @@ class CharacterMatrix:
             and self.conductor == other.conductor
             and self.row_index == other.row_index
             and self.col_index == other.col_index
-            and self.entries == other.entries
+            and _same_form(self.form, other.form)
         )
 
     def __mul__(self, other):
@@ -646,25 +691,26 @@ class CharacterMatrix:
             raise ValueError(
                 "conductors differ: %r vs %r" % (self.conductor, other.conductor)
             )
-        # keys are powers of z, added unreduced; _over reduces each entry once
-        entries = _product_entries(
-            self,
-            other,
-            operator.add,
-            functools.partial(CyclotomicNumber._over, self.conductor),
-        )
-        return CharacterMatrix(self.row_index, other.col_index, entries, self.conductor)
+        # keys are powers of z, added unreduced and reduced once per entry
+        m = self.conductor
+        den, sums = _product_entries(self, other, operator.add)
+        rows = [
+            [_nonzero(_reduce(m, s.items())) if s else [] for s in row] for row in sums
+        ]
+        return CharacterMatrix._made(self.row_index, other.col_index, (den, rows), m)
 
     def is_identity(self):
-        one = CyclotomicNumber.one(self.conductor)
-        zero = CyclotomicNumber.zero(self.conductor)
+        """Square, with 1 = den / den at degree 0 on the diagonal and every
+        other entry 0, read off the integer form."""
         if len(self.row_index) != len(self.col_index):
             return False
-        for i in range(len(self.row_index)):
-            for j in range(len(self.col_index)):
-                if self.entries[i][j] != (one if i == j else zero):
-                    return False
-        return True
+        den, rows = self.form
+        one = [(0, den)]
+        return all(
+            terms == (one if i == j else [])
+            for i, row in enumerate(rows)
+            for j, terms in enumerate(row)
+        )
 
     def render(self):
         return "\n".join(
@@ -673,14 +719,16 @@ class CharacterMatrix:
 
 
 def character_matrix(matrix, rho):
-    """[[M, eps]] = rho applied entrywise."""
+    """[[M, eps]] = rho applied entrywise: each entry's numerators are
+    imaged by rho._image, the routine Character.apply reads, over the
+    matrix's own denominator, and no CyclotomicNumber is made."""
     if rho.group != matrix.group:
         raise ValueError("character over a different group")
-    return CharacterMatrix(
-        matrix.row_index,
-        matrix.col_index,
-        [[rho.apply(e) for e in row] for row in matrix.entries],
-        rho.conductor,
+    den, rows = matrix.form
+    image = rho._image
+    form = [[_nonzero(image(terms)) if terms else [] for terms in row] for row in rows]
+    return CharacterMatrix._made(
+        matrix.row_index, matrix.col_index, (den, form), rho.conductor
     )
 
 
@@ -787,9 +835,10 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     The left-hand side is labeled_fibre of the composite at (c1, c2).  The
     right-hand side reads the factors' _fibre_chi maps, which span_matrix
     reads too, at r1 = rep(c1), each representative d of T and r2 =
-    rep(c2): one integer map (den, {g: numerator}) per factor and d.  Its
-    terms n1 n2 / (den1 |Aut d| den2) are summed in integers over the lcm L
-    of those denominators, and one Fraction(k, L) is made per nonzero sum,
+    rep(c2): one map {g: numerator} per factor and d, over the factor's one
+    denominator den1 or den2.  Its terms n1 n2 / (den1 |Aut d| den2) are
+    summed in integers over den1 L den2, L the lcm of those |Aut d|, and
+    one Fraction(k, den1 L den2) is made per nonzero sum,
     once its key is shifted by the composite's own move of (r1, r2) to
     (c1, c2), H1(s0) + V2(u0) (_to_pair).  No other shift is needed:
     labeled_fibre would move sp1's map at (r1, d) to (c1, d) by
@@ -806,24 +855,24 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     T, add = sp1.target, sp1.group.add
     lhs = labeled_fibre(composed, c1, c2)
     r1, r2, move = _to_pair(composed, c1, c2)
-    chi1, chi2 = _fibre_chi(sp1), _fibre_chi(sp2)
-    terms = []  # (den1 |Aut d| den2, sp1's numerators, sp2's numerators)
+    (den1, chi1), (den2, chi2) = _fibre_chi(sp1), _fibre_chi(sp2)
+    terms = []  # (|Aut d|, sp1's numerators, sp2's numerators)
     for d in T.component_reps():
         left_side, right_side = chi1.get((r1, d)), chi2.get((d, r2))
         if left_side and right_side:
-            den = left_side[0] * T.aut_order(d) * right_side[0]
-            terms.append((den, left_side[1], right_side[1].items()))
-    lcm = math.lcm(*(den for den, _, _ in terms))
+            terms.append((T.aut_order(d), left_side, right_side.items()))
+    lcm = math.lcm(*(n for n, _, _ in terms))
     sums = {}
-    for den, nums1, nums2 in terms:
-        scale = lcm // den
+    for n, nums1, nums2 in terms:
+        scale = lcm // n
         for g1, n1 in nums1.items():
             k1 = n1 * scale
             for g2, n2 in nums2:
                 g = add(g2, g1)
                 sums[g] = sums.get(g, 0) + k1 * n2
+    den = den1 * lcm * den2
     label = (lambda g: g) if move is None else move[1]
-    rhs = {label(g): Fraction(k, lcm) for g, k in sums.items() if k}
+    rhs = {label(g): Fraction(k, den) for g, k in sums.items() if k}
     return lhs, rhs
 
 
@@ -925,6 +974,7 @@ class SpanMorphism:
         self.b = _as_fn(b)
         self.checked = False  # set by validate, identity_cell or a composite
         self._dst_objects = None  # fibre_map_preserves_labels(self, ...)
+        self._src_buckets = None  # likewise
         if check:
             self.validate()
 
@@ -1200,26 +1250,32 @@ def fibre_map_preserves_labels(cell, c, d):
     and in the same label level; False if some image misses either.  It
     walks the objects of c\\M1/d in the fibre table's order, and an image
     (px, s2, t2) is in c\\M2/d when px is in M2, s2 in S(c, L2 px) and t2
-    in T(R2 px, d), so it builds no fibre and walks no apex morphism.  An x
-    with S(c, L1 x) or T(R1 x, d) empty has no fibre object and is skipped;
-    for the others Phi(x), A(x), B(x)^-1 and the parts of the labels in x
-    and s or x and t are read once per x, each hom-set once per foot
-    object, and M2's objects once per cell."""
+    in T(R2 px, d), so it builds no fibre and walks no apex morphism.  Only
+    the x with L1 x in c's component and R1 x in d's have fibre objects, as
+    S(c, L1 x) and T(R1 x, d) are empty otherwise, so a call walks only
+    their bucket of M1's objects, keyed by the components of L1 x and R1 x
+    and made once per cell with M2's object set.  For those Phi(x), A(x),
+    B(x)^-1 and the parts of the labels in x and s or x and t are read once
+    per x, and each hom-set once per foot object."""
     sp1, sp2 = cell.src_span, cell.dst_span
     S, T, add = sp1.source, sp1.target, sp1.group.add
     if cell._dst_objects is None:
         cell._dst_objects = set(sp2.apex.objects)
+        left, right = sp1.left.on_obj, sp1.right.on_obj
+        rep_s = functools.cache(S.component_rep)
+        rep_t = functools.cache(T.component_rep)
+        buckets = cell._src_buckets = {}  # (rep L1 x, rep R1 x) -> [(x, L1 x, R1 x)]
+        for x in sp1.apex.objects:
+            lx, rx = left(x), right(x)
+            buckets.setdefault((rep_s(lx), rep_t(rx)), []).append((x, lx, rx))
     objects2 = cell._dst_objects
-    left, right = sp1.left.on_obj, sp1.right.on_obj
+    bucket = cell._src_buckets.get((S.component_rep(c), T.component_rep(d)), ())
     from_c = functools.cache(lambda y: S.hom(c, y))
     to_d = functools.cache(lambda y: T.hom(y, d))
     from_c2 = functools.cache(lambda y: sp2.source.hom(c, y))
     to_d2 = functools.cache(lambda y: sp2.target.hom(y, d))
-    for x in sp1.apex.objects:
-        ss = from_c(left(x))
-        ts = to_d(right(x)) if ss else None
-        if not ts:
-            continue
+    for x, lx, rx in bucket:
+        ss, ts = from_c(lx), to_d(rx)
         px = cell.phi.on_obj(x)
         if px not in objects2:
             return False  # the image misses the target fibre
@@ -1244,3 +1300,4 @@ def fibre_map_preserves_labels(cell, c, d):
                 if add(v2, w2) != add(v1, w1):
                     return False
     return True
+

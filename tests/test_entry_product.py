@@ -29,11 +29,11 @@ from test_examples import C07_COSET_GROUPS
 
 
 def assert_chi_is_the_table(sp):
-    chi = _fibre_chi(sp)
+    den, chi = _fibre_chi(sp)  # numerators over the span's one den
     pairs = 0
     for c in sp.source.component_reps():
         for d in sp.target.component_reps():
-            den, nums = chi.get((c, d), (1, {}))  # numerators over den
+            nums = chi.get((c, d), {})
             got = {g: Fraction(k, den) for g, k in nums.items()}
             assert got == fibre_chi_by_label(sp, c, d, table=True)
             pairs += 1

@@ -4,9 +4,11 @@ stirling_pair builds one level Sigma(n)//Sigma(n) per n for both kinds, and
 the first kind reads its slices off that level's own orbits.  These tests
 hold the members against the per-k models they replace
 (fin_perm_groupoid(n, k), fin_rel_groupoid(n, k)), the spans of a pair
-against spans built alone, and gspan._chi_of_counts, which _fibre_chi's
-integer counts end in, against one Fraction per (c, d, |Aut|, label)."""
+against spans built alone, and _fibre_chi's one-denominator map against
+one Fraction per (c, d, |Aut|, label), counted from the span's components
+by the closure route."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -19,7 +21,7 @@ from gspans.constructions import discrete_groupoid
 from gspans.examples import StirlingSpanConfig, stirling_pair, stirling_span
 from gspans.groupoid import ActionGroupoid, SymmetricGroup
 from gspans.gspan import compose_spans, labeled_pullback_identity, span_matrix
-from oracles import fin_perm_groupoid, fin_rel_groupoid
+from oracles import closure_keys, fin_perm_groupoid, fin_rel_groupoid
 from test_examples import catalog_pairs
 
 
@@ -83,6 +85,23 @@ def test_spans_built_alone_give_the_pairs_matrices(N):
     assert span_matrix(compose_spans(*alone)) == span_matrix(compose_spans(*pair))
 
 
+def per_key_counts(sp):
+    """{(c, d, |Aut a|): {g: number of (a, s, t)}} over the apex's listed
+    component representatives a (closure_keys), with c = rep(La),
+    d = rep(Ra), s in S(c, La), t in T(Ra, d) and g the label
+    V(t) + eps(a) + H(s), added one (s, t) at a time."""
+    S, T, G = sp.source, sp.target, sp.group
+    counts = {}
+    for (la, ra, n, e), k in closure_keys(sp).items():
+        c, d = S.component_rep(la), T.component_rep(ra)
+        by_label = counts.setdefault((c, d, n), {})
+        for s in S.hom(c, la):
+            for t in T.hom(ra, d):
+                g = G.add(sp.v.value(t), G.add(e, sp.h.value(s)))
+                by_label[g] = by_label.get(g, 0) + k
+    return counts
+
+
 def per_key_chi(counts):
     """The chi maps as one Fraction(count, |Aut|) per key of counts, added in
     the order of counts."""
@@ -96,16 +115,19 @@ def per_key_chi(counts):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every call of _chi_of_counts as (calling function, counts, result)."""
+    """Every call of _fibre_chi that makes a span's map, not reads its memo,
+    as (calling function, span, result)."""
     calls = []
-    chi_of_counts = gspan._chi_of_counts
+    fibre_chi = gspan._fibre_chi
 
-    def recording(counts):
-        result = chi_of_counts(counts)
-        calls.append((sys._getframe(1).f_code.co_name, counts, result))
+    def recording(sp):
+        fresh = sp._chi is None
+        result = fibre_chi(sp)
+        if fresh:
+            calls.append((sys._getframe(1).f_code.co_name, sp, result))
         return result
 
-    monkeypatch.setattr(gspan, "_chi_of_counts", recording)
+    monkeypatch.setattr(gspan, "_fibre_chi", recording)
     return calls
 
 
@@ -123,21 +145,22 @@ def theorem_pairs():
 
 def assert_same_chi(calls):
     assert calls
-    for _, counts, result in calls:
+    assert len({id(sp) for _, sp, _ in calls}) == len(calls)  # once per span
+    for _, sp, (den, chi) in calls:
+        counts = per_key_counts(sp)
         want = per_key_chi(counts)
-        # each chi an integer numerator over one int denominator per (c, d)
+        # each chi an integer numerator over the span's one int denominator,
+        # the lcm of its |Aut a| values
         got = {
             pair: {g: Fraction(k, den) for g, k in nums.items()}
-            for pair, (den, nums) in result.items()
+            for pair, nums in chi.items()
         }
         assert got == want
-        # the same pairs and labels in the same order
+        assert den == math.lcm(*{n for _, _, n in counts})
+        # the same pairs in the same order (rendering sorts the labels)
         assert list(got) == list(want)
-        assert [list(chi) for chi in got.values()] == [list(chi) for chi in want.values()]
-        assert all(
-            type(den) is int and all(type(k) is int for k in nums.values())
-            for den, nums in result.values()
-        )
+        assert type(den) is int
+        assert all(type(k) is int for nums in chi.values() for k in nums.values())
 
 
 def test_chi_of_counts_is_the_per_key_sum_on_stirling(recorded):
@@ -150,8 +173,8 @@ def test_chi_of_counts_is_the_per_key_sum_on_stirling(recorded):
 
 
 def test_chi_of_counts_is_the_per_key_sum_on_the_theorem_pairs(recorded):
-    # span_matrix and both sides of the lemma read _fibre_chi, the one
-    # caller of the helper
+    # span_matrix and both sides of the lemma read _fibre_chi, and make
+    # each span's map once
     for sp1, sp2 in theorem_pairs():
         composed = compose_spans(sp1, sp2)
         span_matrix(composed)
@@ -159,7 +182,9 @@ def test_chi_of_counts_is_the_per_key_sum_on_the_theorem_pairs(recorded):
             for c2 in sp2.target.component_reps():
                 labeled_pullback_identity(sp1, sp2, c1, c2, composed=composed)
     assert_same_chi(recorded)
-    assert {caller for caller, _, _ in recorded} == {"_fibre_chi"}
+    assert {caller for caller, _, _ in recorded} <= {
+        "span_matrix", "labeled_fibre", "labeled_pullback_identity"
+    }
 
 
 @pytest.mark.parametrize("kind", ["trivial_h", "maximal_h"])
