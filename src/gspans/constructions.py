@@ -355,15 +355,22 @@ class PullbackView(GroupoidView):
     # -- handles -------------------------------------------------------------
 
     def _object_list(self):
+        """The objects in enumeration order (a1, a2, t).  T(R1 a1, L2 a2) is
+        empty unless L2 a2 lies in R1 a1's component of T, so only those a2
+        are visited, in M2's order."""
         if self._objects is None:
-            M2, T, l2 = self.M2, self.T, self.l2
-            legs2 = [(a2, l2.on_obj(a2)) for a2 in M2.objects]
+            T = self.T
+            part = (lambda y: y) if self._discrete else T.component_rep
+            over = {}  # component of T -> [(a2, L2 a2)], in M2's order
+            for a2 in self.M2.objects:
+                y = self.l2.on_obj(a2)
+                over.setdefault(part(y), []).append((a2, y))
             self._objects = [
                 (a1, t, a2)
                 for a1 in self.M1.objects
-                for ra1 in (self.r1.on_obj(a1),)
-                for a2, la2 in legs2
-                for t in T.hom(ra1, la2)
+                for x in (self.r1.on_obj(a1),)
+                for a2, y in over.get(part(x), ())
+                for t in T.hom(x, y)
             ]
         return self._objects
 

@@ -54,18 +54,20 @@ once, where it is made, by the same rule: SpanMorphism validates at
 construction, and vertical_compose and horizontal_compose check only their
 factors and mark the composite checked by the composition lemma for
 2-cells, so no composite cell is walked.
-A span's chi map has one denominator, the lcm of its |Aut a| values, and
-a span or character matrix one integer form (den, rows): rows[i][j] lists
-entry (i, j)'s nonzero (key, numerator) terms over den.  span_matrix folds
-1/|Aut d| into den and makes entries from the same integers, one Fraction
-per term.  Matrix products use the order (A B)(c1, c2) = sum_d B(d, c2)
-A(c1, d) (for abelian G this equals the usual product; a test asserts both
-agree).  Span and character matrices share one sparse product,
-_product_entries, which reads both forms and sums the product's own in
-integers.  A character image maps a form's numerators by exponent
-(Character._image, which apply reads too); a character matrix makes its
-CyclotomicNumber entries only when read, and is_identity and == read the
-forms.  The right-hand side of the per-label lemma
+A span's chi map has one denominator, the lcm of its |Aut a| values.
+Span and character matrices are one matrix class over two rings,
+_FormMatrix, over QG (SpanMatrix) and over Q(zeta_m) (CharacterMatrix):
+each holds one integer form (den, rows), where rows[i][j] lists entry
+(i, j)'s nonzero (key, numerator) terms over den, and makes its entries
+from it on their first read, one Fraction per term or coefficient.
+span_matrix folds 1/|Aut d| into den.  Matrix products use the order
+(A B)(c1, c2) = sum_d B(d, c2) A(c1, d) (for abelian G this equals the
+usual product; a test asserts both agree), in the one sparse product,
+which reads both forms and sums the product's own in integers; the ring
+says only how keys add and how a sum becomes terms.  A character image
+maps a form's numerators by exponent (Character._image, which apply
+reads too), and ==, is_diagonal and is_identity read the forms.  The
+right-hand side of the per-label lemma
 (labeled_pullback_identity) sums the factors' integer chi maps over each
 d and moves the sum once, by the composite's shift.  None checks a key
 again, so each label is checked to be an element of G where it is read:
@@ -266,6 +268,13 @@ def labeled_fibre(sp, c, d):
     (GSpanError, naming two objects of c\\M/d with different labels) at
     exactly the (c, d) whose fibre holds a handle where its square fails
     (_refused); a checked span walks nothing."""
+    return _moved_fibre(sp, c, d)[0]
+
+
+def _moved_fibre(sp, c, d):
+    """(labeled_fibre(sp, c, d), r1, r2, label): the map, with _to_pair's
+    representatives r1 and r2 and its label map, None when (c, d) is
+    (r1, r2).  The per-label lemma moves its sum by the same label map."""
     r1, r2, move = _to_pair(sp, c, d)
     witness = None if sp.checked else _refused(sp).get((r1, r2))
     if witness is not None:
@@ -280,9 +289,9 @@ def labeled_fibre(sp, c, d):
     den, chi = _fibre_chi(sp)
     nums = chi.get((r1, r2), {})
     if move is None:
-        return {g: Fraction(k, den) for g, k in nums.items()}
+        return {g: Fraction(k, den) for g, k in nums.items()}, r1, r2, None
     label = move[1]
-    return {label(g): Fraction(k, den) for g, k in nums.items()}
+    return {label(g): Fraction(k, den) for g, k in nums.items()}, r1, r2, label
 
 
 def _to_pair(sp, c, d):
@@ -350,75 +359,160 @@ def _refused(sp):
 # matrices
 
 
-def _entry_rows(row_index, col_index, entries):
-    """entries as a list of rows, one per row index, each with one entry per
-    column index: the shape of a span or character matrix, else ValueError."""
-    rows = [list(row) for row in entries]
-    if len(rows) != len(row_index) or any(len(r) != len(col_index) for r in rows):
-        raise ValueError(
-            "rows of %r entries for %d row and %d column indexes"
-            % ([len(r) for r in rows], len(row_index), len(col_index))
-        )
-    return rows
+class _FormMatrix:
+    """A matrix over a ring of keyed terms, in canonical index order, held as
+    its integer form (den, rows): rows[i][j] lists entry (i, j)'s nonzero
+    (key, numerator) terms over den (see the module docstring).  Its
+    entries are made from the form on their first read, once, unless the
+    public constructor was given them.  ring is a group or a conductor, and
+    a subclass says what that means: its entries' class (_element, whose
+    _over(ring, terms, den) makes an entry), an entry's ring (_ring_of),
+    how a product's keys add (_add) and how a product's integer sums become
+    terms (_terms)."""
 
-
-class SpanMatrix:
-    """pi0(S) x pi0(T) array of group-ring elements, canonical index order,
-    with its integer form (den, rows): rows[i][j] lists entry (i, j)'s
-    nonzero (g, numerator) terms over den (see the module docstring)."""
-
-    def __init__(self, group, row_index, col_index, entries):
-        self.group = group
+    def __init__(self, ring, row_index, col_index, entries):
+        """The matrix of the given entries, each an element over ring
+        (ValueError otherwise, as for a shape that is not one entry per
+        row and column index); den is the lcm of their denominators."""
+        self.ring = ring
         self.row_index = list(row_index)
         self.col_index = list(col_index)
-        self.entries = _entry_rows(self.row_index, self.col_index, entries)
-        self.form = _integer_rows(self.entries)
+        rows = [list(row) for row in entries]
+        if len(rows) != len(self.row_index) or any(
+            len(r) != len(self.col_index) for r in rows
+        ):
+            raise ValueError(
+                "rows of %r entries for %d row and %d column indexes"
+                % ([len(r) for r in rows], len(self.row_index), len(self.col_index))
+            )
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if not isinstance(e, self._element) or self._ring_of(e) != ring:
+                    raise ValueError(
+                        "entry (%d, %d) is %r, not a %s over %r"
+                        % (i, j, e, self._element.__name__, ring)
+                    )
+        forms = [[e._numerators() for e in row] for row in rows]
+        den = math.lcm(*[d for row in forms for d, _ in row])
+        self.form = den, [
+            [[(g, k * (den // d)) for g, k in terms] for d, terms in row]
+            for row in forms
+        ]
+        self._entries = rows
 
     @classmethod
-    def _made(cls, group, row_index, col_index, entries, form):
-        """The matrix with these entries and their form, taken as they are."""
+    def _made(cls, ring, row_index, col_index, form):
+        """The matrix with the given integer form, its entries not yet made."""
         x = object.__new__(cls)
-        x.group, x.entries, x.form = group, entries, form
+        x.ring, x.form, x._entries = ring, form, None
         x.row_index, x.col_index = list(row_index), list(col_index)
         return x
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            over, ring, (den, rows) = self._element._over, self.ring, self.form
+            self._entries = [[over(ring, terms, den) for terms in row] for row in rows]
+        return self._entries
 
     def entry(self, i, j):
         return self.entries[i][j]
 
-    @classmethod
-    def identity(cls, group, index):
-        one = GroupRingElement.one(group)
-        zero = GroupRingElement.zero(group)
-        return cls(
-            group,
-            index,
-            index,
-            [[one if i == j else zero for j in range(len(index))] for i in range(len(index))],
-        )
-
     def __eq__(self, other):
-        return (
-            isinstance(other, SpanMatrix)
-            and self.group == other.group
+        """Same kind, ring and indexes, and the same entries, read off the
+        forms: each entry's numerators, cross-multiplied by the other
+        form's denominator, make the same map."""
+        if not (
+            type(other) is type(self)
+            and self.ring == other.ring
             and self.row_index == other.row_index
             and self.col_index == other.col_index
-            and _same_form(self.form, other.form)
+        ):
+            return False
+        (den1, rows1), (den2, rows2) = self.form, other.form
+        return all(
+            len(x) == len(y)
+            and {g: k * den2 for g, k in x} == {g: k * den1 for g, k in y}
+            for row1, row2 in zip(rows1, rows2)
+            for x, y in zip(row1, row2)
         )
 
     def __mul__(self, other):
-        return matrix_multiply(self, other)
-
-    def is_diagonal(self):
-        return all(
-            self.entries[i][j].is_zero()
-            for i in range(len(self.row_index))
-            for j in range(len(self.col_index))
-            if i != j
-        )
+        """A B, (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) -- the order that
+        stays correct over non-commutative group rings; equals the usual
+        product here.  It reads both forms: den is the product of their
+        denominators, and each entry sums, per key add(key in B, key in A),
+        the products of the numerators over every d, in integers.  The sum
+        is sparse: for each row of A only the d with A(c1, d) nonzero, and
+        for each of those only the c2 with B(d, c2) nonzero, in increasing
+        d, so a zero product is never formed (Stirling matrices are
+        triangular).  Matrices of two kinds do not multiply (TypeError)."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.ring != other.ring:
+            raise ValueError(
+                "%s: %r vs %r" % (self._rings_differ, self.ring, other.ring)
+            )
+        if self.col_index != other.row_index:
+            raise ValueError("inner indexes do not match")
+        (den_a, rows_a), (den_b, rows_b) = self.form, other.form
+        add, terms = self._add(), self._terms
+        b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows_b]
+        out = []
+        for a_row in rows_a:
+            sums = [{} for _ in other.col_index]
+            for k, y in enumerate(a_row):
+                if y:
+                    for j, x in b_nonzero[k]:
+                        _accumulate(sums[j], add, x, y)
+            out.append([terms(s) for s in sums])
+        form = den_a * den_b, out
+        return self._made(self.ring, self.row_index, other.col_index, form)
 
     def render(self):
         return "\n".join(
             " | ".join(e.render() for e in row) for row in self.entries
+        )
+
+    def __repr__(self):
+        return "<%s %dx%d over %r>" % (
+            type(self).__name__,
+            len(self.row_index),
+            len(self.col_index),
+            self.ring,
+        )
+
+
+class SpanMatrix(_FormMatrix):
+    """pi0(S) x pi0(T) array of group-ring elements over group, made with
+    SpanMatrix(group, row_index, col_index, entries); keys are elements of
+    the group and add in it."""
+
+    _element = GroupRingElement
+    _ring_of = operator.attrgetter("group")
+    _rings_differ = "matrices over different groups"
+    group = property(operator.attrgetter("ring"))
+
+    def _add(self):
+        return self.ring.add
+
+    def _terms(self, sums):
+        return [(g, k) for g, k in sums.items() if k]
+
+    @classmethod
+    def identity(cls, group, index):
+        n = len(index)
+        one = (group.identity, 1)
+        rows = [[[one] if i == j else [] for j in range(n)] for i in range(n)]
+        return cls._made(group, index, index, (1, rows))
+
+    def is_diagonal(self):
+        """Every entry off the diagonal is 0, read off the integer form."""
+        return not any(
+            terms
+            for i, row in enumerate(self.form[1])
+            for j, terms in enumerate(row)
+            if i != j
         )
 
     def to_json(self):
@@ -427,37 +521,6 @@ class SpanMatrix:
             "cols": [repr(c) for c in self.col_index],
             "entries": [[e.render() for e in row] for row in self.entries],
         }
-
-    def __repr__(self):
-        return "<SpanMatrix %dx%d over %r>" % (
-            len(self.row_index),
-            len(self.col_index),
-            self.group,
-        )
-
-
-def _integer_rows(entries):
-    """The integer form (den, rows) of a matrix's entries: den is the lcm of
-    the denominators of every entry, and rows[i][j] lists the nonzero terms
-    of entry (i, j) as (key, numerator over den) pairs."""
-    forms = [[x._numerators() for x in row] for row in entries]
-    den = math.lcm(*[d for row in forms for d, _ in row])
-    return den, [
-        [[(g, k * (den // d)) for g, k in terms] for d, terms in row]
-        for row in forms
-    ]
-
-
-def _same_form(form1, form2):
-    """Whether two integer forms of one shape hold the same entries: each
-    entry's numerators, cross-multiplied by the other form's denominator,
-    make the same map."""
-    (den1, rows1), (den2, rows2) = form1, form2
-    return all(
-        len(x) == len(y) and {g: k * den2 for g, k in x} == {g: k * den1 for g, k in y}
-        for row1, row2 in zip(rows1, rows2)
-        for x, y in zip(row1, row2)
-    )
 
 
 def _fibre_chi(sp):
@@ -573,70 +636,35 @@ def span_matrix(sp):
     denominator den, and 1/|T(d,d)| is folded in: the matrix's integer form
     is over den * L, L the lcm of the |T(d,d)|, read once per column d, and
     column d's numerators are scaled by L / |T(d,d)|.  Each entry is made
-    from the same integers, one Fraction per term; its label was checked to
-    be an element of G where _fibre_chi read it.  This relies on the
-    naturality square that GSpan validates at construction;
+    from the same integers on its first read, one Fraction per term; its
+    label was checked to be an element of G where _fibre_chi read it.  This
+    relies on the naturality square that GSpan validates at construction;
     GSpan(..., check=False) is the caller's promise that it holds.
     Coefficients are checked to be >= 0 (the semiring guarantee)."""
-    G, T = sp.group, sp.target
+    T = sp.target
     rows = sp.source.component_reps()
     cols = T.component_reps()
     den, chi = _fibre_chi(sp)
     auts = [T.aut_order(d) for d in cols]
     lcm = math.lcm(*auts)
-    den *= lcm
     scaled_cols = [(d, lcm // n) for d, n in zip(cols, auts)]
-    entries, form, empty = [], [], {}
+    form, empty = [], {}
     for c in rows:
-        row, form_row = [], []
+        row = []
         for d, scale in scaled_cols:
             terms = [(g, k * scale) for g, k in chi.get((c, d), empty).items() if k]
             if any(k < 0 for _, k in terms):
                 raise GSpanError("negative coefficient at entry (%r, %r)" % (c, d))
-            row.append(GroupRingElement._over(G, terms, den))
-            form_row.append(terms)
-        entries.append(row)
-        form.append(form_row)
-    return SpanMatrix._made(G, rows, cols, entries, (den, form))
-
-
-def _product_entries(a, b, add):
-    """The integer form (den, sums) of A B, for span or character matrices:
-    (A B)(c1, c2) = sum_d B(d, c2) A(c1, d) -- the order that stays correct
-    over non-commutative group rings; equals the usual product here.  It
-    reads both operands' integer forms: den is the product of their
-    denominators, and sums[i][j] maps each key add(key in B, key in A) to
-    the sum over every d of the products of the entries' numerators.  The
-    sum is sparse: for each row of A only the d with A(c1, d) nonzero, and
-    for each of those only the c2 with B(d, c2) nonzero, in increasing d,
-    so a zero product is never formed (Stirling matrices are triangular).
-    A sum may be 0 where terms cancel."""
-    if a.col_index != b.row_index:
-        raise ValueError("inner indexes do not match")
-    den_a, rows_a = a.form
-    den_b, rows_b = b.form
-    b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows_b]
-    out = []
-    for a_row in rows_a:
-        sums = [{} for _ in b.col_index]
-        for k, y in enumerate(a_row):
-            if y:
-                for j, x in b_nonzero[k]:
-                    _accumulate(sums[j], add, x, y)
-        out.append(sums)
-    return den_a * den_b, out
+            row.append(terms)
+        form.append(row)
+    return SpanMatrix._made(sp.group, rows, cols, (den * lcm, form))
 
 
 def matrix_multiply(a, b):
-    """The product A B of span matrices (see _product_entries): keys add
-    in G, and each entry is made once from its integer sums."""
-    if a.group != b.group:
-        raise ValueError("matrices over different groups")
-    G = a.group
-    den, sums = _product_entries(a, b, G.add)
-    form = [[[(g, k) for g, k in s.items() if k] for s in row] for row in sums]
-    entries = [[GroupRingElement._over(G, terms, den) for terms in row] for row in form]
-    return SpanMatrix._made(G, a.row_index, b.col_index, entries, (den, form))
+    """The product A B of two span matrices, a * b (_FormMatrix.__mul__):
+    keys add in G, and each entry is made from its integer sums on its
+    first read."""
+    return a * b
 
 
 def _nonzero(coeffs):
@@ -644,60 +672,29 @@ def _nonzero(coeffs):
     return [(k, x) for k, x in enumerate(coeffs) if x]
 
 
-class CharacterMatrix:
-    """Entrywise character image of a SpanMatrix, exact in Q(zeta_m), with
-    its integer form (den, rows): rows[i][j] lists entry (i, j)'s nonzero
-    (degree, numerator) pairs, reduced mod Phi_m, over den.  An image or a
-    product is made from its form alone (_made), and its entries on their
-    first read, once."""
+class CharacterMatrix(_FormMatrix):
+    """Entrywise character image of a SpanMatrix, exact in Q(zeta_m), made
+    with CharacterMatrix(row_index, col_index, entries, conductor): keys are
+    degrees of z, added unreduced in a product and reduced mod Phi_m once
+    per entry."""
+
+    _element = CyclotomicNumber
+    _ring_of = operator.attrgetter("conductor")
+    _rings_differ = "conductors differ"
+    conductor = property(operator.attrgetter("ring"))
 
     def __init__(self, row_index, col_index, entries, conductor):
-        self.row_index = list(row_index)
-        self.col_index = list(col_index)
-        self._entries = _entry_rows(self.row_index, self.col_index, entries)
-        self.conductor = conductor
-        self.form = _integer_rows(self._entries)
+        super().__init__(conductor, row_index, col_index, entries)
 
-    @classmethod
-    def _made(cls, row_index, col_index, form, conductor):
-        """The matrix with the given integer form, its entries not yet made."""
-        x = object.__new__(cls)
-        x.row_index, x.col_index = list(row_index), list(col_index)
-        x._entries, x.conductor, x.form = None, conductor, form
-        return x
+    # the shared product, held in this class's own namespace so that a
+    # profiler can wrap the character product apart from the span product
+    __mul__ = _FormMatrix.__mul__
 
-    @property
-    def entries(self):
-        if self._entries is None:
-            m, (den, rows) = self.conductor, self.form
-            over = CyclotomicNumber._over
-            self._entries = [[over(m, terms, den) for terms in row] for row in rows]
-        return self._entries
+    def _add(self):
+        return operator.add
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharacterMatrix)
-            and self.conductor == other.conductor
-            and self.row_index == other.row_index
-            and self.col_index == other.col_index
-            and _same_form(self.form, other.form)
-        )
-
-    def __mul__(self, other):
-        if self.conductor != other.conductor:
-            raise ValueError(
-                "conductors differ: %r vs %r" % (self.conductor, other.conductor)
-            )
-        # keys are powers of z, added unreduced and reduced once per entry
-        m = self.conductor
-        den, sums = _product_entries(self, other, operator.add)
-        rows = [
-            [_nonzero(_reduce(m, s.items())) if s else [] for s in row] for row in sums
-        ]
-        return CharacterMatrix._made(self.row_index, other.col_index, (den, rows), m)
+    def _terms(self, sums):
+        return _nonzero(_reduce(self.ring, sums.items())) if sums else []
 
     def is_identity(self):
         """Square, with 1 = den / den at degree 0 on the diagonal and every
@@ -712,11 +709,6 @@ class CharacterMatrix:
             for j, terms in enumerate(row)
         )
 
-    def render(self):
-        return "\n".join(
-            " | ".join(e.render() for e in row) for row in self.entries
-        )
-
 
 def character_matrix(matrix, rho):
     """[[M, eps]] = rho applied entrywise: each entry's numerators are
@@ -728,7 +720,7 @@ def character_matrix(matrix, rho):
     image = rho._image
     form = [[_nonzero(image(terms)) if terms else [] for terms in row] for row in rows]
     return CharacterMatrix._made(
-        matrix.row_index, matrix.col_index, (den, form), rho.conductor
+        rho.conductor, matrix.row_index, matrix.col_index, (den, form)
     )
 
 
@@ -832,15 +824,16 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     components; on the raw pullback apex the labels are not component
     constant and the naive reading fails.
 
-    The left-hand side is labeled_fibre of the composite at (c1, c2).  The
-    right-hand side reads the factors' _fibre_chi maps, which span_matrix
-    reads too, at r1 = rep(c1), each representative d of T and r2 =
-    rep(c2): one map {g: numerator} per factor and d, over the factor's one
-    denominator den1 or den2.  Its terms n1 n2 / (den1 |Aut d| den2) are
-    summed in integers over den1 L den2, L the lcm of those |Aut d|, and
-    one Fraction(k, den1 L den2) is made per nonzero sum,
-    once its key is shifted by the composite's own move of (r1, r2) to
-    (c1, c2), H1(s0) + V2(u0) (_to_pair).  No other shift is needed:
+    The left-hand side is labeled_fibre of the composite at (c1, c2), read
+    with its _to_pair move through _moved_fibre, once.  The right-hand side
+    reads the factors' _fibre_chi maps, which span_matrix reads too, at
+    r1 = rep(c1), each representative d of T and r2 = rep(c2): one map
+    {g: numerator} per factor and d, over the factor's one denominator den1
+    or den2.  Its terms n1 n2 / (den1 |Aut d| den2) are summed in integers
+    over den1 L den2, L the lcm of those |Aut d|, and one
+    Fraction(k, den1 L den2) is made per nonzero sum, once its key is
+    shifted by that move of (r1, r2) to (c1, c2), H1(s0) + V2(u0).  No other
+    shift is needed:
     labeled_fibre would move sp1's map at (r1, d) to (c1, d) by
     V1(u) + H1(s0) and sp2's at (d, r2) to (d, c2) by H2(u) + V2(u0), with u
     the first of Aut(d), and (a, s, t) -> (a, s, u t) is an automorphism of
@@ -853,8 +846,7 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
     otherwise)."""
     composed = _composite_of(sp1, sp2, composed, ComposabilityError, "sp1, sp2")
     T, add = sp1.target, sp1.group.add
-    lhs = labeled_fibre(composed, c1, c2)
-    r1, r2, move = _to_pair(composed, c1, c2)
+    lhs, r1, r2, label = _moved_fibre(composed, c1, c2)
     (den1, chi1), (den2, chi2) = _fibre_chi(sp1), _fibre_chi(sp2)
     terms = []  # (|Aut d|, sp1's numerators, sp2's numerators)
     for d in T.component_reps():
@@ -871,7 +863,7 @@ def labeled_pullback_identity(sp1, sp2, c1, c2, composed=None):
                 g = add(g2, g1)
                 sums[g] = sums.get(g, 0) + k1 * n2
     den = den1 * lcm * den2
-    label = (lambda g: g) if move is None else move[1]
+    label = label or (lambda g: g)
     rhs = {label(g): Fraction(k, den) for g, k in sums.items() if k}
     return lhs, rhs
 

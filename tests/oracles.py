@@ -451,6 +451,21 @@ def triple_loop_table_pullback(r1, l2):
     return b.build(*slotwise((M1, None, M2)))
 
 
+def pullback_object_list(view):
+    """The objects (a1, t, a2) of a PullbackView by the pair loop: T.hom at
+    every pair (a1, a2) of the two apexes, in the order a1, a2, t (gspans
+    visits only the a2 whose L2 a2 lies in R1 a1's component of T)."""
+    M2, T, l2 = view.M2, view.T, view.l2
+    legs2 = [(a2, l2.on_obj(a2)) for a2 in M2.objects]
+    return [
+        (a1, t, a2)
+        for a1 in view.M1.objects
+        for ra1 in (view.r1.on_obj(a1),)
+        for a2, la2 in legs2
+        for t in T.hom(ra1, la2)
+    ]
+
+
 def two_sided_pullback_table(r1, l, r, l2):
     """P x_S M x_T Q for P -R1-> S <-L- M -R-> T <-L2- Q built directly as
     one table: objects (x, a, y, s, t), enumerated x, a, s, y, t; a morphism

@@ -309,22 +309,28 @@ def test_an_unchecked_h_that_is_not_a_functor_is_refused_at_every_fibre():
 def test_a_checked_span_walks_nothing(corpus, monkeypatch):
     # labeled_fibre and the lemma read a checked span's _fibre_chi and
     # never its naturality square; the lemma's right-hand side reads the
-    # factors' chi maps, so its one labeled_fibre call is the composite's
+    # factors' chi maps, so its one labeled fibre (_moved_fibre, which
+    # labeled_fibre reads too) is the composite's, moved by one _to_pair
     from gspans import gspan
-    from gspans.gspan import labeled_pullback_identity
+    from gspans.gspan import _moved_fibre, _to_pair, labeled_pullback_identity
 
     def refuse(*args):
         raise AssertionError("walked")
 
-    calls = []
+    calls, moves = [], []
 
     def counted(*args):
         calls.append(args)
-        return labeled_fibre(*args)
+        return _moved_fibre(*args)
+
+    def counted_move(*args):
+        moves.append(args)
+        return _to_pair(*args)
 
     monkeypatch.setattr(gspan, "_unnatural", refuse)
     monkeypatch.setattr(gspan, "_refused", refuse)
-    monkeypatch.setattr(gspan, "labeled_fibre", counted)
+    monkeypatch.setattr(gspan, "_moved_fibre", counted)
+    monkeypatch.setattr(gspan, "_to_pair", counted_move)
     for sp1, sp2, composed in corpus:
         for sp in (sp1, sp2, composed):
             assert sp.checked
@@ -334,9 +340,10 @@ def test_a_checked_span_walks_nothing(corpus, monkeypatch):
         for c1 in sp1.source.objects:
             for c2 in sp2.target.objects:
                 calls.clear()
+                moves.clear()
                 lhs, rhs = labeled_pullback_identity(sp1, sp2, c1, c2, composed)
                 assert lhs == rhs
-                assert calls == [(composed, c1, c2)]
+                assert calls == moves == [(composed, c1, c2)]
 
 
 def test_a_fibre_is_unchanged_by_a_shift_by_h_or_v_of_an_automorphism(corpus):

@@ -1,16 +1,19 @@
-"""The integer form (den, rows) that span and character matrices share,
-against the entries it stands for and the Fraction routes it replaces.
+"""The integer form (den, rows) of the one matrix class over two rings,
+span matrices over QG and character matrices over Q(zeta_m), against the
+entries it stands for and the Fraction routes it replaces.
 
 For every matrix that span_matrix, matrix_multiply, character_matrix or
 CharacterMatrix.__mul__ makes, Fraction(k, den) per term of the form is the
 entry the oracles give: the entries of the span matrices, the Fraction
 character image (oracles.fraction_character_image) and the dense Fraction
-product (oracles.dense_product_entries).  is_identity and == read only the
-forms, and must agree with comparing entries.  Checked on the seeded
-corpus, under hypothesis with every character of G, on the Stirling pairs
-with the sign character, on the c07 coset and subset sweeps, and on
-matrices made by the public constructors from entries with zero, negative
-and non-reduced coefficients."""
+product (oracles.dense_product_entries).  ==, is_diagonal and is_identity
+read only the forms, and must agree with comparing entries.  Checked on
+the seeded corpus, under hypothesis with every character of G, on the
+Stirling pairs with the sign character, on the c07 coset and subset
+sweeps, and on matrices made by the public constructors from entries with
+zero, negative and non-reduced coefficients; those constructors refuse an
+entry over another ring.  Both kinds make their entries on first read,
+once: the main theorem and the signed Stirling product make none."""
 
 import itertools
 import random
@@ -32,6 +35,7 @@ from gspans.gspan import (
     CharacterMatrix,
     SpanMatrix,
     character_matrix,
+    check_main_theorem,
     compose_spans,
     matrix_multiply,
     span_matrix,
@@ -99,13 +103,20 @@ def entries_equal(x, y):
 
 
 def assert_comparisons_are_the_entries(matrices):
-    """== on every pair and is_identity on every character matrix agree
-    with comparing entries; so does == on a copy made by the public
-    constructor, whose denominator is the lcm of its entries' own."""
+    """== on every pair, is_diagonal on every span matrix and is_identity on
+    every character matrix agree with comparing entries; so does == on a
+    copy made by the public constructor, whose denominator is the lcm of
+    its entries' own."""
     copies = []
     for m in matrices:
         if isinstance(m, SpanMatrix):
             copies.append(SpanMatrix(m.group, m.row_index, m.col_index, m.entries))
+            assert m.is_diagonal() is all(
+                e.is_zero()
+                for i, row in enumerate(m.entries)
+                for j, e in enumerate(row)
+                if i != j
+            )
         else:
             copies.append(
                 CharacterMatrix(m.row_index, m.col_index, m.entries, m.conductor)
@@ -251,31 +262,68 @@ def test_public_character_matrix_reduces_and_compares_by_value():
         assert (x * y).entries == want
 
 
-def test_signed_stirling_product_makes_no_cyclotomic_number(monkeypatch):
+def count_made(monkeypatch, cls):
+    """The list that records each element of cls made from here on, by its
+    public constructor or by _closed."""
     made = []
-    closed, init = CyclotomicNumber._closed.__func__, CyclotomicNumber.__init__
+    closed, init = cls._closed.__func__, cls.__init__
 
-    def counting_closed(cls, conductor, coeffs):
-        made.append(coeffs)
-        return closed(cls, conductor, coeffs)
+    def counting_closed(cls, ring, terms):
+        made.append(terms)
+        return closed(cls, ring, terms)
 
     def counting_init(self, *args):
         made.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(CyclotomicNumber, "_closed", classmethod(counting_closed))
-    monkeypatch.setattr(CyclotomicNumber, "__init__", counting_init)
+    monkeypatch.setattr(cls, "_closed", classmethod(counting_closed))
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return made
+
+
+def test_signed_stirling_product_makes_no_cyclotomic_number(monkeypatch):
+    # nor does the main theorem make a GroupRingElement: span matrices and
+    # their product are integer forms until their entries are read
     first, second = stirling_pair(4)
+    made = count_made(monkeypatch, CyclotomicNumber)
+    made_qg = count_made(monkeypatch, GroupRingElement)
+    lhs, rhs = check_main_theorem(first, second)
+    assert lhs == rhs and not rhs.is_diagonal()
     sign = Character(AbelianGroup([2]), (1,))
     a = character_matrix(span_matrix(first), sign)
     b = character_matrix(span_matrix(second), sign)
     product = a * b
     assert product.is_identity()
     assert product == character_matrix(span_matrix(compose_spans(first, second)), sign)
-    assert made == []
+    assert made == [] and made_qg == []
     # the entries are made on first read, once
-    entries = product.entries
-    assert len(made) == 25
-    assert product.entries is entries and product.entry(4, 4) is entries[4][4]
-    product.render()
-    assert len(made) == 25
+    for m, count in ((product, made), (lhs, made_qg), (rhs, made_qg)):
+        count.clear()
+        entries = m.entries
+        assert len(count) == 25
+        assert m.entries is entries and m.entry(4, 4) is entries[4][4]
+        m.render()
+        assert len(count) == 25
+    assert lhs.entries == rhs.entries
+
+
+def test_public_constructors_refuse_entries_over_another_ring():
+    # an entry over Z3 in a matrix over Z2 would be squared in Z2 (g(2) +
+    # g(2) read as g(0)), and an entry of Q(zeta_3) in a matrix over
+    # Q(zeta_4) reduced mod Phi_4; the kind of an entry is checked too
+    z2, z3 = AbelianGroup([2]), AbelianGroup([3])
+    bad = (
+        lambda: SpanMatrix(z2, [0], [0], [[GroupRingElement.basis(z3, (2,))]]),
+        lambda: CharacterMatrix([0], [0], [[CyclotomicNumber(3, (0, 1))]], 4),
+        lambda: SpanMatrix(z2, [0], [0], [[CyclotomicNumber(2, (1,))]]),
+        lambda: CharacterMatrix([0], [0], [[GroupRingElement.one(z2)]], 2),
+        lambda: SpanMatrix(z2, [0, 1], [0], [[GroupRingElement.one(z2)], [1]]),
+    )
+    for make in bad:
+        with pytest.raises(ValueError, match="not a .* over"):
+            make()
+    # the same entries over their own rings square as in their rings
+    g2 = SpanMatrix(z3, [0], [0], [[GroupRingElement.basis(z3, (2,))]])
+    assert (g2 * g2).entries == [[GroupRingElement.basis(z3, (1,))]]
+    z = CharacterMatrix([0], [0], [[CyclotomicNumber(3, (0, 1))]], 3)
+    assert (z * z).entries == [[CyclotomicNumber(3, (0, 0, 1))]]

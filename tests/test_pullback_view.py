@@ -33,7 +33,7 @@ from gspans.constructions import (
 from gspans.examples import coset_span, stirling_pair
 from gspans.groupoid import SymmetricGroup, _extend_closure, materialize
 from gspans.gspan import compose_spans, span_matrix
-from oracles import triple_loop_table_pullback
+from oracles import pullback_object_list, triple_loop_table_pullback
 from test_examples import c07_coset_pairs
 from test_product_strata import assert_search_forest, split_pair, twisted_pair
 from test_star_family import closure
@@ -227,11 +227,13 @@ def test_stirling_chains_are_the_triple_product(n, monkeypatch):
 def assert_double_cosets_are_the_search(view):
     """On a fresh copy of view, before any search: the pass lists no object,
     its representatives are the first objects of components(), in order,
-    and aut_order at each is hom_size(r, r)."""
+    and aut_order at each is hom_size(r, r).  The objects are the pair
+    loop's, in its order (oracles.pullback_object_list)."""
     fresh = PullbackView(view.r1, view.l2)
     reps = fresh.component_reps()
     auts = [fresh.aut_order(r) for r in reps]
     assert fresh._objects is None and fresh._search is None
+    assert fresh.objects == pullback_object_list(fresh)
     assert reps == [c[0] for c in fresh.components()]
     assert auts == [fresh.hom_size(r, r) for r in reps]
 

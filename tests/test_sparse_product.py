@@ -130,3 +130,11 @@ def test_mismatches_still_raise_between_zero_matrices():
     cd = character_matrix(d, Character(z2, (1,)))
     with pytest.raises(ValueError, match="inner indexes"):
         cd * cd
+    # a span and a character matrix do not multiply, either way round, and
+    # are never equal
+    for x, y in ((a, ca), (ca, a)):
+        kinds = "'%s' and '%s'" % (type(x).__name__, type(y).__name__)
+        for product in (lambda: x * y, lambda: matrix_multiply(x, y)):
+            with pytest.raises(TypeError, match=kinds):
+                product()
+        assert x != y and not x == y
